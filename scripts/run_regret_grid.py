@@ -9,7 +9,10 @@ Three blocks:
      with a percentile bootstrap CI over seeds;
   3. efficiency sweep -- final-regret ratio vs the blind baseline across rho.
 
-Writes grid.csv / ratios.csv next to nothing else; stdout is the record.
+The experiment design (grid axes, horizon, seed counts, the sweep's bandit)
+is read from ``alphauct.verify``, so the script measures exactly what the
+acceptance gate checks.  Writes grid.csv / ratios.csv next to nothing else;
+stdout is the record.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from alphauct.envs import BanditSpec
-from alphauct.judging import UNIFORM
 from alphauct.regret import (
     ALGO_ALPHA,
     bound_for_spec,
@@ -31,34 +32,29 @@ from alphauct.regret import (
     run_bandit_experiment,
     slope_ratio_ci,
 )
-
-KS = (2, 5, 10)
-GAPS = (0.1, 0.2)
-SIGMA2S = (0.01, 0.05)
-
-
-def grid_spec(k: int, gap: float, sigma2: float) -> BanditSpec:
-    """One best arm at 0.5 + gap/2, the rest tied at 0.5 - gap/2.
-
-    Uniform (continuous) noise: with two-point noise the laggard arm's
-    empirical mean sits on a lattice, so its re-exploration times barely
-    vary across seeds and the seed-averaged curve keeps visible stairs that
-    depress any smooth fit.  The efficiency sweep keeps two-point noise
-    because at sigma_x2 = 0.2 only the minimal-width noise stays in [0, 1].
-    """
-    means = (0.5 + gap / 2.0,) + (0.5 - gap / 2.0,) * (k - 1)
-    return BanditSpec(means=means, sigma_x2=sigma2, rho=1.0, noise=UNIFORM)
+from alphauct.verify import (
+    GRID_GAPS,
+    GRID_HORIZON,
+    GRID_KS,
+    GRID_SEEDS,
+    GRID_SIGMA2S,
+    RATIO_SWEEP_RHOS,
+    RATIO_SWEEP_SEEDS,
+    SLOPE_RATIO_SEEDS,
+    grid_spec,
+    ratio_sweep_spec,
+)
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--slope-seeds", type=int, default=1000,
+    p.add_argument("--horizon", type=int, default=GRID_HORIZON)
+    p.add_argument("--seeds", type=int, default=GRID_SEEDS)
+    p.add_argument("--slope-seeds", type=int, default=SLOPE_RATIO_SEEDS,
                    help="seeds for the K-doubling slope-ratio CIs (the "
                         "finite-horizon ratio sits near 2.3, so the CI "
                         "needs to be tight to stay inside [1.5, 2.5])")
-    p.add_argument("--ratio-seeds", type=int, default=200)
+    p.add_argument("--ratio-seeds", type=int, default=RATIO_SWEEP_SEEDS)
     p.add_argument("--boot", type=int, default=2000)
     p.add_argument("--out-dir", type=Path, default=Path("."))
     p.add_argument("--skip-ratio", action="store_true")
@@ -69,9 +65,9 @@ def main() -> int:
     print(f"{'K':>3} {'gap':>5} {'s2':>5} {'mean_RT':>10} {'bound':>10} "
           f"{'margin':>7} {'slope':>8} {'r2':>8} {'lin_r2':>8}")
     violations = 0
-    for k in KS:
-        for gap in GAPS:
-            for s2 in SIGMA2S:
+    for k in GRID_KS:
+        for gap in GRID_GAPS:
+            for s2 in GRID_SIGMA2S:
                 spec = grid_spec(k, gap, s2)
                 curve = run_bandit_experiment(spec, ALGO_ALPHA, args.horizon,
                                               args.seeds)
@@ -94,8 +90,8 @@ def main() -> int:
           f"[{time.perf_counter() - t0:.1f}s]")
 
     print(f"\nK-doubling slope ratios (10 vs 5, {args.slope_seeds} seeds):")
-    for gap in GAPS:
-        for s2 in SIGMA2S:
+    for gap in GRID_GAPS:
+        for s2 in GRID_SIGMA2S:
             num = run_bandit_experiment(grid_spec(10, gap, s2), ALGO_ALPHA,
                                         args.horizon, args.slope_seeds)
             den = run_bandit_experiment(grid_spec(5, gap, s2), ALGO_ALPHA,
@@ -112,10 +108,9 @@ def main() -> int:
 
     if not args.skip_ratio:
         print("\nefficiency sweep (K=10, gap=0.1, sigma_x2=0.2):")
-        spec = BanditSpec(means=(0.55,) + (0.45,) * 9, sigma_x2=0.2, rho=1.0)
-        points = efficiency_ratio_experiment(spec, (0.1, 0.25, 0.5, 1.0),
-                                             args.horizon, args.ratio_seeds,
-                                             n_boot=args.boot)
+        points = efficiency_ratio_experiment(ratio_sweep_spec(),
+                                             RATIO_SWEEP_RHOS, args.horizon,
+                                             args.ratio_seeds, n_boot=args.boot)
         with open(args.out_dir / "ratios.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",

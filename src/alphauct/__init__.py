@@ -8,8 +8,9 @@ from .envs import (BanditSpec, GuiGraphEnv, GuiGraphSpec, Observation,
 from .expansion import (NormalizationContext, admit_candidates, chunk_key,
                         expand_node, lexical_key, make_chunk, normalize_action)
 from .judging import (JudgeFailure, PredictorSpec, SimJudge, SimJudgeSpec,
-                      judge_comparative, judge_independent,
-                      judge_independent_set, predict_value, sample_outcome)
+                      judge_comparative, judge_independent_set,
+                      residual_noise, sample_outcome)
+from .manifest import PACKAGE_VERSION as __version__
 from .proposer import ProposerSpec, SimProposer, TaskInfeasible, proposer_from_fixture
 from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
@@ -22,5 +23,3 @@ from .selection import (SelectionPolicy, alpha_uct_score, select_child,
                         select_leaf, uct_score)
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree
 from .verify import CRITERION_NAMES, run_criteria
-
-__version__ = "0.1.0"

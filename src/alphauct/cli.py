@@ -21,10 +21,10 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .ablation import (ABLATION_CONFIG, ABLATION_JUDGE, measure_parallel_speedup,
-                       pooled, run_ablation, two_proportion_test)
+from .ablation import (ABLATION_CONFIG, measure_parallel_speedup, pooled,
+                       run_ablation, two_proportion_test)
 from .backup import MAX, MEAN, MODES
-from .envs import BanditSpec, FixtureError, GuiGraphEnv, load_fixture
+from .envs import BanditSpec, GuiGraphEnv, load_fixture
 from .judging import (COMPARATIVE, INDEPENDENT, JUDGE_MODES, NOISE_KINDS,
                       TWO_POINT, SimJudge, SimJudgeSpec)
 from .manifest import RunManifest, atomic_write_text, load_manifest, write_csv, \
@@ -56,6 +56,13 @@ def _resolve_out(args, command: str) -> Path:
 
 class UsageError(ValueError):
     pass
+
+
+class _ManifestConfig(dict):
+    """A rerun's config: a key the manifest lacks is a usage error."""
+
+    def __missing__(self, key):
+        raise UsageError(f"manifest config lacks {key!r}")
 
 
 # -- search --------------------------------------------------------------------
@@ -103,6 +110,16 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
     return 0
 
 
+def _check_config_type(key: str, value, default) -> None:
+    """A config-file value must have its field default's type (a float field
+    also takes an int; the default-less ``env`` takes a string)."""
+    want = str if default is None else type(default)
+    allowed = (int, float) if want is float else want
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise UsageError(f"config key {key!r} must be a {want.__name__}, "
+                         f"got {value!r}")
+
+
 def cmd_search(args) -> int:
     resolved = {f.name: f.default for f in fields(SearchConfig)}
     resolved.update({"env": None, "judge_noise": 0.0, "judge_offset": 0.0,
@@ -112,10 +129,14 @@ def cmd_search(args) -> int:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)} "
                              f"(valid: {sorted(resolved)})")
+        for key, value in file_cfg.items():
+            _check_config_type(key, value, resolved[key])
         resolved.update(file_cfg)
     flag_map = {
         "env": args.env, "max_iterations": args.iters,
@@ -309,12 +330,12 @@ def cmd_rerun(args) -> int:
     runner = _RERUNNERS.get(data["command"])
     if runner is None:
         raise UsageError(f"manifest command {data['command']!r} is not rerunnable")
-    config = data["config"]
+    if not isinstance(data["config"], dict):
+        raise UsageError("manifest config must be a JSON object")
+    config = _ManifestConfig(data["config"])
     if data["command"] == "bandit" and config.get("rho_grid"):
         config["rho_grid"] = tuple(config["rho_grid"])  # JSON gives a list
-    outdir = Path(args.out) if args.out else _default_out(data["command"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return runner(config, outdir)
+    return runner(config, _resolve_out(args, data["command"]))
 
 
 # -- parser ----------------------------------------------------------------------
@@ -404,13 +425,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FixtureError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError, FixtureError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ no spaces); goal reachability from the start screen is checked at load.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -203,9 +202,8 @@ class GuiGraphEnv:
     """Mutable cursor over a GuiGraphSpec.  Cloning copies the cursor; the
     spec itself is immutable and shared."""
 
-    def __init__(self, spec: GuiGraphSpec, *, step_latency_s: float = 0.0):
+    def __init__(self, spec: GuiGraphSpec):
         self.spec = spec
-        self.step_latency_s = float(step_latency_s)
         self._screen = spec.start
         self._steps = 0
 
@@ -224,8 +222,6 @@ class GuiGraphEnv:
         return self.spec.observation(self._screen)
 
     def step(self, action: str) -> tuple[Observation, float]:
-        if self.step_latency_s > 0:
-            time.sleep(self.step_latency_s)
         self._steps += 1
         obs = self.observe()
         if obs.terminal != TERMINAL_NONE:
@@ -245,7 +241,7 @@ class GuiGraphEnv:
         return new_obs, 0.0
 
     def clone(self) -> "GuiGraphEnv":
-        dup = GuiGraphEnv(self.spec, step_latency_s=self.step_latency_s)
+        dup = GuiGraphEnv(self.spec)
         dup._screen = self._screen
         dup._steps = self._steps
         return dup
@@ -417,7 +413,7 @@ class BanditSpec:
 
     def predictor(self) -> PredictorSpec:
         return PredictorSpec(rho=self.rho, sigma_x2=self.sigma_x2,
-                             noise=self.noise, seed=self.seed)
+                             noise=self.noise)
 
 
 def bandit_pull(spec: BanditSpec, arm: int, rng) -> tuple[float, float]:

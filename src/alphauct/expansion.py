@@ -159,9 +159,9 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
                 env_pool: Executor | None = None,
                 keep_snapshots: bool = True) -> list[tuple[int, object]]:
     """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``),
-    dedup whole chunks by normalized key, and add one child per admitted
-    chunk.  Children are added unscored; the caller judges the sibling set
-    next.  Returns ``[(child_id, observation), ...]`` in admission order.
+    admit whole chunks through ``admit_candidates``, and add one child per
+    admitted chunk.  Children are added unscored; the caller judges the
+    sibling set next.  Returns ``[(child_id, observation), ...]`` in admission order.
     """
     if k < 1:
         raise ValueError("proposal budget must be >= 1")
@@ -183,15 +183,11 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
                                   iteration=iteration, leaf=leaf,
                                   chunk_size=chunk_size)
                   for j, head in enumerate(heads)]
+    built = [(make_chunk(atoms, ctx), clone) for atoms, clone in rolled if atoms]
+    clone_of = {id(chunk): clone for chunk, clone in built}
     out: list[tuple[int, object]] = []
-    seen: set[str] = set()
-    for atoms, clone in rolled:
-        if not atoms:
-            continue
-        chunk = make_chunk(atoms, ctx)
-        if chunk.norm_key in seen:
-            continue
-        seen.add(chunk.norm_key)
+    for chunk in admit_candidates([chunk for chunk, _ in built], ctx):
+        clone = clone_of[id(chunk)]
         obs = clone.observe()
         child = tree.add_child(leaf, chunk,
                                state_ref=clone if keep_snapshots else None,

@@ -23,6 +23,8 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .rng import derive_rng
 from .tree import ActionChunk
 
@@ -123,29 +125,16 @@ def judge_comparative(parent_obs, siblings: Sequence[tuple[ActionChunk, object]]
     return JudgeResult(tuple(float(s) for s in scores), COMPARATIVE)
 
 
-def judge_independent(parent_obs, sibling: tuple[ActionChunk, object],
-                      instruction: str, judge, *, call_key: tuple = (0,),
-                      slot: int = 0) -> float:
-    """Score one sibling in its own isolated call.
-
-    The call draws its own offset — nothing is shared with the sibling's
-    set-mates, which is exactly what the comparative mode's joint call buys.
-    ``slot`` distinguishes siblings of the same iteration in the call key.
-    """
-    chunk, obs = sibling
-    key = (*call_key, slot)
-    prepared = judge.prepare(parent_obs, chunk, obs, key)
-    return float(judge.score_one(prepared, instruction, key))
-
-
 def judge_independent_set(parent_obs,
                           siblings: Sequence[tuple[ActionChunk, object]],
                           instruction: str, judge, *, call_key: tuple = (0,),
                           pool: Executor | None = None) -> JudgeResult:
-    """Map ``judge_independent`` over a sibling set (ablation path).
+    """Score each sibling in its own isolated call (ablation path).
 
-    Scores are identical to looping ``judge_independent`` with ``slot=i``;
-    the pool only parallelizes the per-item preparation step.
+    Sibling ``i`` is prepared and scored under key ``(*call_key, i)``; each
+    call draws its own offset, so nothing is shared with the sibling's
+    set-mates, which is exactly what the comparative mode's joint call buys.
+    The pool only parallelizes the per-item preparation step.
     """
     if not siblings:
         raise ValueError("empty sibling set")
@@ -171,7 +160,6 @@ class PredictorSpec:
     rho: float
     sigma_x2: float
     noise: str = TWO_POINT
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -192,29 +180,27 @@ class PredictorSpec:
         return s if self.noise == TWO_POINT else s * math.sqrt(3.0)
 
 
-def predict_value(spec: PredictorSpec, mean: float) -> float:
-    """Point prediction: the conditional mean.  All of rho shows up in the
-    realized residual (see ``residual_noise``), not in a biased point."""
-    return float(mean)
-
-
-def residual_noise(spec: PredictorSpec, u: float) -> float:
-    """Map one uniform(0,1) variate to a bounded zero-mean residual with
-    variance exactly ``spec.residual_var``."""
-    s = math.sqrt(spec.residual_var)
+def residual_noise(u, s: float, kind: str):
+    """Map uniform(0,1) variates ``u`` (a scalar or an array) to bounded
+    zero-mean residuals with standard deviation ``s``: ``two_point`` gives
+    +-s, ``uniform`` spreads over [-s*sqrt(3), s*sqrt(3)]."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
     if s == 0.0:
-        return 0.0
-    if spec.noise == TWO_POINT:
-        return s if u >= 0.5 else -s
+        return np.zeros_like(u)
+    if kind == TWO_POINT:
+        return np.where(u >= 0.5, s, -s)
     return s * math.sqrt(3.0) * (2.0 * u - 1.0)
 
 
 def sample_outcome(spec: PredictorSpec, mean: float, rng) -> tuple[float, float]:
-    """(prediction, outcome): outcome = prediction + bounded residual.
+    """(prediction, outcome): the prediction is the conditional mean, and the
+    outcome adds a bounded residual with variance ``spec.residual_var``.
 
     Consumes exactly one uniform draw from ``rng`` regardless of parameters,
     so scalar and vectorized simulations share noise streams.
     """
-    theta = predict_value(spec, mean)
+    theta = float(mean)
     u = float(rng.random())
-    return theta, theta + residual_noise(spec, u)
+    s = math.sqrt(spec.residual_var)
+    return theta, theta + float(residual_noise(u, s, spec.noise))

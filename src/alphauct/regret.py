@@ -12,10 +12,9 @@ variance-scaled anytime radius sqrt(2 * sigma_res^2 * ln(1/delta_t) / n) with
 delta_t = t^-4, the schedule whose index race pulls each suboptimal arm
 about 8 * sigma_res^2 * ln T / gap^2 times -- the same constant the bound
 carries; residual noise is bounded, hence sub-Gaussian with proxy
-equal to its variance, so the radius is a valid confidence radius.  A
-max-statistic variant ("alpha_max") with an untempered visit-ratio bonus is
-kept for descriptive comparison, and classic UCB1 ("uct") as the baseline
-whose radius scales with the full outcome spread.
+equal to its variance, so the radius is a valid confidence radius.  Classic
+UCB1 ("uct") is the baseline whose radius scales with the full outcome
+spread.
 """
 from __future__ import annotations
 
@@ -26,13 +25,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .envs import BanditSpec
-from .judging import TWO_POINT, UNIFORM
+from .judging import residual_noise
 from .rng import derive_rng
 
 ALGO_ALPHA = "alpha"
 ALGO_UCT = "uct"
-ALGO_ALPHA_MAX = "alpha_max"
-ALGOS = (ALGO_ALPHA, ALGO_UCT, ALGO_ALPHA_MAX)
+ALGOS = (ALGO_ALPHA, ALGO_UCT)
 
 
 # -- closed-form pieces -------------------------------------------------------
@@ -229,16 +227,6 @@ def default_grid(horizon: int, points: int = 512) -> tuple[int, ...]:
     return tuple(int(t) for t in np.unique(grid))
 
 
-def _noise_from_u(u: np.ndarray, s: float, kind: str) -> np.ndarray:
-    if s == 0.0:
-        return np.zeros_like(u)
-    if kind == TWO_POINT:
-        return np.where(u >= 0.5, s, -s)
-    if kind == UNIFORM:
-        return s * math.sqrt(3.0) * (2.0 * u - 1.0)
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
 def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                           n_seeds: int, *, seed0: int = 0, c: float = 1.0,
                           grid: Sequence[int] | None = None,
@@ -267,7 +255,6 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
 
     counts = np.zeros((n_seeds, kk))
     sums = np.zeros((n_seeds, kk))
-    qmax = np.tile(means, (n_seeds, 1)) if algo == ALGO_ALPHA_MAX else None
     reg = np.zeros(n_seeds)
     rows = np.arange(n_seeds)
     gens = [derive_rng(spec.seed, "pull-noise", sd)
@@ -283,22 +270,16 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                 u[:, si] = g.random(bl)
             for b in range(bl):
                 t = t0 + b + 1
-                if algo == ALGO_ALPHA_MAX:
-                    idx = qmax + c * np.sqrt((t - 1.0) / (counts + 1.0))
+                inv = 1.0 / np.maximum(counts, 1.0)
+                if algo == ALGO_ALPHA:
+                    radius = np.sqrt(res8 * math.log(t) * inv)
                 else:
-                    inv = 1.0 / np.maximum(counts, 1.0)
-                    if algo == ALGO_ALPHA:
-                        radius = np.sqrt(res8 * math.log(t) * inv)
-                    else:
-                        radius = c * np.sqrt(math.log(t) * inv)
-                    idx = np.where(counts == 0.0, np.inf, sums * inv + radius)
+                    radius = c * np.sqrt(math.log(t) * inv)
+                idx = np.where(counts == 0.0, np.inf, sums * inv + radius)
                 chosen = np.argmax(idx, axis=1)
-                x = means[chosen] + _noise_from_u(u[b], s_res, spec.noise)
+                x = means[chosen] + residual_noise(u[b], s_res, spec.noise)
                 sums[rows, chosen] += x
                 counts[rows, chosen] += 1.0
-                if qmax is not None:
-                    picked = qmax[rows, chosen]
-                    qmax[rows, chosen] = np.maximum(picked, x)
                 reg += gaps_all[chosen]
                 while gi < len(t_grid) and t_grid[gi] == t:
                     out[gi] = reg
@@ -320,16 +301,13 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
     kk = spec.k
     counts = [0] * kk
     sums = [0.0] * kk
-    qmax = list(spec.means)
     best = spec.means[spec.best_arm]
     reg = 0.0
     out = np.empty(horizon)
     for t in range(1, horizon + 1):
         best_arm, best_idx = 0, -math.inf
         for a in range(kk):
-            if algo == ALGO_ALPHA_MAX:
-                idx = qmax[a] + c * math.sqrt((t - 1.0) / (counts[a] + 1.0))
-            elif counts[a] == 0:
+            if counts[a] == 0:
                 idx = math.inf
             elif algo == ALGO_ALPHA:
                 idx = sums[a] / counts[a] + math.sqrt(
@@ -342,7 +320,6 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
         _, x = bandit_pull(spec, best_arm, rng)
         sums[best_arm] += x
         counts[best_arm] += 1
-        qmax[best_arm] = max(qmax[best_arm], x)
         reg += best - spec.means[best_arm]
         out[t - 1] = reg
     return out

@@ -58,7 +58,6 @@ class SearchConfig:
     parallel_actions: int = 0
     parallel_envs: int = 0
     seed: int = 0
-    log_events: bool = True
 
     def validate(self) -> None:
         if self.max_iterations < 1:
@@ -217,8 +216,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe(),
-                      track_mean=(config.backup == "mean"),
-                      log_events=config.log_events)
+                      track_mean=(config.backup == "mean"))
     trace: list[str] = []
     prev_traj: TrajectoryRecord | None = None
     outcome = OUTCOME_BUDGET

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 ROOT = 0
 NO_PARENT = -1
@@ -95,9 +95,6 @@ class SearchTree:
         if not 0 <= node_id < len(self.nodes):
             raise TreeError(f"unknown node id {node_id}")
         return self.nodes[node_id]
-
-    def children(self, node_id: int) -> list[int]:
-        return list(self.node(node_id).children)
 
     def add_child(self, parent: int, action: ActionChunk,
                   init_value: float | None = None, *, state_ref: Any = None,
@@ -248,7 +245,3 @@ class SearchTree:
                 if rec.depth != depth:
                     raise TreeError(f"inconsistent depth for node {nid}")
         return tree
-
-
-def iter_nodes(tree: SearchTree) -> Iterable[int]:
-    return range(len(tree))

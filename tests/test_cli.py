@@ -76,6 +76,16 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert run_cli("search", "--config", str(cfg),
                    "--out", str(tmp_path / "r")) == 2
     assert "budget" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"env": "trap3", "seed": "7"}))
+    assert run_cli("search", "--config", str(cfg),
+                   "--out", str(tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'seed'" in err
+    cfg.write_text(json.dumps(["env", "trap3"]))
+    assert run_cli("search", "--config", str(cfg),
+                   "--out", str(tmp_path / "r")) == 2
+    capsys.readouterr()
 
 
 def test_bandit_curve_artifacts(tmp_path, capsys):
@@ -158,6 +168,17 @@ def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
     assert run_cli("rerun", str(missing), "--out", str(tmp_path / "o2")) == 2
     assert run_cli("rerun", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o3")) == 2
+    capsys.readouterr()
+    config = {"env": "trap3", "judge_offset": 0.0, "judge_latency": 0.0}
+    no_noise = tmp_path / "no_noise.json"
+    no_noise.write_text(json.dumps({"command": "search", "config": config}))
+    assert run_cli("rerun", str(no_noise), "--out", str(tmp_path / "o4")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'judge_noise'" in err
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"command": "search", "config": [1, 2]}))
+    assert run_cli("rerun", str(listed), "--out", str(tmp_path / "o5")) == 2
     capsys.readouterr()
 
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from alphauct.judging import (COMPARATIVE, INDEPENDENT, JudgeFailure,
                               PredictorSpec, SimJudge, SimJudgeSpec,
-                              judge_comparative, judge_independent,
-                              judge_independent_set, predict_value,
+                              judge_comparative, judge_independent_set,
                               residual_noise, sample_outcome)
 from alphauct.rng import derive_rng
 from alphauct.tree import ActionChunk
@@ -28,9 +27,10 @@ def test_noiseless_judge_returns_true_values():
     res = judge_comparative("root", [sib("lobby"), sib("vault")], "go", judge)
     assert res.mode == COMPARATIVE
     assert res.scores == (0.3, 0.8)
-    assert judge_independent("root", sib("closet"), "go", judge) == -1.0
+    indep = judge_independent_set("root", [sib("closet"), sib("nowhere")],
+                                  "go", judge)
     # unknown screens score the neutral default
-    assert judge_independent("root", sib("nowhere"), "go", judge) == 0.0
+    assert indep.scores == (-1.0, 0.0)
 
 
 def test_scores_clamped_to_unit_interval():
@@ -51,11 +51,8 @@ def test_comparative_offset_cancels_in_rankings():
         sibs = [sib("low"), sib("high")]
         c = judge_comparative("root", sibs, "go", judge, call_key=(trial,))
         comp_diffs.append(c.scores[1] - c.scores[0])
-        i0 = judge_independent("root", sibs[0], "go", judge,
-                               call_key=(trial,), slot=0)
-        i1 = judge_independent("root", sibs[1], "go", judge,
-                               call_key=(trial,), slot=1)
-        indep_diffs.append(i1 - i0)
+        i = judge_independent_set("root", sibs, "go", judge, call_key=(trial,))
+        indep_diffs.append(i.scores[1] - i.scores[0])
     var_comp = statistics.variance(comp_diffs)
     var_indep = statistics.variance(indep_diffs)
     # comparative diff variance ~ 2*noise^2 = 0.005; independent stacks
@@ -87,8 +84,9 @@ def test_independent_set_matches_looped_calls():
     sibs = [sib("lobby"), sib("vault"), sib("closet")]
     batched = judge_independent_set("root", sibs, "go", judge, call_key=(7,))
     assert batched.mode == INDEPENDENT
-    looped = tuple(judge_independent("root", s, "go", judge, call_key=(7,),
-                                     slot=i) for i, s in enumerate(sibs))
+    looped = tuple(
+        judge.score_one(judge.prepare("root", chunk, obs, (7, i)), "go", (7, i))
+        for i, (chunk, obs) in enumerate(sibs))
     assert batched.scores == looped
 
 
@@ -139,7 +137,7 @@ def test_predictor_rho_endpoints():
     assert theta == 0.6 and outcome == 0.6  # rho=0: no residual at all
     blind = PredictorSpec(rho=1.0, sigma_x2=0.04)
     assert blind.residual_var == pytest.approx(0.04)
-    assert predict_value(blind, 0.25) == 0.25
+    assert sample_outcome(blind, 0.25, rng)[0] == 0.25
 
 
 @pytest.mark.parametrize("noise", ["two_point", "uniform"])
@@ -173,6 +171,7 @@ def test_sample_outcome_uses_one_draw_always():
 @given(st.floats(0, 1))
 def test_residual_noise_is_bounded_and_symmetric(u):
     spec = PredictorSpec(rho=1.0, sigma_x2=0.04, noise="uniform")
-    x = residual_noise(spec, u)
+    s = math.sqrt(spec.residual_var)
+    x = residual_noise(u, s, spec.noise)
     assert abs(x) <= spec.noise_halfwidth + 1e-12
-    assert residual_noise(spec, 1.0 - u) == pytest.approx(-x, abs=1e-12)
+    assert residual_noise(1.0 - u, s, spec.noise) == pytest.approx(-x, abs=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alphauct.envs import BanditSpec
-from alphauct.regret import (ALGO_ALPHA, ALGO_ALPHA_MAX, ALGO_UCT, ALGOS,
+from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
                              MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
                              fit_log_regret, freedman_empirical_check,

@@ -27,7 +27,7 @@ def test_ids_are_dense_and_ordered():
     assert t.nodes[1].parent == ROOT
     assert t.nodes[3].parent == 1
     assert t.nodes[3].depth == 2
-    assert t.children(ROOT) == [1, 2]
+    assert t.node(ROOT).children == [1, 2]
 
 
 def test_action_chunk_validation():
@@ -87,7 +87,7 @@ def test_remove_tail_only_trailing_untouched():
     e = t.add_child(2, chunk("e"))
     t.remove_tail([d, e])
     assert len(t) == 4
-    assert t.children(2) == []
+    assert t.node(2).children == []
     # non-trailing ids are rejected
     with pytest.raises(TreeError):
         t.remove_tail([1])

@@ -41,6 +41,21 @@ from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
 OUT_ENV_VAR = "ALPHAUCT_OUT"
 
 _SEARCH_CONFIG_KEYS = tuple(f.name for f in fields(SearchConfig))
+# every key a search config resolves, with its default; ``env`` has none
+_SEARCH_DEFAULTS = {**{f.name: f.default for f in fields(SearchConfig)},
+                    "env": None, "judge_noise": 0.0, "judge_offset": 0.0,
+                    "judge_latency": 0.0}
+
+# the type of every config key each command resolves (``rho_grid``, a list
+# of floats or null, is checked apart)
+_CONFIG_TYPES = {
+    "search": {k: str if v is None else type(v)
+               for k, v in _SEARCH_DEFAULTS.items()},
+    "bandit": {"arms": int, "gap": float, "sigma2": float, "rho": float,
+               "noise": str, "horizon": int, "seeds": int, "algo": str},
+    "ablate": {"fixture": str, "seeds": int, "iters": int,
+               "parallel_actions": int, "judge_latency": float},
+}
 
 
 def _default_out(command: str) -> Path:
@@ -110,10 +125,9 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
     return 0
 
 
-def _check_config_type(key: str, value, default) -> None:
-    """A config-file value must have its field default's type (a float field
-    also takes an int; the default-less ``env`` takes a string)."""
-    want = str if default is None else type(default)
+def _check_config_type(key: str, value, want: type) -> None:
+    """A config value must have its field's type (a float field also takes
+    an int)."""
     allowed = (int, float) if want is float else want
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise UsageError(f"config key {key!r} must be a {want.__name__}, "
@@ -121,9 +135,7 @@ def _check_config_type(key: str, value, default) -> None:
 
 
 def cmd_search(args) -> int:
-    resolved = {f.name: f.default for f in fields(SearchConfig)}
-    resolved.update({"env": None, "judge_noise": 0.0, "judge_offset": 0.0,
-                     "judge_latency": 0.0})
+    resolved = dict(_SEARCH_DEFAULTS)
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
@@ -136,7 +148,7 @@ def cmd_search(args) -> int:
             raise UsageError(f"unknown config keys {sorted(unknown)} "
                              f"(valid: {sorted(resolved)})")
         for key, value in file_cfg.items():
-            _check_config_type(key, value, resolved[key])
+            _check_config_type(key, value, _CONFIG_TYPES["search"][key])
         resolved.update(file_cfg)
     flag_map = {
         "env": args.env, "max_iterations": args.iters,
@@ -333,8 +345,16 @@ def cmd_rerun(args) -> int:
     if not isinstance(data["config"], dict):
         raise UsageError("manifest config must be a JSON object")
     config = _ManifestConfig(data["config"])
+    for key, want in _CONFIG_TYPES[data["command"]].items():
+        if key in config:
+            _check_config_type(key, config[key], want)
     if data["command"] == "bandit" and config.get("rho_grid"):
-        config["rho_grid"] = tuple(config["rho_grid"])  # JSON gives a list
+        grid = config["rho_grid"]
+        if not isinstance(grid, list):
+            raise UsageError(f"config key 'rho_grid' must be a list, got {grid!r}")
+        for rho in grid:
+            _check_config_type("rho_grid", rho, float)
+        config["rho_grid"] = tuple(grid)  # JSON gives a list
     return runner(config, _resolve_out(args, data["command"]))
 
 

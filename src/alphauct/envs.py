@@ -25,7 +25,6 @@ no spaces); goal reachability from the start screen is checked at load.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -381,8 +380,8 @@ class BanditSpec:
         best = max(self.means)
         if sum(1 for m in self.means if m == best) != 1:
             raise ValueError("bandit needs a unique best arm")
-        s = math.sqrt(self.sigma_x2)
-        half = s if self.noise == TWO_POINT else s * math.sqrt(3.0)
+        half = PredictorSpec(rho=1.0, sigma_x2=self.sigma_x2,
+                             noise=self.noise).noise_halfwidth
         for m in self.means:
             if m - half < 0.0 or m + half > 1.0:
                 raise ValueError(

@@ -191,7 +191,6 @@ class RegretCurve:
     t_grid: tuple[int, ...]
     per_seed: np.ndarray  # (len(t_grid), n_seeds) cumulative pseudo-regret
     seed0: int
-    c: float
 
     @property
     def n_seeds(self) -> int:
@@ -228,15 +227,27 @@ def default_grid(horizon: int, points: int = 512) -> tuple[int, ...]:
 
 
 def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
-                          n_seeds: int, *, seed0: int = 0, c: float = 1.0,
+                          n_seeds: int, *, seed0: int = 0,
                           grid: Sequence[int] | None = None,
-                          block: int = 4096) -> RegretCurve:
+                          block: int = 2048) -> RegretCurve:
     """Simulate ``n_seeds`` independent runs and record cumulative
     pseudo-regret at the grid checkpoints.
 
     Noise streams are per-seed (one uniform draw per step, whatever the arm),
     so a seed's trajectory is identical whether it runs alone, in any batch,
-    or through the scalar reference implementation.
+    or through the scalar reference implementation.  Uniforms are drawn and
+    mapped to residuals ``block`` steps at a time; the block size is physical
+    only.
+
+    State is incremental.  Each (seed, arm) cell keeps its reward sum, pull
+    count, ``inv = 1/count`` and ``mean = sum * inv`` in four flat
+    ``n_seeds * K`` slabs of one array.  A step rewrites only the cell each
+    seed pulled, with the same IEEE operations a full recompute would do, so
+    its index values are bit-for-bit those of the full recompute.  The first
+    K steps play arm ``t - 1``, the arm an infinite untried-arm index picks.
+    After that a step recomputes only the radius ``sqrt(inv * scale * ln t)``,
+    the index ``mean + radius`` and its row-wise argmax (a tie goes to the
+    lowest arm).
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r} (use one of {ALGOS})")
@@ -251,46 +262,67 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     means = np.asarray(spec.means)
     gaps_all = means[spec.best_arm] - means
     s_res = math.sqrt(spec.residual_var)
-    res8 = 8.0 * spec.residual_var  # 2 * sigma_res^2 * ln(1/delta_t), delta_t = t^-4
+    # alpha: 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4; uct: ln t
+    scale = 8.0 * spec.residual_var if algo == ALGO_ALPHA else 1.0
 
-    counts = np.zeros((n_seeds, kk))
-    sums = np.zeros((n_seeds, kk))
+    cells = n_seeds * kk
+    # one flat array holding four per-cell slabs: sum | count | inv | mean
+    state = np.zeros(4 * cells)
+    inv = state[2 * cells:3 * cells]
+    mean = state[3 * cells:]
+    index = np.empty((n_seeds, kk))
+    flat_index = index.reshape(cells)
+    # cell[j, s]: slab j's entry for the arm seed s pulled this step
+    slab_base = np.arange(0, 4 * cells, cells)[:, None] + np.arange(0, cells, kk)
+    cell = np.empty((4, n_seeds), dtype=np.intp)
+    sum_count_cell = cell[:2]
+    upd = np.empty((4, n_seeds))
+    sum_count_upd = upd[:2]
+    new_sum, new_count, new_inv, new_mean = upd
+    inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
+    x = inc[0]
     reg = np.zeros(n_seeds)
-    rows = np.arange(n_seeds)
     gens = [derive_rng(spec.seed, "pull-noise", sd)
             for sd in range(seed0, seed0 + n_seeds)]
     out = np.empty((len(t_grid), n_seeds))
     gi = 0
+    next_t = t_grid[0]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t0 in range(0, horizon, block):
-            bl = min(block, horizon - t0)
-            u = np.empty((bl, n_seeds))
-            for si, g in enumerate(gens):
-                u[:, si] = g.random(bl)
-            for b in range(bl):
-                t = t0 + b + 1
-                inv = 1.0 / np.maximum(counts, 1.0)
-                if algo == ALGO_ALPHA:
-                    radius = np.sqrt(res8 * math.log(t) * inv)
-                else:
-                    radius = c * np.sqrt(math.log(t) * inv)
-                idx = np.where(counts == 0.0, np.inf, sums * inv + radius)
-                chosen = np.argmax(idx, axis=1)
-                x = means[chosen] + residual_noise(u[b], s_res, spec.noise)
-                sums[rows, chosen] += x
-                counts[rows, chosen] += 1.0
-                reg += gaps_all[chosen]
-                while gi < len(t_grid) and t_grid[gi] == t:
-                    out[gi] = reg
-                    gi += 1
+    for t0 in range(0, horizon, block):
+        bl = min(block, horizon - t0)
+        u = np.empty((bl, n_seeds))
+        for si, g in enumerate(gens):
+            u[:, si] = g.random(bl)
+        noise = residual_noise(u, s_res, spec.noise)
+        del u
+        for b in range(bl):
+            t = t0 + b + 1
+            if t <= kk:
+                chosen = np.full(n_seeds, t - 1)
+            else:
+                np.multiply(inv, scale * math.log(t), out=flat_index)
+                np.sqrt(flat_index, out=flat_index)
+                np.add(flat_index, mean, out=flat_index)
+                chosen = index.argmax(axis=1)
+            np.add(slab_base, chosen, out=cell)
+            np.add(means[chosen], noise[b], out=x)
+            np.add(state[sum_count_cell], inc, out=sum_count_upd)
+            np.divide(1.0, new_count, out=new_inv)
+            np.multiply(new_sum, new_inv, out=new_mean)
+            state[cell] = upd
+            reg += gaps_all[chosen]
+            if t == next_t:
+                out[gi] = reg
+                gi += 1
+                next_t = t_grid[gi] if gi < len(t_grid) else 0
+        del noise  # before the next block's uniforms are drawn
     assert gi == len(t_grid)
     return RegretCurve(spec=spec, algo=algo, horizon=horizon, t_grid=t_grid,
-                       per_seed=out, seed0=seed0, c=c)
+                       per_seed=out, seed0=seed0)
 
 
 def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
-                           seed: int, *, c: float = 1.0) -> np.ndarray:
+                           seed: int) -> np.ndarray:
     """Plain-python reference run (one seed): cumulative pseudo-regret at
     every step.  Differential twin of ``run_bandit_experiment``."""
     from .envs import bandit_pull
@@ -313,7 +345,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
                 idx = sums[a] / counts[a] + math.sqrt(
                     8.0 * spec.residual_var * math.log(t) / counts[a])
             else:
-                idx = sums[a] / counts[a] + c * math.sqrt(
+                idx = sums[a] / counts[a] + math.sqrt(
                     math.log(t) / counts[a])
             if idx > best_idx:
                 best_arm, best_idx = a, idx

@@ -182,6 +182,36 @@ def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _rerun_with(tmp_path, manifest_dir, key, value):
+    """Rerun ``manifest_dir``'s manifest with one config value replaced."""
+    data = read_json(manifest_dir / "manifest.json")
+    data["config"][key] = value
+    edited = tmp_path / f"edited_{key}.json"
+    edited.write_text(json.dumps(data))
+    return run_cli("rerun", str(edited), "--out", str(tmp_path / "again"))
+
+
+def test_rerun_rejects_mistyped_bandit_value(tmp_path, capsys):
+    first = tmp_path / "bandit"
+    assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",
+                   "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, "horizon", "200") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'horizon'" in err
+
+
+def test_rerun_rejects_mistyped_search_value(tmp_path, capsys):
+    first = tmp_path / "search"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, "seed", "7") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'seed'" in err
+
+
 def test_out_env_var_sets_default_root(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

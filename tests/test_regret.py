@@ -1,12 +1,14 @@
 """Regret-lab numerics: closed-form bound values, confidence radii, the
 martingale tail bound, simulation determinism, the scalar/vectorized twin
-property, and slope fitting on synthetic curves."""
+property, pinned curve digests, and slope fitting on synthetic curves."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from alphauct.envs import BanditSpec
+from alphauct.judging import NOISE_KINDS
 from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
                              MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
@@ -15,6 +17,7 @@ from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
                              per_seed_log_slopes, run_bandit_experiment,
                              simulate_policy_scalar, slope_ratio_ci,
                              theorem1_bound)
+from alphauct.verify import grid_spec, ratio_sweep_spec
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -139,6 +142,62 @@ def test_scalar_twin_matches_vectorized_exactly():
             assert np.array_equal(curve.per_seed[:, si], ref), (algo, si)
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_scalar_twin_across_noise_kinds_and_rho(algo, noise, rho):
+    spec = small_spec(means=(0.6, 0.5, 0.5, 0.4), sigma_x2=0.05, rho=rho,
+                      noise=noise)
+    horizon = 600
+    curve = run_bandit_experiment(spec, algo, horizon, 3,
+                                  grid=range(1, horizon + 1))
+    for si in range(3):
+        ref = simulate_policy_scalar(spec, algo, horizon, si)
+        assert np.array_equal(curve.per_seed[:, si], ref), si
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_single_arm_bandit_matches_scalar_twin(algo):
+    spec = BanditSpec(means=(0.5,), sigma_x2=0.05)
+    curve = run_bandit_experiment(spec, algo, 50, 2, grid=range(1, 51))
+    for si in range(2):
+        ref = simulate_policy_scalar(spec, algo, 50, si)
+        assert np.array_equal(curve.per_seed[:, si], ref)
+    assert not curve.per_seed.any()
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_horizon_inside_forced_exploration(algo):
+    spec = small_spec(means=(0.4, 0.6, 0.5, 0.3, 0.45), sigma_x2=0.04)
+    horizon = 3  # stops before every arm was tried once
+    curve = run_bandit_experiment(spec, algo, horizon, 4, grid=[1, 2, 3])
+    for si in range(4):
+        ref = simulate_policy_scalar(spec, algo, horizon, si)
+        assert np.array_equal(curve.per_seed[:, si], ref)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("block", [1, 97, 5000])
+def test_block_size_is_physical_only(algo, block):
+    spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
+    ref = run_bandit_experiment(spec, algo, 3000, 5)
+    got = run_bandit_experiment(spec, algo, 3000, 5, block=block)
+    assert np.array_equal(got.per_seed, ref.per_seed)
+
+
+# SHA-256 of per_seed.tobytes(), recorded before the step loop went
+# incremental; the regret criteria print figures drawn from these curves.
+@pytest.mark.parametrize("spec, algo, horizon, digest", [
+    (grid_spec(10, 0.1, 0.05), ALGO_ALPHA, 20_000,
+     "4c50cf34d6f25317c66e3fea92dabd625b9c2ae4f8dca9cefc4b5ade51f742d8"),
+    (ratio_sweep_spec(), ALGO_UCT, 5_000,
+     "f458785389279b59c4a3f868ed7a9b8ac3cba4e3708273b85a2cc54595039c40"),
+])
+def test_curve_digest_is_pinned(spec, algo, horizon, digest):
+    curve = run_bandit_experiment(spec, algo, horizon, 20)
+    assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+
+
 def test_seed_trajectories_independent_of_batch():
     spec = small_spec()
     solo = run_bandit_experiment(spec, ALGO_ALPHA, 1000, 1, seed0=3)
@@ -199,7 +258,7 @@ def synthetic_curve(fn, horizon=10_000, n_seeds=5, jitter=0.0) -> RegretCurve:
     if jitter:
         per_seed = per_seed + rng.normal(0.0, jitter, per_seed.shape)
     return RegretCurve(spec=small_spec(), algo=ALGO_ALPHA, horizon=horizon,
-                       t_grid=grid, per_seed=per_seed, seed0=0, c=1.0)
+                       t_grid=grid, per_seed=per_seed, seed0=0)
 
 
 def test_fit_recovers_synthetic_log_slope():

@@ -2,8 +2,8 @@
 
 The 2x2 grid crosses the backup statistic (max vs mean) with the judging
 protocol (comparative vs independent) under a noisy judge and counts goal
-discoveries.  The speedup probe runs one configuration serially and with
-thread pools under simulated judge latency and checks the trees come out
+discoveries.  The speedup probe runs one configuration serially and with a
+judge thread pool under simulated judge latency and checks the trees come out
 identical.
 """
 from __future__ import annotations
@@ -125,7 +125,7 @@ def measure_parallel_speedup(fixture: str = "wide16", *, k: int = 8,
     judge_spec = SimJudgeSpec(noise_std=judge_noise, latency_s=latency_s)
     base = SearchConfig(expansion_factor=k, max_iterations=iterations, seed=seed)
     serial_s, serial = _timed_run(spec, base, judge_spec, seed)
-    par_cfg = replace(base, parallel_actions=workers, parallel_envs=workers)
+    par_cfg = replace(base, parallel_actions=workers)
     parallel_s, parallel = _timed_run(spec, par_cfg, judge_spec, seed)
     return SpeedupReport(
         serial_s=serial_s, parallel_s=parallel_s, workers=workers,

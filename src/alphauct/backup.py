@@ -32,8 +32,6 @@ def backpropagate(tree: SearchTree, leaf: int, value: float, mode: str = MAX,
         rec = tree.nodes[nid]
         rec.q_max = value if rec.q_max is None else max(rec.q_max, value)
         if mode == MEAN:
-            if not tree.track_mean:
-                raise TreeError("mean backup on a tree without mean tracking")
             if rec.q_mean is None:
                 rec.q_mean = value
             else:

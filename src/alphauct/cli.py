@@ -7,9 +7,12 @@ acceptance suite).  A fifth, ``rerun``, replays any previous run from its
 ``manifest.json`` and reproduces the artifacts byte-for-byte (serial mode;
 timing files are the documented exception).
 
-Config precedence for ``search``: flags > ``--config`` JSON file > defaults.
-The config file keys are exactly the search configuration fields.  Exit
-codes: 0 success, 1 criterion/outcome failure, 2 usage or config error.
+``search``, ``bandit`` and ``ablate`` each resolve their config from one
+table of keys and defaults: defaults < ``--config`` JSON file (search only) <
+flags.  A config file may hold only the table's keys, a rerun manifest must
+hold exactly them, and both are type-checked like the flags; each command
+checks value ranges before it writes anything.  Exit codes: 0 success,
+1 criterion/outcome failure, 2 usage or config error.
 """
 from __future__ import annotations
 
@@ -40,22 +43,21 @@ from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
 
 OUT_ENV_VAR = "ALPHAUCT_OUT"
 
-_SEARCH_CONFIG_KEYS = tuple(f.name for f in fields(SearchConfig))
-# every key a search config resolves, with its default; ``env`` has none
-_SEARCH_DEFAULTS = {**{f.name: f.default for f in fields(SearchConfig)},
-                    "env": None, "judge_noise": 0.0, "judge_offset": 0.0,
-                    "judge_latency": 0.0}
-
-# the type of every config key each command resolves (``rho_grid``, a list
-# of floats or null, is checked apart)
-_CONFIG_TYPES = {
-    "search": {k: str if v is None else type(v)
-               for k, v in _SEARCH_DEFAULTS.items()},
-    "bandit": {"arms": int, "gap": float, "sigma2": float, "rho": float,
-               "noise": str, "horizon": int, "seeds": int, "algo": str},
-    "ablate": {"fixture": str, "seeds": int, "iters": int,
-               "parallel_actions": int, "judge_latency": float},
+# every config key each command resolves, with its default; a value must have
+# its default's type (a float key also takes an int), except the keys in
+# _TYPES, whose default is None
+_DEFAULTS = {
+    "search": {**{f.name: f.default for f in fields(SearchConfig)},
+               "env": None, "judge_noise": 0.0, "judge_offset": 0.0,
+               "judge_latency": 0.0},
+    "bandit": {"arms": 10, "gap": 0.1, "sigma2": 0.05, "rho": 1.0,
+               "noise": TWO_POINT, "horizon": 100_000, "seeds": 100,
+               "algo": ALGO_ALPHA, "rho_grid": None},
+    "ablate": {"fixture": "trap3", "seeds": 100,
+               "iters": ABLATION_CONFIG.max_iterations,
+               "parallel_actions": 0, "judge_latency": 0.05},
 }
+_TYPES = {"env": str, "rho_grid": list}  # rho_grid: a list of numbers
 
 
 def _default_out(command: str) -> Path:
@@ -73,27 +75,53 @@ class UsageError(ValueError):
     pass
 
 
-class _ManifestConfig(dict):
-    """A rerun's config: a key the manifest lacks is a usage error."""
+def _is_a(value, want: type) -> bool:
+    allowed = (int, float) if want is float else want
+    return not isinstance(value, bool) and isinstance(value, allowed)
 
-    def __missing__(self, key):
-        raise UsageError(f"manifest config lacks {key!r}")
+
+def _resolve(command: str, layer, base: dict) -> dict:
+    """``base`` overridden by ``layer``, which must be a JSON object holding
+    only ``command``'s config keys, each with its key's type."""
+    if not isinstance(layer, dict):
+        raise UsageError(f"{command} config must be a JSON object")
+    defaults = _DEFAULTS[command]
+    unknown = set(layer) - set(defaults)
+    if unknown:
+        raise UsageError(f"unknown config keys {sorted(unknown)} "
+                         f"(valid: {sorted(defaults)})")
+    for key, value in layer.items():
+        want = _TYPES.get(key) or type(defaults[key])
+        if value is None and defaults[key] is None:
+            continue
+        if want is list:
+            ok = isinstance(value, list) and all(_is_a(v, float) for v in value)
+        else:
+            ok = _is_a(value, want)
+        if not ok:
+            name = "list of numbers" if want is list else want.__name__
+            raise UsageError(f"config key {key!r} must be a {name}, "
+                             f"got {value!r}")
+    return {**base, **layer}
+
+
+def _require(resolved: dict, key: str, ok: bool, rule: str) -> None:
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {rule}, "
+                         f"got {resolved[key]!r}")
 
 
 # -- search --------------------------------------------------------------------
 
 
-def _search_config(resolved: dict) -> SearchConfig:
-    cfg = SearchConfig(**{k: v for k, v in resolved.items()
-                          if k in _SEARCH_CONFIG_KEYS})
-    cfg.validate()
-    return cfg
-
-
 def run_search_command(resolved: dict, outdir: Path) -> int:
     """Core of ``search``: everything after config resolution, so manifest
     reruns share the exact code path."""
-    cfg = _search_config(resolved)
+    if not resolved["env"]:
+        raise UsageError("search needs --env (or an 'env' config key)")
+    cfg = SearchConfig(**{f.name: resolved[f.name]
+                          for f in fields(SearchConfig)})
+    cfg.validate()
     spec = load_fixture(resolved["env"])
     judge = SimJudge(SimJudgeSpec(noise_std=resolved["judge_noise"],
                                   shared_offset_std=resolved["judge_offset"],
@@ -125,66 +153,26 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
     return 0
 
 
-def _check_config_type(key: str, value, want: type) -> None:
-    """A config value must have its field's type (a float field also takes
-    an int)."""
-    allowed = (int, float) if want is float else want
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise UsageError(f"config key {key!r} must be a {want.__name__}, "
-                         f"got {value!r}")
-
-
-def cmd_search(args) -> int:
-    resolved = dict(_SEARCH_DEFAULTS)
-    if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(resolved)
-        if unknown:
-            raise UsageError(f"unknown config keys {sorted(unknown)} "
-                             f"(valid: {sorted(resolved)})")
-        for key, value in file_cfg.items():
-            _check_config_type(key, value, _CONFIG_TYPES["search"][key])
-        resolved.update(file_cfg)
-    flag_map = {
-        "env": args.env, "max_iterations": args.iters,
-        "expansion_factor": args.expansion, "chunk_size": args.chunk,
-        "backup": args.backup, "judge_mode": args.judge, "seed": args.seed,
-        "c": args.c, "selection": args.selection,
-        "state_strategy": args.state, "max_depth": args.max_depth,
-        "parallel_actions": args.parallel_actions,
-        "parallel_envs": args.parallel_envs,
-        "judge_noise": args.judge_noise, "judge_offset": args.judge_offset,
-        "judge_latency": args.judge_latency,
-    }
-    resolved.update({k: v for k, v in flag_map.items() if v is not None})
-    if not resolved["env"]:
-        raise UsageError("search needs --env (or an 'env' config key)")
-    return run_search_command(resolved, _resolve_out(args, "search"))
-
-
 # -- bandit --------------------------------------------------------------------
 
 
-def _parse_rho_grid(text: str) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"bad --rho-grid {text!r}")
-    if not grid:
-        raise UsageError("--rho-grid is empty")
-    return grid
+def float_list(text: str) -> list[float]:
+    """``--rho-grid`` value: comma-separated numbers."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def run_bandit_command(resolved: dict, outdir: Path) -> int:
+    arms, grid = resolved["arms"], resolved["rho_grid"]
+    _require(resolved, "arms", arms >= 2, ">= 2")
+    _require(resolved, "gap", resolved["gap"] > 0.0, "> 0")
+    _require(resolved, "rho", 0.0 <= resolved["rho"] <= 1.0, "in [0, 1]")
+    _require(resolved, "horizon", resolved["horizon"] >= arms, ">= arms")
+    _require(resolved, "seeds", resolved["seeds"] >= 1, ">= 1")
+    _require(resolved, "rho_grid", grid is None or len(grid) > 0, "non-empty")
     try:
         spec = BanditSpec(
             means=(0.5 + resolved["gap"] / 2.0,)
-                  + (0.5 - resolved["gap"] / 2.0,) * (resolved["arms"] - 1),
+                  + (0.5 - resolved["gap"] / 2.0,) * (arms - 1),
             sigma_x2=resolved["sigma2"], rho=resolved["rho"],
             noise=resolved["noise"])
     except ValueError as exc:
@@ -192,9 +180,9 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     t0 = time.perf_counter()
     artifacts = {}
     summary: dict = {"config": resolved}
-    if resolved["rho_grid"]:
+    if grid:
         points = efficiency_ratio_experiment(
-            spec, resolved["rho_grid"], resolved["horizon"], resolved["seeds"])
+            spec, grid, resolved["horizon"], resolved["seeds"])
         write_csv(outdir / "ratios.csv",
                   ["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",
                    "base_mean_regret", "n_seeds"],
@@ -206,13 +194,13 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     else:
         curve = run_bandit_experiment(spec, resolved["algo"],
                                       resolved["horizon"], resolved["seeds"])
+        fit = fit_log_regret(curve)  # may fail: before any artifact is written
         mean, std = curve.mean, curve.std
         rows = [(t, mean[i], std[i], bound_for_spec(spec, t).total)
                 for i, t in enumerate(curve.t_grid)]
         write_csv(outdir / "curve.csv",
                   ["t", "mean_regret", "std_regret", "bound"], rows)
         artifacts["curve"] = "curve.csv"
-        fit = fit_log_regret(curve)
         summary["final_mean_regret"] = float(mean[-1])
         summary["bound_total"] = bound_for_spec(spec, resolved["horizon"]).total
         summary["fit"] = {"slope": fit.slope, "intercept": fit.intercept,
@@ -229,30 +217,15 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     return 0
 
 
-def cmd_bandit(args) -> int:
-    if args.arms < 2:
-        raise UsageError("--arms must be >= 2")
-    if not 0.0 < args.gap:
-        raise UsageError("--gap must be > 0")
-    if not 0.0 <= args.rho <= 1.0:
-        raise UsageError("--rho must be in [0, 1]")
-    if args.horizon < args.arms:
-        raise UsageError("--horizon must be >= --arms")
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
-    resolved = {
-        "arms": args.arms, "gap": args.gap, "sigma2": args.sigma2,
-        "rho": args.rho, "noise": args.noise, "horizon": args.horizon,
-        "seeds": args.seeds, "algo": args.algo,
-        "rho_grid": _parse_rho_grid(args.rho_grid) if args.rho_grid else None,
-    }
-    return run_bandit_command(resolved, _resolve_out(args, "bandit"))
-
-
 # -- ablate --------------------------------------------------------------------
 
 
 def run_ablate_command(resolved: dict, outdir: Path) -> int:
+    _require(resolved, "seeds", resolved["seeds"] >= 1, ">= 1")
+    _require(resolved, "parallel_actions", resolved["parallel_actions"] >= 0,
+             ">= 0")
+    _require(resolved, "judge_latency", resolved["judge_latency"] >= 0.0,
+             ">= 0")
     t0 = time.perf_counter()
     cfg = replace(ABLATION_CONFIG, max_iterations=resolved["iters"])
     cells = run_ablation(resolved["fixture"], resolved["seeds"], config=cfg)
@@ -296,20 +269,6 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
-    if args.parallel_actions < 0:
-        raise UsageError("--parallel-actions must be >= 0")
-    if args.judge_latency < 0:
-        raise UsageError("--judge-latency must be >= 0")
-    resolved = {"fixture": args.fixture, "seeds": args.seeds,
-                "iters": args.iters,
-                "parallel_actions": args.parallel_actions,
-                "judge_latency": args.judge_latency}
-    return run_ablate_command(resolved, _resolve_out(args, "ablate"))
-
-
 # -- verify / rerun --------------------------------------------------------------
 
 
@@ -330,32 +289,39 @@ def cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-_RERUNNERS = {
+_RUNNERS = {
     "search": run_search_command,
     "bandit": run_bandit_command,
     "ablate": run_ablate_command,
 }
 
 
+def cmd_run(args) -> int:
+    """``search``, ``bandit`` and ``ablate``: the defaults, then (search only)
+    the ``--config`` file, then the flags given."""
+    resolved = dict(_DEFAULTS[args.command])
+    if getattr(args, "config", None):
+        try:
+            layer = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file: {exc}")
+        resolved = _resolve(args.command, layer, resolved)
+    flags = {k: v for k, v in vars(args).items()
+             if k in resolved and v is not None}
+    resolved = _resolve(args.command, flags, resolved)
+    return _RUNNERS[args.command](resolved, _resolve_out(args, args.command))
+
+
 def cmd_rerun(args) -> int:
     data = load_manifest(args.manifest)
-    runner = _RERUNNERS.get(data["command"])
-    if runner is None:
-        raise UsageError(f"manifest command {data['command']!r} is not rerunnable")
-    if not isinstance(data["config"], dict):
-        raise UsageError("manifest config must be a JSON object")
-    config = _ManifestConfig(data["config"])
-    for key, want in _CONFIG_TYPES[data["command"]].items():
-        if key in config:
-            _check_config_type(key, config[key], want)
-    if data["command"] == "bandit" and config.get("rho_grid"):
-        grid = config["rho_grid"]
-        if not isinstance(grid, list):
-            raise UsageError(f"config key 'rho_grid' must be a list, got {grid!r}")
-        for rho in grid:
-            _check_config_type("rho_grid", rho, float)
-        config["rho_grid"] = tuple(grid)  # JSON gives a list
-    return runner(config, _resolve_out(args, data["command"]))
+    command = data["command"]
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise UsageError(f"manifest command {command!r} is not rerunnable")
+    config = _resolve(command, data["config"], {})
+    missing = set(_DEFAULTS[command]) - set(config)
+    if missing:
+        raise UsageError(f"manifest config lacks {sorted(missing)}")
+    return _RUNNERS[command](config, _resolve_out(args, command))
 
 
 # -- parser ----------------------------------------------------------------------
@@ -376,48 +342,48 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--env", help="fixture name or path")
     sp.add_argument("--config", help="JSON config file (keys = search "
                                      "configuration fields)")
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--expansion", type=int)
-    sp.add_argument("--chunk", type=int)
+    sp.add_argument("--iters", type=int, dest="max_iterations")
+    sp.add_argument("--expansion", type=int, dest="expansion_factor")
+    sp.add_argument("--chunk", type=int, dest="chunk_size")
     sp.add_argument("--backup", choices=MODES)
-    sp.add_argument("--judge", choices=JUDGE_MODES)
+    sp.add_argument("--judge", choices=JUDGE_MODES, dest="judge_mode")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--c", type=float)
     sp.add_argument("--selection", choices=KINDS)
-    sp.add_argument("--state", choices=STATE_STRATEGIES)
+    sp.add_argument("--state", choices=STATE_STRATEGIES, dest="state_strategy")
     sp.add_argument("--max-depth", type=int)
     sp.add_argument("--parallel-actions", type=int)
-    sp.add_argument("--parallel-envs", type=int)
     sp.add_argument("--judge-noise", type=float)
     sp.add_argument("--judge-offset", type=float)
     sp.add_argument("--judge-latency", type=float)
     add_out(sp)
-    sp.set_defaults(fn=cmd_search)
+    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("bandit", help="regret curves / efficiency sweep")
-    sp.add_argument("--arms", type=int, default=10)
-    sp.add_argument("--gap", type=float, default=0.1)
-    sp.add_argument("--sigma2", type=float, default=0.05)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--noise", choices=NOISE_KINDS, default=TWO_POINT)
-    sp.add_argument("--horizon", type=int, default=100_000)
-    sp.add_argument("--seeds", type=int, default=100)
-    sp.add_argument("--algo", choices=ALGOS, default=ALGO_ALPHA)
-    sp.add_argument("--rho-grid", help="comma-separated rho values; emits the "
-                                       "ratio sweep instead of one curve")
+    sp.add_argument("--arms", type=int)
+    sp.add_argument("--gap", type=float)
+    sp.add_argument("--sigma2", type=float)
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--noise", choices=NOISE_KINDS)
+    sp.add_argument("--horizon", type=int)
+    sp.add_argument("--seeds", type=int)
+    sp.add_argument("--algo", choices=ALGOS)
+    sp.add_argument("--rho-grid", type=float_list,
+                    help="comma-separated rho values; emits the ratio sweep "
+                         "instead of one curve")
     add_out(sp)
-    sp.set_defaults(fn=cmd_bandit)
+    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("ablate", help="backup x judging grid on a fixture")
-    sp.add_argument("--fixture", default="trap3")
-    sp.add_argument("--seeds", type=int, default=100)
-    sp.add_argument("--iters", type=int, default=ABLATION_CONFIG.max_iterations)
-    sp.add_argument("--parallel-actions", type=int, default=0,
+    sp.add_argument("--fixture")
+    sp.add_argument("--seeds", type=int)
+    sp.add_argument("--iters", type=int)
+    sp.add_argument("--parallel-actions", type=int,
                     help="also run the speedup probe with this many workers")
-    sp.add_argument("--judge-latency", type=float, default=0.05,
+    sp.add_argument("--judge-latency", type=float,
                     help="simulated per-sibling judge latency for the probe")
     add_out(sp)
-    sp.set_defaults(fn=cmd_ablate)
+    sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.add_argument("--filter", action="append",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -156,7 +155,6 @@ def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
 
 def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationContext,
                 k: int, chunk_size: int, *, reflection=None, iteration: int = 0,
-                env_pool: Executor | None = None,
                 keep_snapshots: bool = True) -> list[tuple[int, object]]:
     """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``),
     admit whole chunks through ``admit_candidates``, and add one child per
@@ -172,17 +170,10 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
         raise TreeError(f"cannot expand terminal node {leaf}")
     heads = proposer.propose(obs0.screen, reflection, k,
                              iteration=iteration, leaf=leaf)
-    if env_pool is not None:
-        futs = [env_pool.submit(_roll_candidate, env, proposer, head, j,
-                                reflection=reflection, iteration=iteration,
-                                leaf=leaf, chunk_size=chunk_size)
-                for j, head in enumerate(heads)]
-        rolled = [f.result() for f in futs]
-    else:
-        rolled = [_roll_candidate(env, proposer, head, j, reflection=reflection,
-                                  iteration=iteration, leaf=leaf,
-                                  chunk_size=chunk_size)
-                  for j, head in enumerate(heads)]
+    rolled = [_roll_candidate(env, proposer, head, j, reflection=reflection,
+                              iteration=iteration, leaf=leaf,
+                              chunk_size=chunk_size)
+              for j, head in enumerate(heads)]
     built = [(make_chunk(atoms, ctx), clone) for atoms, clone in rolled if atoms]
     clone_of = {id(chunk): clone for chunk, clone in built}
     out: list[tuple[int, object]] = []

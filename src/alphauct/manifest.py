@@ -83,6 +83,8 @@ def load_manifest(path: Path | str) -> dict:
     if path.is_dir():
         path = path / MANIFEST_NAME
     data = json.loads(path.read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
     for key in ("command", "config"):
         if key not in data:
             raise ValueError(f"manifest {path} missing {key!r}")

@@ -7,15 +7,14 @@ independent calls under ablation), and backs every judged value up the root
 path.  The previous iteration's best trajectory is distilled into a
 *reflection* that biases the next iteration's proposals.
 
-Two thread pools (optional) hide simulated latency: one for candidate
-rollouts (environment work), one for per-sibling judge preparation.  All
-randomness is keyed by logical call indexes, so parallel runs are
-bit-identical to serial ones.
+One optional thread pool hides simulated judge latency by running the
+per-sibling judge preparation concurrently.  All randomness is keyed by
+logical call indexes, so parallel runs are bit-identical to serial ones.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -56,7 +55,6 @@ class SearchConfig:
     selection: str = ALPHA_UCT
     state_strategy: str = SNAPSHOT
     parallel_actions: int = 0
-    parallel_envs: int = 0
     seed: int = 0
 
     def validate(self) -> None:
@@ -78,8 +76,8 @@ class SearchConfig:
             raise ValueError(f"unknown selection rule {self.selection!r}")
         if self.state_strategy not in STATE_STRATEGIES:
             raise ValueError(f"unknown state strategy {self.state_strategy!r}")
-        if self.parallel_actions < 0 or self.parallel_envs < 0:
-            raise ValueError("parallelism degrees must be >= 0")
+        if self.parallel_actions < 0:
+            raise ValueError("parallel_actions must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -215,23 +213,15 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     ctx = proposer.ctx
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
-    tree = SearchTree(root_state=env.clone(), root_obs=env.observe(),
-                      track_mean=(config.backup == "mean"))
+    tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
     trace: list[str] = []
     prev_traj: TrajectoryRecord | None = None
     outcome = OUTCOME_BUDGET
     success_node: int | None = None
     iterations = 0
 
-    with ExitStack() as stack:
-        env_pool = action_pool = None
-        if config.parallel_envs > 0:
-            env_pool = stack.enter_context(
-                ThreadPoolExecutor(max_workers=config.parallel_envs))
-        if config.parallel_actions > 0:
-            action_pool = stack.enter_context(
-                ThreadPoolExecutor(max_workers=config.parallel_actions))
-
+    with (ThreadPoolExecutor(max_workers=config.parallel_actions)
+          if config.parallel_actions > 0 else nullcontext()) as action_pool:
         for it in range(1, config.max_iterations + 1):
             iterations = it
             leaf = select_leaf(tree, policy)
@@ -255,7 +245,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 pairs = expand_node(
                     tree, leaf, proposer, positioned, ctx,
                     config.expansion_factor, config.chunk_size,
-                    reflection=reflection, iteration=it, env_pool=env_pool,
+                    reflection=reflection, iteration=it,
                     keep_snapshots=(config.state_strategy == SNAPSHOT))
             except TaskInfeasible:
                 outcome = OUTCOME_INFEASIBLE

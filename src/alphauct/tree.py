@@ -72,21 +72,14 @@ def _check_value(value: float) -> float:
 
 
 class SearchTree:
-    """Node arena plus evaluation-event log.
+    """Node arena plus evaluation-event log."""
 
-    ``track_mean`` enables the running-mean statistic (only the mean-backup
-    ablation pays for it); ``log_events`` can be dropped to skip oracle
-    bookkeeping in long runs.
-    """
-
-    def __init__(self, root_state: Any = None, root_obs: Any = None, *,
-                 track_mean: bool = True, log_events: bool = True):
+    def __init__(self, root_state: Any = None, root_obs: Any = None):
         self.nodes: list[NodeRecord] = [
             NodeRecord(parent=NO_PARENT, depth=0, action=None,
                        state_ref=root_state, obs=root_obs)
         ]
-        self.track_mean = bool(track_mean)
-        self.events: list[EvalEvent] | None = [] if log_events else None
+        self.events: list[EvalEvent] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -110,7 +103,7 @@ class SearchTree:
         rec = NodeRecord(parent=parent, depth=parent_rec.depth + 1,
                          action=action, init_value=init_value,
                          q_max=init_value,
-                         q_mean=init_value if self.track_mean else None,
+                         q_mean=init_value,
                          state_ref=state_ref, obs=obs, terminal=terminal)
         self.nodes.append(rec)
         parent_rec.children.append(child_id)
@@ -124,7 +117,7 @@ class SearchTree:
         value = _check_value(value)
         rec.init_value = value
         rec.q_max = value if rec.q_max is None else max(rec.q_max, value)
-        if self.track_mean and rec.q_mean is None:
+        if rec.q_mean is None:
             rec.q_mean = value
 
     def mark_exhausted(self, node_id: int) -> None:
@@ -167,14 +160,11 @@ class SearchTree:
         return path
 
     def record_event(self, event: EvalEvent) -> None:
-        if self.events is not None:
-            self.events.append(event)
+        self.events.append(event)
 
     def subtree_max_oracle(self, node_id: int) -> float:
         """Brute-force max over the node's init value and every logged event
         whose propagation path passes through it."""
-        if self.events is None:
-            raise TreeError("event logging disabled; oracle unavailable")
         rec = self.node(node_id)
         best = None
         if rec.init_value is not None:
@@ -188,8 +178,6 @@ class SearchTree:
 
     def subtree_mean_oracle(self, node_id: int) -> float:
         """Mean of all logged event values passing through the node."""
-        if self.events is None:
-            raise TreeError("event logging disabled; oracle unavailable")
         self.node(node_id)
         vals = [ev.value for ev in self.events if node_id in ev.path]
         if not vals:
@@ -217,7 +205,7 @@ class SearchTree:
     @classmethod
     def from_dump(cls, text: str) -> "SearchTree":
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        tree = cls(log_events=False)
+        tree = cls()
         for expect_id, line in enumerate(lines):
             parts = line.split(" ", 6)
             if len(parts) != 7:

@@ -127,7 +127,7 @@ def build_walk_tree(rows) -> tuple[SearchTree, dict[str, int]]:
     Scores go in as init values (hence q_max); actions fall back to the node
     label when the transcript records none.
     """
-    tree = SearchTree(log_events=False)
+    tree = SearchTree()
     ids: dict[str, int] = {"": ROOT}
     for label, parent, score, action in rows:
         surface = action if action is not None else f"goto {label}"

@@ -1,10 +1,11 @@
 """Command-line behavior: artifact layout, exit codes, config-file layering,
 the rho sweep, manifest reruns, and the output-directory env var."""
+import argparse
 import json
 
 import pytest
 
-from alphauct.cli import OUT_ENV_VAR, main
+from alphauct.cli import OUT_ENV_VAR, build_parser, main
 
 
 def run_cli(*argv) -> int:
@@ -180,6 +181,11 @@ def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
     listed.write_text(json.dumps({"command": "search", "config": [1, 2]}))
     assert run_cli("rerun", str(listed), "--out", str(tmp_path / "o5")) == 2
     capsys.readouterr()
+    for text in ("42", '{"command": ["search"], "config": {}}'):
+        listed.write_text(text)
+        assert run_cli("rerun", str(listed), "--out", str(tmp_path / "o6")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _rerun_with(tmp_path, manifest_dir, key, value):
@@ -210,6 +216,76 @@ def test_rerun_rejects_mistyped_search_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'seed'" in err
+
+
+def _one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for name in names:
+        assert name in err, err
+    return err
+
+
+def _no_artifacts(out):
+    return not out.exists() or not any(out.iterdir())
+
+
+def test_rerun_rejects_unknown_key(tmp_path, capsys):
+    first = tmp_path / "bandit"
+    assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",
+                   "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, "horizn", 50) == 2
+    _one_error_line(capsys, "'horizn'")
+    assert _no_artifacts(tmp_path / "again")
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("arms", 1, ["--arms", "1"]),
+    ("horizon", 2, ["--horizon", "2"]),
+])
+def test_rerun_applies_bandit_range_checks(tmp_path, capsys, key, value, flag):
+    first = tmp_path / "bandit"
+    assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",
+                   "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, key, value) == 2
+    err = _one_error_line(capsys, repr(key))
+    assert _no_artifacts(tmp_path / "again")
+    # the flag gives the same error line
+    assert run_cli("bandit", "--arms", "3", "--horizon", "200", *flag,
+                   "--out", str(tmp_path / "flag")) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("key, value", [("seeds", 0), ("parallel_actions", -1),
+                                        ("judge_latency", -1.0)])
+def test_rerun_applies_ablate_range_checks(tmp_path, capsys, key, value):
+    first = tmp_path / "ablate"
+    assert run_cli("ablate", "--seeds", "1", "--iters", "2",
+                   "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, key, value) == 2
+    _one_error_line(capsys, repr(key))
+    assert _no_artifacts(tmp_path / "again")
+
+
+@pytest.mark.parametrize("argv", [["--arms", "3", "--horizon", "3"],
+                                  ["--sigma2", "0", "--horizon", "50"]])
+def test_bandit_fit_failure_writes_no_artifact(tmp_path, capsys, argv):
+    out = tmp_path / "b"
+    assert run_cli("bandit", *argv, "--out", str(out)) == 2
+    _one_error_line(capsys)
+    assert _no_artifacts(out)
+
+
+def test_flag_dests_equal_config_table():
+    from alphauct.cli import _DEFAULTS
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, table in _DEFAULTS.items():
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert dests - {"help", "out", "config"} == set(table), command
 
 
 def test_out_env_var_sets_default_root(tmp_path, monkeypatch, capsys):

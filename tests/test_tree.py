@@ -110,7 +110,7 @@ def test_oracles_match_hand_computation():
 
 
 def test_oracle_requires_event_log():
-    t = SearchTree(log_events=False)
+    t = SearchTree()
     t.add_child(ROOT, chunk("a"), init_value=0.2)
     with pytest.raises(TreeError):
         t.subtree_max_oracle(ROOT)

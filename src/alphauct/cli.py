@@ -11,8 +11,9 @@ timing files are the documented exception).
 table of keys and defaults: defaults < ``--config`` JSON file (search only) <
 flags.  A config file may hold only the table's keys, a rerun manifest must
 hold exactly them, and both are type-checked like the flags; each command
-checks value ranges before it writes anything.  Exit codes: 0 success,
-1 criterion/outcome failure, 2 usage or config error.
+checks value ranges before it writes anything (the output directory appears
+with the first artifact).  Exit codes: 0 success, 1 criterion/outcome
+failure, 2 usage or config error, reported as one ``error:`` line.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ from pathlib import Path
 from .ablation import (ABLATION_CONFIG, measure_parallel_speedup, pooled,
                        run_ablation, two_proportion_test)
 from .backup import MAX, MEAN, MODES
-from .envs import BanditSpec, GuiGraphEnv, load_fixture
-from .judging import (COMPARATIVE, INDEPENDENT, JUDGE_MODES, NOISE_KINDS,
-                      TWO_POINT, SimJudge, SimJudgeSpec)
+from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, GuiGraphEnv, load_fixture
+from .judging import (COMPARATIVE, INDEPENDENT, JUDGE_MODES, SimJudge,
+                      SimJudgeSpec)
 from .manifest import RunManifest, atomic_write_text, load_manifest, write_csv, \
     write_json, write_manifest
 from .proposer import proposer_from_fixture
@@ -66,13 +67,21 @@ def _default_out(command: str) -> Path:
 
 
 def _resolve_out(args, command: str) -> Path:
-    out = Path(args.out) if args.out else _default_out(command)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the first artifact written creates it."""
+    return Path(args.out) if args.out else _default_out(command)
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` instead of printing usage, so ``main`` reports a
+    bad flag in one line like any other config error.  Subparsers inherit
+    this class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _is_a(value, want: type) -> bool:
@@ -328,7 +337,7 @@ def cmd_rerun(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="alphauct",
         description="Tree search on synthetic GUI graphs, bandit regret "
                     "experiments, ablations, and the acceptance suite.")
@@ -404,13 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on usage errors and --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # UsageError, FixtureError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,13 +25,15 @@ no spaces); goal reachability from the start screen is checked at load.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .expansion import NormalizationContext, lexical_key
-from .judging import NOISE_KINDS, TWO_POINT, PredictorSpec, sample_outcome
 
 TERMINAL_NONE = "none"
 TERMINAL_SUCCESS = "success"
@@ -68,7 +70,6 @@ class GuiGraphSpec:
     instruction: str = "reach the goal screen"
     policy: Mapping[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
     proposer_params: Mapping[str, float] = field(default_factory=dict)
-    coord_bucket: int = 10
 
     def __post_init__(self):
         known = set(self.screens)
@@ -89,7 +90,7 @@ class GuiGraphSpec:
                 raise FixtureError(f"edge {src!r}-[{canon}]->{dst!r} off the map")
             if src in terminal:
                 raise FixtureError(f"terminal screen {src!r} has outgoing edges")
-            if lexical_key(canon, self.coord_bucket) != canon:
+            if lexical_key(canon) != canon:
                 raise FixtureError(f"canonical id {canon!r} is not normal form")
         edge_canons = {c for (_, c) in self.edges}
         for canon, surfaces in self.aliases.items():
@@ -128,7 +129,7 @@ class GuiGraphSpec:
         res: dict[str, str] = {}
 
         def put(surface: str, canon: str):
-            for form in (surface, lexical_key(surface, self.coord_bucket)):
+            for form in (surface, lexical_key(surface)):
                 prev = res.get(form)
                 if prev is not None and prev != canon:
                     raise FixtureError(
@@ -182,7 +183,7 @@ class GuiGraphSpec:
         trimmed = action.strip()
         hit = self._resolver.get(trimmed)
         if hit is None:
-            hit = self._resolver.get(lexical_key(trimmed, self.coord_bucket))
+            hit = self._resolver.get(lexical_key(trimmed))
         return hit
 
     def observation(self, screen: str) -> Observation:
@@ -190,8 +191,7 @@ class GuiGraphSpec:
 
     def alias_context(self) -> NormalizationContext:
         """Normalization context whose alias map mirrors this fixture."""
-        return NormalizationContext(alias_map=dict(self._resolver),
-                                    coord_bucket=self.coord_bucket)
+        return NormalizationContext(alias_map=dict(self._resolver))
 
     def surfaces_of(self, canon: str) -> tuple[str, ...]:
         return self.aliases.get(canon) or (canon,)
@@ -353,10 +353,35 @@ def load_fixture(name: str) -> GuiGraphSpec:
 
 # -- bandit family ------------------------------------------------------------
 
+TWO_POINT = "two_point"
+UNIFORM = "uniform"
+NOISE_KINDS = (TWO_POINT, UNIFORM)
+
+
+def residual_noise(u, s: float, kind: str):
+    """Map uniform(0,1) variates ``u`` (a scalar or an array) to bounded
+    zero-mean residuals with standard deviation ``s``: ``two_point`` gives
+    +-s, ``uniform`` spreads over [-s*sqrt(3), s*sqrt(3)]."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    if s == 0.0:
+        return np.zeros_like(u)
+    if kind == TWO_POINT:
+        return np.where(u >= 0.5, s, -s)
+    return s * math.sqrt(3.0) * (2.0 * u - 1.0)
+
 
 @dataclass(frozen=True)
 class BanditSpec:
-    """K-armed bandit whose pulls decompose as prediction + bounded residual.
+    """K-armed bandit whose pull is the arm mean plus a bounded residual.
+
+    rho:       residual fraction in [0, 1]; the share of the blind outcome
+               variance that value prediction (reflection) leaves unexplained.
+               0 = perfect memory, 1 = blind.
+    sigma_x2:  blind outcome variance (the rho = 1 residual variance).
+    noise:     residual shape; ``two_point`` (+-s) realizes the residual
+               variance exactly, ``uniform`` spreads it over
+               [-s*sqrt(3), s*sqrt(3)].
 
     Rewards live in [0, 1] by construction (checked against the noise support
     at the blind rho = 1 width, so tightening rho never violates the bound).
@@ -380,8 +405,9 @@ class BanditSpec:
         best = max(self.means)
         if sum(1 for m in self.means if m == best) != 1:
             raise ValueError("bandit needs a unique best arm")
-        half = PredictorSpec(rho=1.0, sigma_x2=self.sigma_x2,
-                             noise=self.noise).noise_halfwidth
+        half = math.sqrt(self.sigma_x2)
+        if self.noise == UNIFORM:
+            half *= math.sqrt(3.0)
         for m in self.means:
             if m - half < 0.0 or m + half > 1.0:
                 raise ValueError(
@@ -410,14 +436,12 @@ class BanditSpec:
         best = self.means[self.best_arm]
         return tuple(best - m for m in self.means)
 
-    def predictor(self) -> PredictorSpec:
-        return PredictorSpec(rho=self.rho, sigma_x2=self.sigma_x2,
-                             noise=self.noise)
 
-
-def bandit_pull(spec: BanditSpec, arm: int, rng) -> tuple[float, float]:
-    """(prediction, reward) for one pull.  Consumes exactly one uniform draw
-    from ``rng`` whatever the arm, so pull streams depend only on pull order."""
+def bandit_pull(spec: BanditSpec, arm: int, rng) -> float:
+    """Reward of one pull.  Consumes exactly one uniform draw from ``rng``
+    whatever the arm, so pull streams depend only on pull order."""
     if not 0 <= arm < spec.k:
         raise ValueError(f"arm {arm} out of range")
-    return sample_outcome(spec.predictor(), spec.means[arm], rng)
+    u = float(rng.random())
+    s = math.sqrt(spec.residual_var)
+    return spec.means[arm] + float(residual_noise(u, s, spec.noise))

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .tree import ActionChunk, SearchTree, TreeError
 
 CHUNK_SEP = ";"
+COORD_BUCKET = 10  # numeric call args snap to the nearest multiple
 
 _CALL_RE = re.compile(r"^([A-Za-z_][\w.-]*)\s*\((.*)\)$", re.S)
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
@@ -24,18 +25,13 @@ _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
 
 @dataclass(frozen=True)
 class NormalizationContext:
-    """Alias table (exact surface or lexical-key matches) plus lexical knobs."""
+    """Alias table: exact surface or lexical-key matches."""
 
     alias_map: Mapping[str, str] | None = None
-    coord_bucket: int = 10
-
-    def __post_init__(self):
-        if self.coord_bucket < 1:
-            raise ValueError("coord_bucket must be >= 1")
 
 
-def _bucket(x: float, width: int) -> str:
-    v = int(math.floor(x / width + 0.5)) * width
+def _bucket(x: float) -> str:
+    v = int(math.floor(x / COORD_BUCKET + 0.5)) * COORD_BUCKET
     return str(v)
 
 
@@ -60,11 +56,11 @@ def _split_args(argstr: str) -> list[str]:
     return args
 
 
-def lexical_key(action: str, coord_bucket: int = 10) -> str:
+def lexical_key(action: str) -> str:
     """Case/spacing/coordinate-insensitive form of one action string.
 
     ``name(args)`` calls get a lowercased name, numeric args snapped to the
-    nearest ``coord_bucket`` multiple, and quote style unified; anything that
+    nearest ``COORD_BUCKET`` multiple, and quote style unified; anything that
     does not parse as a call is lowercased with whitespace collapsed (never an
     error).
     """
@@ -77,7 +73,7 @@ def lexical_key(action: str, coord_bucket: int = 10) -> str:
     for arg in _split_args(m.group(2)):
         a = arg.strip()
         if _NUM_RE.match(a):
-            out.append(_bucket(float(a), coord_bucket))
+            out.append(_bucket(float(a)))
         elif len(a) >= 2 and a[0] == a[-1] and a[0] in "'\"":
             out.append("'" + a[1:-1] + "'")
         else:
@@ -96,7 +92,7 @@ def normalize_action(action: str, ctx: NormalizationContext) -> str:
     trimmed = action.strip()
     if not trimmed:
         raise ValueError("empty action string")
-    key = lexical_key(trimmed, ctx.coord_bucket)
+    key = lexical_key(trimmed)
     if ctx.alias_map is not None:
         hit = ctx.alias_map.get(trimmed)
         if hit is None:

@@ -1,4 +1,4 @@
-"""Sibling-set evaluation and the reflection value predictor.
+"""Sibling-set evaluation.
 
 Judge calls carry two noise components: per-call *shared offset* (the judge
 being generous or harsh on that call as a whole) and per-item noise.
@@ -8,22 +8,13 @@ rankings; independent judging makes one call per sibling and the offsets do
 not cancel.  ``SimJudge`` scores against fixture ground truth with both
 components controllable, plus an optional per-item preparation latency for
 parallelism experiments.
-
-The value predictor models iteration-over-iteration reflection quality with a
-single knob ``rho``: the point prediction is the conditional mean, and the
-realized outcome adds bounded zero-mean noise with variance ``rho * sigma_x2``
-(``sigma_x2`` being the blind, rho=1 outcome variance).  rho=0 is perfect
-value memory, rho=1 is no usable memory.
 """
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .rng import derive_rng
 from .tree import ActionChunk
@@ -39,10 +30,6 @@ class JudgeFailure(RuntimeError):
     The failure is retryable: a later iteration re-proposes and re-judges
     under fresh call keys, so a transient fault costs one iteration only.
     """
-
-TWO_POINT = "two_point"
-UNIFORM = "uniform"
-NOISE_KINDS = (TWO_POINT, UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -143,64 +130,3 @@ def judge_independent_set(parent_obs,
                    for i, p in enumerate(prepared))
     return JudgeResult(scores, INDEPENDENT)
 
-
-# -- reflection value predictor ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictorSpec:
-    """Reflection-informed predictor family.
-
-    rho:       residual fraction in [0, 1]; 0 = perfect memory, 1 = blind.
-    sigma_x2:  blind outcome variance (the rho = 1 residual variance).
-    noise:     bounded noise shape; `two_point` (+-s) realizes the residual
-               variance exactly, `uniform` spreads it over [-s*sqrt(3), s*sqrt(3)].
-    """
-
-    rho: float
-    sigma_x2: float
-    noise: str = TWO_POINT
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        if self.sigma_x2 < 0:
-            raise ValueError("sigma_x2 must be >= 0")
-        if self.noise not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.noise!r}")
-
-    @property
-    def residual_var(self) -> float:
-        return self.rho * self.sigma_x2
-
-    @property
-    def noise_halfwidth(self) -> float:
-        """Support half-width of the residual noise."""
-        s = math.sqrt(self.residual_var)
-        return s if self.noise == TWO_POINT else s * math.sqrt(3.0)
-
-
-def residual_noise(u, s: float, kind: str):
-    """Map uniform(0,1) variates ``u`` (a scalar or an array) to bounded
-    zero-mean residuals with standard deviation ``s``: ``two_point`` gives
-    +-s, ``uniform`` spreads over [-s*sqrt(3), s*sqrt(3)]."""
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    if s == 0.0:
-        return np.zeros_like(u)
-    if kind == TWO_POINT:
-        return np.where(u >= 0.5, s, -s)
-    return s * math.sqrt(3.0) * (2.0 * u - 1.0)
-
-
-def sample_outcome(spec: PredictorSpec, mean: float, rng) -> tuple[float, float]:
-    """(prediction, outcome): the prediction is the conditional mean, and the
-    outcome adds a bounded residual with variance ``spec.residual_var``.
-
-    Consumes exactly one uniform draw from ``rng`` regardless of parameters,
-    so scalar and vectorized simulations share noise streams.
-    """
-    theta = float(mean)
-    u = float(rng.random())
-    s = math.sqrt(spec.residual_var)
-    return theta, theta + float(residual_noise(u, s, spec.noise))

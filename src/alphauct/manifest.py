@@ -31,7 +31,9 @@ def fmt(x) -> str:
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` through a temporary file, creating the directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

@@ -5,9 +5,9 @@ actions, then rendered as one of the canonical's surface spellings — so the
 stream looks like raw GUI strings and exercises normalization.  Two quirks
 are modeled deliberately: *mode collapse* (with probability ``duplicate_rate``
 a draw repeats an earlier draw's canonical, possibly under a different
-spelling) and *reflection following* (actions whose normalized key appears in
-the reflection boost table get their weight multiplied up by
-``reflection_gain``).
+spelling) and *reflection following* (an action whose normalized key maps to
+boost ``b`` in the reflection has its weight multiplied by
+``1 + reflection_gain * b``).
 
 Every draw is keyed by (iteration, leaf, slot, draw), so proposal streams are
 reproducible and independent of scheduling.
@@ -71,6 +71,7 @@ class SimProposer:
                 leaf: int, slot: tuple[int, int] | None = None) -> list[str]:
         """``k`` surface action strings for ``screen``.
 
+        ``reflection`` maps normalized keys to boosts (None: no boost).
         ``slot`` is None for a node's first-atom batch and (candidate, step)
         for chunk-continuation draws; it only namespaces the rng keys.
         Screens with no policy entries yield no proposals (dead ends).
@@ -87,7 +88,7 @@ class SimProposer:
         for canon, w in entries:
             boost = 0.0
             if reflection is not None and self.spec.reflection_gain > 0:
-                boost = reflection.boost.get(canon, 0.0)
+                boost = reflection.get(canon, 0.0)
             weights.append(w * (1.0 + self.spec.reflection_gain * boost))
         cum = list(accumulate(weights))
         total = cum[-1]

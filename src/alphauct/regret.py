@@ -24,8 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .envs import BanditSpec
-from .judging import residual_noise
+from .envs import BanditSpec, bandit_pull, residual_noise
 from .rng import derive_rng
 
 ALGO_ALPHA = "alpha"
@@ -72,24 +71,17 @@ class BoundReport:
         return sum(a.total for a in self.arms)
 
 
-def theorem1_bound(gaps: Iterable[float], sigma_res2,
+def theorem1_bound(gaps: Iterable[float], sigma_res2: float,
                    horizon: int) -> BoundReport:
-    """Gap-dependent cumulative-regret bound over the suboptimal arms.
-
-    ``sigma_res2`` may be a scalar (shared) or a per-gap sequence.
-    """
+    """Gap-dependent cumulative-regret bound over the suboptimal arms, all
+    sharing the residual variance ``sigma_res2``."""
     gaps = tuple(float(g) for g in gaps)
     if any(g <= 0 for g in gaps):
         raise ValueError("gaps must be positive (suboptimal arms only)")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if isinstance(sigma_res2, (int, float)):
-        sig = tuple(float(sigma_res2) for _ in gaps)
-    else:
-        sig = tuple(float(s) for s in sigma_res2)
-        if len(sig) != len(gaps):
-            raise ValueError("need one sigma_res2 per gap")
-    if any(s < 0 for s in sig):
+    s = float(sigma_res2)
+    if s < 0:
         raise ValueError("sigma_res2 must be >= 0")
     log_t = math.log(horizon)
     arms = tuple(
@@ -97,7 +89,7 @@ def theorem1_bound(gaps: Iterable[float], sigma_res2,
                     var_term=8.0 * s * log_t / g,
                     log_term=16.0 * log_t / 3.0,
                     gap_term=2.0 * g)
-        for g, s in zip(gaps, sig))
+        for g in gaps)
     return BoundReport(horizon=horizon, arms=arms)
 
 
@@ -112,8 +104,7 @@ def bound_for_spec(spec: BanditSpec, horizon: int) -> BoundReport:
 class MdsSpec:
     """Bounded martingale-difference generator.
 
-    ``rademacher``: d = +-scale.  ``uniform``: d ~ U[-a, a] with a chosen so
-    the conditional variance is scale^2.  ``state_scaled``: a predictable
+    ``rademacher``: d = +-scale.  ``state_scaled``: a predictable
     two-regime walk - the next step uses ``scale_hi`` while the running sum
     is negative, ``scale`` otherwise, so the quadratic variation V_n varies
     across trials.
@@ -124,7 +115,7 @@ class MdsSpec:
     scale_hi: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rademacher", "uniform", "state_scaled"):
+        if self.kind not in ("rademacher", "state_scaled"):
             raise ValueError(f"unknown mds kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
@@ -168,11 +159,7 @@ def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
             scale = np.where(s < 0.0, mds.scale_hi, mds.scale)
         else:
             scale = np.full(trials, mds.scale)
-        if mds.kind == "uniform":
-            half = scale * math.sqrt(3.0)
-            d = half * (2.0 * rng.random(trials) - 1.0)
-        else:
-            d = scale * np.where(rng.random(trials) >= 0.5, 1.0, -1.0)
+        d = scale * np.where(rng.random(trials) >= 0.5, 1.0, -1.0)
         s += d
         v += scale ** 2
     rate = float(np.mean((s >= epsilon) & (v <= v_cap)))
@@ -325,8 +312,6 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
                            seed: int) -> np.ndarray:
     """Plain-python reference run (one seed): cumulative pseudo-regret at
     every step.  Differential twin of ``run_bandit_experiment``."""
-    from .envs import bandit_pull
-
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}")
     rng = derive_rng(spec.seed, "pull-noise", seed)
@@ -349,7 +334,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
                     math.log(t) / counts[a])
             if idx > best_idx:
                 best_arm, best_idx = a, idx
-        _, x = bandit_pull(spec, best_arm, rng)
+        x = bandit_pull(spec, best_arm, rng)
         sums[best_arm] += x
         counts[best_arm] += 1
         reg += best - spec.means[best_arm]
@@ -377,48 +362,56 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_log_regret(curve: RegretCurve, *, window_frac: float = 0.5) -> LogFit:
-    """Least-squares fit of mean regret against ln t over the tail window
-    [window_frac * horizon, horizon]; also fits a plain-linear model so the
-    caller can see which shape explains the tail better."""
-    if not 0.0 < window_frac < 1.0:
-        raise ValueError("window_frac must be in (0, 1)")
+def _tail(curve: RegretCurve) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, t) of the checkpoints in the fitted tail window
+    [horizon / 2, horizon]."""
     t = np.asarray(curve.t_grid, dtype=float)
-    mask = t >= window_frac * curve.horizon
+    mask = t >= 0.5 * curve.horizon
     if int(mask.sum()) < 3:
         raise ValueError("window holds fewer than 3 checkpoints")
-    x = np.log(t[mask])
+    return mask, t[mask]
+
+
+def fit_log_regret(curve: RegretCurve) -> LogFit:
+    """Least-squares fit of mean regret against ln t over the tail window
+    [horizon / 2, horizon]; also fits a plain-linear model so the caller can
+    see which shape explains the tail better."""
+    mask, t = _tail(curve)
+    x = np.log(t)
     y = curve.mean[mask]
     if float(np.ptp(y)) == 0.0:
         raise ValueError("degenerate (constant) regret curve in window")
     slope, intercept = np.polyfit(x, y, 1)
     r2 = _r_squared(y, slope * x + intercept)
-    lin = np.polyfit(t[mask], y, 1)
-    r2_lin = _r_squared(y, lin[0] * t[mask] + lin[1])
+    lin = np.polyfit(t, y, 1)
+    r2_lin = _r_squared(y, lin[0] * t + lin[1])
     return LogFit(slope=float(slope), intercept=float(intercept),
                   r_squared=float(r2), linear_r_squared=float(r2_lin),
                   log_model_preferred=bool(r2 >= r2_lin),
-                  n_points=int(mask.sum()),
-                  window=(int(t[mask][0]), int(t[mask][-1])))
+                  n_points=len(t), window=(int(t[0]), int(t[-1])))
 
 
-def per_seed_log_slopes(curve: RegretCurve, *,
-                        window_frac: float = 0.5) -> np.ndarray:
+def per_seed_log_slopes(curve: RegretCurve) -> np.ndarray:
     """Tail ln-t slope of each seed's own curve.
 
     Least squares is linear in the ordinates, so the mean of this array is
     exactly ``fit_log_regret(curve).slope``; bootstrapping the mean-curve
     slope therefore reduces to resampling this array, with no refitting.
     """
-    if not 0.0 < window_frac < 1.0:
-        raise ValueError("window_frac must be in (0, 1)")
-    t = np.asarray(curve.t_grid, dtype=float)
-    mask = t >= window_frac * curve.horizon
-    if int(mask.sum()) < 3:
-        raise ValueError("window holds fewer than 3 checkpoints")
-    x = np.log(t[mask])
+    mask, t = _tail(curve)
+    x = np.log(t)
     xc = x - x.mean()
     return (xc @ curve.per_seed[mask]) / float(xc @ x)
+
+
+def _ratio_ci(num: np.ndarray, den: np.ndarray, n_boot: int,
+              rng) -> tuple[float, float]:
+    """Percentile 95 % CI of ``mean(num) / mean(den)`` over independent
+    bootstrap resamples of the two arrays."""
+    ni = rng.integers(0, len(num), size=(n_boot, len(num)))
+    di = rng.integers(0, len(den), size=(n_boot, len(den)))
+    boots = num[ni].mean(axis=1) / den[di].mean(axis=1)
+    return float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))
 
 
 @dataclass(frozen=True)
@@ -429,20 +422,14 @@ class SlopeRatio:
     n_seeds: int
 
 
-def slope_ratio_ci(num: RegretCurve, den: RegretCurve, *, n_boot: int = 2000,
-                   boot_seed: int = 0,
-                   window_frac: float = 0.5) -> SlopeRatio:
+def slope_ratio_ci(num: RegretCurve, den: RegretCurve, *,
+                   n_boot: int = 2000) -> SlopeRatio:
     """Ratio of fitted tail slopes with a percentile bootstrap CI over seeds
     (independent resamples for numerator and denominator)."""
-    sn = per_seed_log_slopes(num, window_frac=window_frac)
-    sd = per_seed_log_slopes(den, window_frac=window_frac)
-    rng = derive_rng(boot_seed, "slope-boot")
-    ni = rng.integers(0, len(sn), size=(n_boot, len(sn)))
-    di = rng.integers(0, len(sd), size=(n_boot, len(sd)))
-    boots = sn[ni].mean(axis=1) / sd[di].mean(axis=1)
-    return SlopeRatio(ratio=float(sn.mean() / sd.mean()),
-                      ci_lo=float(np.percentile(boots, 2.5)),
-                      ci_hi=float(np.percentile(boots, 97.5)),
+    sn = per_seed_log_slopes(num)
+    sd = per_seed_log_slopes(den)
+    lo, hi = _ratio_ci(sn, sd, n_boot, derive_rng(0, "slope-boot"))
+    return SlopeRatio(ratio=float(sn.mean() / sd.mean()), ci_lo=lo, ci_hi=hi,
                       n_seeds=len(sn))
 
 
@@ -459,8 +446,7 @@ class RatioPoint:
 
 def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
                                 horizon: int, n_seeds: int, *, seed0: int = 0,
-                                n_boot: int = 2000,
-                                boot_seed: int = 0) -> list[RatioPoint]:
+                                n_boot: int = 2000) -> list[RatioPoint]:
     """Final-regret ratio of the residual-variance policy at each rho against
     the blind (rho = 1) baseline of the same family.
 
@@ -487,12 +473,8 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
         if rho == 1.0:
             lo = hi = 1.0
         else:
-            rngb = derive_rng(boot_seed, "ratio-boot", int(round(rho * 1e6)))
-            num_idx = rngb.integers(0, n_seeds, size=(n_boot, n_seeds))
-            den_idx = rngb.integers(0, n_seeds, size=(n_boot, n_seeds))
-            boots = final[num_idx].mean(axis=1) / base_final[den_idx].mean(axis=1)
-            lo, hi = (float(np.percentile(boots, 2.5)),
-                      float(np.percentile(boots, 97.5)))
+            lo, hi = _ratio_ci(final, base_final, n_boot,
+                               derive_rng(0, "ratio-boot", int(round(rho * 1e6))))
         points.append(RatioPoint(rho=float(rho), ratio=ratio, ci_lo=lo,
                                  ci_hi=hi, mean_regret=float(final.mean()),
                                  base_mean_regret=base_mean, n_seeds=n_seeds))

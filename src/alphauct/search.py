@@ -4,8 +4,9 @@ Each iteration selects a leaf, positions an environment there (stored
 snapshot or replay from the root), expands it into deduplicated candidate
 chunks, judges the new sibling set in one comparative call (or per-sibling
 independent calls under ablation), and backs every judged value up the root
-path.  The previous iteration's best trajectory is distilled into a
-*reflection* that biases the next iteration's proposals.
+path.  The last expansion's best path, as (chunk, q) pairs, is distilled into
+a *reflection*: a map from normalized atom keys to their best non-negative q,
+which boosts those actions' weights in the next iteration's proposals.
 
 One optional thread pool hides simulated judge latency by running the
 per-sibling judge preparation concurrently.  All randomness is keyed by
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Sequence
 
 from .backup import MAX, MODES, backpropagate, q_for_selection
-from .expansion import expand_node
+from .expansion import CHUNK_SEP, expand_node
 from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure,
                       judge_comparative, judge_independent_set)
 from .proposer import TaskInfeasible
@@ -82,66 +83,22 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    chunk: ActionChunk
-    screen: str
-    q: float
+class SimReflector:
+    """Distills the last expansion's best path into a proposal boost.
 
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    iteration: int
-    steps: tuple[TrajectoryStep, ...]
-    terminal: str
-
-
-@dataclass(frozen=True)
-class Reflection:
-    """Proposal-bias payload distilled from an earlier trajectory.
-
-    ``boost`` maps normalized atom keys to emphasis in [0, 1]; ``rho`` is the
-    value-prediction residual fraction credited to this reflection (smaller =
-    sharper memory of what worked).
+    ``reflect`` maps each normalized atom key on the path to the highest
+    ``q >= 0`` among the steps that carry it; before the first expansion the
+    path is empty and so is the boost.
     """
 
-    source_iteration: int
-    boost: Mapping[str, float] = field(default_factory=dict)
-    rho: float = 1.0
-
-
-@dataclass(frozen=True)
-class ReflectorSpec:
-    q_threshold: float = 0.0  # trajectory steps with q above this get boosted
-    rho0: float = 1.0
-    rho_decay: float = 0.8
-    rho_min: float = 0.05
-
-    def rho_at(self, iteration: int) -> float:
-        return max(self.rho_min, self.rho0 * self.rho_decay ** max(0, iteration - 1))
-
-
-class SimReflector:
-    """Boosts the normalized atom keys of high-value steps from the previous
-    iteration's trajectory; emits an empty reflection for the first."""
-
-    def __init__(self, spec: ReflectorSpec | None = None):
-        self.spec = spec or ReflectorSpec()
-
-    def reflect(self, prev: TrajectoryRecord | None, instruction: str,
-                iteration: int) -> Reflection:
-        rho = self.spec.rho_at(iteration)
-        if prev is None:
-            return Reflection(source_iteration=0, boost={}, rho=rho)
-        if prev.iteration >= iteration:
-            raise ValueError("reflection must come from an earlier iteration")
+    def reflect(self, prev: Sequence[tuple[ActionChunk, float]]
+                ) -> dict[str, float]:
         boost: dict[str, float] = {}
-        for step in prev.steps:
-            if step.q >= self.spec.q_threshold:
-                emphasis = max(0.0, min(1.0, step.q))
-                for key in step.chunk.norm_key.split(";"):
-                    boost[key] = max(boost.get(key, 0.0), emphasis)
-        return Reflection(source_iteration=prev.iteration, boost=boost, rho=rho)
+        for chunk, q in prev:
+            if q >= 0.0:
+                for key in chunk.norm_key.split(CHUNK_SEP):
+                    boost[key] = max(boost.get(key, 0.0), q)
+        return boost
 
 
 @dataclass
@@ -215,7 +172,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              value_mode=config.backup)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
     trace: list[str] = []
-    prev_traj: TrajectoryRecord | None = None
+    prev_path: list[tuple[ActionChunk, float]] = []  # (chunk, q) root-first
     outcome = OUTCOME_BUDGET
     success_node: int | None = None
     iterations = 0
@@ -239,7 +196,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"depth={rec.depth} value={v!r}")
                 continue
             positioned = position_env(tree, leaf, config.state_strategy)
-            reflection = (reflector.reflect(prev_traj, env.instruction, it)
+            reflection = (reflector.reflect(prev_path)
                           if reflector is not None else None)
             try:
                 pairs = expand_node(
@@ -289,15 +246,10 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
 
             best_idx = max(range(len(pairs)),
                            key=lambda i: result.scores[i])
-            steps = []
-            for nid in tree.path_to_root(leaf)[1:] + [pairs[best_idx][0]]:
-                nrec = tree.nodes[nid]
-                steps.append(TrajectoryStep(
-                    chunk=nrec.action, screen=getattr(nrec.obs, "screen", ""),
-                    q=q_for_selection(tree, nid, config.backup)))
-            prev_traj = TrajectoryRecord(
-                iteration=it, steps=tuple(steps),
-                terminal=pairs[best_idx][1].terminal)
+            prev_path = [(tree.nodes[nid].action,
+                          q_for_selection(tree, nid, config.backup))
+                         for nid in tree.path_to_root(leaf)[1:]
+                         + [pairs[best_idx][0]]]
 
             winners = [cid for cid, obs in pairs if obs.terminal == "success"]
             if winners:

@@ -24,9 +24,10 @@ from . import search as search_mod
 from .ablation import (measure_parallel_speedup, pooled, run_ablation,
                        two_proportion_test)
 from .backup import MAX, MEAN
-from .envs import BanditSpec, GuiGraphEnv, builtin_fixtures, load_fixture
+from .envs import (UNIFORM, BanditSpec, GuiGraphEnv, builtin_fixtures,
+                   load_fixture)
 from .expansion import NormalizationContext, admit_candidates, chunk_key
-from .judging import COMPARATIVE, INDEPENDENT, UNIFORM, SimJudge, SimJudgeSpec
+from .judging import COMPARATIVE, INDEPENDENT, SimJudge, SimJudgeSpec
 from .proposer import proposer_from_fixture
 from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,

@@ -57,6 +57,25 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["bandit", "--arms", "abc"], ["--arms", "'abc'"]),
+    (["bandit", "--rho-grid", "abc"], ["--rho-grid", "'abc'"]),
+    ([], ["command"]),  # no subcommand
+])
+def test_flag_errors_print_one_line(tmp_path, monkeypatch, capsys, argv,
+                                    names):
+    monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "runs"))
+    assert run_cli(*argv) == 2
+    _one_error_line(capsys, *names)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_still_exits_0(capsys):
+    assert run_cli("--help") == 0
+    assert run_cli("bandit", "--help") == 0
+    assert "usage: alphauct bandit" in capsys.readouterr().out
+
+
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"env": "trap3", "max_iterations": 5,
@@ -227,7 +246,7 @@ def _one_error_line(capsys, *names):
 
 
 def _no_artifacts(out):
-    return not out.exists() or not any(out.iterdir())
+    return not out.exists()
 
 
 def test_rerun_rejects_unknown_key(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Fixture parsing, screen-graph semantics (alias resolution, absorbing
-terminals, clone isolation), and the bandit reward family."""
+terminals, clone isolation), and the bandit reward family with its residual
+noise contract."""
 import math
+import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from alphauct.envs import (BanditSpec, FixtureError, GuiGraphEnv,
                            bandit_pull, builtin_fixtures, load_fixture,
-                           parse_fixture)
+                           parse_fixture, residual_noise)
 from alphauct.rng import derive_rng
 
 MINI = """
@@ -156,6 +159,10 @@ def test_bandit_spec_validation():
     with pytest.raises(ValueError):
         BanditSpec(means=(0.6, 0.4), rho=1.5)
     with pytest.raises(ValueError):
+        BanditSpec(means=(0.6, 0.4), sigma_x2=-1.0)
+    with pytest.raises(ValueError):
+        BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, noise="gaussian")
+    with pytest.raises(ValueError):
         # 0.9 +- sqrt(0.04) = [0.7, 1.1] leaves the unit interval
         BanditSpec(means=(0.9, 0.4), sigma_x2=0.04)
     # uniform support is sqrt(3) wider than two-point at equal variance
@@ -171,17 +178,13 @@ def test_bandit_derived_quantities():
     assert spec.gaps == pytest.approx((0.1, 0.2))
     assert spec.all_gaps == pytest.approx((0.1, 0.0, 0.2))
     assert spec.residual_var == pytest.approx(0.02)
-    pred = spec.predictor()
-    assert (pred.rho, pred.sigma_x2, pred.noise) == (0.25, 0.08, "two_point")
 
 
 def test_noiseless_bandit_reward_is_the_mean():
     spec = BanditSpec(means=(0.6, 0.4))
     rng = derive_rng(0, "pull")
     for arm in (0, 1):
-        theta, reward = bandit_pull(spec, arm, rng)
-        assert theta == spec.means[arm]
-        assert reward == spec.means[arm]
+        assert bandit_pull(spec, arm, rng) == spec.means[arm]
     with pytest.raises(ValueError):
         bandit_pull(spec, 2, rng)
 
@@ -191,19 +194,62 @@ def test_two_point_pull_support():
     rng = derive_rng(1, "pull")
     seen = set()
     for _ in range(64):
-        _, reward = bandit_pull(spec, 0, rng)
-        seen.add(round(reward, 12))
+        seen.add(round(bandit_pull(spec, 0, rng), 12))
     assert seen == {round(0.6 - 0.2, 12), round(0.6 + 0.2, 12)}
 
 
 def test_rho_scales_residual_not_the_mean():
     full = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=1.0)
     quarter = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=0.25)
-    r_full = [bandit_pull(full, 0, derive_rng(s, "p"))[1] for s in range(200)]
-    r_quarter = [bandit_pull(quarter, 0, derive_rng(s, "p"))[1]
+    r_full = [bandit_pull(full, 0, derive_rng(s, "p")) for s in range(200)]
+    r_quarter = [bandit_pull(quarter, 0, derive_rng(s, "p"))
                  for s in range(200)]
     dev_full = max(abs(r - 0.6) for r in r_full)
     dev_quarter = max(abs(r - 0.6) for r in r_quarter)
     assert dev_full == pytest.approx(0.2)
     assert dev_quarter == pytest.approx(0.1)  # sqrt(rho) shrinkage
     assert dev_quarter == pytest.approx(dev_full * math.sqrt(0.25))
+
+
+def test_bandit_pull_rho_zero_is_the_mean():
+    perfect = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=0.0)
+    assert perfect.residual_var == 0.0
+    rng = derive_rng(0, "pred")
+    assert bandit_pull(perfect, 0, rng) == 0.6  # rho=0: no residual at all
+    blind = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=1.0)
+    assert blind.residual_var == pytest.approx(0.04)
+
+
+@pytest.mark.parametrize("noise", ["two_point", "uniform"])
+def test_pull_variance_matches_contract(noise):
+    spec = BanditSpec(means=(0.5, 0.4), sigma_x2=0.04, rho=0.25, noise=noise)
+    assert spec.residual_var == pytest.approx(0.01)
+    rng = derive_rng(1, "pred-var")
+    draws = [bandit_pull(spec, 0, rng) - 0.5 for _ in range(40_000)]
+    assert statistics.mean(draws) == pytest.approx(0.0, abs=0.005)
+    assert statistics.variance(draws) == pytest.approx(0.01, rel=0.10)
+    hw = 0.1 if noise == "two_point" else 0.1 * math.sqrt(3.0)
+    assert all(abs(d) <= hw + 1e-12 for d in draws)
+    if noise == "two_point":
+        assert max(abs(d) for d in draws) == pytest.approx(hw)
+
+
+def test_bandit_pull_uses_one_draw_always():
+    """Draw-count parity keeps scalar and vectorized paths on shared streams."""
+    for spec in (BanditSpec(means=(0.5, 0.4), sigma_x2=0.04, rho=0.0),
+                 BanditSpec(means=(0.5, 0.4), sigma_x2=0.0),
+                 BanditSpec(means=(0.5, 0.45), sigma_x2=0.06, rho=0.5,
+                            noise="uniform")):
+        a = derive_rng(3, "parity")
+        b = derive_rng(3, "parity")
+        bandit_pull(spec, 1, a)
+        b.random()
+        assert a.random() == b.random()
+
+
+@given(st.floats(0, 1))
+def test_residual_noise_is_bounded_and_symmetric(u):
+    s = 0.2
+    x = residual_noise(u, s, "uniform")
+    assert abs(x) <= s * math.sqrt(3.0) + 1e-12
+    assert residual_noise(1.0 - u, s, "uniform") == pytest.approx(-x, abs=1e-12)

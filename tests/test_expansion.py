@@ -27,7 +27,6 @@ def test_coordinate_bucket_boundaries():
     # nearest-multiple snap: 444->440, 445->450 at width 10
     assert lexical_key("click(444, 0)") == "click(440,0)"
     assert lexical_key("click(445, 0)") == "click(450,0)"
-    assert lexical_key("click(445, 0)", coord_bucket=100) == "click(400,0)"
 
 
 def test_normalize_rejects_empty():

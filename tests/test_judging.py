@@ -1,17 +1,12 @@
-"""Judge-call semantics: noiseless passthrough, clamping, the offset
-cancellation that separates comparative from independent scoring, and the
-reflection predictor's variance contract."""
-import math
+"""Judge-call semantics: noiseless passthrough, clamping, and the offset
+cancellation that separates comparative from independent scoring."""
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from alphauct.judging import (COMPARATIVE, INDEPENDENT, JudgeFailure,
-                              PredictorSpec, SimJudge, SimJudgeSpec,
-                              judge_comparative, judge_independent_set,
-                              residual_noise, sample_outcome)
-from alphauct.rng import derive_rng
+                              SimJudge, SimJudgeSpec, judge_comparative,
+                              judge_independent_set)
 from alphauct.tree import ActionChunk
 
 VALUES = {"lobby": 0.3, "vault": 0.8, "closet": -1.0}
@@ -117,61 +112,3 @@ def test_scores_keyed_by_call_not_schedule():
     assert a.scores == b.scores
     assert a.scores != c.scores
 
-
-# -- reflection predictor -----------------------------------------------------
-
-
-def test_predictor_validation():
-    with pytest.raises(ValueError):
-        PredictorSpec(rho=1.5, sigma_x2=0.04)
-    with pytest.raises(ValueError):
-        PredictorSpec(rho=0.5, sigma_x2=-1.0)
-    with pytest.raises(ValueError):
-        PredictorSpec(rho=0.5, sigma_x2=0.04, noise="gaussian")
-
-
-def test_predictor_rho_endpoints():
-    perfect = PredictorSpec(rho=0.0, sigma_x2=0.04)
-    rng = derive_rng(0, "pred")
-    theta, outcome = sample_outcome(perfect, 0.6, rng)
-    assert theta == 0.6 and outcome == 0.6  # rho=0: no residual at all
-    blind = PredictorSpec(rho=1.0, sigma_x2=0.04)
-    assert blind.residual_var == pytest.approx(0.04)
-    assert sample_outcome(blind, 0.25, rng)[0] == 0.25
-
-
-@pytest.mark.parametrize("noise", ["two_point", "uniform"])
-def test_residual_variance_matches_contract(noise):
-    spec = PredictorSpec(rho=0.25, sigma_x2=0.04, noise=noise)
-    assert spec.residual_var == pytest.approx(0.01)
-    rng = derive_rng(1, "pred-var")
-    draws = [sample_outcome(spec, 0.0, rng)[1] for _ in range(40_000)]
-    assert statistics.mean(draws) == pytest.approx(0.0, abs=0.005)
-    assert statistics.variance(draws) == pytest.approx(0.01, rel=0.10)
-    hw = spec.noise_halfwidth
-    assert all(abs(d) <= hw + 1e-12 for d in draws)
-    if noise == "two_point":
-        assert hw == pytest.approx(0.1)
-    else:
-        assert hw == pytest.approx(0.1 * math.sqrt(3.0))
-
-
-def test_sample_outcome_uses_one_draw_always():
-    """Draw-count parity keeps scalar and vectorized paths on shared streams."""
-    for spec in (PredictorSpec(rho=0.0, sigma_x2=0.04),
-                 PredictorSpec(rho=1.0, sigma_x2=0.0),
-                 PredictorSpec(rho=0.5, sigma_x2=0.09, noise="uniform")):
-        a = derive_rng(3, "parity")
-        b = derive_rng(3, "parity")
-        sample_outcome(spec, 0.1, a)
-        b.random()
-        assert a.random() == b.random()
-
-
-@given(st.floats(0, 1))
-def test_residual_noise_is_bounded_and_symmetric(u):
-    spec = PredictorSpec(rho=1.0, sigma_x2=0.04, noise="uniform")
-    s = math.sqrt(spec.residual_var)
-    x = residual_noise(u, s, spec.noise)
-    assert abs(x) <= spec.noise_halfwidth + 1e-12
-    assert residual_noise(1.0 - u, s, spec.noise) == pytest.approx(-x, abs=1e-12)

@@ -1,67 +1,33 @@
-"""Reflection distillation: rho schedule, threshold gating, and the
-iteration-ordering guard."""
+"""Reflection distillation: a previous best path of (chunk, q) steps becomes a
+map from normalized atom keys to their best non-negative q."""
 import pytest
 
-from alphauct.search import (Reflection, ReflectorSpec, SimReflector,
-                             TrajectoryRecord, TrajectoryStep)
+from alphauct.search import SimReflector
 from alphauct.tree import ActionChunk
 
 
-def step(key: str, q: float) -> TrajectoryStep:
-    return TrajectoryStep(chunk=ActionChunk((key,), key), screen=key, q=q)
-
-
-def test_rho_schedule_decays_to_floor():
-    spec = ReflectorSpec(rho0=1.0, rho_decay=0.5, rho_min=0.1)
-    assert spec.rho_at(1) == 1.0
-    assert spec.rho_at(2) == 0.5
-    assert spec.rho_at(3) == 0.25
-    assert spec.rho_at(10) == 0.1  # clamped at the floor
+def step(key: str, q: float) -> tuple[ActionChunk, float]:
+    return ActionChunk((key,), key), q
 
 
 def test_first_iteration_reflection_is_empty():
-    r = SimReflector().reflect(None, "go", iteration=1)
-    assert r.boost == {}
-    assert r.source_iteration == 0
-    assert r.rho == 1.0
+    assert SimReflector().reflect([]) == {}
 
 
 def test_boost_keeps_only_high_value_steps():
-    reflector = SimReflector(ReflectorSpec(q_threshold=0.5))
-    prev = TrajectoryRecord(iteration=1, terminal="none", steps=(
-        step("good", 0.9), step("meh", 0.3), step("fine", 0.6)))
-    r = reflector.reflect(prev, "go", iteration=2)
-    assert set(r.boost) == {"good", "fine"}
-    assert r.boost["good"] == pytest.approx(0.9)
+    prev = [step("good", 0.9), step("bad", -0.3), step("zero", 0.0),
+            step("fine", 0.6)]
+    r = SimReflector().reflect(prev)
+    assert set(r) == {"good", "zero", "fine"}  # q >= 0 only
+    assert r["good"] == pytest.approx(0.9)
 
 
 def test_chunked_steps_boost_each_atom_key():
-    reflector = SimReflector(ReflectorSpec(q_threshold=0.0))
-    chunked = TrajectoryStep(
-        chunk=ActionChunk(("open a", "open b"), "open_a;open_b"),
-        screen="s", q=0.7)
-    r = reflector.reflect(
-        TrajectoryRecord(iteration=1, terminal="none", steps=(chunked,)),
-        "go", iteration=2)
-    assert r.boost == {"open_a": pytest.approx(0.7),
-                       "open_b": pytest.approx(0.7)}
+    chunked = (ActionChunk(("open a", "open b"), "open_a;open_b"), 0.7)
+    r = SimReflector().reflect([chunked])
+    assert r == {"open_a": pytest.approx(0.7), "open_b": pytest.approx(0.7)}
 
 
 def test_repeated_key_takes_best_emphasis():
-    reflector = SimReflector(ReflectorSpec(q_threshold=0.0))
-    prev = TrajectoryRecord(iteration=1, terminal="none",
-                            steps=(step("a", 0.2), step("a", 0.8)))
-    r = reflector.reflect(prev, "go", iteration=2)
-    assert r.boost["a"] == pytest.approx(0.8)
-
-
-def test_reflection_must_come_from_the_past():
-    reflector = SimReflector()
-    prev = TrajectoryRecord(iteration=3, terminal="none", steps=())
-    with pytest.raises(ValueError):
-        reflector.reflect(prev, "go", iteration=3)
-
-
-def test_reflection_payload_defaults():
-    r = Reflection(source_iteration=2)
-    assert r.boost == {} and r.rho == 1.0
+    r = SimReflector().reflect([step("a", 0.2), step("a", 0.8)])
+    assert r["a"] == pytest.approx(0.8)

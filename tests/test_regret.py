@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from alphauct.envs import BanditSpec
-from alphauct.judging import NOISE_KINDS
+from alphauct.envs import NOISE_KINDS, BanditSpec
 from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
                              MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
@@ -45,14 +44,11 @@ def test_doubling_residual_variance_doubles_only_var_term():
         assert b.gap_term == a.gap_term
 
 
-def test_bound_accepts_per_arm_variances_and_validates():
-    rep = theorem1_bound([0.1, 0.2], [0.01, 0.04], horizon=100)
-    assert rep.arms[0].sigma_res2 == 0.01
-    assert rep.arms[1].sigma_res2 == 0.04
+def test_bound_validates_its_inputs():
     with pytest.raises(ValueError):
         theorem1_bound([0.1, -0.2], 0.01, horizon=100)
     with pytest.raises(ValueError):
-        theorem1_bound([0.1], [0.01, 0.02], horizon=100)
+        theorem1_bound([0.1], -0.01, horizon=100)
     with pytest.raises(ValueError):
         theorem1_bound([0.1], 0.01, horizon=0)
 
@@ -279,9 +275,16 @@ def test_fit_flags_linear_growth():
 
 
 def test_fit_window_validation():
-    curve = synthetic_curve(lambda t: np.log(t))
-    with pytest.raises(ValueError):
-        fit_log_regret(curve, window_frac=1.5)
+    # only t = 9_000 and 10_000 lie in the tail window [5_000, 10_000]
+    grid = (1, 10, 100, 1000, 9000, 10_000)
+    short = RegretCurve(spec=small_spec(), algo=ALGO_ALPHA, horizon=10_000,
+                        t_grid=grid,
+                        per_seed=np.tile(np.log(grid)[:, None], (1, 3)),
+                        seed0=0)
+    with pytest.raises(ValueError, match="fewer than 3"):
+        fit_log_regret(short)
+    with pytest.raises(ValueError, match="fewer than 3"):
+        per_seed_log_slopes(short)
     flat = synthetic_curve(lambda t: np.ones_like(t))
     with pytest.raises(ValueError):
         fit_log_regret(flat)

@@ -1,8 +1,12 @@
 """End-to-end loop behavior on the built-in fixtures: success paths, trace
 structure, chunked edges, state-positioning equivalence, and the abort and
 dead-end routes."""
+import hashlib
+
 import pytest
 
+from alphauct import search as search_mod
+from alphauct.backup import q_for_selection
 from alphauct.envs import GuiGraphEnv, load_fixture
 from alphauct.expansion import NormalizationContext
 from alphauct.judging import JudgeFailure, SimJudge, SimJudgeSpec
@@ -211,3 +215,72 @@ def test_extract_best_path_breaks_ties_earliest():
     t.add_child(a, ActionChunk(("c",), "c"))  # unscored: descent stops above
     path = extract_best_path(t)
     assert [c.norm_key for c in path] == ["a"]
+
+
+def test_reflection_boosts_the_previous_best_path(monkeypatch):
+    """The boost a proposal sees right after an expansion maps the atom keys
+    of that expansion's best path to their selection values, q >= 0 only."""
+    trees = []
+
+    class Tree(SearchTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trees.append(self)
+
+    monkeypatch.setattr(search_mod, "SearchTree", Tree)
+    spec = load_fixture("trap3")
+    inner = proposer_from_fixture(spec, seed=6)
+    seen = {}  # iteration -> (boost, node q values when it was proposed)
+
+    class RecordingProposer:
+        ctx = inner.ctx
+
+        def propose(self, screen, reflection, k, **kw):
+            if kw.get("slot") is None:
+                tree = trees[-1]
+                seen[kw["iteration"]] = (dict(reflection), {
+                    nid: q_for_selection(tree, nid)
+                    for nid in range(len(tree))
+                    if tree.nodes[nid].q_max is not None})
+            return inner.propose(screen, reflection, k, **kw)
+
+    # noisy enough that some best paths hold a negative q and some best
+    # children are not the first admitted
+    judge = SimJudge(SimJudgeSpec(noise_std=0.6, seed=6), spec.values)
+    res = run_search(GuiGraphEnv(spec), RecordingProposer(), judge,
+                     SimReflector(), SearchConfig(seed=6, max_iterations=12))
+    tree = res.tree
+    assert seen[1][0] == {}
+    checked = 0
+    for line in res.trace:
+        it = int(line.split()[0][len("iter="):])
+        if "kind=expand" not in line or it + 1 not in seen:
+            continue
+        judged = [e for e in tree.events if e.iteration == it]
+        best = max(judged, key=lambda e: e.value).leaf  # first max wins
+        boost, q = seen[it + 1]
+        expected = {}
+        for nid in tree.path_to_root(best)[1:]:
+            if q[nid] >= 0:
+                for key in tree.nodes[nid].action.norm_key.split(";"):
+                    expected[key] = max(expected.get(key, 0.0), q[nid])
+        assert boost == expected, it
+        checked += 1
+    assert checked >= 3
+    assert any(boost for boost, _ in seen.values())
+
+
+@pytest.mark.parametrize("fixture, cfg, digest", [
+    ("trap3", dict(seed=7),
+     "c91c0631aa9b9b3d0fc29322402c3dcc0b33beddf93bdabc7c58dbbd337d7159"),
+    ("deep7", dict(chunk_size=2),
+     "1a37e9cb77c8a7221c8cd33b94dcb9e86c7162f9b96c30ba72761764dc47af8f"),
+    ("wide16", dict(judge_mode="independent"),
+     "3e8ecca9e5f4235a004c7f7775f8b0b1f56cccd828c4e3a4671f3a3893925dbe"),
+])
+def test_pinned_search_digests(fixture, cfg, digest):
+    """SHA-256 of the tree dump plus the trace, pinned so that a change to
+    the reflection path (or anything else on the search stream) shows."""
+    _, res = run_fixture(fixture, **cfg)
+    blob = res.tree.dump() + "\n".join(res.trace)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -159,16 +159,21 @@ def test_bandit_spec_validation():
     with pytest.raises(ValueError):
         BanditSpec(means=(0.6, 0.4), rho=1.5)
     with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), sigma_x2=-1.0)
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, noise="gaussian")
-    with pytest.raises(ValueError):
         # 0.9 +- sqrt(0.04) = [0.7, 1.1] leaves the unit interval
         BanditSpec(means=(0.9, 0.4), sigma_x2=0.04)
     # uniform support is sqrt(3) wider than two-point at equal variance
     BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="two_point")
     with pytest.raises(ValueError):
         BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="uniform")
+
+
+def test_bandit_spec_noise_validation():
+    with pytest.raises(ValueError):
+        BanditSpec(means=(0.6, 0.4), rho=1.5, sigma_x2=0.04)
+    with pytest.raises(ValueError):
+        BanditSpec(means=(0.6, 0.4), rho=0.5, sigma_x2=-1.0)
+    with pytest.raises(ValueError):
+        BanditSpec(means=(0.6, 0.4), rho=0.5, sigma_x2=0.04, noise="gaussian")
 
 
 def test_bandit_derived_quantities():

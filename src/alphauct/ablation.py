@@ -90,6 +90,30 @@ def two_proportion_test(wins1: int, n1: int, wins2: int, n2: int) -> tuple[float
     return z, p
 
 
+# Each directional claim of the grid as (name, favoured cells, other cells).
+# The first two pool over the other factor; the conditional ones hold the
+# other factor at one level, because the effect is an interaction: max backup
+# only pays under comparative judging, and under independent judging mean
+# backup wins (the last entry, a measured fact rather than a claim).
+DIRECTIONS = (
+    ("max>mean", dict(backup=MAX), dict(backup=MEAN)),
+    ("comp>indep", dict(judge_mode=COMPARATIVE), dict(judge_mode=INDEPENDENT)),
+    ("max>mean|comp", dict(judge_mode=COMPARATIVE, backup=MAX),
+     dict(judge_mode=COMPARATIVE, backup=MEAN)),
+    ("comp>indep|max", dict(judge_mode=COMPARATIVE, backup=MAX),
+     dict(judge_mode=INDEPENDENT, backup=MAX)),
+    ("mean>max|indep", dict(judge_mode=INDEPENDENT, backup=MEAN),
+     dict(judge_mode=INDEPENDENT, backup=MAX)),
+)
+
+
+def direction_tests(cells: list[AblationCell]) -> dict[str, tuple[float, float]]:
+    """One-sided (z, p) of every entry of ``DIRECTIONS`` on the grid."""
+    return {name: two_proportion_test(*pooled(cells, **better),
+                                      *pooled(cells, **worse))
+            for name, better, worse in DIRECTIONS}
+
+
 @dataclass(frozen=True)
 class SpeedupReport:
     serial_s: float

@@ -25,12 +25,11 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .ablation import (ABLATION_CONFIG, measure_parallel_speedup, pooled,
-                       run_ablation, two_proportion_test)
-from .backup import MAX, MEAN, MODES
+from .ablation import (ABLATION_CONFIG, direction_tests,
+                       measure_parallel_speedup, run_ablation)
+from .backup import MODES
 from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, GuiGraphEnv, load_fixture
-from .judging import (COMPARATIVE, INDEPENDENT, JUDGE_MODES, SimJudge,
-                      SimJudgeSpec)
+from .judging import JUDGE_MODES, SimJudge, SimJudgeSpec
 from .manifest import RunManifest, atomic_write_text, load_manifest, write_csv, \
     write_json, write_manifest
 from .proposer import proposer_from_fixture
@@ -242,10 +241,8 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
               ["judge_mode", "backup", "successes", "runs", "rate"],
               [(c.judge_mode, c.backup, c.successes, c.runs, c.rate)
                for c in cells])
-    z1, p1 = two_proportion_test(*pooled(cells, backup=MAX),
-                                 *pooled(cells, backup=MEAN))
-    z2, p2 = two_proportion_test(*pooled(cells, judge_mode=COMPARATIVE),
-                                 *pooled(cells, judge_mode=INDEPENDENT))
+    tests = direction_tests(cells)
+    (z1, p1), (z2, p2) = tests["max>mean"], tests["comp>indep"]
     summary = {
         "config": resolved,
         "cells": [{"judge_mode": c.judge_mode, "backup": c.backup,

@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 
 from . import expansion as expansion_mod
 from . import search as search_mod
-from .ablation import (measure_parallel_speedup, pooled, run_ablation,
-                       two_proportion_test)
+from .ablation import direction_tests, measure_parallel_speedup, run_ablation
 from .backup import MAX, MEAN
 from .envs import (UNIFORM, BanditSpec, GuiGraphEnv, builtin_fixtures,
                    load_fixture)
@@ -60,6 +59,12 @@ RATIO_SWEEP_SEEDS = 200
 # Measured 200-seed bootstrap CI for the rho = 0.25 final-regret ratio was
 # [0.2846, 0.2929]; the acceptance band is that CI rounded outward.
 RHO25_BAND = (0.28, 0.30)
+# The trap3 ablation grid runs 1000 seeds per cell: over ten disjoint
+# 100-seed blocks the pooled max > mean test was significant on only one,
+# because max backup helps under comparative judging and hurts under
+# independent judging.  The conditional tests gate that interaction.
+ABLATION_SEEDS = 1000
+ABLATION_GATED = ("max>mean", "comp>indep", "max>mean|comp", "comp>indep|max")
 
 
 def grid_spec(k: int, gap: float, sigma2: float) -> BanditSpec:
@@ -431,22 +436,25 @@ def crit_freedman_tail(ctx: VerifyContext) -> tuple[bool, str]:
 
 
 def crit_ablation_direction(ctx: VerifyContext) -> tuple[bool, str]:
-    """Max backup beats mean backup and comparative judging beats
-    per-sibling judging on the decoy-heavy fixture, both at p < 0.05."""
-    cells = run_ablation("trap3", 100)
-    z1, p1 = two_proportion_test(*pooled(cells, backup=MAX),
-                                 *pooled(cells, backup=MEAN))
-    z2, p2 = two_proportion_test(*pooled(cells, judge_mode=COMPARATIVE),
-                                 *pooled(cells, judge_mode=INDEPENDENT))
+    """On the decoy-heavy fixture, at p < 0.05 each: max backup beats mean
+    backup and comparative judging beats per-sibling judging, pooled over
+    the other factor, and also max beats mean within comparative judging and
+    comparative beats independent within max backup.  Mean beating max under
+    independent judging is reported, not gated."""
+    cells = run_ablation("trap3", ABLATION_SEEDS)
+    tests = direction_tests(cells)
+    for name in ABLATION_GATED:
+        z, p = tests[name]
+        if p >= 0.05:
+            return False, f"{name}: z={z:.3f} p={p:.4f} not significant"
     rates = {(c.judge_mode, c.backup): c.rate for c in cells}
-    if p1 >= 0.05:
-        return False, f"max vs mean: z={z1:.3f} p={p1:.4f} not significant"
-    if p2 >= 0.05:
-        return False, f"comparative vs independent: z={z2:.3f} p={p2:.4f}"
-    cell_str = " ".join(f"{jm[:4]}/{b}={rates[(jm, b)]:.2f}"
+    cell_str = " ".join(f"{jm[:4]}/{b}={rates[(jm, b)]:.3f}"
                         for jm in (COMPARATIVE, INDEPENDENT)
                         for b in (MAX, MEAN))
-    return True, f"{cell_str}; max>mean p={p1:.2e}, comp>indep p={p2:.2e}"
+    gated = ", ".join(f"{name} p={tests[name][1]:.2e}" for name in ABLATION_GATED)
+    z, p = tests["mean>max|indep"]
+    return True, (f"{ABLATION_SEEDS} seeds: {cell_str}; {gated}; "
+                  f"not gated: mean>max|indep z={z:.2f} p={p:.2e}")
 
 
 def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:

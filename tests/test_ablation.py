@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from alphauct.ablation import (AblationCell, measure_parallel_speedup, pooled,
-                               run_ablation, run_cell, two_proportion_test)
+from alphauct.ablation import (AblationCell, direction_tests,
+                               measure_parallel_speedup, pooled, run_ablation,
+                               run_cell, two_proportion_test)
 from alphauct.judging import SimJudgeSpec
 from alphauct.search import SearchConfig
+from alphauct.verify import ABLATION_SEEDS
 
 
 def test_cell_rate():
@@ -44,6 +46,10 @@ def test_pooled_marginals():
     assert pooled(cells, judge_mode="comparative", backup="mean") == (7, 10)
     with pytest.raises(ValueError):
         pooled(cells, backup="median")
+    tests = direction_tests(cells)
+    assert tests["max>mean"] == two_proportion_test(15, 20, 12, 20)
+    assert tests["comp>indep|max"] == two_proportion_test(9, 10, 6, 10)
+    assert tests["mean>max|indep"] == two_proportion_test(5, 10, 6, 10)
 
 
 def test_two_proportion_test_hand_value():
@@ -84,3 +90,12 @@ def test_custom_config_plumbs_through():
                     judge_spec=SimJudgeSpec(noise_std=0.0))
     assert cell.runs == 3
     assert cell.successes == 3  # noiseless judge on an easy fixture
+
+
+def test_interaction_holds_on_a_fresh_seed_block():
+    """The gate's two conditional effects hold on the next 1000-seed block,
+    which the gate itself never runs."""
+    tests = direction_tests(run_ablation("trap3", ABLATION_SEEDS,
+                                         seed0=ABLATION_SEEDS))
+    for name in ("max>mean|comp", "comp>indep|max"):
+        assert tests[name][1] < 0.05, (name, tests[name])

@@ -121,6 +121,7 @@ class SpeedupReport:
     workers: int
     trees_equal: bool
     outcomes_equal: bool
+    ceiling: float  # Amdahl bound of the tree: judged items / pool rounds
 
     @property
     def speedup(self) -> float:
@@ -151,8 +152,13 @@ def measure_parallel_speedup(fixture: str = "wide16", *, k: int = 8,
     serial_s, serial = _timed_run(spec, base, judge_spec, seed)
     par_cfg = replace(base, parallel_actions=workers)
     parallel_s, parallel = _timed_run(spec, par_cfg, judge_spec, seed)
+    # each expanded node's children were one judged sibling set; the pool
+    # prepares a set in ceil(b* / workers) latency rounds, serial in b*
+    widths = [len(rec.children) for rec in serial.tree.nodes if rec.children]
     return SpeedupReport(
         serial_s=serial_s, parallel_s=parallel_s, workers=workers,
         trees_equal=serial.tree.dump() == parallel.tree.dump(),
         outcomes_equal=(serial.outcome, serial.iterations) ==
-                       (parallel.outcome, parallel.iterations))
+                       (parallel.outcome, parallel.iterations),
+        ceiling=(sum(widths) / sum(-(-b // workers) for b in widths)
+                 if widths else 1.0))

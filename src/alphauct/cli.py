@@ -260,7 +260,8 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
             k=8, latency_s=resolved["judge_latency"],
             workers=resolved["parallel_actions"])
         speedup = {"serial_s": rep.serial_s, "parallel_s": rep.parallel_s,
-                   "speedup": rep.speedup, "workers": rep.workers,
+                   "speedup": rep.speedup, "ceiling": rep.ceiling,
+                   "workers": rep.workers,
                    "trees_equal": rep.trees_equal,
                    "outcomes_equal": rep.outcomes_equal}
         write_json(outdir / "speedup.json", speedup)

@@ -467,9 +467,11 @@ def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:
         return False, "parallel run produced a different outcome"
     if rep.speedup < 2.0:
         return False, (f"speedup {rep.speedup:.2f}x < 2x "
-                       f"({rep.serial_s:.2f}s vs {rep.parallel_s:.2f}s)")
+                       f"({rep.serial_s:.2f}s vs {rep.parallel_s:.2f}s, "
+                       f"ceiling {rep.ceiling:.2f}x)")
     return True, (f"{rep.speedup:.1f}x ({rep.serial_s:.2f}s -> "
-                  f"{rep.parallel_s:.2f}s), trees identical")
+                  f"{rep.parallel_s:.2f}s), ceiling {rep.ceiling:.2f}x, "
+                  f"trees identical")
 
 
 def crit_determinism(ctx: VerifyContext) -> tuple[bool, str]:

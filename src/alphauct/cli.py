@@ -30,8 +30,8 @@ from .ablation import (ABLATION_CONFIG, direction_tests,
 from .backup import MODES
 from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, GuiGraphEnv, load_fixture
 from .judging import JUDGE_MODES, SimJudge, SimJudgeSpec
-from .manifest import RunManifest, atomic_write_text, load_manifest, write_csv, \
-    write_json, write_manifest
+from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
+    load_manifest, write_csv, write_json, write_manifest
 from .proposer import proposer_from_fixture
 from .regret import (ALGOS, ALGO_ALPHA, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
@@ -328,6 +328,10 @@ def cmd_rerun(args) -> int:
     missing = set(_DEFAULTS[command]) - set(config)
     if missing:
         raise UsageError(f"manifest config lacks {sorted(missing)}")
+    written_by = data.get("package_version")
+    if written_by != PACKAGE_VERSION:
+        print(f"warning: manifest written by alphauct {written_by}, running "
+              f"{PACKAGE_VERSION}; artifacts may differ", file=sys.stderr)
     return _RUNNERS[command](config, _resolve_out(args, command))
 
 

@@ -7,7 +7,9 @@ offset shifts every sibling identically and cancels out of within-set
 rankings; independent judging makes one call per sibling and the offsets do
 not cancel.  ``SimJudge`` scores against fixture ground truth with both
 components controllable, plus an optional per-item preparation latency for
-parallelism experiments.
+parallelism experiments.  Its noise is scalar counter-based normals from
+``rng.derive_rng`` keyed by the judge call, one for the offset and then one
+per item, so scores do not depend on scheduling.
 """
 from __future__ import annotations
 
@@ -77,9 +79,9 @@ class SimJudge:
         """One joint call: a single shared offset perturbs all items."""
         rng = derive_rng(self.spec.seed, "judge-set", *key)
         offset = self.spec.shared_offset_std * rng.standard_normal()
-        noise = self.spec.noise_std * rng.standard_normal(len(prepared))
-        return tuple(_clamp(self._true(p) + offset + eps)
-                     for p, eps in zip(prepared, noise))
+        return tuple(_clamp(self._true(p) + offset
+                            + self.spec.noise_std * rng.standard_normal())
+                     for p in prepared)
 
     def score_one(self, prepared: str, instruction: str, key) -> float:
         rng = derive_rng(self.spec.seed, "judge-one", *key)

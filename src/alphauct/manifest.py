@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-PACKAGE_VERSION = "0.1.0"
+PACKAGE_VERSION = "0.2.0"
 MANIFEST_NAME = "manifest.json"
 
 

@@ -9,8 +9,10 @@ spelling) and *reflection following* (an action whose normalized key maps to
 boost ``b`` in the reflection has its weight multiplied by
 ``1 + reflection_gain * b``).
 
-Every draw is keyed by (iteration, leaf, slot, draw), so proposal streams are
-reproducible and independent of scheduling.
+Every draw is keyed by (iteration, leaf, slot, draw): each proposal takes two
+or three scalar counter-based draws from ``rng.derive_rng`` under its own key,
+so proposal streams are reproducible and independent of scheduling, and no
+numpy generator is built.
 """
 from __future__ import annotations
 
@@ -99,12 +101,12 @@ class SimProposer:
             rng = derive_rng(self.spec.seed, "prop", iteration, leaf,
                              phase[0], phase[1], phase[2], j)
             if j > 0 and self.spec.duplicate_rate > 0 and \
-                    float(rng.random()) < self.spec.duplicate_rate:
-                canon = draws[int(rng.integers(0, j))]
+                    rng.random() < self.spec.duplicate_rate:
+                canon = draws[rng.integers(0, j)]
             else:
-                canon = entries[bisect_right(cum, float(rng.random()) * total)][0]
+                canon = entries[bisect_right(cum, rng.random() * total)][0]
             surfaces = self.spec.surfaces.get(canon) or (canon,)
-            surface = surfaces[int(rng.integers(0, len(surfaces)))]
+            surface = surfaces[rng.integers(0, len(surfaces))]
             draws.append(canon)
             out.append(surface)
         return out

@@ -151,7 +151,7 @@ def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
     """Monte-Carlo hit rate of {S_n >= eps and V_n <= v} for the generator."""
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
-    rng = derive_rng(seed, "freedman", n)
+    rng = derive_rng(seed, "freedman", n).generator()
     s = np.zeros(trials)
     v = np.zeros(trials)
     for _ in range(n):
@@ -269,7 +269,7 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
     x = inc[0]
     reg = np.zeros(n_seeds)
-    gens = [derive_rng(spec.seed, "pull-noise", sd)
+    gens = [derive_rng(spec.seed, "pull-noise", sd).generator()
             for sd in range(seed0, seed0 + n_seeds)]
     out = np.empty((len(t_grid), n_seeds))
     gi = 0
@@ -314,7 +314,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
     every step.  Differential twin of ``run_bandit_experiment``."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}")
-    rng = derive_rng(spec.seed, "pull-noise", seed)
+    rng = derive_rng(spec.seed, "pull-noise", seed).generator()
     kk = spec.k
     counts = [0] * kk
     sums = [0.0] * kk
@@ -428,7 +428,8 @@ def slope_ratio_ci(num: RegretCurve, den: RegretCurve, *,
     (independent resamples for numerator and denominator)."""
     sn = per_seed_log_slopes(num)
     sd = per_seed_log_slopes(den)
-    lo, hi = _ratio_ci(sn, sd, n_boot, derive_rng(0, "slope-boot"))
+    lo, hi = _ratio_ci(sn, sd, n_boot,
+                       derive_rng(0, "slope-boot").generator())
     return SlopeRatio(ratio=float(sn.mean() / sd.mean()), ci_lo=lo, ci_hi=hi,
                       n_seeds=len(sn))
 
@@ -474,7 +475,8 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
             lo = hi = 1.0
         else:
             lo, hi = _ratio_ci(final, base_final, n_boot,
-                               derive_rng(0, "ratio-boot", int(round(rho * 1e6))))
+                               derive_rng(0, "ratio-boot",
+                                          int(round(rho * 1e6))).generator())
         points.append(RatioPoint(rho=float(rho), ratio=ratio, ci_lo=lo,
                                  ci_hi=hi, mean_regret=float(final.mean()),
                                  base_mean_regret=base_mean, n_seeds=n_seeds))

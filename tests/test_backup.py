@@ -90,7 +90,7 @@ def test_incremental_matches_oracle_on_random_trees(seed):
     propagate their scores, or revisit a node and re-assert its own statistic
     — and check every node's incremental max against the brute-force
     event-log recomputation."""
-    rng = derive_rng(seed, "backup-prop")
+    rng = derive_rng(seed, "backup-prop").generator()
     t = SearchTree()
     t.set_init_value(ROOT, float(rng.uniform(-1, 1)))
     for it in range(15):

@@ -179,6 +179,24 @@ def test_rerun_reproduces_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rerun_warns_on_another_package_version(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    capsys.readouterr()
+    assert run_cli("rerun", str(first), "--out", str(tmp_path / "b")) == 0
+    assert capsys.readouterr().err == ""  # same version: silent
+    data = read_json(first / "manifest.json")
+    data["package_version"] = "0.1.0"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert run_cli("rerun", str(old), "--out", str(tmp_path / "c")) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
+    assert "0.1.0" in err
+    assert (first / "tree.txt").read_bytes() == \
+        (tmp_path / "c" / "tree.txt").read_bytes()
+
+
 def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
     bogus = tmp_path / "manifest.json"
     bogus.write_text(json.dumps({"command": "teleport", "config": {}}))

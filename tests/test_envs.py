@@ -187,7 +187,7 @@ def test_bandit_derived_quantities():
 
 def test_noiseless_bandit_reward_is_the_mean():
     spec = BanditSpec(means=(0.6, 0.4))
-    rng = derive_rng(0, "pull")
+    rng = derive_rng(0, "pull").generator()
     for arm in (0, 1):
         assert bandit_pull(spec, arm, rng) == spec.means[arm]
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_noiseless_bandit_reward_is_the_mean():
 
 def test_two_point_pull_support():
     spec = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=1.0)
-    rng = derive_rng(1, "pull")
+    rng = derive_rng(1, "pull").generator()
     seen = set()
     for _ in range(64):
         seen.add(round(bandit_pull(spec, 0, rng), 12))
@@ -206,8 +206,9 @@ def test_two_point_pull_support():
 def test_rho_scales_residual_not_the_mean():
     full = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=1.0)
     quarter = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=0.25)
-    r_full = [bandit_pull(full, 0, derive_rng(s, "p")) for s in range(200)]
-    r_quarter = [bandit_pull(quarter, 0, derive_rng(s, "p"))
+    r_full = [bandit_pull(full, 0, derive_rng(s, "p").generator())
+              for s in range(200)]
+    r_quarter = [bandit_pull(quarter, 0, derive_rng(s, "p").generator())
                  for s in range(200)]
     dev_full = max(abs(r - 0.6) for r in r_full)
     dev_quarter = max(abs(r - 0.6) for r in r_quarter)
@@ -219,7 +220,7 @@ def test_rho_scales_residual_not_the_mean():
 def test_bandit_pull_rho_zero_is_the_mean():
     perfect = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=0.0)
     assert perfect.residual_var == 0.0
-    rng = derive_rng(0, "pred")
+    rng = derive_rng(0, "pred").generator()
     assert bandit_pull(perfect, 0, rng) == 0.6  # rho=0: no residual at all
     blind = BanditSpec(means=(0.6, 0.4), sigma_x2=0.04, rho=1.0)
     assert blind.residual_var == pytest.approx(0.04)
@@ -229,7 +230,7 @@ def test_bandit_pull_rho_zero_is_the_mean():
 def test_pull_variance_matches_contract(noise):
     spec = BanditSpec(means=(0.5, 0.4), sigma_x2=0.04, rho=0.25, noise=noise)
     assert spec.residual_var == pytest.approx(0.01)
-    rng = derive_rng(1, "pred-var")
+    rng = derive_rng(1, "pred-var").generator()
     draws = [bandit_pull(spec, 0, rng) - 0.5 for _ in range(40_000)]
     assert statistics.mean(draws) == pytest.approx(0.0, abs=0.005)
     assert statistics.variance(draws) == pytest.approx(0.01, rel=0.10)
@@ -245,8 +246,8 @@ def test_bandit_pull_uses_one_draw_always():
                  BanditSpec(means=(0.5, 0.4), sigma_x2=0.0),
                  BanditSpec(means=(0.5, 0.45), sigma_x2=0.06, rho=0.5,
                             noise="uniform")):
-        a = derive_rng(3, "parity")
-        b = derive_rng(3, "parity")
+        a = derive_rng(3, "parity").generator()
+        b = derive_rng(3, "parity").generator()
         bandit_pull(spec, 1, a)
         b.random()
         assert a.random() == b.random()

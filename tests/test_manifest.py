@@ -53,7 +53,7 @@ def test_manifest_round_trip(tmp_path):
     assert data["command"] == "search"
     assert data["config"] == {"seed": 7}
     assert data["artifacts"] == {"tree": "tree.txt"}
-    assert data["package_version"] == "0.1.0"
+    assert data["package_version"] == "0.2.0"
     assert load_manifest(tmp_path) == data  # directory form works too
 
 

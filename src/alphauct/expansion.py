@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .tree import ActionChunk, SearchTree, TreeError
@@ -56,13 +57,15 @@ def _split_args(argstr: str) -> list[str]:
     return args
 
 
+@lru_cache(maxsize=4096)
 def lexical_key(action: str) -> str:
     """Case/spacing/coordinate-insensitive form of one action string.
 
     ``name(args)`` calls get a lowercased name, numeric args snapped to the
     nearest ``COORD_BUCKET`` multiple, and quote style unified; anything that
     does not parse as a call is lowercased with whitespace collapsed (never an
-    error).
+    error).  Memoized: a pure function of the string, and proposers repeat a
+    few dozen spellings thousands of times.
     """
     s = " ".join(action.split())
     m = _CALL_RE.match(s)

@@ -172,7 +172,8 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              value_mode=config.backup)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
     trace: list[str] = []
-    prev_path: list[tuple[ActionChunk, float]] = []  # (chunk, q) root-first
+    # the boost map the proposals see; rebuilt only after an expansion
+    reflection = reflector.reflect([]) if reflector is not None else None
     outcome = OUTCOME_BUDGET
     success_node: int | None = None
     iterations = 0
@@ -196,8 +197,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"depth={rec.depth} value={v!r}")
                 continue
             positioned = position_env(tree, leaf, config.state_strategy)
-            reflection = (reflector.reflect(prev_path)
-                          if reflector is not None else None)
             try:
                 pairs = expand_node(
                     tree, leaf, proposer, positioned, ctx,
@@ -244,13 +243,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 f"b*={len(pairs)} children={child_ids} "
                 f"scores={_fmt_scores(result.scores)} backup={config.backup}")
 
-            best_idx = max(range(len(pairs)),
-                           key=lambda i: result.scores[i])
-            prev_path = [(tree.nodes[nid].action,
-                          q_for_selection(tree, nid, config.backup))
-                         for nid in tree.path_to_root(leaf)[1:]
-                         + [pairs[best_idx][0]]]
-
             winners = [cid for cid, obs in pairs if obs.terminal == "success"]
             if winners:
                 outcome = OUTCOME_SUCCESS
@@ -258,6 +250,15 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 trace.append(f"iter={it} kind=stop outcome=success "
                              f"node={success_node}")
                 break
+
+            if reflector is not None:
+                best_idx = max(range(len(pairs)),
+                               key=lambda i: result.scores[i])
+                reflection = reflector.reflect(
+                    [(tree.nodes[nid].action,
+                      q_for_selection(tree, nid, config.backup))
+                     for nid in tree.path_to_root(leaf)[1:]
+                     + [pairs[best_idx][0]]])
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 

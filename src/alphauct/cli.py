@@ -25,6 +25,8 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .ablation import (ABLATION_CONFIG, direction_tests,
                        measure_parallel_speedup, run_ablation)
 from .backup import MODES
@@ -254,6 +256,7 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
         },
     }
     artifacts = {"ablation": "ablation.csv", "summary": "summary.json"}
+    shown = {k: v for k, v in summary.items() if k != "config"}
     if resolved["parallel_actions"] > 0:
         rep = measure_parallel_speedup(
             resolved["fixture"] if resolved["fixture"] != "trap3" else "wide16",
@@ -265,14 +268,15 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
                    "trees_equal": rep.trees_equal,
                    "outcomes_equal": rep.outcomes_equal}
         write_json(outdir / "speedup.json", speedup)
-        artifacts["speedup"] = "speedup.json"  # timing file: not byte-stable
-        summary["speedup"] = speedup
+        artifacts["speedup"] = "speedup.json"
+        # wall-clock timings are printed but kept out of summary.json,
+        # which rerun reproduces byte for byte
+        shown["speedup"] = speedup
     write_json(outdir / "summary.json", summary)
     write_manifest(outdir, RunManifest(
         command="ablate", config=resolved, artifacts=artifacts,
         duration_s=time.perf_counter() - t0))
-    print(json.dumps({k: v for k, v in summary.items() if k != "config"},
-                     indent=2, sort_keys=True))
+    print(json.dumps(shown, indent=2, sort_keys=True))
     return 0
 
 
@@ -328,10 +332,13 @@ def cmd_rerun(args) -> int:
     missing = set(_DEFAULTS[command]) - set(config)
     if missing:
         raise UsageError(f"manifest config lacks {sorted(missing)}")
-    written_by = data.get("package_version")
-    if written_by != PACKAGE_VERSION:
-        print(f"warning: manifest written by alphauct {written_by}, running "
-              f"{PACKAGE_VERSION}; artifacts may differ", file=sys.stderr)
+    for key, package, running in (
+            ("package_version", "alphauct", PACKAGE_VERSION),
+            ("numpy_version", "numpy", np.__version__)):
+        written_by = data.get(key)
+        if written_by != running:
+            print(f"warning: manifest written by {package} {written_by}, "
+                  f"running {running}; artifacts may differ", file=sys.stderr)
     return _RUNNERS[command](config, _resolve_out(args, command))
 
 

@@ -6,6 +6,12 @@ normalization key collapses these so sibling slots are spent on genuinely
 distinct operations; the effective branching factor of a node is however many
 distinct keys survive among the proposals, never more than the proposal
 budget.
+
+A one-atom candidate's key is known before it is played, so a duplicate
+one-atom proposal is rejected without ever being played: only admitted heads
+are cloned and stepped.  A multi-atom chunk's key depends on the tail its
+play-out proposes, so chunked candidates are played out first and admitted
+after.
 """
 from __future__ import annotations
 
@@ -169,15 +175,26 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
         raise TreeError(f"cannot expand terminal node {leaf}")
     heads = proposer.propose(obs0.screen, reflection, k,
                              iteration=iteration, leaf=leaf)
-    rolled = [_roll_candidate(env, proposer, head, j, reflection=reflection,
-                              iteration=iteration, leaf=leaf,
-                              chunk_size=chunk_size)
-              for j, head in enumerate(heads)]
-    built = [(make_chunk(atoms, ctx), clone) for atoms, clone in rolled if atoms]
-    clone_of = {id(chunk): clone for chunk, clone in built}
+    if chunk_size == 1:
+        # a one-atom chunk is its head: admit first, play only the admitted
+        played = []
+        for chunk in admit_candidates([make_chunk((head,), ctx)
+                                       for head in heads], ctx):
+            clone = env.clone()
+            clone.step(chunk.atoms[0])
+            played.append((chunk, clone))
+    else:
+        rolled = [_roll_candidate(env, proposer, head, j, reflection=reflection,
+                                  iteration=iteration, leaf=leaf,
+                                  chunk_size=chunk_size)
+                  for j, head in enumerate(heads)]
+        built = [(make_chunk(atoms, ctx), clone) for atoms, clone in rolled
+                 if atoms]
+        clone_of = {id(chunk): clone for chunk, clone in built}
+        played = [(chunk, clone_of[id(chunk)]) for chunk in
+                  admit_candidates([chunk for chunk, _ in built], ctx)]
     out: list[tuple[int, object]] = []
-    for chunk in admit_candidates([chunk for chunk, _ in built], ctx):
-        clone = clone_of[id(chunk)]
+    for chunk, clone in played:
         obs = clone.observe()
         child = tree.add_child(leaf, chunk,
                                state_ref=clone if keep_snapshots else None,

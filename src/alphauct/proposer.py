@@ -10,9 +10,12 @@ boost ``b`` in the reflection has its weight multiplied by
 ``1 + reflection_gain * b``).
 
 Every draw is keyed by (iteration, leaf, slot, draw): each proposal takes two
-or three scalar counter-based draws from ``rng.derive_rng`` under its own key,
-so proposal streams are reproducible and independent of scheduling, and no
-numpy generator is built.
+or three scalar counter-based draws under its own key, so proposal streams are
+reproducible and independent of scheduling, and no numpy generator is built.
+A ``propose`` call derives its key prefix once with ``rng.derive_rng`` and
+extends it per proposal with ``KeyedDraws.child``.  Duplicates are left in
+the returned list: expansion drops a repeated one-atom proposal by its
+normalized key before the action is ever played.
 """
 from __future__ import annotations
 
@@ -95,11 +98,11 @@ class SimProposer:
         cum = list(accumulate(weights))
         total = cum[-1]
         phase = (0, 0, 0) if slot is None else (1, slot[0], slot[1])
+        call = derive_rng(self.spec.seed, "prop", iteration, leaf, *phase)
         draws: list[str] = []  # canonical per draw, for duplicate sourcing
         out: list[str] = []
         for j in range(k):
-            rng = derive_rng(self.spec.seed, "prop", iteration, leaf,
-                             phase[0], phase[1], phase[2], j)
+            rng = call.child(j)
             if j > 0 and self.spec.duplicate_rate > 0 and \
                     rng.random() < self.spec.duplicate_rate:
                 canon = draws[rng.integers(0, j)]

@@ -9,10 +9,13 @@ produce bit-identical draws.
 style of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC
 2011).  Draw ``i`` of a key is word ``i % 8`` of the blake2b hash of the key
 and the block counter ``i // 8``, so a draw costs one hash per eight draws and
-no generator state is built.  The search core (proposer, judge) takes its
-scalar draws this way.  Code that draws in bulk blocks (the bandit and regret
-laboratory) calls ``.generator()``, which builds the PCG64 ``Generator``
-seeded from the same key.
+no generator state is built.  The hash state is kept after the key has been
+absorbed and copied for each block, and ``child(part)`` extends a key by one
+part from a copy of that state: a caller with many sibling keys, such as the
+proposer's slots, absorbs their shared prefix once.  The search core
+(proposer, judge) takes its scalar draws this way.  Code that draws in bulk
+blocks (the bandit and regret laboratory) calls ``.generator()``, which builds
+the PCG64 ``Generator`` seeded from the same key.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _WORDS = struct.Struct("<8Q")  # one 64-byte blake2b digest
-_COUNTER = struct.Struct("<Q")
+_PART = struct.Struct("<Q")  # one key part or block counter
 _UNIT = 2.0 ** -53
 _inv_cdf = NormalDist().inv_cdf
 
@@ -53,24 +56,36 @@ class KeyedDraws:
     draw whatever the kind, so equal keys and equal call sequences give
     equal values."""
 
-    __slots__ = ("entropy", "_key", "_words", "_drawn")
+    __slots__ = ("entropy", "_state", "_words", "_drawn")
 
-    def __init__(self, entropy: tuple[int, ...]):
+    def __init__(self, entropy: tuple[int, ...], state=None):
         self.entropy = entropy
         # every hashed message is 8 bytes per key part plus an 8-byte block
-        # counter, so distinct (key, block) pairs never hash the same bytes
-        self._key = struct.pack(f"<{len(entropy)}Q", *entropy)
+        # counter, so distinct (key, block) pairs never hash the same bytes;
+        # ``state`` is the hash with the key already absorbed
+        if state is None:
+            state = hashlib.blake2b(
+                struct.pack(f"<{len(entropy)}Q", *entropy), digest_size=64)
+        self._state = state
         self._words: tuple[int, ...] = ()
         self._drawn = 0
+
+    def child(self, part) -> "KeyedDraws":
+        """The draws of this key extended by ``part``: equal to
+        ``derive_rng(*key, part)``, without hashing the key again."""
+        value = _part_to_int(part)
+        state = self._state.copy()
+        state.update(_PART.pack(value))
+        return KeyedDraws(self.entropy + (value,), state)
 
     def _next_bits(self) -> int:
         """The next 53-bit draw."""
         i = self._drawn
         self._drawn = i + 1
         if i % 8 == 0:
-            block = hashlib.blake2b(self._key + _COUNTER.pack(i // 8),
-                                    digest_size=64).digest()
-            self._words = _WORDS.unpack(block)
+            block = self._state.copy()
+            block.update(_PART.pack(i // 8))
+            self._words = _WORDS.unpack(block.digest())
         return self._words[i % 8] >> 11
 
     def random(self) -> float:

@@ -83,7 +83,9 @@ def select_child(tree: SearchTree, node_id: int,
 def select_leaf(tree: SearchTree, policy: SelectionPolicy,
                 start: int = ROOT) -> int:
     """Descend by repeated child selection until a childless node is reached."""
+    tree.node(start)  # select_child only returns known nodes
+    nodes = tree.nodes
     node = start
-    while tree.node(node).children:
+    while nodes[node].children:
         node = select_child(tree, node, policy)
     return node

@@ -149,11 +149,13 @@ class SearchTree:
 
     def path_to_root(self, node_id: int) -> list[int]:
         """Node ids from the root down to ``node_id`` (inclusive)."""
+        self.node(node_id)  # the parents of a known node are known nodes
+        nodes = self.nodes
         path = []
         cur = node_id
         while cur != NO_PARENT:
             path.append(cur)
-            cur = self.node(cur).parent
+            cur = nodes[cur].parent
         path.reverse()
         if path[0] != ROOT:
             raise TreeError(f"node {node_id} is not rooted")

@@ -197,6 +197,36 @@ def test_rerun_warns_on_another_package_version(tmp_path, capsys):
         (tmp_path / "c" / "tree.txt").read_bytes()
 
 
+def test_rerun_warns_on_another_numpy_version(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    capsys.readouterr()
+    data = read_json(first / "manifest.json")
+    data["numpy_version"] = "0.0.1"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert run_cli("rerun", str(old), "--out", str(tmp_path / "b")) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1, err
+    assert "numpy 0.0.1" in err
+    assert (first / "tree.txt").read_bytes() == \
+        (tmp_path / "b" / "tree.txt").read_bytes()
+
+
+def test_ablate_rerun_with_speedup_probe_is_byte_identical(tmp_path, capsys):
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert run_cli("ablate", "--seeds", "2", "--parallel-actions", "2",
+                   "--judge-latency", "0", "--out", str(first)) == 0
+    assert run_cli("rerun", str(first), "--out", str(again)) == 0
+    for name in ("summary.json", "ablation.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    assert "speedup" not in read_json(first / "summary.json")
+    assert read_json(first / "manifest.json")["artifacts"]["speedup"] == \
+        "speedup.json"
+    assert read_json(again / "speedup.json")["workers"] == 2
+    capsys.readouterr()
+
+
 def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
     bogus = tmp_path / "manifest.json"
     bogus.write_text(json.dumps({"command": "teleport", "config": {}}))

@@ -1,5 +1,6 @@
 """Normalization and admission: jitter/case/alias collapse, idempotence,
-first-come dedup, and expansion against a live fixture env."""
+first-come dedup, and expansion against a live fixture env, which plays a
+duplicate one-atom proposal never and a chunked candidate always."""
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,3 +131,48 @@ def test_chunked_expansion_produces_multi_atom_edges():
         assert 1 <= len(atoms) <= 3
         assert tree.nodes[cid].action.norm_key == \
             chunk_key(atoms, spec.alias_context())
+
+
+class CountingEnv:
+    """A fixture env whose clones share one count of clone and step calls."""
+
+    def __init__(self, env, counts):
+        self.env, self.counts = env, counts
+
+    def observe(self):
+        return self.env.observe()
+
+    def step(self, action):
+        self.counts["step"] += 1
+        return self.env.step(action)
+
+    def clone(self):
+        self.counts["clone"] += 1
+        return CountingEnv(self.env.clone(), self.counts)
+
+
+def _expand_counted(chunk_size, k=6):
+    """Expand trap3's root under several iterations with a proposer that
+    repeats itself; yields (children, proposals, clones, steps) each time."""
+    spec = load_fixture("trap3")
+    prop = proposer_from_fixture(spec, seed=3, duplicate_rate=0.6)
+    for it in range(1, 9):
+        counts = {"clone": 0, "step": 0}
+        env = CountingEnv(GuiGraphEnv(spec), counts)
+        out = expand_node(SearchTree(), ROOT, prop, env, spec.alias_context(),
+                          k, chunk_size, iteration=it)
+        yield len(out), k, counts["clone"], counts["step"]
+
+
+def test_one_atom_duplicates_are_never_played():
+    runs = list(_expand_counted(chunk_size=1))
+    assert any(children < k for children, k, _, _ in runs)  # dedup fired
+    for children, _, clones, steps in runs:
+        assert clones == steps == children
+
+
+def test_chunked_candidates_are_all_played():
+    runs = list(_expand_counted(chunk_size=2))
+    assert any(children < k for children, k, _, _ in runs)
+    for children, k, clones, steps in runs:
+        assert clones == k and steps >= k

@@ -1,6 +1,7 @@
 """Keyed draws: same key same draws, distinct keys distinct draws, the
 ranges and moments of the scalar draws, string hashing stability, key-type
-policing, and ``.generator()`` as the PCG64 stream the key always seeded."""
+policing, ``.generator()`` as the PCG64 stream the key always seeded, and
+``child`` as the key extended by one part."""
 import hashlib
 import statistics
 
@@ -10,13 +11,17 @@ import pytest
 from alphauct.rng import derive_rng
 
 
-def draws(*key, n=12):
-    """``n`` scalar draws of every kind, interleaved, under one key."""
-    rng = derive_rng(*key)
+def take(rng, n=12):
+    """``n`` scalar draws of every kind, interleaved, from ``rng``."""
     out = []
     for i in range(n):
         out += [rng.random(), rng.integers(0, 1000 + i), rng.standard_normal()]
     return out
+
+
+def draws(*key, n=12):
+    """``take`` under one key."""
+    return take(derive_rng(*key), n)
 
 
 def test_same_key_same_stream():
@@ -109,3 +114,28 @@ def test_invalid_key_parts_rejected():
 
 def test_negative_ints_wrap_into_64_bits():
     assert draws(-1, "x") == draws((1 << 64) - 1, "x")
+
+
+@pytest.mark.parametrize("key", [(0,), (3, "prop", 7, 2, 0, 0, 0),
+                                 (-5, "judge", 2**70 + 1), ("x", -1)])
+def test_child_equals_the_extended_key(key):
+    """24 interleaved draws cross two hash blocks; the parent's own draws,
+    before or after, do not disturb its children."""
+    parent = derive_rng(*key)
+    before = take(parent, 3)
+    for part in (0, 1, 7, -1, 2**64 + 5, "slot"):
+        child, direct = parent.child(part), derive_rng(*key, part)
+        assert child.entropy == direct.entropy
+        assert take(child, 8) == take(direct, 8)
+        assert child.generator().bit_generator.state == \
+            direct.generator().bit_generator.state
+    fresh = derive_rng(*key)
+    assert before + take(parent, 3) == take(fresh, 3) + take(fresh, 3)
+    assert take(parent.child(1).child("x"), 8) == draws(*key, 1, "x", n=8)
+
+
+def test_child_rejects_invalid_parts():
+    parent = derive_rng(0, "prop")
+    for part in (True, np.bool_(False), 1.5, ("a",)):
+        with pytest.raises(TypeError):
+            parent.child(part)

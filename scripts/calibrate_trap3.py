@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep judging/search knobs on the trap3 fixture and report the 2x2 grid.
 
-Used to pick the frozen constants in alphauct.ablation: for each candidate
-(c, offset_std, iterations) cell this reruns the four-way grid over the same
-seed block and prints the pooled one-sided z-tests (max vs mean backup,
-comparative vs independent judging) plus the noiseless sanity run.
+Used to pick the frozen constants in alphauct.ablation, which are also the
+defaults here: for each candidate (c, offset_std, noise_std, iterations) cell
+this reruns the four-way grid over the same seed block and prints every
+one-sided z-test of ``ablation.DIRECTIONS`` (the pooled and the conditional
+ones the ``ablation_direction`` gate requires), plus the noiseless sanity run.
 """
 
 import argparse
@@ -13,76 +14,53 @@ import sys
 import time
 from dataclasses import replace
 
-from alphauct.ablation import pooled, run_ablation, two_proportion_test
-from alphauct.judging import COMPARATIVE, SimJudge, SimJudgeSpec
-from alphauct.backup import MAX
-from alphauct.proposer import proposer_from_fixture
-from alphauct.envs import load_fixture, GuiGraphEnv
-from alphauct.search import SearchConfig, OUTCOME_SUCCESS, run_search
-from alphauct.selection import ALPHA_UCT
+from alphauct.ablation import (ABLATION_CONFIG, ABLATION_JUDGE,
+                               direction_tests, run_ablation)
+from alphauct.envs import load_fixture
+from alphauct.search import OUTCOME_SUCCESS, SearchConfig, search_fixture
 
 
 def noiseless_rate(spec, seeds, *, expansion, iterations):
-    wins = 0
-    for s in seeds:
-        cfg = SearchConfig(
-            c=1.0,
-            expansion_factor=expansion,
-            max_iterations=iterations,
-            judge_mode=COMPARATIVE,
-            backup=MAX,
-            selection=ALPHA_UCT,
-            seed=s,
-        )
-        judge = SimJudge(SimJudgeSpec(noise_std=0.0, shared_offset_std=0.0, seed=s), spec.values)
-        prop = proposer_from_fixture(spec, seed=s)
-        res = run_search(GuiGraphEnv(spec), prop, judge, None, cfg)
-        wins += res.outcome == OUTCOME_SUCCESS
-    return wins
+    """Goal discoveries under a truthful judge with reflection switched off."""
+    return sum(
+        search_fixture(spec, SearchConfig(expansion_factor=expansion,
+                                          max_iterations=iterations, seed=s),
+                       reflection_gain=0.0).outcome == OUTCOME_SUCCESS
+        for s in seeds)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=100)
-    ap.add_argument("--c", type=float, nargs="*", default=[0.4])
-    ap.add_argument("--offset", type=float, nargs="*", default=[0.4])
-    ap.add_argument("--noise", type=float, nargs="*", default=[0.1])
-    ap.add_argument("--iters", type=int, nargs="*", default=[12])
-    ap.add_argument("--expansion", type=int, default=5)
+    ap.add_argument("--c", type=float, nargs="*", default=[ABLATION_CONFIG.c])
+    ap.add_argument("--offset", type=float, nargs="*",
+                    default=[ABLATION_JUDGE.shared_offset_std])
+    ap.add_argument("--noise", type=float, nargs="*",
+                    default=[ABLATION_JUDGE.noise_std])
+    ap.add_argument("--iters", type=int, nargs="*",
+                    default=[ABLATION_CONFIG.max_iterations])
+    ap.add_argument("--expansion", type=int,
+                    default=ABLATION_CONFIG.expansion_factor)
     ap.add_argument("--skip-noiseless", action="store_true")
     args = ap.parse_args(argv)
 
-    spec = load_fixture("trap3")
     if not args.skip_noiseless:
-        w = noiseless_rate(spec, range(100), expansion=3, iterations=20)
+        w = noiseless_rate(load_fixture("trap3"), range(100), expansion=3,
+                           iterations=20)
         print(f"noiseless K=3 iters=20: {w}/100")
 
     for c, off, noi, it in itertools.product(args.c, args.offset, args.noise, args.iters):
         t0 = time.time()
-        cfg = SearchConfig(
-            c=c,
-            expansion_factor=args.expansion,
-            max_iterations=it,
-            seed=0,
-        )
-        judge = SimJudgeSpec(noise_std=noi, shared_offset_std=off)
+        cfg = replace(ABLATION_CONFIG, c=c, expansion_factor=args.expansion,
+                      max_iterations=it)
+        judge = replace(ABLATION_JUDGE, noise_std=noi, shared_offset_std=off)
         cells = run_ablation("trap3", args.seeds, config=cfg, judge_spec=judge)
-        parts = []
-        for cell in cells:
-            parts.append(f"{cell.judge_mode[:4]}/{cell.backup}={cell.successes}")
-        mw, mr = pooled(cells, backup="max")
-        ew, er = pooled(cells, backup="mean")
-        cw, cr = pooled(cells, judge_mode="comparative")
-        iw, ir = pooled(cells, judge_mode="independent")
-        zb, pb = two_proportion_test(mw, mr, ew, er)
-        zj, pj = two_proportion_test(cw, cr, iw, ir)
-        print(
-            f"c={c} off={off} noise={noi} iters={it}: "
-            + " ".join(parts)
-            + f" | max{mw}v mean{ew}: z={zb:.2f} p={pb:.4f}"
-            + f" | comp{cw} v indep{iw}: z={zj:.2f} p={pj:.4f}"
-            + f" [{time.time() - t0:.0f}s]"
-        )
+        print(f"c={c} off={off} noise={noi} iters={it}: "
+              + " ".join(f"{cell.judge_mode[:4]}/{cell.backup}={cell.successes}"
+                         for cell in cells)
+              + f" [{time.time() - t0:.0f}s]")
+        for name, (z, p) in direction_tests(cells).items():
+            print(f"  {name}: z={z:.2f} p={p:.4f}")
     return 0
 
 

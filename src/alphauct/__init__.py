@@ -18,7 +18,8 @@ from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
                      per_seed_log_slopes, run_bandit_experiment,
                      slope_ratio_ci, theorem1_bound)
 from .search import (SearchConfig, SearchResult, SimReflector,
-                     extract_best_path, position_env, run_search)
+                     extract_best_path, position_env, run_search,
+                     search_fixture)
 from .selection import (SelectionPolicy, alpha_uct_score, select_child,
                         select_leaf, uct_score)
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree

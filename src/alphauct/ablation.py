@@ -13,10 +13,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .backup import MAX, MEAN
-from .envs import GuiGraphEnv, load_fixture
-from .judging import COMPARATIVE, INDEPENDENT, SimJudge, SimJudgeSpec
-from .proposer import proposer_from_fixture
-from .search import SearchConfig, SimReflector, run_search
+from .envs import load_fixture
+from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
+from .search import SearchConfig, search_fixture
 
 # Calibrated on the trap3 fixture so the judge noise actually separates the
 # four cells within the iteration budget: a per-call offset of 0.2 is enough
@@ -45,10 +44,7 @@ def run_cell(fixture: str, judge_mode: str, backup: str, seeds: int, *,
     wins = 0
     for s in range(seed0, seed0 + seeds):
         cfg = replace(config, judge_mode=judge_mode, backup=backup, seed=s)
-        res = run_search(GuiGraphEnv(spec), proposer_from_fixture(spec, seed=s),
-                         SimJudge(replace(judge_spec, seed=s), spec.values),
-                         SimReflector(), cfg)
-        wins += res.outcome == "success"
+        wins += search_fixture(spec, cfg, judge_spec).outcome == "success"
     return AblationCell(judge_mode, backup, wins, seeds)
 
 
@@ -128,12 +124,9 @@ class SpeedupReport:
         return self.serial_s / self.parallel_s
 
 
-def _timed_run(spec, cfg: SearchConfig, judge_spec: SimJudgeSpec, seed: int):
-    env = GuiGraphEnv(spec)
-    prop = proposer_from_fixture(spec, seed=seed)
-    judge = SimJudge(replace(judge_spec, seed=seed), spec.values)
+def _timed_run(spec, cfg: SearchConfig, judge_spec: SimJudgeSpec):
     t0 = time.perf_counter()
-    res = run_search(env, prop, judge, SimReflector(), cfg)
+    res = search_fixture(spec, cfg, judge_spec)
     return time.perf_counter() - t0, res
 
 
@@ -149,9 +142,9 @@ def measure_parallel_speedup(fixture: str = "wide16", *, k: int = 8,
     spec = load_fixture(fixture)
     judge_spec = SimJudgeSpec(noise_std=judge_noise, latency_s=latency_s)
     base = SearchConfig(expansion_factor=k, max_iterations=iterations, seed=seed)
-    serial_s, serial = _timed_run(spec, base, judge_spec, seed)
-    par_cfg = replace(base, parallel_actions=workers)
-    parallel_s, parallel = _timed_run(spec, par_cfg, judge_spec, seed)
+    serial_s, serial = _timed_run(spec, base, judge_spec)
+    parallel_s, parallel = _timed_run(
+        spec, replace(base, parallel_actions=workers), judge_spec)
     # each expanded node's children were one judged sibling set; the pool
     # prepares a set in ceil(b* / workers) latency rounds, serial in b*
     widths = [len(rec.children) for rec in serial.tree.nodes if rec.children]

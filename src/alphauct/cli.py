@@ -30,16 +30,14 @@ import numpy as np
 from .ablation import (ABLATION_CONFIG, direction_tests,
                        measure_parallel_speedup, run_ablation)
 from .backup import MODES
-from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, GuiGraphEnv, load_fixture
-from .judging import JUDGE_MODES, SimJudge, SimJudgeSpec
+from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
+from .judging import JUDGE_MODES, SimJudgeSpec
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
     load_manifest, write_csv, write_json, write_manifest
-from .proposer import proposer_from_fixture
 from .regret import (ALGOS, ALGO_ALPHA, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      run_bandit_experiment)
-from .search import (STATE_STRATEGIES, SearchConfig, SimReflector,
-                     run_search)
+from .search import STATE_STRATEGIES, SearchConfig, search_fixture
 from .selection import KINDS
 from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
 
@@ -133,14 +131,11 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
                           for f in fields(SearchConfig)})
     cfg.validate()
     spec = load_fixture(resolved["env"])
-    judge = SimJudge(SimJudgeSpec(noise_std=resolved["judge_noise"],
-                                  shared_offset_std=resolved["judge_offset"],
-                                  latency_s=resolved["judge_latency"],
-                                  seed=cfg.seed),
-                     spec.values)
+    judge = SimJudgeSpec(noise_std=resolved["judge_noise"],
+                         shared_offset_std=resolved["judge_offset"],
+                         latency_s=resolved["judge_latency"])
     t0 = time.perf_counter()
-    res = run_search(GuiGraphEnv(spec), proposer_from_fixture(spec, seed=cfg.seed),
-                     judge, SimReflector(), cfg)
+    res = search_fixture(spec, cfg, judge)
     duration = time.perf_counter() - t0
     result = {
         "outcome": res.outcome,

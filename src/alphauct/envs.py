@@ -18,10 +18,12 @@ Fixture files are plain text, one section per bracketed header::
     [values]      <screen> <float in [-1,1]>
     [policy]      <screen> <canonical> <weight>
     [proposer]    <key> <float>   (duplicate_rate, reflection_gain,
-                                   infeasible_after)
+                                   infeasible_after: a whole number)
 
 '#' starts a comment.  Canonical ids must be lexical fixed points (lowercase,
-no spaces); goal reachability from the start screen is checked at load.
+no spaces); goal reachability from the start screen is checked at load.  An
+unknown section or proposer key, or a number that is malformed or not finite,
+is an error naming the fixture and the line.
 """
 from __future__ import annotations
 
@@ -43,10 +45,6 @@ _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 class FixtureError(ValueError):
-    pass
-
-
-class EnvError(RuntimeError):
     pass
 
 
@@ -175,9 +173,6 @@ class GuiGraphSpec:
             return TERMINAL_FAILURE
         return TERMINAL_NONE
 
-    def true_value(self, screen: str) -> float:
-        return float(self.values.get(screen, 0.0))
-
     def resolve(self, action: str) -> str | None:
         """Surface string -> canonical action id, or None if unrecognized."""
         trimmed = action.strip()
@@ -255,82 +250,109 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+_SECTIONS = ("meta", "screens", "start", "goals", "traps", "edges", "aliases",
+            "values", "policy", "proposer")
+_PROPOSER_KEYS = ("duplicate_rate", "reflection_gain", "infeasible_after")
+
+
 def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
-    sections: dict[str, list[str]] = {}
+    """Parse fixture text; a malformed line raises ``FixtureError`` naming
+    ``name`` and the line number."""
+    sections: dict[str, list[tuple[int, str]]] = {}
     current = "meta"
+
+    def err(lineno: int, msg: str) -> FixtureError:
+        return FixtureError(f"{name}:{lineno}: {msg}")
+
+    def number(lineno: int, tok: str) -> float:
+        try:
+            if math.isfinite(x := float(tok)):
+                return x
+        except ValueError:
+            pass
+        raise err(lineno, f"expected a finite number, got {tok!r}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            if current not in _SECTIONS:
+                raise err(lineno, f"unknown section [{current}] "
+                                  f"(known: {', '.join(_SECTIONS)})")
             continue
-        sections.setdefault(current, []).append(line)
+        sections.setdefault(current, []).append((lineno, line))
 
     def single(section: str) -> str:
         lines = sections.get(section, [])
-        if len(lines) != 1 or len(lines[0].split()) != 1:
+        if len(lines) != 1 or len(lines[0][1].split()) != 1:
             raise FixtureError(f"{name}: [{section}] needs exactly one id")
-        return lines[0]
+        return lines[0][1]
 
-    screens: list[str] = []
-    for line in sections.get("screens", []):
-        screens.extend(line.split())
-    goals = frozenset(t for line in sections.get("goals", []) for t in line.split())
-    traps = frozenset(t for line in sections.get("traps", []) for t in line.split())
+    def tokens(section: str) -> list[str]:
+        return [t for _, line in sections.get(section, []) for t in line.split()]
 
     edges: dict[tuple[str, str], str] = {}
-    for line in sections.get("edges", []):
+    for lineno, line in sections.get("edges", []):
         parts = line.split()
         if len(parts) != 4 or parts[2] != "->":
-            raise FixtureError(f"{name}: bad edge line {line!r}")
+            raise err(lineno, f"bad edge line {line!r}")
         src, canon, _, dst = parts
         if (src, canon) in edges:
-            raise FixtureError(f"{name}: duplicate edge {src} {canon}")
+            raise err(lineno, f"duplicate edge {src} {canon}")
         edges[(src, canon)] = dst
 
     aliases: dict[str, tuple[str, ...]] = {}
-    for line in sections.get("aliases", []):
+    for lineno, line in sections.get("aliases", []):
         if "=" not in line:
-            raise FixtureError(f"{name}: bad alias line {line!r}")
+            raise err(lineno, f"bad alias line {line!r}")
         canon, rest = line.split("=", 1)
         canon = canon.strip()
         surfaces = tuple(s.strip() for s in rest.split("|") if s.strip())
         if canon in aliases:
-            raise FixtureError(f"{name}: duplicate alias block for {canon!r}")
+            raise err(lineno, f"duplicate alias block for {canon!r}")
         aliases[canon] = surfaces
 
     values: dict[str, float] = {}
-    for line in sections.get("values", []):
+    for lineno, line in sections.get("values", []):
         parts = line.split()
         if len(parts) != 2:
-            raise FixtureError(f"{name}: bad value line {line!r}")
-        values[parts[0]] = float(parts[1])
+            raise err(lineno, f"bad value line {line!r}")
+        values[parts[0]] = number(lineno, parts[1])
 
     policy: dict[str, list[tuple[str, float]]] = {}
-    for line in sections.get("policy", []):
+    for lineno, line in sections.get("policy", []):
         parts = line.split()
         if len(parts) != 3:
-            raise FixtureError(f"{name}: bad policy line {line!r}")
-        policy.setdefault(parts[0], []).append((parts[1], float(parts[2])))
+            raise err(lineno, f"bad policy line {line!r}")
+        policy.setdefault(parts[0], []).append(
+            (parts[1], number(lineno, parts[2])))
 
     params: dict[str, float] = {}
-    for line in sections.get("proposer", []):
+    for lineno, line in sections.get("proposer", []):
         parts = line.split()
         if len(parts) != 2:
-            raise FixtureError(f"{name}: bad proposer line {line!r}")
-        params[parts[0]] = float(parts[1])
+            raise err(lineno, f"bad proposer line {line!r}")
+        key, x = parts[0], number(lineno, parts[1])
+        if key not in _PROPOSER_KEYS:
+            raise err(lineno, f"unknown proposer key {key!r} "
+                              f"(known: {', '.join(_PROPOSER_KEYS)})")
+        if key == "infeasible_after" and x != int(x):
+            raise err(lineno, f"infeasible_after must be a whole number, "
+                              f"got {parts[1]!r}")
+        params[key] = x
 
     instruction = "reach the goal screen"
-    for line in sections.get("meta", []):
+    for _, line in sections.get("meta", []):
         key, _, rest = line.partition(" ")
         if key == "instruction" and rest.strip():
             instruction = rest.strip()
 
     return GuiGraphSpec(
-        name=name, screens=tuple(screens), start=single("start"),
-        goals=goals, traps=traps, edges=edges, aliases=aliases,
+        name=name, screens=tuple(tokens("screens")), start=single("start"),
+        goals=frozenset(tokens("goals")), traps=frozenset(tokens("traps")),
+        edges=edges, aliases=aliases,
         values=values, instruction=instruction,
         policy={s: tuple(v) for s, v in policy.items()},
         proposer_params=params)

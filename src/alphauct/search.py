@@ -4,9 +4,14 @@ Each iteration selects a leaf, positions an environment there (stored
 snapshot or replay from the root), expands it into deduplicated candidate
 chunks, judges the new sibling set in one comparative call (or per-sibling
 independent calls under ablation), and backs every judged value up the root
-path.  The last expansion's best path, as (chunk, q) pairs, is distilled into
-a *reflection*: a map from normalized atom keys to their best non-negative q,
-which boosts those actions' weights in the next iteration's proposals.
+path; an unexpandable leaf re-asserts its own value instead.  The last
+expansion's best path, as (chunk, q) pairs, is distilled into a *reflection*:
+a map from normalized atom keys to their best non-negative q, which boosts
+those actions' weights in the next iteration's proposals.  A proposer with
+``reflection_gain 0`` (in the fixture, or as an override) ignores it.
+
+``search_fixture`` wires a search on a fixture (environment, proposer, judge,
+reflector) and seeds its proposer and judge with the config's seed.
 
 One optional thread pool hides simulated judge latency by running the
 per-sibling judge preparation concurrently.  All randomness is keyed by
@@ -16,14 +21,15 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .backup import MAX, MODES, backpropagate, q_for_selection
+from .envs import GuiGraphEnv, GuiGraphSpec
 from .expansion import CHUNK_SEP, expand_node
-from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure,
-                      judge_comparative, judge_independent_set)
-from .proposer import TaskInfeasible
+from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure, SimJudge,
+                      SimJudgeSpec, judge_comparative, judge_independent_set)
+from .proposer import TaskInfeasible, proposer_from_fixture
 from .selection import ALPHA_UCT, KINDS, SelectionPolicy, select_leaf
 from .tree import ROOT, ActionChunk, SearchTree
 
@@ -159,6 +165,17 @@ def _fmt_scores(scores) -> str:
     return "[" + ",".join(repr(float(s)) for s in scores) + "]"
 
 
+def _reassert(tree: SearchTree, leaf: int, it: int, backup: str) -> str:
+    """Back an unexpandable leaf's own value up again, so selection
+    statistics move and the visit bonus can steer the walk elsewhere.
+    Returns the ``value=`` trace suffix, or '' if the leaf was never judged."""
+    if tree.nodes[leaf].init_value is None:
+        return ""
+    v = q_for_selection(tree, leaf, backup)
+    backpropagate(tree, leaf, v, backup, iteration=it)
+    return f" value={v!r}"
+
+
 def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchResult:
     """Run the full loop against ``env`` from its current state.
 
@@ -170,10 +187,12 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     ctx = proposer.ctx
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
+    judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
+                else judge_independent_set)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
     trace: list[str] = []
     # the boost map the proposals see; rebuilt only after an expansion
-    reflection = reflector.reflect([]) if reflector is not None else None
+    reflection = reflector.reflect([])
     outcome = OUTCOME_BUDGET
     success_node: int | None = None
     iterations = 0
@@ -185,16 +204,9 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
             leaf = select_leaf(tree, policy)
             rec = tree.node(leaf)
             if rec.terminal != "none" or rec.depth >= config.max_depth:
-                # unexpandable: re-assert its value so selection statistics
-                # move and the visit bonus can steer the walk elsewhere
-                if rec.init_value is None:
-                    trace.append(f"iter={it} kind=revisit leaf={leaf} "
-                                 f"depth={rec.depth}")
-                    continue
-                v = q_for_selection(tree, leaf, config.backup)
-                backpropagate(tree, leaf, v, config.backup, iteration=it)
                 trace.append(f"iter={it} kind=revisit leaf={leaf} "
-                             f"depth={rec.depth} value={v!r}")
+                             f"depth={rec.depth}"
+                             + _reassert(tree, leaf, it, config.backup))
                 continue
             positioned = position_env(tree, leaf, config.state_strategy)
             try:
@@ -211,33 +223,28 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 # nothing admissible from here, ever: the proposer draw was
                 # empty, so treat the node as a dead end from now on
                 tree.mark_exhausted(leaf)
-                if rec.init_value is None:
-                    trace.append(f"iter={it} kind=stalled leaf={leaf}")
-                    continue
-                v = q_for_selection(tree, leaf, config.backup)
-                backpropagate(tree, leaf, v, config.backup, iteration=it)
-                trace.append(f"iter={it} kind=stalled leaf={leaf} value={v!r}")
+                trace.append(f"iter={it} kind=stalled leaf={leaf}"
+                             + _reassert(tree, leaf, it, config.backup))
                 continue
 
+            child_ids = [cid for cid, _ in pairs]
             siblings = [(tree.nodes[cid].action, obs) for cid, obs in pairs]
-            judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
-                        else judge_independent_set)
             try:
                 result = judge_fn(rec.obs, siblings, env.instruction, judge,
                                   call_key=(it,), pool=action_pool)
             except JudgeFailure:
                 # abort the iteration: drop the unscored children so the
                 # leaf stays expandable and a later iteration retries fresh
-                tree.remove_tail([cid for cid, _ in pairs])
+                tree.remove_tail(child_ids)
                 trace.append(f"iter={it} kind=judge_failed leaf={leaf} "
                              f"dropped={len(pairs)}")
                 continue
-            for (cid, _), score in zip(pairs, result.scores):
+            # a child's back-up touches only its ancestors, so scoring and
+            # backing up one child at a time leaves every value unchanged
+            for cid, score in zip(child_ids, result.scores):
                 tree.set_init_value(cid, score)
-            for (cid, _), score in zip(pairs, result.scores):
                 backpropagate(tree, cid, tree.nodes[cid].init_value,
                               config.backup, iteration=it)
-            child_ids = [cid for cid, _ in pairs]
             trace.append(
                 f"iter={it} kind=expand leaf={leaf} depth={rec.depth} "
                 f"b*={len(pairs)} children={child_ids} "
@@ -251,17 +258,28 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"node={success_node}")
                 break
 
-            if reflector is not None:
-                best_idx = max(range(len(pairs)),
-                               key=lambda i: result.scores[i])
-                reflection = reflector.reflect(
-                    [(tree.nodes[nid].action,
-                      q_for_selection(tree, nid, config.backup))
-                     for nid in tree.path_to_root(leaf)[1:]
-                     + [pairs[best_idx][0]]])
+            best_idx = max(range(len(pairs)), key=lambda i: result.scores[i])
+            reflection = reflector.reflect(
+                [(tree.nodes[nid].action,
+                  q_for_selection(tree, nid, config.backup))
+                 for nid in tree.path_to_root(leaf)[1:] + [child_ids[best_idx]]])
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 
     return SearchResult(outcome=outcome, best_path=extract_best_path(tree),
                         iterations=iterations, tree=tree, trace=tuple(trace),
                         success_node=success_node)
+
+
+def search_fixture(spec: GuiGraphSpec, config: SearchConfig,
+                   judge: SimJudgeSpec = SimJudgeSpec(),
+                   **proposer_overrides) -> SearchResult:
+    """One search on a fixture: its environment, its proposer (fixture
+    parameters replaced by ``proposer_overrides``), a ``SimJudge`` scoring
+    against its values, and a ``SimReflector``.  The proposer and the judge
+    both draw under ``config.seed``."""
+    return run_search(
+        GuiGraphEnv(spec),
+        proposer_from_fixture(spec, seed=config.seed, **proposer_overrides),
+        SimJudge(replace(judge, seed=config.seed), spec.values),
+        SimReflector(), config)

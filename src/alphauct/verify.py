@@ -23,16 +23,14 @@ from . import expansion as expansion_mod
 from . import search as search_mod
 from .ablation import direction_tests, measure_parallel_speedup, run_ablation
 from .backup import MAX, MEAN
-from .envs import (UNIFORM, BanditSpec, GuiGraphEnv, builtin_fixtures,
-                   load_fixture)
+from .envs import UNIFORM, BanditSpec, builtin_fixtures, load_fixture
 from .expansion import NormalizationContext, admit_candidates, chunk_key
-from .judging import COMPARATIVE, INDEPENDENT, SimJudge, SimJudgeSpec
-from .proposer import proposer_from_fixture
+from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
 from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      freedman_empirical_check, freedman_radius,
                      run_bandit_experiment, slope_ratio_ci)
-from .search import SearchConfig, SimReflector, run_search
+from .search import SearchConfig, search_fixture
 from .selection import ALPHA_UCT, SelectionPolicy, select_child
 from .tree import ROOT, ActionChunk, SearchTree
 
@@ -255,16 +253,12 @@ def _search_matrix():
 
 
 def _run_case(fixture: str, seed: int, backup: str, judge_mode: str,
-              chunk: int, noise: float = 0.1, *,
-              duplicate_rate: float | None = None):
+              chunk: int, noise: float = 0.1, **proposer_overrides):
     spec = load_fixture(fixture)
     cfg = SearchConfig(expansion_factor=5, max_iterations=25, chunk_size=chunk,
                        backup=backup, judge_mode=judge_mode, seed=seed)
-    overrides = {} if duplicate_rate is None else {"duplicate_rate": duplicate_rate}
-    prop = proposer_from_fixture(spec, seed=seed, **overrides)
-    judge = SimJudge(SimJudgeSpec(noise_std=noise, shared_offset_std=0.1, seed=seed),
-                     spec.values)
-    return spec, run_search(GuiGraphEnv(spec), prop, judge, SimReflector(), cfg)
+    judge = SimJudgeSpec(noise_std=noise, shared_offset_std=0.1)
+    return spec, search_fixture(spec, cfg, judge, **proposer_overrides)
 
 
 def crit_backup_oracle(ctx: VerifyContext) -> tuple[bool, str]:
@@ -522,10 +516,7 @@ def crit_determinism(ctx: VerifyContext) -> tuple[bool, str]:
         for strategy in ("snapshot", "replay"):
             cfg = SearchConfig(expansion_factor=4, max_iterations=8, seed=3,
                                state_strategy=strategy)
-            res = run_search(GuiGraphEnv(spec), proposer_from_fixture(spec, seed=3),
-                             SimJudge(SimJudgeSpec(noise_std=0.05, seed=3),
-                                      spec.values),
-                             SimReflector(), cfg)
+            res = search_fixture(spec, cfg, SimJudgeSpec(noise_std=0.05))
             runs[strategy] = (res.tree.dump(), res.trace, res.outcome)
         if runs["snapshot"] != runs["replay"]:
             return False, f"{fixture}: snapshot and replay runs diverge"

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from alphauct.cli import OUT_ENV_VAR, build_parser, main
+from alphauct.envs import _FIXTURE_DIR
 
 
 def run_cli(*argv) -> int:
@@ -50,6 +51,27 @@ def test_search_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli("search", "--out", out) == 2  # no env anywhere
     assert run_cli("search", "--env", "atlantis", "--out", out) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[policy]", "[polcy]"),
+    ("duplicate_rate 0.0", "duplicate_rte 0.6"),
+    ("infeasible_after 0", "infeasible_after inf"),
+    ("infeasible_after 0", "infeasible_after 2.5"),
+    ("lobby 0.3", "lobby zero"),
+])
+def test_search_malformed_fixture_exits_2(tmp_path, capsys, old, new):
+    text = (_FIXTURE_DIR / "trap3.env").read_text()
+    assert text.count(old) == 1
+    env = tmp_path / "typo.env"
+    text = text.replace(old, new)
+    env.write_text(text)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                  if line.startswith(new))
+    out = tmp_path / "run"
+    assert run_cli("search", "--env", str(env), "--out", str(out)) == 2
+    _one_error_line(capsys, f"error: typo:{lineno}: ")
+    assert _no_artifacts(out)
 
 
 def test_unknown_subcommand_exits_2(capsys):

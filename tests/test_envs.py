@@ -134,6 +134,46 @@ def test_fixture_validation_errors(mangle, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("tail, fragment", [
+    ("[polcy]", "unknown section [polcy]"),
+    ("[proposer]\nduplicate_rte 0.6", "unknown proposer key 'duplicate_rte'"),
+    ("[proposer]\ninfeasible_after inf", "finite number, got 'inf'"),
+    ("[proposer]\ninfeasible_after 2.5", "whole number, got '2.5'"),
+    ("[proposer]\nreflection_gain nan", "finite number, got 'nan'"),
+    ("[values]\nmenu 0.4x", "finite number, got '0.4x'"),
+])
+def test_fixture_line_errors_name_the_line(tail, fragment):
+    """Typos and bad numbers are errors at their line (the last one here),
+    not silent defaults, truncations or bare conversion tracebacks."""
+    text = MINI + tail
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(text, name="mini")
+    assert str(err.value).startswith(f"mini:{len(text.splitlines())}: ")
+    assert fragment in str(err.value)
+
+
+_SOUP_HEADERS = st.sampled_from(
+    ["[meta]", "[screens]", "[start]", "[goals]", "[traps]", "[edges]",
+     "[aliases]", "[values]", "[policy]", "[proposer]", "[Policy]", "[polcy]",
+     "[]", "["])
+_SOUP_TOKENS = st.sampled_from(
+    ["home", "menu", "prize", "pit", "open_menu", "claim", "Claim", "->", "=",
+     "|", "#", "0", "1", "-1", "0.5", "2.5", "1e9", "inf", "nan", "x1",
+     "duplicate_rate", "reflection_gain", "infeasible_after", "click(1, 2)"])
+
+
+@given(st.lists(st.one_of(_SOUP_HEADERS,
+                          st.lists(_SOUP_TOKENS, max_size=5).map(" ".join)),
+                max_size=30),
+       st.booleans())
+def test_parse_fixture_soup_loads_or_raises_fixture_error(lines, on_mini):
+    text = "\n".join(lines)
+    try:
+        parse_fixture(MINI + text if on_mini else text)
+    except FixtureError:
+        pass
+
+
 def test_unreachable_goal_rejected():
     text = MINI.replace("menu claim -> prize", "menu claim -> menu2")
     text = text.replace("[screens]\nhome menu prize pit",

@@ -2,6 +2,7 @@
 structure, chunked edges, state-positioning equivalence, and the abort and
 dead-end routes."""
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from alphauct.proposer import proposer_from_fixture
 from alphauct.search import (OUTCOME_BUDGET, OUTCOME_INFEASIBLE,
                              OUTCOME_SUCCESS, ReplayDivergence, SearchConfig,
                              SimReflector, StateError, extract_best_path,
-                             position_env, run_search)
+                             position_env, run_search, search_fixture)
 from alphauct.tree import ROOT, ActionChunk, SearchTree
 
 TRACE_KINDS = {"expand", "revisit", "stalled", "judge_failed", "stop"}
@@ -277,6 +278,23 @@ def test_reflection_boosts_the_previous_best_path(monkeypatch):
     assert boosted
 
 
+def test_search_fixture_is_the_seeded_hand_wiring():
+    """``search_fixture`` seeds the proposer and the judge with the config's
+    seed (a seed in the judge spec is replaced) and passes proposer
+    overrides through."""
+    spec = load_fixture("trap3")
+    cfg = SearchConfig(seed=5, max_iterations=10)
+    judge = SimJudgeSpec(noise_std=0.2, shared_offset_std=0.1)
+    ref = run_search(GuiGraphEnv(spec),
+                     proposer_from_fixture(spec, seed=5, duplicate_rate=0.6),
+                     SimJudge(replace(judge, seed=5), spec.values),
+                     SimReflector(), cfg)
+    res = search_fixture(spec, cfg, replace(judge, seed=99), duplicate_rate=0.6)
+    assert (res.tree.dump(), res.trace) == (ref.tree.dump(), ref.trace)
+    plain = search_fixture(spec, cfg, judge)
+    assert plain.tree.dump() != res.tree.dump()
+
+
 @pytest.mark.parametrize("fixture, cfg, digest", [
     ("trap3", dict(seed=7),
      "4ba771c44ba5dfbb1c9c8bb3adebbbca3baf51cccea16e70b70140f059112e2e"),
@@ -284,6 +302,9 @@ def test_reflection_boosts_the_previous_best_path(monkeypatch):
      "1a37e9cb77c8a7221c8cd33b94dcb9e86c7162f9b96c30ba72761764dc47af8f"),
     ("wide16", dict(judge_mode="independent"),
      "d54bea32d18435198b49596a0f73723a5fa99907bf4875c120be1fa9781dbda0"),
+    # expand, stalled and revisit with a re-asserted value, expand, success
+    ("bottleneck2", dict(noise=0.2, seed=3, max_iterations=12),
+     "7fa27c36cdbac4a1a484adfaddff073527cd5f62d5d6e7da81cda7fec3e367f2"),
 ])
 def test_pinned_search_digests(fixture, cfg, digest):
     """SHA-256 of the tree dump plus the trace, pinned so that a change to

@@ -11,19 +11,17 @@ Three blocks:
 
 The experiment design (grid axes, horizon, seed counts, the sweep's bandit)
 is read from ``alphauct.verify``, so the script measures exactly what the
-acceptance gate checks.  Writes grid.csv / ratios.csv next to nothing else;
-stdout is the record.
+acceptance gate checks.  Writes grid.csv / ratios.csv (LF line ends, like
+every package artifact) next to nothing else; stdout is the record.  Run it
+with the package importable, e.g. ``PYTHONPATH=src``.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+from alphauct.manifest import write_csv
 from alphauct.regret import (
     ALGO_ALPHA,
     bound_for_spec,
@@ -100,25 +98,19 @@ def main() -> int:
             print(f"  gap={gap:.2f} s2={s2:.2f}: ratio={sr.ratio:.4f} "
                   f"95% CI [{sr.ci_lo:.4f}, {sr.ci_hi:.4f}]")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.out_dir / "grid.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(args.out_dir / "grid.csv", list(rows[0]),
+              [list(r.values()) for r in rows])
 
     if not args.skip_ratio:
         print("\nefficiency sweep (K=10, gap=0.1, sigma_x2=0.2):")
         points = efficiency_ratio_experiment(ratio_sweep_spec(),
                                              RATIO_SWEEP_RHOS, args.horizon,
                                              args.ratio_seeds, n_boot=args.boot)
-        with open(args.out_dir / "ratios.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",
-                        "base_mean_regret", "n_seeds"])
-            for pt in points:
-                w.writerow([pt.rho, repr(pt.ratio), repr(pt.ci_lo),
-                            repr(pt.ci_hi), repr(pt.mean_regret),
-                            repr(pt.base_mean_regret), pt.n_seeds])
+        write_csv(args.out_dir / "ratios.csv",
+                  ["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",
+                   "base_mean_regret", "n_seeds"],
+                  [(pt.rho, pt.ratio, pt.ci_lo, pt.ci_hi, pt.mean_regret,
+                    pt.base_mean_regret, pt.n_seeds) for pt in points])
         for pt in points:
             print(f"  rho={pt.rho:.2f}: ratio={pt.ratio:.4f} "
                   f"CI [{pt.ci_lo:.4f}, {pt.ci_hi:.4f}] "

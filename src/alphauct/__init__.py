@@ -4,14 +4,14 @@ policy family."""
 
 from .backup import MAX, MEAN, backpropagate, q_for_selection
 from .envs import (BanditSpec, GuiGraphEnv, GuiGraphSpec, Observation,
-                   bandit_pull, builtin_fixtures, load_fixture, parse_fixture,
-                   residual_noise)
-from .expansion import (NormalizationContext, admit_candidates, chunk_key,
-                        expand_node, lexical_key, make_chunk, normalize_action)
+                   ProposerParams, bandit_pull, builtin_fixtures, load_fixture,
+                   parse_fixture, residual_noise)
+from .expansion import (admit_candidates, chunk_key, expand_node, lexical_key,
+                        make_chunk, normalize_action)
 from .judging import (JudgeFailure, SimJudge, SimJudgeSpec,
                       judge_comparative, judge_independent_set)
 from .manifest import PACKAGE_VERSION as __version__
-from .proposer import ProposerSpec, SimProposer, TaskInfeasible, proposer_from_fixture
+from .proposer import SimProposer, TaskInfeasible, proposer_from_fixture
 from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      freedman_empirical_check, freedman_radius,

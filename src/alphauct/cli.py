@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,8 +45,8 @@ from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
 OUT_ENV_VAR = "ALPHAUCT_OUT"
 
 # every config key each command resolves, with its default; a value must have
-# its default's type (a float key also takes an int), except the keys in
-# _TYPES, whose default is None
+# its default's type (a float key also takes an int, and only a finite
+# number), except the keys in _TYPES, whose default is None
 _DEFAULTS = {
     "search": {**{f.name: f.default for f in fields(SearchConfig)},
                "env": None, "judge_noise": 0.0, "judge_offset": 0.0,
@@ -84,8 +85,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_a(value, want: type) -> bool:
-    allowed = (int, float) if want is float else want
-    return not isinstance(value, bool) and isinstance(value, allowed)
+    if isinstance(value, bool):
+        return False
+    if want is not float:
+        return isinstance(value, want)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _resolve(command: str, layer, base: dict) -> dict:
@@ -107,7 +114,8 @@ def _resolve(command: str, layer, base: dict) -> dict:
         else:
             ok = _is_a(value, want)
         if not ok:
-            name = "list of numbers" if want is list else want.__name__
+            name = {list: "list of finite numbers",
+                    float: "finite number"}.get(want, want.__name__)
             raise UsageError(f"config key {key!r} must be a {name}, "
                              f"got {value!r}")
     return {**base, **layer}

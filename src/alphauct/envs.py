@@ -17,25 +17,26 @@ Fixture files are plain text, one section per bracketed header::
     [aliases]     <canonical> = <surface> | <surface> | ...
     [values]      <screen> <float in [-1,1]>
     [policy]      <screen> <canonical> <weight>
-    [proposer]    <key> <float>   (duplicate_rate, reflection_gain,
-                                   infeasible_after: a whole number)
+    [proposer]    <key> <float>   (a ``ProposerParams`` field; infeasible_after
+                                   takes a whole number)
 
 '#' starts a comment.  Canonical ids must be lexical fixed points (lowercase,
 no spaces); goal reachability from the start screen is checked at load.  An
-unknown section or proposer key, or a number that is malformed or not finite,
-is an error naming the fixture and the line.
+unknown section or proposer key, a number that is malformed or not finite, or
+a proposer value out of its ``ProposerParams`` range is an error naming the
+fixture and the line.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .expansion import NormalizationContext, lexical_key
+from .expansion import lexical_key
 
 TERMINAL_NONE = "none"
 TERMINAL_SUCCESS = "success"
@@ -56,6 +57,24 @@ class Observation:
 
 
 @dataclass(frozen=True)
+class ProposerParams:
+    """The scripted proposer's knobs (see ``proposer``): a fixture's
+    ``[proposer]`` section sets them and a search may override them."""
+
+    duplicate_rate: float = 0.0  # chance a draw repeats an earlier draw
+    reflection_gain: float = 1.0  # weight multiplier per unit of boost
+    infeasible_after: int = 0  # declare infeasible past this iteration; 0 = never
+
+    def __post_init__(self):
+        if not 0.0 <= self.duplicate_rate <= 1.0:
+            raise ValueError("duplicate_rate must be in [0, 1]")
+        if not self.reflection_gain >= 0:
+            raise ValueError("reflection_gain must be >= 0")
+        if not self.infeasible_after >= 0:
+            raise ValueError("infeasible_after must be >= 0")
+
+
+@dataclass(frozen=True)
 class GuiGraphSpec:
     name: str
     screens: tuple[str, ...]
@@ -67,7 +86,7 @@ class GuiGraphSpec:
     values: Mapping[str, float]
     instruction: str = "reach the goal screen"
     policy: Mapping[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
-    proposer_params: Mapping[str, float] = field(default_factory=dict)
+    proposer: ProposerParams = ProposerParams()
 
     def __post_init__(self):
         known = set(self.screens)
@@ -184,9 +203,10 @@ class GuiGraphSpec:
     def observation(self, screen: str) -> Observation:
         return self._obs_cache[screen]
 
-    def alias_context(self) -> NormalizationContext:
-        """Normalization context whose alias map mirrors this fixture."""
-        return NormalizationContext(alias_map=dict(self._resolver))
+    def alias_context(self) -> dict[str, str]:
+        """Alias map for ``expansion.normalize_action``: every surface
+        spelling, and its lexical key, mapped to its canonical id."""
+        return dict(self._resolver)
 
     def surfaces_of(self, canon: str) -> tuple[str, ...]:
         return self.aliases.get(canon) or (canon,)
@@ -252,7 +272,7 @@ def _strip(line: str) -> str:
 
 _SECTIONS = ("meta", "screens", "start", "goals", "traps", "edges", "aliases",
             "values", "policy", "proposer")
-_PROPOSER_KEYS = ("duplicate_rate", "reflection_gain", "infeasible_after")
+_PROPOSER_TYPES = {f.name: type(f.default) for f in fields(ProposerParams)}
 
 
 def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
@@ -329,19 +349,24 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         policy.setdefault(parts[0], []).append(
             (parts[1], number(lineno, parts[2])))
 
-    params: dict[str, float] = {}
+    proposer = ProposerParams()
     for lineno, line in sections.get("proposer", []):
         parts = line.split()
         if len(parts) != 2:
             raise err(lineno, f"bad proposer line {line!r}")
         key, x = parts[0], number(lineno, parts[1])
-        if key not in _PROPOSER_KEYS:
+        if key not in _PROPOSER_TYPES:
             raise err(lineno, f"unknown proposer key {key!r} "
-                              f"(known: {', '.join(_PROPOSER_KEYS)})")
-        if key == "infeasible_after" and x != int(x):
-            raise err(lineno, f"infeasible_after must be a whole number, "
-                              f"got {parts[1]!r}")
-        params[key] = x
+                              f"(known: {', '.join(_PROPOSER_TYPES)})")
+        if _PROPOSER_TYPES[key] is int:
+            if x != int(x):
+                raise err(lineno, f"{key} must be a whole number, "
+                                  f"got {parts[1]!r}")
+            x = int(x)
+        try:
+            proposer = replace(proposer, **{key: x})
+        except ValueError as exc:
+            raise err(lineno, str(exc))
 
     instruction = "reach the goal screen"
     for _, line in sections.get("meta", []):
@@ -355,7 +380,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         edges=edges, aliases=aliases,
         values=values, instruction=instruction,
         policy={s: tuple(v) for s, v in policy.items()},
-        proposer_params=params)
+        proposer=proposer)
 
 
 def builtin_fixtures() -> tuple[str, ...]:
@@ -413,7 +438,6 @@ class BanditSpec:
     sigma_x2: float = 0.0
     rho: float = 1.0
     noise: str = TWO_POINT
-    seed: int = 0
 
     def __post_init__(self):
         if not self.means:

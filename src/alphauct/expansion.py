@@ -5,7 +5,9 @@ different casing, spacing, jittered coordinates, or as a free-text alias.  A
 normalization key collapses these so sibling slots are spent on genuinely
 distinct operations; the effective branching factor of a node is however many
 distinct keys survive among the proposals, never more than the proposal
-budget.
+budget.  Aliases come as a plain map from surface strings (or their lexical
+keys) to canonical ids, such as ``GuiGraphSpec.alias_context()``; ``{}`` means
+lexical keys only.
 
 A one-atom candidate's key is known before it is played, so a duplicate
 one-atom proposal is rejected without ever being played: only admitted heads
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -28,13 +29,6 @@ COORD_BUCKET = 10  # numeric call args snap to the nearest multiple
 
 _CALL_RE = re.compile(r"^([A-Za-z_][\w.-]*)\s*\((.*)\)$", re.S)
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
-
-
-@dataclass(frozen=True)
-class NormalizationContext:
-    """Alias table: exact surface or lexical-key matches."""
-
-    alias_map: Mapping[str, str] | None = None
 
 
 def _bucket(x: float) -> str:
@@ -90,7 +84,7 @@ def lexical_key(action: str) -> str:
     return f"{name}({','.join(out)})"
 
 
-def normalize_action(action: str, ctx: NormalizationContext) -> str:
+def normalize_action(action: str, aliases: Mapping[str, str]) -> str:
     """Normalized key for a surface action string.
 
     The alias map wins over lexical rules: an exact surface match is checked
@@ -102,33 +96,31 @@ def normalize_action(action: str, ctx: NormalizationContext) -> str:
     if not trimmed:
         raise ValueError("empty action string")
     key = lexical_key(trimmed)
-    if ctx.alias_map is not None:
-        hit = ctx.alias_map.get(trimmed)
-        if hit is None:
-            hit = ctx.alias_map.get(key)
-        if hit is not None:
-            return hit
-    return key
+    hit = aliases.get(trimmed)
+    if hit is None:
+        hit = aliases.get(key)
+    return key if hit is None else hit
 
 
-def chunk_key(atoms: Sequence[str], ctx: NormalizationContext) -> str:
+def chunk_key(atoms: Sequence[str], aliases: Mapping[str, str]) -> str:
     if not atoms:
         raise ValueError("empty atom sequence")
-    return CHUNK_SEP.join(normalize_action(a, ctx) for a in atoms)
+    return CHUNK_SEP.join(normalize_action(a, aliases) for a in atoms)
 
 
-def make_chunk(atoms: Sequence[str], ctx: NormalizationContext) -> ActionChunk:
-    return ActionChunk(tuple(atoms), chunk_key(atoms, ctx))
+def make_chunk(atoms: Sequence[str], aliases: Mapping[str, str]) -> ActionChunk:
+    return ActionChunk(tuple(atoms), chunk_key(atoms, aliases))
 
 
 def admit_candidates(candidates: Iterable[ActionChunk | Sequence[str]],
-                     ctx: NormalizationContext) -> list[ActionChunk]:
+                     aliases: Mapping[str, str]) -> list[ActionChunk]:
     """First-come admission: a candidate enters iff its normalized key is new
     among the already-admitted set.  Order-preserving and prefix-stable."""
     admitted: list[ActionChunk] = []
     seen: set[str] = set()
     for cand in candidates:
-        chunk = cand if isinstance(cand, ActionChunk) else make_chunk(tuple(cand), ctx)
+        chunk = (cand if isinstance(cand, ActionChunk)
+                 else make_chunk(tuple(cand), aliases))
         if chunk.norm_key not in seen:
             seen.add(chunk.norm_key)
             admitted.append(chunk)
@@ -158,8 +150,9 @@ def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
     return atoms, clone
 
 
-def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationContext,
-                k: int, chunk_size: int, *, reflection=None, iteration: int = 0,
+def expand_node(tree: SearchTree, leaf: int, proposer, env,
+                aliases: Mapping[str, str], k: int, chunk_size: int, *,
+                reflection=None, iteration: int = 0,
                 keep_snapshots: bool = True) -> list[tuple[int, object]]:
     """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``),
     admit whole chunks through ``admit_candidates``, and add one child per
@@ -178,8 +171,8 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
     if chunk_size == 1:
         # a one-atom chunk is its head: admit first, play only the admitted
         played = []
-        for chunk in admit_candidates([make_chunk((head,), ctx)
-                                       for head in heads], ctx):
+        for chunk in admit_candidates([make_chunk((head,), aliases)
+                                       for head in heads], aliases):
             clone = env.clone()
             clone.step(chunk.atoms[0])
             played.append((chunk, clone))
@@ -188,11 +181,11 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env, ctx: NormalizationCo
                                   iteration=iteration, leaf=leaf,
                                   chunk_size=chunk_size)
                   for j, head in enumerate(heads)]
-        built = [(make_chunk(atoms, ctx), clone) for atoms, clone in rolled
+        built = [(make_chunk(atoms, aliases), clone) for atoms, clone in rolled
                  if atoms]
         clone_of = {id(chunk): clone for chunk, clone in built}
         played = [(chunk, clone_of[id(chunk)]) for chunk in
-                  admit_candidates([chunk for chunk, _ in built], ctx)]
+                  admit_candidates([chunk for chunk, _ in built], aliases)]
     out: list[tuple[int, object]] = []
     for chunk, clone in played:
         obs = clone.observe()

@@ -5,9 +5,10 @@ being generous or harsh on that call as a whole) and per-item noise.
 Comparative judging scores the whole sibling set in one call, so the shared
 offset shifts every sibling identically and cancels out of within-set
 rankings; independent judging makes one call per sibling and the offsets do
-not cancel.  ``SimJudge`` scores against fixture ground truth with both
-components controllable, plus an optional per-item preparation latency for
-parallelism experiments.  Its noise is scalar counter-based normals from
+not cancel.  Both return a plain tuple of scores, in sibling order.
+``SimJudge`` scores against fixture ground truth with both components
+controllable, plus an optional per-item preparation latency for parallelism
+experiments.  Its noise is scalar counter-based normals from
 ``rng.derive_rng`` keyed by the judge call, one for the offset and then one
 per item, so scores do not depend on scheduling.
 """
@@ -32,12 +33,6 @@ class JudgeFailure(RuntimeError):
     The failure is retryable: a later iteration re-proposes and re-judges
     under fresh call keys, so a transient fault costs one iteration only.
     """
-
-
-@dataclass(frozen=True)
-class JudgeResult:
-    scores: tuple[float, ...]
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -104,20 +99,20 @@ def _prepare_all(parent_obs, siblings, judge, call_key,
 
 def judge_comparative(parent_obs, siblings: Sequence[tuple[ActionChunk, object]],
                       instruction: str, judge, *, call_key: tuple = (0,),
-                      pool: Executor | None = None) -> JudgeResult:
+                      pool: Executor | None = None) -> tuple[float, ...]:
     """Score a sibling set in one joint call (shared offset cancels within
     the set).  ``siblings`` is a sequence of (chunk, observation) pairs."""
     if not siblings:
         raise ValueError("empty sibling set")
     prepared = _prepare_all(parent_obs, siblings, judge, call_key, pool)
     scores = judge.score_set(prepared, instruction, tuple(call_key))
-    return JudgeResult(tuple(float(s) for s in scores), COMPARATIVE)
+    return tuple(float(s) for s in scores)
 
 
 def judge_independent_set(parent_obs,
                           siblings: Sequence[tuple[ActionChunk, object]],
                           instruction: str, judge, *, call_key: tuple = (0,),
-                          pool: Executor | None = None) -> JudgeResult:
+                          pool: Executor | None = None) -> tuple[float, ...]:
     """Score each sibling in its own isolated call (ablation path).
 
     Sibling ``i`` is prepared and scored under key ``(*call_key, i)``; each
@@ -128,7 +123,6 @@ def judge_independent_set(parent_obs,
     if not siblings:
         raise ValueError("empty sibling set")
     prepared = _prepare_all(parent_obs, siblings, judge, call_key, pool)
-    scores = tuple(float(judge.score_one(p, instruction, (*call_key, i)))
-                   for i, p in enumerate(prepared))
-    return JudgeResult(scores, INDEPENDENT)
+    return tuple(float(judge.score_one(p, instruction, (*call_key, i)))
+                 for i, p in enumerate(prepared))
 

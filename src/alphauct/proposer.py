@@ -1,13 +1,15 @@
 """Scripted action proposer over fixture policies.
 
-Proposals are drawn per screen from fixture-declared weights over canonical
-actions, then rendered as one of the canonical's surface spellings — so the
-stream looks like raw GUI strings and exercises normalization.  Two quirks
-are modeled deliberately: *mode collapse* (with probability ``duplicate_rate``
-a draw repeats an earlier draw's canonical, possibly under a different
-spelling) and *reflection following* (an action whose normalized key maps to
-boost ``b`` in the reflection has its weight multiplied by
-``1 + reflection_gain * b``).
+Proposals are drawn per screen from the fixture's ``[policy]`` weights over
+canonical actions, then rendered as one of the canonical's surface spellings
+(``GuiGraphSpec.surfaces_of``) — so the stream looks like raw GUI strings and
+exercises normalization.  Two quirks are modeled deliberately, with knobs
+from ``envs.ProposerParams``: *mode collapse* (with probability
+``duplicate_rate`` a draw repeats an earlier draw's canonical, possibly under
+a different spelling) and *reflection following* (an action whose normalized
+key maps to boost ``b`` in the reflection has its weight multiplied by
+``1 + reflection_gain * b``).  Past iteration ``infeasible_after`` (if
+non-zero) the proposer declares the task infeasible.
 
 Every draw is keyed by (iteration, leaf, slot, draw): each proposal takes two
 or three scalar counter-based draws under its own key, so proposal streams are
@@ -20,12 +22,10 @@ normalized key before the action is ever played.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import replace
 from itertools import accumulate
-from typing import Mapping
 
-from .envs import GuiGraphSpec
-from .expansion import NormalizationContext
+from .envs import GuiGraphSpec, ProposerParams
 from .rng import derive_rng
 
 
@@ -33,44 +33,23 @@ class TaskInfeasible(RuntimeError):
     """Raised when the proposer declares the task unreachable."""
 
 
-@dataclass(frozen=True)
-class ProposerSpec:
-    weights: Mapping[str, tuple[tuple[str, float], ...]]  # screen -> (canonical, w)
-    surfaces: Mapping[str, tuple[str, ...]]  # canonical -> spellings
-    duplicate_rate: float = 0.0
-    reflection_gain: float = 1.0
-    infeasible_after: int = 0  # declare infeasible past this iteration; 0 = never
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.duplicate_rate <= 1.0:
-            raise ValueError("duplicate_rate must be in [0, 1]")
-        if self.reflection_gain < 0:
-            raise ValueError("reflection_gain must be >= 0")
-        if self.infeasible_after < 0:
-            raise ValueError("infeasible_after must be >= 0")
-
-
 def proposer_from_fixture(spec: GuiGraphSpec, seed: int = 0,
                           **overrides) -> "SimProposer":
-    """Build the proposer a fixture describes; ``overrides`` replace the
-    fixture's proposer parameters (duplicate_rate etc.)."""
-    params = dict(spec.proposer_params)
-    params.update(overrides)
-    pspec = ProposerSpec(
-        weights=spec.policy,
-        surfaces={c: spec.surfaces_of(c) for s in spec.policy for c, _ in spec.policy[s]},
-        duplicate_rate=float(params.get("duplicate_rate", 0.0)),
-        reflection_gain=float(params.get("reflection_gain", 1.0)),
-        infeasible_after=int(params.get("infeasible_after", 0)),
-        seed=seed)
-    return SimProposer(pspec, spec.alias_context())
+    """Build the proposer a fixture describes; ``overrides`` replace fields
+    of its ``ProposerParams`` (an unknown name raises ``TypeError``)."""
+    return SimProposer(spec, replace(spec.proposer, **overrides), seed)
 
 
 class SimProposer:
-    def __init__(self, spec: ProposerSpec, ctx: NormalizationContext):
+    """Draws from ``spec``'s policy under ``params``; ``ctx`` is the
+    fixture's alias map, which the search normalizes proposals with."""
+
+    def __init__(self, spec: GuiGraphSpec, params: ProposerParams,
+                 seed: int = 0):
         self.spec = spec
-        self.ctx = ctx
+        self.params = params
+        self.seed = seed
+        self.ctx = spec.alias_context()
 
     def propose(self, screen: str, reflection, k: int, *, iteration: int,
                 leaf: int, slot: tuple[int, int] | None = None) -> list[str]:
@@ -83,32 +62,33 @@ class SimProposer:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.spec.infeasible_after and iteration > self.spec.infeasible_after:
+        p = self.params
+        if p.infeasible_after and iteration > p.infeasible_after:
             raise TaskInfeasible(
-                f"proposer gave up after iteration {self.spec.infeasible_after}")
-        entries = self.spec.weights.get(screen, ())
+                f"proposer gave up after iteration {p.infeasible_after}")
+        entries = self.spec.policy.get(screen, ())
         if not entries:
             return []
         weights = []
         for canon, w in entries:
             boost = 0.0
-            if reflection is not None and self.spec.reflection_gain > 0:
+            if reflection is not None and p.reflection_gain > 0:
                 boost = reflection.get(canon, 0.0)
-            weights.append(w * (1.0 + self.spec.reflection_gain * boost))
+            weights.append(w * (1.0 + p.reflection_gain * boost))
         cum = list(accumulate(weights))
         total = cum[-1]
         phase = (0, 0, 0) if slot is None else (1, slot[0], slot[1])
-        call = derive_rng(self.spec.seed, "prop", iteration, leaf, *phase)
+        call = derive_rng(self.seed, "prop", iteration, leaf, *phase)
         draws: list[str] = []  # canonical per draw, for duplicate sourcing
         out: list[str] = []
         for j in range(k):
             rng = call.child(j)
-            if j > 0 and self.spec.duplicate_rate > 0 and \
-                    rng.random() < self.spec.duplicate_rate:
+            if j > 0 and p.duplicate_rate > 0 and \
+                    rng.random() < p.duplicate_rate:
                 canon = draws[rng.integers(0, j)]
             else:
                 canon = entries[bisect_right(cum, rng.random() * total)][0]
-            surfaces = self.spec.surfaces.get(canon) or (canon,)
+            surfaces = self.spec.surfaces_of(canon)
             surface = surfaces[rng.integers(0, len(surfaces))]
             draws.append(canon)
             out.append(surface)

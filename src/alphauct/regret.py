@@ -269,7 +269,7 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
     x = inc[0]
     reg = np.zeros(n_seeds)
-    gens = [derive_rng(spec.seed, "pull-noise", sd).generator()
+    gens = [derive_rng(0, "pull-noise", sd).generator()
             for sd in range(seed0, seed0 + n_seeds)]
     out = np.empty((len(t_grid), n_seeds))
     gi = 0
@@ -314,7 +314,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
     every step.  Differential twin of ``run_bandit_experiment``."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}")
-    rng = derive_rng(spec.seed, "pull-noise", seed).generator()
+    rng = derive_rng(0, "pull-noise", seed).generator()
     kk = spec.k
     counts = [0] * kk
     sums = [0.0] * kk

@@ -184,7 +184,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     the result and documented in the README.
     """
     config.validate()
-    ctx = proposer.ctx
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
@@ -211,7 +210,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
             positioned = position_env(tree, leaf, config.state_strategy)
             try:
                 pairs = expand_node(
-                    tree, leaf, proposer, positioned, ctx,
+                    tree, leaf, proposer, positioned, proposer.ctx,
                     config.expansion_factor, config.chunk_size,
                     reflection=reflection, iteration=it,
                     keep_snapshots=(config.state_strategy == SNAPSHOT))
@@ -230,7 +229,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
             child_ids = [cid for cid, _ in pairs]
             siblings = [(tree.nodes[cid].action, obs) for cid, obs in pairs]
             try:
-                result = judge_fn(rec.obs, siblings, env.instruction, judge,
+                scores = judge_fn(rec.obs, siblings, env.instruction, judge,
                                   call_key=(it,), pool=action_pool)
             except JudgeFailure:
                 # abort the iteration: drop the unscored children so the
@@ -241,14 +240,14 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 continue
             # a child's back-up touches only its ancestors, so scoring and
             # backing up one child at a time leaves every value unchanged
-            for cid, score in zip(child_ids, result.scores):
+            for cid, score in zip(child_ids, scores):
                 tree.set_init_value(cid, score)
                 backpropagate(tree, cid, tree.nodes[cid].init_value,
                               config.backup, iteration=it)
             trace.append(
                 f"iter={it} kind=expand leaf={leaf} depth={rec.depth} "
                 f"b*={len(pairs)} children={child_ids} "
-                f"scores={_fmt_scores(result.scores)} backup={config.backup}")
+                f"scores={_fmt_scores(scores)} backup={config.backup}")
 
             winners = [cid for cid, obs in pairs if obs.terminal == "success"]
             if winners:
@@ -258,7 +257,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"node={success_node}")
                 break
 
-            best_idx = max(range(len(pairs)), key=lambda i: result.scores[i])
+            best_idx = max(range(len(pairs)), key=lambda i: scores[i])
             reflection = reflector.reflect(
                 [(tree.nodes[nid].action,
                   q_for_selection(tree, nid, config.backup))

@@ -24,7 +24,7 @@ from . import search as search_mod
 from .ablation import direction_tests, measure_parallel_speedup, run_ablation
 from .backup import MAX, MEAN
 from .envs import UNIFORM, BanditSpec, builtin_fixtures, load_fixture
-from .expansion import NormalizationContext, admit_candidates, chunk_key
+from .expansion import admit_candidates, chunk_key
 from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
 from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
@@ -186,8 +186,8 @@ def inject(kind: str | None):
         orig_make = expansion_mod.make_chunk
         salt = count()
 
-        def salted(atoms, ctx):
-            chunk = orig_make(atoms, ctx)
+        def salted(atoms, aliases):
+            chunk = orig_make(atoms, aliases)
             return ActionChunk(chunk.atoms, f"{chunk.norm_key}#{next(salt)}")
 
         expansion_mod.make_chunk = salted
@@ -294,7 +294,7 @@ def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
     for fixture, seed, backup, judge_mode, chunk, noise in _search_matrix()[:20]:
         spec, res = _run_case(fixture, seed, backup, judge_mode, chunk, noise,
                               duplicate_rate=0.6)
-        alias_ctx = spec.alias_context()
+        aliases = spec.alias_context()
         tree = res.tree
         for nid in range(len(tree)):
             kids = tree.nodes[nid].children
@@ -303,13 +303,12 @@ def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
             nodes_checked += 1
             if len(kids) > 5:
                 return False, f"{fixture}/s{seed}: node {nid} admitted {len(kids)} > K=5"
-            keys = [chunk_key(tree.nodes[c].action.atoms, alias_ctx) for c in kids]
+            keys = [chunk_key(tree.nodes[c].action.atoms, aliases) for c in kids]
             if len(set(keys)) != len(keys):
                 return False, (f"{fixture}/s{seed}: siblings under node {nid} "
                                f"share a normalized key: {sorted(keys)}")
-    plain = NormalizationContext()
-    pair = admit_candidates([("Click (450, 320)",), ("click(452, 318)",)], plain)
-    trio = admit_candidates([("click(450, 320)",), ("click(463, 320)",)], plain)
+    pair = admit_candidates([("Click (450, 320)",), ("click(452, 318)",)], {})
+    trio = admit_candidates([("click(450, 320)",), ("click(463, 320)",)], {})
     if len(pair) != 1:
         return False, f"jittered coordinate pair admitted {len(pair)} nodes, want 1"
     if len(trio) != 2:

@@ -2,10 +2,13 @@
 the rho sweep, manifest reruns, and the output-directory env var."""
 import argparse
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alphauct.cli import OUT_ENV_VAR, build_parser, main
+from alphauct.cli import (_DEFAULTS, _TYPES, OUT_ENV_VAR, UsageError, _resolve,
+                          build_parser, main)
 from alphauct.envs import _FIXTURE_DIR
 
 
@@ -58,6 +61,7 @@ def test_search_usage_errors_exit_2(tmp_path, capsys):
     ("duplicate_rate 0.0", "duplicate_rte 0.6"),
     ("infeasible_after 0", "infeasible_after inf"),
     ("infeasible_after 0", "infeasible_after 2.5"),
+    ("duplicate_rate 0.0", "duplicate_rate 1.5"),
     ("lobby 0.3", "lobby zero"),
 ])
 def test_search_malformed_fixture_exits_2(tmp_path, capsys, old, new):
@@ -83,6 +87,16 @@ def test_unknown_subcommand_exits_2(capsys):
     (["bandit", "--arms", "abc"], ["--arms", "'abc'"]),
     (["bandit", "--rho-grid", "abc"], ["--rho-grid", "'abc'"]),
     ([], ["command"]),  # no subcommand
+    # a number key takes only a finite number, checked before anything runs
+    (["search", "--env", "trap3", "--judge-latency", "inf"],
+     ["'judge_latency'"]),
+    (["search", "--env", "trap3", "--judge-noise", "nan"], ["'judge_noise'"]),
+    (["search", "--env", "trap3", "--judge-offset", "inf"],
+     ["'judge_offset'"]),
+    (["search", "--env", "trap3", "--c", "inf"], ["'c'"]),
+    (["ablate", "--seeds", "1", "--judge-latency", "inf",
+      "--parallel-actions", "2"], ["'judge_latency'"]),
+    (["bandit", "--rho-grid", "0.25,inf"], ["'rho_grid'"]),
 ])
 def test_flag_errors_print_one_line(tmp_path, monkeypatch, capsys, argv,
                                     names):
@@ -359,6 +373,67 @@ def test_rerun_applies_ablate_range_checks(tmp_path, capsys, key, value):
     assert _no_artifacts(tmp_path / "again")
 
 
+def test_non_finite_config_and_manifest_values_exit_2(tmp_path, capsys):
+    """An int too large for a float in a config file, and non-finite numbers
+    in a rerun manifest (Python's JSON reader takes Infinity and NaN)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"env": "trap3", "c": 10 ** 400}))
+    out = tmp_path / "run"
+    assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+    _one_error_line(capsys, "'c'")
+    assert _no_artifacts(out)
+    first = tmp_path / "search"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    capsys.readouterr()
+    for value in (math.inf, math.nan, 10 ** 400):
+        assert _rerun_with(tmp_path, first, "judge_noise", value) == 2
+        _one_error_line(capsys, "'judge_noise'")
+        assert _no_artifacts(tmp_path / "again")
+
+
+_NUMBERS = st.one_of(st.integers(), st.floats(),
+                     st.sampled_from([math.nan, math.inf, -math.inf,
+                                      10 ** 400]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _finite_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_DEFAULTS)), st.data())
+def test_resolve_fuzz_resolves_or_raises_usage_error(command, data):
+    """Any JSON-like layer either resolves to the command's keys, each value
+    of its key's type and finite, or raises ``UsageError``."""
+    table = _DEFAULTS[command]
+    keys = st.sampled_from(sorted(table) + ["horizn", "budget"])
+    values = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=3), _JSON)
+    layer = data.draw(st.one_of(st.dictionaries(keys, values, max_size=4),
+                                _JSON))
+    try:
+        resolved = _resolve(command, layer, dict(table))
+    except UsageError:
+        return
+    assert set(resolved) == set(table)
+    for key, value in resolved.items():
+        want = _TYPES.get(key) or type(table[key])
+        if value is None:
+            assert table[key] is None, key
+        elif want is list:
+            assert isinstance(value, list), key
+            assert all(_finite_number(v) for v in value), key
+        elif want is float:
+            assert _finite_number(value), key
+        else:
+            assert type(value) is want, key
+
+
 @pytest.mark.parametrize("argv", [["--arms", "3", "--horizon", "3"],
                                   ["--sigma2", "0", "--horizon", "50"]])
 def test_bandit_fit_failure_writes_no_artifact(tmp_path, capsys, argv):
@@ -369,7 +444,6 @@ def test_bandit_fit_failure_writes_no_artifact(tmp_path, capsys, argv):
 
 
 def test_flag_dests_equal_config_table():
-    from alphauct.cli import _DEFAULTS
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for command, table in _DEFAULTS.items():

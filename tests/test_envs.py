@@ -140,6 +140,9 @@ def test_fixture_validation_errors(mangle, fragment):
     ("[proposer]\ninfeasible_after inf", "finite number, got 'inf'"),
     ("[proposer]\ninfeasible_after 2.5", "whole number, got '2.5'"),
     ("[proposer]\nreflection_gain nan", "finite number, got 'nan'"),
+    ("[proposer]\nduplicate_rate 1.5", "duplicate_rate must be in [0, 1]"),
+    ("[proposer]\nreflection_gain -1", "reflection_gain must be >= 0"),
+    ("[proposer]\ninfeasible_after -1", "infeasible_after must be >= 0"),
     ("[values]\nmenu 0.4x", "finite number, got '0.4x'"),
 ])
 def test_fixture_line_errors_name_the_line(tail, fragment):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alphauct.envs import GuiGraphEnv, load_fixture
-from alphauct.expansion import (NormalizationContext, admit_candidates,
-                                chunk_key, expand_node, lexical_key,
-                                make_chunk, normalize_action)
+from alphauct.expansion import (admit_candidates, chunk_key, expand_node,
+                                lexical_key, make_chunk, normalize_action)
 from alphauct.proposer import proposer_from_fixture
 from alphauct.tree import ROOT, SearchTree, TreeError
 
-PLAIN = NormalizationContext()
+PLAIN = {}  # no aliases: lexical keys only
 
 
 def test_lexical_key_examples():
@@ -38,12 +37,11 @@ def test_normalize_rejects_empty():
 
 
 def test_alias_map_wins_over_lexical():
-    ctx = NormalizationContext(alias_map={"open the vault": "go_vault",
-                                          "click(450,320)": "go_vault"})
-    assert normalize_action("Open the VAULT", ctx) == "go_vault"
+    aliases = {"open the vault": "go_vault", "click(450,320)": "go_vault"}
+    assert normalize_action("Open the VAULT", aliases) == "go_vault"
     # jittered coordinate variant reaches the alias through its lexical key
-    assert normalize_action("Click (452, 318)", ctx) == "go_vault"
-    assert normalize_action("scroll(30)", ctx) == "scroll(30)"  # no alias hit
+    assert normalize_action("Click (452, 318)", aliases) == "go_vault"
+    assert normalize_action("scroll(30)", aliases) == "scroll(30)"  # no alias hit
 
 
 @given(st.text(min_size=1).filter(lambda s: s.strip()))

@@ -4,9 +4,8 @@ import statistics
 
 import pytest
 
-from alphauct.judging import (COMPARATIVE, INDEPENDENT, JudgeFailure,
-                              SimJudge, SimJudgeSpec, judge_comparative,
-                              judge_independent_set)
+from alphauct.judging import (JudgeFailure, SimJudge, SimJudgeSpec,
+                              judge_comparative, judge_independent_set)
 from alphauct.tree import ActionChunk
 
 VALUES = {"lobby": 0.3, "vault": 0.8, "closet": -1.0}
@@ -20,18 +19,17 @@ def sib(screen: str):
 def test_noiseless_judge_returns_true_values():
     judge = SimJudge(SimJudgeSpec(), VALUES)
     res = judge_comparative("root", [sib("lobby"), sib("vault")], "go", judge)
-    assert res.mode == COMPARATIVE
-    assert res.scores == (0.3, 0.8)
+    assert res == (0.3, 0.8)
     indep = judge_independent_set("root", [sib("closet"), sib("nowhere")],
                                   "go", judge)
     # unknown screens score the neutral default
-    assert indep.scores == (-1.0, 0.0)
+    assert indep == (-1.0, 0.0)
 
 
 def test_scores_clamped_to_unit_interval():
     judge = SimJudge(SimJudgeSpec(shared_offset_std=50.0, seed=3), VALUES)
     res = judge_comparative("root", [sib("lobby"), sib("vault")], "go", judge)
-    assert all(-1.0 <= s <= 1.0 for s in res.scores)
+    assert all(-1.0 <= s <= 1.0 for s in res)
 
 
 def test_comparative_offset_cancels_in_rankings():
@@ -45,9 +43,9 @@ def test_comparative_offset_cancels_in_rankings():
                                       seed=trial), values)
         sibs = [sib("low"), sib("high")]
         c = judge_comparative("root", sibs, "go", judge, call_key=(trial,))
-        comp_diffs.append(c.scores[1] - c.scores[0])
+        comp_diffs.append(c[1] - c[0])
         i = judge_independent_set("root", sibs, "go", judge, call_key=(trial,))
-        indep_diffs.append(i.scores[1] - i.scores[0])
+        indep_diffs.append(i[1] - i[0])
     var_comp = statistics.variance(comp_diffs)
     var_indep = statistics.variance(indep_diffs)
     # comparative diff variance ~ 2*noise^2 = 0.005; independent stacks
@@ -66,10 +64,8 @@ def test_comparative_diff_is_offset_independent():
     hi = SimJudge(SimJudgeSpec(noise_std=0.05, shared_offset_std=0.2, seed=9),
                   values)
     sibs = [sib("a"), sib("b")]
-    d_lo = (lambda r: r.scores[1] - r.scores[0])(
-        judge_comparative("root", sibs, "go", lo))
-    d_hi = (lambda r: r.scores[1] - r.scores[0])(
-        judge_comparative("root", sibs, "go", hi))
+    d_lo = (lambda r: r[1] - r[0])(judge_comparative("root", sibs, "go", lo))
+    d_hi = (lambda r: r[1] - r[0])(judge_comparative("root", sibs, "go", hi))
     assert d_lo == pytest.approx(d_hi, abs=1e-12)
 
 
@@ -78,11 +74,10 @@ def test_independent_set_matches_looped_calls():
                      VALUES)
     sibs = [sib("lobby"), sib("vault"), sib("closet")]
     batched = judge_independent_set("root", sibs, "go", judge, call_key=(7,))
-    assert batched.mode == INDEPENDENT
     looped = tuple(
         judge.score_one(judge.prepare("root", chunk, obs, (7, i)), "go", (7, i))
         for i, (chunk, obs) in enumerate(sibs))
-    assert batched.scores == looped
+    assert batched == looped
 
 
 def test_empty_sibling_set_rejected():
@@ -109,6 +104,6 @@ def test_scores_keyed_by_call_not_schedule():
     a = judge_comparative("root", sibs, "go", judge, call_key=(4,))
     b = judge_comparative("root", sibs, "go", judge, call_key=(4,))
     c = judge_comparative("root", sibs, "go", judge, call_key=(5,))
-    assert a.scores == b.scores
-    assert a.scores != c.scores
+    assert a == b
+    assert a != c
 

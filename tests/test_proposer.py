@@ -2,10 +2,9 @@
 duplicate_rate, reflection steering, and the infeasibility declaration."""
 import pytest
 
-from alphauct.envs import load_fixture
+from alphauct.envs import ProposerParams, load_fixture
 from alphauct.expansion import normalize_action
-from alphauct.proposer import (ProposerSpec, SimProposer, TaskInfeasible,
-                               proposer_from_fixture)
+from alphauct.proposer import TaskInfeasible, proposer_from_fixture
 
 
 def make_proposer(**overrides) -> tuple:
@@ -89,11 +88,11 @@ def test_infeasible_after_fires_only_past_threshold():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ProposerSpec(weights={}, surfaces={}, duplicate_rate=1.0001)
+        ProposerParams(duplicate_rate=1.0001)
     with pytest.raises(ValueError):
-        ProposerSpec(weights={}, surfaces={}, reflection_gain=-1.0)
+        ProposerParams(reflection_gain=-1.0)
     with pytest.raises(ValueError):
-        ProposerSpec(weights={}, surfaces={}, infeasible_after=-1)
+        ProposerParams(infeasible_after=-1)
 
 
 def test_surface_spellings_exercise_normalization():

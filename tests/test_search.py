@@ -9,7 +9,6 @@ import pytest
 from alphauct import search as search_mod
 from alphauct.backup import q_for_selection
 from alphauct.envs import GuiGraphEnv, load_fixture
-from alphauct.expansion import NormalizationContext
 from alphauct.judging import JudgeFailure, SimJudge, SimJudgeSpec
 from alphauct.proposer import proposer_from_fixture
 from alphauct.search import (OUTCOME_BUDGET, OUTCOME_INFEASIBLE,
@@ -129,7 +128,7 @@ def test_judge_failure_aborts_iteration_and_recovers():
 
 def test_empty_proposals_route_to_exhausted():
     class SilentProposer:
-        ctx = NormalizationContext()
+        ctx = {}
 
         def propose(self, screen, reflection, k, *, iteration, leaf, slot=None):
             return []
@@ -281,7 +280,7 @@ def test_reflection_boosts_the_previous_best_path(monkeypatch):
 def test_search_fixture_is_the_seeded_hand_wiring():
     """``search_fixture`` seeds the proposer and the judge with the config's
     seed (a seed in the judge spec is replaced) and passes proposer
-    overrides through."""
+    overrides through; an unknown override name is an error."""
     spec = load_fixture("trap3")
     cfg = SearchConfig(seed=5, max_iterations=10)
     judge = SimJudgeSpec(noise_std=0.2, shared_offset_std=0.1)
@@ -293,6 +292,25 @@ def test_search_fixture_is_the_seeded_hand_wiring():
     assert (res.tree.dump(), res.trace) == (ref.tree.dump(), ref.trace)
     plain = search_fixture(spec, cfg, judge)
     assert plain.tree.dump() != res.tree.dump()
+    with pytest.raises(TypeError):
+        search_fixture(spec, cfg, judge, duplicte_rate=0.6)
+
+
+def test_pinned_digest_with_every_proposer_override():
+    """All three proposer overrides reach the proposer through
+    ``search_fixture``: duplicates, a doubled reflection gain, and an
+    infeasibility declaration after iteration 4 that ends the search."""
+    res = search_fixture(load_fixture("trap3"),
+                         SearchConfig(seed=1, max_iterations=12),
+                         SimJudgeSpec(noise_std=0.3), duplicate_rate=0.6,
+                         reflection_gain=2, infeasible_after=4)
+    kinds = [line.split()[1] for line in res.trace]
+    assert kinds == ["kind=expand", "kind=expand", "kind=stalled",
+                     "kind=expand"] + ["kind=revisit"] * 3 + ["kind=stop"]
+    assert res.outcome == OUTCOME_INFEASIBLE
+    blob = res.tree.dump() + "\n".join(res.trace)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "eb1ef3d25e9b8d0e0faed35c07ce9e3179cdc6acef7e56474e4dedf449801650"
 
 
 @pytest.mark.parametrize("fixture, cfg, digest", [

@@ -137,7 +137,6 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
         raise UsageError("search needs --env (or an 'env' config key)")
     cfg = SearchConfig(**{f.name: resolved[f.name]
                           for f in fields(SearchConfig)})
-    cfg.validate()
     spec = load_fixture(resolved["env"])
     judge = SimJudgeSpec(noise_std=resolved["judge_noise"],
                          shared_offset_std=resolved["judge_offset"],

@@ -219,7 +219,6 @@ class GuiGraphEnv:
     def __init__(self, spec: GuiGraphSpec):
         self.spec = spec
         self._screen = spec.start
-        self._steps = 0
 
     @property
     def instruction(self) -> str:
@@ -229,14 +228,10 @@ class GuiGraphEnv:
     def screen(self) -> str:
         return self._screen
 
-    def state(self) -> tuple:
-        return (self._screen, self._steps)
-
     def observe(self) -> Observation:
         return self.spec.observation(self._screen)
 
     def step(self, action: str) -> tuple[Observation, float]:
-        self._steps += 1
         obs = self.observe()
         if obs.terminal != TERMINAL_NONE:
             return obs, 0.0  # absorbing
@@ -257,7 +252,6 @@ class GuiGraphEnv:
     def clone(self) -> "GuiGraphEnv":
         dup = GuiGraphEnv(self.spec)
         dup._screen = self._screen
-        dup._steps = self._steps
         return dup
 
 

@@ -13,7 +13,8 @@ A one-atom candidate's key is known before it is played, so a duplicate
 one-atom proposal is rejected without ever being played: only admitted heads
 are cloned and stepped.  A multi-atom chunk's key depends on the tail its
 play-out proposes, so chunked candidates are played out first and admitted
-after.
+after.  ``expand_node`` returns the admitted chunks, each with the environment
+it reached, and leaves the tree alone.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .tree import ActionChunk, SearchTree, TreeError
+from .tree import ActionChunk, TreeError
 
 CHUNK_SEP = ";"
 COORD_BUCKET = 10  # numeric call args snap to the nearest multiple
@@ -150,14 +151,13 @@ def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
     return atoms, clone
 
 
-def expand_node(tree: SearchTree, leaf: int, proposer, env,
-                aliases: Mapping[str, str], k: int, chunk_size: int, *,
-                reflection=None, iteration: int = 0,
-                keep_snapshots: bool = True) -> list[tuple[int, object]]:
-    """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``),
-    admit whole chunks through ``admit_candidates``, and add one child per
-    admitted chunk.  Children are added unscored; the caller judges the
-    sibling set next.  Returns ``[(child_id, observation), ...]`` in admission order.
+def expand_node(leaf: int, proposer, env, aliases: Mapping[str, str], *,
+                k: int, chunk_size: int, reflection=None,
+                iteration: int = 0) -> list[tuple[ActionChunk, object]]:
+    """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``) and
+    admit whole chunks through ``admit_candidates``.  Returns
+    ``[(chunk, env_after_chunk), ...]`` in admission order; the tree is the
+    caller's, which judges the set before any of it becomes a child.
     """
     if k < 1:
         raise ValueError("proposal budget must be >= 1")
@@ -186,11 +186,4 @@ def expand_node(tree: SearchTree, leaf: int, proposer, env,
         clone_of = {id(chunk): clone for chunk, clone in built}
         played = [(chunk, clone_of[id(chunk)]) for chunk in
                   admit_candidates([chunk for chunk, _ in built], aliases)]
-    out: list[tuple[int, object]] = []
-    for chunk, clone in played:
-        obs = clone.observe()
-        child = tree.add_child(leaf, chunk,
-                               state_ref=clone if keep_snapshots else None,
-                               obs=obs, terminal=obs.terminal)
-        out.append((child, obs))
-    return out
+    return played

@@ -14,6 +14,7 @@ per item, so scores do not depend on scheduling.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -43,8 +44,10 @@ class SimJudgeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0 or self.shared_offset_std < 0 or self.latency_s < 0:
-            raise ValueError("judge noise/offset/latency must be >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in
+                   (self.noise_std, self.shared_offset_std, self.latency_s)):
+            raise ValueError("judge noise/offset/latency must be finite "
+                             "and >= 0")
 
 
 def _clamp(x: float) -> float:

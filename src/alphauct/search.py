@@ -2,9 +2,11 @@
 
 Each iteration selects a leaf, positions an environment there (stored
 snapshot or replay from the root), expands it into deduplicated candidate
-chunks, judges the new sibling set in one comparative call (or per-sibling
-independent calls under ablation), and backs every judged value up the root
-path; an unexpandable leaf re-asserts its own value instead.  The last
+chunks, judges the admitted set in one comparative call (or per-sibling
+independent calls under ablation), then adds each candidate as a child
+carrying its judged value and backs that value up the root path; an
+unexpandable leaf re-asserts its own value instead.  A failed judge call
+aborts the iteration before anything enters the tree.  The last
 expansion's best path, as (chunk, q) pairs, is distilled into a *reflection*:
 a map from normalized atom keys to their best non-negative q, which boosts
 those actions' weights in the next iteration's proposals.  A proposer with
@@ -64,7 +66,7 @@ class SearchConfig:
     parallel_actions: int = 0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.expansion_factor < 1:
@@ -152,10 +154,9 @@ def extract_best_path(tree: SearchTree) -> tuple[ActionChunk, ...]:
     node = ROOT
     while True:
         kids = tree.node(node).children
-        scored = [cid for cid in kids if tree.nodes[cid].q_max is not None]
-        if not scored:
+        if not kids:
             break
-        best = max(scored, key=lambda cid: tree.nodes[cid].q_max)
+        best = max(kids, key=lambda cid: tree.nodes[cid].q_max)
         path.append(tree.nodes[best].action)
         node = best
     return tuple(path)
@@ -168,8 +169,9 @@ def _fmt_scores(scores) -> str:
 def _reassert(tree: SearchTree, leaf: int, it: int, backup: str) -> str:
     """Back an unexpandable leaf's own value up again, so selection
     statistics move and the visit bonus can steer the walk elsewhere.
-    Returns the ``value=`` trace suffix, or '' if the leaf was never judged."""
-    if tree.nodes[leaf].init_value is None:
+    Returns the ``value=`` trace suffix, or '' at the root, which is never
+    judged."""
+    if leaf == ROOT:
         return ""
     v = q_for_selection(tree, leaf, backup)
     backpropagate(tree, leaf, v, backup, iteration=it)
@@ -183,9 +185,9 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     Trace lines (one per iteration plus a closing ``stop`` line) are part of
     the result and documented in the README.
     """
-    config.validate()
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
+    snapshots = config.state_strategy == SNAPSHOT
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
                 else judge_independent_set)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
@@ -209,16 +211,15 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 continue
             positioned = position_env(tree, leaf, config.state_strategy)
             try:
-                pairs = expand_node(
-                    tree, leaf, proposer, positioned, proposer.ctx,
-                    config.expansion_factor, config.chunk_size,
-                    reflection=reflection, iteration=it,
-                    keep_snapshots=(config.state_strategy == SNAPSHOT))
+                played = expand_node(
+                    leaf, proposer, positioned, proposer.ctx,
+                    k=config.expansion_factor, chunk_size=config.chunk_size,
+                    reflection=reflection, iteration=it)
             except TaskInfeasible:
                 outcome = OUTCOME_INFEASIBLE
                 trace.append(f"iter={it} kind=stop outcome=infeasible leaf={leaf}")
                 break
-            if not pairs:
+            if not played:
                 # nothing admissible from here, ever: the proposer draw was
                 # empty, so treat the node as a dead end from now on
                 tree.mark_exhausted(leaf)
@@ -226,30 +227,33 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              + _reassert(tree, leaf, it, config.backup))
                 continue
 
-            child_ids = [cid for cid, _ in pairs]
-            siblings = [(tree.nodes[cid].action, obs) for cid, obs in pairs]
+            siblings = [(chunk, clone.observe()) for chunk, clone in played]
             try:
                 scores = judge_fn(rec.obs, siblings, env.instruction, judge,
                                   call_key=(it,), pool=action_pool)
             except JudgeFailure:
-                # abort the iteration: drop the unscored children so the
-                # leaf stays expandable and a later iteration retries fresh
-                tree.remove_tail(child_ids)
+                # abort the iteration: nothing entered the tree, so the leaf
+                # stays expandable and a later iteration retries fresh
                 trace.append(f"iter={it} kind=judge_failed leaf={leaf} "
-                             f"dropped={len(pairs)}")
+                             f"dropped={len(played)}")
                 continue
-            # a child's back-up touches only its ancestors, so scoring and
+            # a child's back-up touches only its ancestors, so adding and
             # backing up one child at a time leaves every value unchanged
-            for cid, score in zip(child_ids, scores):
-                tree.set_init_value(cid, score)
+            child_ids = []
+            for (chunk, clone), (_, obs), score in zip(played, siblings, scores):
+                cid = tree.add_child(leaf, chunk, score,
+                                     state_ref=clone if snapshots else None,
+                                     obs=obs, terminal=obs.terminal)
                 backpropagate(tree, cid, tree.nodes[cid].init_value,
                               config.backup, iteration=it)
+                child_ids.append(cid)
             trace.append(
                 f"iter={it} kind=expand leaf={leaf} depth={rec.depth} "
-                f"b*={len(pairs)} children={child_ids} "
+                f"b*={len(played)} children={child_ids} "
                 f"scores={_fmt_scores(scores)} backup={config.backup}")
 
-            winners = [cid for cid, obs in pairs if obs.terminal == "success"]
+            winners = [cid for cid, (_, obs) in zip(child_ids, siblings)
+                       if obs.terminal == "success"]
             if winners:
                 outcome = OUTCOME_SUCCESS
                 success_node = winners[0]
@@ -257,7 +261,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"node={success_node}")
                 break
 
-            best_idx = max(range(len(pairs)), key=lambda i: scores[i])
+            best_idx = max(range(len(played)), key=lambda i: scores[i])
             reflection = reflector.reflect(
                 [(tree.nodes[nid].action,
                   q_for_selection(tree, nid, config.backup))

@@ -108,7 +108,6 @@ def test_clone_isolation():
     dup.step("open_menu")
     assert env.screen == "home"
     assert dup.screen == "menu"
-    assert env.state() != dup.state()
 
 
 def test_observation_lists_sorted_surfaces():

@@ -8,7 +8,7 @@ from alphauct.envs import GuiGraphEnv, load_fixture
 from alphauct.expansion import (admit_candidates, chunk_key, expand_node,
                                 lexical_key, make_chunk, normalize_action)
 from alphauct.proposer import proposer_from_fixture
-from alphauct.tree import ROOT, SearchTree, TreeError
+from alphauct.tree import ROOT, TreeError
 
 PLAIN = {}  # no aliases: lexical keys only
 
@@ -90,45 +90,44 @@ def test_expand_node_on_fixture():
     spec = load_fixture("trap3")
     env = GuiGraphEnv(spec)
     prop = proposer_from_fixture(spec, seed=0)
-    tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
-    out = expand_node(tree, ROOT, prop, env, spec.alias_context(), 5, 1)
+    out = expand_node(ROOT, prop, env, spec.alias_context(), k=5, chunk_size=1)
     assert 1 <= len(out) <= 5
-    keys = [tree.nodes[cid].action.norm_key for cid, _ in out]
+    keys = [chunk.norm_key for chunk, _ in out]
     assert len(set(keys)) == len(keys)
-    for cid, obs in out:
-        assert tree.nodes[cid].parent == ROOT
-        assert tree.nodes[cid].obs is obs
-        assert tree.nodes[cid].init_value is None  # judged later, not here
+    assert env.screen == spec.start  # candidates play on clones
+    for chunk, after in out:
+        ref = env.clone()
+        ref.step(chunk.atoms[0])
+        assert after is not env and after.observe() == ref.observe()
 
 
 def test_expand_node_validates_budget_and_terminals():
     spec = load_fixture("trap3")
     env = GuiGraphEnv(spec)
     prop = proposer_from_fixture(spec, seed=0)
-    tree = SearchTree()
+    aliases = spec.alias_context()
     with pytest.raises(ValueError):
-        expand_node(tree, ROOT, prop, env, spec.alias_context(), 0, 1)
+        expand_node(ROOT, prop, env, aliases, k=0, chunk_size=1)
     with pytest.raises(ValueError):
-        expand_node(tree, ROOT, prop, env, spec.alias_context(), 3, 0)
+        expand_node(ROOT, prop, env, aliases, k=3, chunk_size=0)
+    with pytest.raises(TypeError):  # the budget is keyword-only
+        expand_node(ROOT, prop, env, aliases, 3, 1)
     env.step("open the lobby door")
     env.step("open the closet")  # trap screen is absorbing
     with pytest.raises(TreeError):
-        expand_node(tree, ROOT, prop, env, spec.alias_context(), 3, 1)
+        expand_node(ROOT, prop, env, aliases, k=3, chunk_size=1)
 
 
 def test_chunked_expansion_produces_multi_atom_edges():
     spec = load_fixture("deep7")
     env = GuiGraphEnv(spec)
     prop = proposer_from_fixture(spec, seed=1)
-    tree = SearchTree()
-    out = expand_node(tree, ROOT, prop, env, spec.alias_context(), 4, 3)
+    out = expand_node(ROOT, prop, env, spec.alias_context(), k=4, chunk_size=3)
     assert out
-    assert any(len(tree.nodes[cid].action.atoms) > 1 for cid, _ in out)
-    for cid, _ in out:
-        atoms = tree.nodes[cid].action.atoms
-        assert 1 <= len(atoms) <= 3
-        assert tree.nodes[cid].action.norm_key == \
-            chunk_key(atoms, spec.alias_context())
+    assert any(len(chunk.atoms) > 1 for chunk, _ in out)
+    for chunk, _ in out:
+        assert 1 <= len(chunk.atoms) <= 3
+        assert chunk.norm_key == chunk_key(chunk.atoms, spec.alias_context())
 
 
 class CountingEnv:
@@ -157,8 +156,8 @@ def _expand_counted(chunk_size, k=6):
     for it in range(1, 9):
         counts = {"clone": 0, "step": 0}
         env = CountingEnv(GuiGraphEnv(spec), counts)
-        out = expand_node(SearchTree(), ROOT, prop, env, spec.alias_context(),
-                          k, chunk_size, iteration=it)
+        out = expand_node(ROOT, prop, env, spec.alias_context(), k=k,
+                          chunk_size=chunk_size, iteration=it)
         yield len(out), k, counts["clone"], counts["step"]
 
 

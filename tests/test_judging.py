@@ -16,6 +16,14 @@ def sib(screen: str):
             type("Obs", (), {"screen": screen, "terminal": "none"})())
 
 
+@pytest.mark.parametrize("field", ["noise_std", "shared_offset_std",
+                                   "latency_s"])
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+def test_spec_rejects_negative_and_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        SimJudgeSpec(**{field: value})
+
+
 def test_noiseless_judge_returns_true_values():
     judge = SimJudge(SimJudgeSpec(), VALUES)
     res = judge_comparative("root", [sib("lobby"), sib("vault")], "go", judge)

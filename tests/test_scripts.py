@@ -54,3 +54,13 @@ def test_calibrate_trap3_reports_every_direction():
     assert "c=0.4 off=0.2 noise=0.05 iters=10:" in proc.stdout
     for name, _, _ in DIRECTIONS:
         assert f"  {name}: z=" in proc.stdout
+
+
+def test_calibrate_trap3_rejects_nan_judge_noise():
+    """A NaN judge knob is an error, not a grid of perfect successes."""
+    proc = run_script(ROOT / "scripts" / "calibrate_trap3.py",
+                      "--seeds", "20", "--skip-noiseless", "--noise", "nan",
+                      "--offset", "nan")
+    assert proc.returncode != 0
+    assert "must be finite and >= 0" in proc.stderr
+    assert "c=" not in proc.stdout

@@ -121,9 +121,70 @@ def test_judge_failure_aborts_iteration_and_recovers():
     assert len(failed) == 1
     assert "dropped=" in failed[0]
     assert res.outcome == OUTCOME_SUCCESS  # later iteration retried fresh
-    # aborted children were backed out: no unscored nodes survive
+    # the aborted set never entered the tree: every child is judged
     for nid in range(1, len(res.tree)):
         assert res.tree.nodes[nid].init_value is not None
+
+
+class FaultyJudge(SimJudge):
+    """Raises ``JudgeFailure`` on every third call that can fail, the first
+    included: each joint call when comparative, and each isolated call past a
+    set's first sibling when independent, so earlier siblings of that set
+    were already scored."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = self.faults = 0
+
+    def _maybe_fail(self):
+        self.calls += 1
+        if self.calls % 3 == 1:
+            self.faults += 1
+            raise JudgeFailure(f"fault {self.faults}")
+
+    def score_set(self, prepared, instruction, key):
+        self._maybe_fail()
+        return super().score_set(prepared, instruction, key)
+
+    def score_one(self, prepared, instruction, key):
+        if key[-1] > 0:
+            self._maybe_fail()
+        return super().score_one(prepared, instruction, key)
+
+
+@pytest.mark.parametrize("judge_mode", ["comparative", "independent"])
+@pytest.mark.parametrize("fixture, cfg", [
+    ("trap3", dict(seed=2)),
+    ("deep7", dict(chunk_size=2, seed=1)),
+    ("wide16", dict(seed=4)),
+    ("bottleneck2", dict(seed=3)),
+])
+def test_judge_faults_leave_a_judged_tree(fixture, cfg, judge_mode):
+    """Each judge fault costs one iteration and inserts nothing: the tree
+    passes the backup oracle and holds no unjudged child, deterministically."""
+    spec = load_fixture(fixture)
+    config = SearchConfig(judge_mode=judge_mode, max_iterations=12, **cfg)
+    runs = []
+    for _ in range(2):
+        judge = FaultyJudge(SimJudgeSpec(noise_std=0.3, seed=config.seed),
+                            spec.values)
+        res = run_search(GuiGraphEnv(spec),
+                         proposer_from_fixture(spec, seed=config.seed), judge,
+                         SimReflector(), config)
+        runs.append((res.tree.dump(), res.trace))
+    failed = [ln for ln in res.trace if "kind=judge_failed" in ln]
+    assert len(failed) == judge.faults
+    # deep7 is a corridor: every sibling set has one member, so an
+    # independent judge never makes a call past a first sibling
+    assert failed or (fixture, judge_mode) == ("deep7", "independent")
+    tree = res.tree
+    admitted = [ln.split("b*=")[1].split()[0] for ln in res.trace
+                if "kind=expand" in ln]
+    assert len(tree) - 1 == sum(map(int, admitted))  # faults inserted nothing
+    for nid in range(len(tree)):
+        assert tree.nodes[nid].q_max == tree.subtree_max_oracle(nid)
+        assert (tree.nodes[nid].init_value is None) == (nid == ROOT)
+    assert runs[0] == runs[1]
 
 
 def test_empty_proposals_route_to_exhausted():
@@ -169,7 +230,7 @@ def test_config_validation():
                 dict(selection="greedy"), dict(state_strategy="teleport"),
                 dict(parallel_actions=-1), dict(seed=-1)):
         with pytest.raises(ValueError):
-            SearchConfig(**bad).validate()
+            SearchConfig(**bad)
 
 
 def test_position_env_snapshot_and_replay():
@@ -179,13 +240,13 @@ def test_position_env_snapshot_and_replay():
     child_env = env.clone()
     child_env.step("open the lobby door")
     cid = tree.add_child(ROOT, ActionChunk(("open the lobby door",), "open_lobby"),
-                         state_ref=child_env, obs=child_env.observe())
+                         0.0, state_ref=child_env, obs=child_env.observe())
     snap = position_env(tree, cid, "snapshot")
     rep = position_env(tree, cid, "replay")
     assert snap.observe() == rep.observe()
     assert snap is not child_env  # positioned envs are clones
 
-    bare = tree.add_child(cid, ActionChunk(("x",), "x"))  # no snapshot stored
+    bare = tree.add_child(cid, ActionChunk(("x",), "x"), 0.0)  # no snapshot
     with pytest.raises(StateError):
         position_env(tree, bare, "snapshot")
     with pytest.raises(ValueError):
@@ -202,7 +263,7 @@ def test_replay_divergence_detected():
     child_env = env.clone()
     child_env.step("open the lobby door")
     cid = tree.add_child(ROOT, ActionChunk(("open the closet",), "open_closet"),
-                         state_ref=child_env, obs=child_env.observe())
+                         0.0, state_ref=child_env, obs=child_env.observe())
     # recorded obs came from the lobby route but the edge replays the closet
     with pytest.raises(ReplayDivergence):
         position_env(tree, cid, "replay")
@@ -212,9 +273,10 @@ def test_extract_best_path_breaks_ties_earliest():
     t = SearchTree()
     a = t.add_child(ROOT, ActionChunk(("a",), "a"), init_value=0.5)
     t.add_child(ROOT, ActionChunk(("b",), "b"), init_value=0.5)
-    t.add_child(a, ActionChunk(("c",), "c"))  # unscored: descent stops above
+    t.add_child(a, ActionChunk(("c",), "c"), init_value=0.2)
+    t.add_child(a, ActionChunk(("d",), "d"), init_value=0.2)
     path = extract_best_path(t)
-    assert [c.norm_key for c in path] == ["a"]
+    assert [c.norm_key for c in path] == ["a", "c"]
 
 
 def test_reflection_boosts_the_previous_best_path(monkeypatch):

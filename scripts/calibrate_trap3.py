@@ -10,6 +10,7 @@ ones the ``ablation_direction`` gate requires), plus the noiseless sanity run.
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from dataclasses import replace
@@ -29,13 +30,33 @@ def noiseless_rate(spec, seeds, *, expansion, iterations):
         for s in seeds)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``error:`` line, exit 2, without the usage
+    block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def knob(text: str) -> float:
+    """A search or judge knob: a finite number >= 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text!r}")
+    return x
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser()
+    ap = _Parser()
     ap.add_argument("--seeds", type=int, default=100)
-    ap.add_argument("--c", type=float, nargs="*", default=[ABLATION_CONFIG.c])
-    ap.add_argument("--offset", type=float, nargs="*",
+    ap.add_argument("--c", type=knob, nargs="*", default=[ABLATION_CONFIG.c])
+    ap.add_argument("--offset", type=knob, nargs="*",
                     default=[ABLATION_JUDGE.shared_offset_std])
-    ap.add_argument("--noise", type=float, nargs="*",
+    ap.add_argument("--noise", type=knob, nargs="*",
                     default=[ABLATION_JUDGE.noise_std])
     ap.add_argument("--iters", type=int, nargs="*",
                     default=[ABLATION_CONFIG.max_iterations])

@@ -4,10 +4,13 @@ Two modes: ``max`` retains the best value seen in each subtree (sharp signals
 survive averaging), ``mean`` is the classic running average kept as an
 ablation.  Visit counts increment identically in both modes, so exploration
 terms are mode-independent and ablations isolate the exploitation statistic.
+``backpropagate`` validates the leaf id once and then reads ``tree.nodes``
+directly along the parent links, which a valid id's ancestors always are.
 """
 from __future__ import annotations
 
-from .tree import EvalEvent, SearchTree, TreeError, _check_value
+from .tree import (NO_PARENT, ROOT, EvalEvent, SearchTree, TreeError,
+                   _check_value)
 
 MAX = "max"
 MEAN = "mean"
@@ -20,24 +23,36 @@ def backpropagate(tree: SearchTree, leaf: int, value: float, mode: str = MAX,
 
     Every node on the path gets a visit; the value statistic updates on proper
     ancestors only — the leaf's own statistic was fixed when it was judged, so
-    a fresh evaluation never overwrites the evaluated node itself.
+    a fresh evaluation never overwrites the evaluated node itself.  One walk
+    up the parent links does both and collects the path for the event log.
     """
     if mode not in MODES:
         raise ValueError(f"unknown backup mode {mode!r}")
     value = _check_value(value)
-    path = tree.path_to_root(leaf)
-    for nid in path:
-        tree.nodes[nid].visit_count += 1
-    for nid in path[:-1]:
-        rec = tree.nodes[nid]
-        rec.q_max = value if rec.q_max is None else max(rec.q_max, value)
-        if mode == MEAN:
+    nodes = tree.nodes
+    if not 0 <= leaf < len(nodes):
+        raise TreeError(f"unknown node id {leaf}")
+    mean = mode == MEAN
+    rec = nodes[leaf]
+    rec.visit_count += 1
+    path = [leaf]
+    nid = rec.parent
+    while nid != NO_PARENT:
+        path.append(nid)
+        rec = nodes[nid]
+        rec.visit_count += 1
+        if rec.q_max is None or value > rec.q_max:
+            rec.q_max = value
+        if mean:
             if rec.q_mean is None:
                 rec.q_mean = value
             else:
                 rec.q_mean += (value - rec.q_mean) / rec.visit_count
-    tree.record_event(EvalEvent(iteration=iteration, leaf=leaf, value=value,
-                                path=tuple(path)))
+        nid = rec.parent
+    if path[-1] != ROOT:
+        raise TreeError(f"node {leaf} is not rooted")
+    path.reverse()
+    tree.events.append(EvalEvent(iteration, leaf, value, tuple(path)))
 
 
 def q_for_selection(tree: SearchTree, node_id: int, mode: str = MAX) -> float:

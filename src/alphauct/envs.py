@@ -3,9 +3,13 @@
 Screen graphs model app navigation: screens connected by canonical actions,
 each canonical action carrying several surface spellings (aliases).  Stepping
 resolves a surface string to its canonical action; unknown or inapplicable
-actions are harmless self-loops.  Goal/trap screens are absorbing with reward
-+1/-1 on entry.  Environments clone cheaply and exactly, which is what the
-snapshot positioning strategy relies on.
+actions are harmless self-loops.  Goal and trap screens are absorbing: an
+observation reports which one was entered (``terminal`` is ``success`` or
+``failure``), and the judge, not the environment, scores screens.
+Environments clone cheaply and exactly, which is what the snapshot
+positioning strategy relies on.  Each screen's proposal table (the policy's
+canonical ids, weights, running weight sums and surface spellings) is built
+once, with the spec.
 
 Fixture files are plain text, one section per bracketed header::
 
@@ -31,8 +35,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,6 +61,16 @@ class Observation:
     terminal: str = TERMINAL_NONE
 
 
+class ProposalTable(NamedTuple):
+    """One screen's ``[policy]`` entries, ready for weighted draws."""
+
+    canons: tuple[str, ...]
+    weights: tuple[float, ...]
+    cum: tuple[float, ...]  # running sums of ``weights``
+    total: float  # ``cum[-1]``
+    surfaces: tuple[tuple[str, ...], ...]  # ``surfaces_of`` per canonical
+
+
 @dataclass(frozen=True)
 class ProposerParams:
     """The scripted proposer's knobs (see ``proposer``): a fixture's
@@ -68,8 +83,12 @@ class ProposerParams:
     def __post_init__(self):
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError("duplicate_rate must be in [0, 1]")
-        if not self.reflection_gain >= 0:
-            raise ValueError("reflection_gain must be >= 0")
+        gain = self.reflection_gain
+        if not (gain >= 0 and math.isfinite(gain)):  # inf x 0 boost is NaN
+            raise ValueError("reflection_gain must be >= 0 and finite")
+        if type(self.infeasible_after) is not int:
+            raise ValueError(f"infeasible_after must be a whole number, "
+                             f"got {self.infeasible_after!r}")
         if not self.infeasible_after >= 0:
             raise ValueError("infeasible_after must be >= 0")
 
@@ -127,11 +146,13 @@ class GuiGraphSpec:
                 if (screen, canon) not in self.edges:
                     raise FixtureError(
                         f"policy action {canon!r} has no edge at {screen!r}")
-                if not w > 0:
-                    raise FixtureError("policy weights must be positive")
+                if not (w > 0 and math.isfinite(w)):
+                    raise FixtureError(
+                        "policy weights must be positive and finite")
         object.__setattr__(self, "_out", self._build_out())
         object.__setattr__(self, "_resolver", self._build_resolver())
         object.__setattr__(self, "_obs_cache", self._build_obs())
+        object.__setattr__(self, "_proposals", self._build_proposals())
         self._check_reachable()
 
     # derived tables -------------------------------------------------------
@@ -171,6 +192,19 @@ class GuiGraphSpec:
                                         self.terminal_of(screen))
         return cache
 
+    def _build_proposals(self):
+        tables = {}
+        for screen, entries in self.policy.items():
+            if not entries:
+                continue
+            canons = tuple(canon for canon, _ in entries)
+            weights = tuple(float(w) for _, w in entries)
+            cum = tuple(accumulate(weights))
+            tables[screen] = ProposalTable(
+                canons, weights, cum, cum[-1],
+                tuple(self.surfaces_of(canon) for canon in canons))
+        return tables
+
     def _check_reachable(self):
         seen = {self.start}
         queue = deque([self.start])
@@ -200,9 +234,6 @@ class GuiGraphSpec:
             hit = self._resolver.get(lexical_key(trimmed))
         return hit
 
-    def observation(self, screen: str) -> Observation:
-        return self._obs_cache[screen]
-
     def alias_context(self) -> dict[str, str]:
         """Alias map for ``expansion.normalize_action``: every surface
         spelling, and its lexical key, mapped to its canonical id."""
@@ -210,6 +241,10 @@ class GuiGraphSpec:
 
     def surfaces_of(self, canon: str) -> tuple[str, ...]:
         return self.aliases.get(canon) or (canon,)
+
+    def proposal_table(self, screen: str) -> ProposalTable | None:
+        """The screen's proposal table; None if its policy is empty."""
+        return self._proposals.get(screen)
 
 
 class GuiGraphEnv:
@@ -229,25 +264,18 @@ class GuiGraphEnv:
         return self._screen
 
     def observe(self) -> Observation:
-        return self.spec.observation(self._screen)
+        return self.spec._obs_cache[self._screen]
 
-    def step(self, action: str) -> tuple[Observation, float]:
-        obs = self.observe()
-        if obs.terminal != TERMINAL_NONE:
-            return obs, 0.0  # absorbing
+    def step(self, action: str) -> None:
+        """Apply one surface action; ``observe`` shows where it led."""
+        if self.observe().terminal != TERMINAL_NONE:
+            return  # absorbing
         canon = self.spec.resolve(action)
         if canon is None:
-            return obs, 0.0  # unrecognized action: self-loop
+            return  # unrecognized action: self-loop
         dst = self.spec.edges.get((self._screen, canon))
-        if dst is None:
-            return obs, 0.0  # recognized but inapplicable here: self-loop
-        self._screen = dst
-        new_obs = self.observe()
-        if new_obs.terminal == TERMINAL_SUCCESS:
-            return new_obs, 1.0
-        if new_obs.terminal == TERMINAL_FAILURE:
-            return new_obs, -1.0
-        return new_obs, 0.0
+        if dst is not None:  # else recognized but inapplicable: self-loop
+            self._screen = dst
 
     def clone(self) -> "GuiGraphEnv":
         dup = GuiGraphEnv(self.spec)

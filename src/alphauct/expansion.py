@@ -96,11 +96,11 @@ def normalize_action(action: str, aliases: Mapping[str, str]) -> str:
     trimmed = action.strip()
     if not trimmed:
         raise ValueError("empty action string")
-    key = lexical_key(trimmed)
     hit = aliases.get(trimmed)
-    if hit is None:
-        hit = aliases.get(key)
-    return key if hit is None else hit
+    if hit is not None:
+        return hit
+    key = lexical_key(trimmed)
+    return aliases.get(key, key)
 
 
 def chunk_key(atoms: Sequence[str], aliases: Mapping[str, str]) -> str:
@@ -110,7 +110,10 @@ def chunk_key(atoms: Sequence[str], aliases: Mapping[str, str]) -> str:
 
 
 def make_chunk(atoms: Sequence[str], aliases: Mapping[str, str]) -> ActionChunk:
-    return ActionChunk(tuple(atoms), chunk_key(atoms, aliases))
+    atoms = tuple(atoms)
+    if len(atoms) == 1:  # the common case: its key is the atom's key
+        return ActionChunk(atoms, normalize_action(atoms[0], aliases))
+    return ActionChunk(atoms, chunk_key(atoms, aliases))
 
 
 def admit_candidates(candidates: Iterable[ActionChunk | Sequence[str]],

@@ -51,7 +51,8 @@ class SimJudgeSpec:
 
 
 def _clamp(x: float) -> float:
-    return max(-1.0, min(1.0, x))
+    """``max(-1.0, min(1.0, x))``, NaN included, without the two calls."""
+    return x if -1.0 <= x <= 1.0 else (-1.0 if x < -1.0 else 1.0)
 
 
 class SimJudge:
@@ -77,9 +78,10 @@ class SimJudge:
         """One joint call: a single shared offset perturbs all items."""
         rng = derive_rng(self.spec.seed, "judge-set", *key)
         offset = self.spec.shared_offset_std * rng.standard_normal()
-        return tuple(_clamp(self._true(p) + offset
-                            + self.spec.noise_std * rng.standard_normal())
-                     for p in prepared)
+        noise_std = self.spec.noise_std
+        return tuple([_clamp(self._true(p) + offset
+                             + noise_std * rng.standard_normal())
+                      for p in prepared])
 
     def score_one(self, prepared: str, instruction: str, key) -> float:
         rng = derive_rng(self.spec.seed, "judge-one", *key)
@@ -90,14 +92,13 @@ class SimJudge:
 
 def _prepare_all(parent_obs, siblings, judge, call_key,
                  pool: Executor | None):
-    items = list(siblings)
+    prepare = judge.prepare
     if pool is not None:
-        futs = [pool.submit(judge.prepare, parent_obs, chunk, obs,
-                            (*call_key, i))
-                for i, (chunk, obs) in enumerate(items)]
+        futs = [pool.submit(prepare, parent_obs, chunk, obs, (*call_key, i))
+                for i, (chunk, obs) in enumerate(siblings)]
         return [f.result() for f in futs]
-    return [judge.prepare(parent_obs, chunk, obs, (*call_key, i))
-            for i, (chunk, obs) in enumerate(items)]
+    return [prepare(parent_obs, chunk, obs, (*call_key, i))
+            for i, (chunk, obs) in enumerate(siblings)]
 
 
 def judge_comparative(parent_obs, siblings: Sequence[tuple[ActionChunk, object]],
@@ -109,7 +110,7 @@ def judge_comparative(parent_obs, siblings: Sequence[tuple[ActionChunk, object]]
         raise ValueError("empty sibling set")
     prepared = _prepare_all(parent_obs, siblings, judge, call_key, pool)
     scores = judge.score_set(prepared, instruction, tuple(call_key))
-    return tuple(float(s) for s in scores)
+    return tuple([float(s) for s in scores])
 
 
 def judge_independent_set(parent_obs,
@@ -126,6 +127,6 @@ def judge_independent_set(parent_obs,
     if not siblings:
         raise ValueError("empty sibling set")
     prepared = _prepare_all(parent_obs, siblings, judge, call_key, pool)
-    return tuple(float(judge.score_one(p, instruction, (*call_key, i)))
-                 for i, p in enumerate(prepared))
+    return tuple([float(judge.score_one(p, instruction, (*call_key, i)))
+                  for i, p in enumerate(prepared)])
 

@@ -14,10 +14,15 @@ non-zero) the proposer declares the task infeasible.
 Every draw is keyed by (iteration, leaf, slot, draw): each proposal takes two
 or three scalar counter-based draws under its own key, so proposal streams are
 reproducible and independent of scheduling, and no numpy generator is built.
-A ``propose`` call derives its key prefix once with ``rng.derive_rng`` and
-extends it per proposal with ``KeyedDraws.child``.  Duplicates are left in
-the returned list: expansion drops a repeated one-atom proposal by its
-normalized key before the action is ever played.
+A ``propose`` call derives its key prefix once with ``rng.derive_rng``; each
+proposal slot ``j`` then hashes once, with ``KeyedDraws.child_words(j)``, and
+takes its draws from those words with the arithmetic of
+``KeyedDraws.random`` and ``integers``, so the draws equal those of
+``call.child(j)``.  The weighted draw reads the screen's
+``GuiGraphSpec.proposal_table``, built with the spec; its running weight sums
+are rebuilt only when the reflection boosts one of that screen's canonical
+ids.  Duplicates are left in the returned list: expansion drops a repeated
+one-atom proposal by its normalized key before the action is ever played.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 from .envs import GuiGraphSpec, ProposerParams
-from .rng import derive_rng
+from .rng import _UNIT, derive_rng
 
 
 class TaskInfeasible(RuntimeError):
@@ -37,7 +42,8 @@ def proposer_from_fixture(spec: GuiGraphSpec, seed: int = 0,
                           **overrides) -> "SimProposer":
     """Build the proposer a fixture describes; ``overrides`` replace fields
     of its ``ProposerParams`` (an unknown name raises ``TypeError``)."""
-    return SimProposer(spec, replace(spec.proposer, **overrides), seed)
+    params = replace(spec.proposer, **overrides) if overrides else spec.proposer
+    return SimProposer(spec, params, seed)
 
 
 class SimProposer:
@@ -66,30 +72,33 @@ class SimProposer:
         if p.infeasible_after and iteration > p.infeasible_after:
             raise TaskInfeasible(
                 f"proposer gave up after iteration {p.infeasible_after}")
-        entries = self.spec.policy.get(screen, ())
-        if not entries:
+        table = self.spec.proposal_table(screen)
+        if table is None:
             return []
-        weights = []
-        for canon, w in entries:
-            boost = 0.0
-            if reflection is not None and p.reflection_gain > 0:
-                boost = reflection.get(canon, 0.0)
-            weights.append(w * (1.0 + p.reflection_gain * boost))
-        cum = list(accumulate(weights))
-        total = cum[-1]
+        canons, weights, cum, total, surfaces = table
+        gain = p.reflection_gain
+        if reflection and gain > 0 and not reflection.keys().isdisjoint(canons):
+            cum = tuple(accumulate(w * (1.0 + gain * reflection.get(canon, 0.0))
+                                   for canon, w in zip(canons, weights)))
+            total = cum[-1]
+        dup_rate = p.duplicate_rate
         phase = (0, 0, 0) if slot is None else (1, slot[0], slot[1])
         call = derive_rng(self.seed, "prop", iteration, leaf, *phase)
-        draws: list[str] = []  # canonical per draw, for duplicate sourcing
+        picks: list[int] = []  # entry index per draw, for duplicate sourcing
         out: list[str] = []
         for j in range(k):
-            rng = call.child(j)
-            if j > 0 and p.duplicate_rate > 0 and \
-                    rng.random() < p.duplicate_rate:
-                canon = draws[rng.integers(0, j)]
+            # draw d of slot j is the 53 bits words[d] >> 11 of call.child(j)
+            words = call.child_words(j)
+            d = 0
+            copy = False
+            if j > 0 and dup_rate > 0:
+                copy = (words[0] >> 11) * _UNIT < dup_rate
+                d = 1
+            if copy:
+                pick = picks[((words[d] >> 11) * j) >> 53]
             else:
-                canon = entries[bisect_right(cum, rng.random() * total)][0]
-            surfaces = self.spec.surfaces_of(canon)
-            surface = surfaces[rng.integers(0, len(surfaces))]
-            draws.append(canon)
-            out.append(surface)
+                pick = bisect_right(cum, (words[d] >> 11) * _UNIT * total)
+            spellings = surfaces[pick]
+            picks.append(pick)
+            out.append(spellings[((words[d + 1] >> 11) * len(spellings)) >> 53])
         return out

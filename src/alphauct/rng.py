@@ -12,10 +12,14 @@ and the block counter ``i // 8``, so a draw costs one hash per eight draws and
 no generator state is built.  The hash state is kept after the key has been
 absorbed and copied for each block, and ``child(part)`` extends a key by one
 part from a copy of that state: a caller with many sibling keys, such as the
-proposer's slots, absorbs their shared prefix once.  The search core
-(proposer, judge) takes its scalar draws this way.  Code that draws in bulk
-blocks (the bandit and regret laboratory) calls ``.generator()``, which builds
-the PCG64 ``Generator`` seeded from the same key.
+proposer's slots, absorbs their shared prefix once.  ``child_words(part)``
+returns the first hash block of ``child(part)`` as eight raw 64-bit words,
+from one state copy and one update, for a caller that needs at most eight
+draws of each sibling key and does the ``random``/``integers`` arithmetic
+itself.  The search core (proposer, judge) takes its scalar draws this way.
+Code that draws in bulk blocks (the bandit and regret laboratory) calls
+``.generator()``, which builds the PCG64 ``Generator`` seeded from the same
+key.
 """
 from __future__ import annotations
 
@@ -29,8 +33,15 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _WORDS = struct.Struct("<8Q")  # one 64-byte blake2b digest
 _PART = struct.Struct("<Q")  # one key part or block counter
+_PART_BLOCK0 = struct.Struct("<2Q")  # one key part, then block counter 0
 _UNIT = 2.0 ** -53
 _inv_cdf = NormalDist().inv_cdf
+
+
+@lru_cache(maxsize=None)
+def _key_struct(n: int) -> struct.Struct:
+    """The packing of an ``n``-part key."""
+    return struct.Struct(f"<{n}Q")
 
 
 @lru_cache(maxsize=1024)
@@ -42,6 +53,8 @@ def _str_to_int(part: str) -> int:
 def _part_to_int(part) -> int:
     if type(part) is int:  # the common case; bool is a subclass, not int
         return part & _MASK64
+    if type(part) is str:  # the next most common: a short tag
+        return _str_to_int(part)
     if isinstance(part, (bool,)):
         raise TypeError("bool is not a valid rng key part")
     if isinstance(part, (int, np.integer)):
@@ -65,7 +78,7 @@ class KeyedDraws:
         # ``state`` is the hash with the key already absorbed
         if state is None:
             state = hashlib.blake2b(
-                struct.pack(f"<{len(entropy)}Q", *entropy), digest_size=64)
+                _key_struct(len(entropy)).pack(*entropy), digest_size=64)
         self._state = state
         self._words: tuple[int, ...] = ()
         self._drawn = 0
@@ -77,6 +90,16 @@ class KeyedDraws:
         state = self._state.copy()
         state.update(_PART.pack(value))
         return KeyedDraws(self.entropy + (value,), state)
+
+    def child_words(self, part) -> tuple[int, ...]:
+        """The first eight 64-bit words of ``child(part)``: draw ``i < 8`` of
+        that child has the 53 bits ``child_words(part)[i] >> 11``.  One state
+        copy absorbs ``part`` and block counter 0 together, and no child
+        object is built."""
+        value = part & _MASK64 if type(part) is int else _part_to_int(part)
+        block = self._state.copy()
+        block.update(_PART_BLOCK0.pack(value, 0))
+        return _WORDS.unpack(block.digest())
 
     def _next_bits(self) -> int:
         """The next 53-bit draw."""
@@ -112,4 +135,5 @@ def derive_rng(*parts) -> KeyedDraws:
     """Keyed draws for a logical call key; same key, same draws."""
     if not parts:
         raise ValueError("empty rng key")
-    return KeyedDraws(tuple(map(_part_to_int, parts)))
+    return KeyedDraws(tuple([part & _MASK64 if type(part) is int
+                             else _part_to_int(part) for part in parts]))

@@ -21,6 +21,7 @@ logical call indexes, so parallel runs are bit-identical to serial ones.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -33,7 +34,7 @@ from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure, SimJudge,
                       SimJudgeSpec, judge_comparative, judge_independent_set)
 from .proposer import TaskInfeasible, proposer_from_fixture
 from .selection import ALPHA_UCT, KINDS, SelectionPolicy, select_leaf
-from .tree import ROOT, ActionChunk, SearchTree
+from .tree import NO_PARENT, ROOT, ActionChunk, SearchTree
 
 SNAPSHOT = "snapshot"
 REPLAY = "replay"
@@ -52,6 +53,10 @@ class StateError(RuntimeError):
     pass
 
 
+_INT_FIELDS = ("expansion_factor", "max_iterations", "chunk_size", "max_depth",
+               "parallel_actions", "seed")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     c: float = 1.0
@@ -67,6 +72,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.expansion_factor < 1:
@@ -75,8 +84,8 @@ class SearchConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not self.c >= 0:
-            raise ValueError("exploration constant must be >= 0")
+        if not (self.c >= 0 and math.isfinite(self.c)):
+            raise ValueError("exploration constant must be finite and >= 0")
         if self.backup not in MODES:
             raise ValueError(f"unknown backup mode {self.backup!r}")
         if self.judge_mode not in JUDGE_MODES:
@@ -150,20 +159,18 @@ def position_env(tree: SearchTree, node_id: int, strategy: str):
 
 def extract_best_path(tree: SearchTree) -> tuple[ActionChunk, ...]:
     """Greedy max-value descent from the root; ties to the earliest child."""
+    nodes = tree.nodes
     path: list[ActionChunk] = []
-    node = ROOT
-    while True:
-        kids = tree.node(node).children
-        if not kids:
-            break
-        best = max(kids, key=lambda cid: tree.nodes[cid].q_max)
-        path.append(tree.nodes[best].action)
-        node = best
+    kids = nodes[ROOT].children
+    while kids:
+        best = max((nodes[cid] for cid in kids), key=lambda rec: rec.q_max)
+        path.append(best.action)
+        kids = best.children
     return tuple(path)
 
 
 def _fmt_scores(scores) -> str:
-    return "[" + ",".join(repr(float(s)) for s in scores) + "]"
+    return "[" + ",".join([repr(float(s)) for s in scores]) + "]"
 
 
 def _reassert(tree: SearchTree, leaf: int, it: int, backup: str) -> str:
@@ -188,6 +195,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     policy = SelectionPolicy(kind=config.selection, c=config.c,
                              value_mode=config.backup)
     snapshots = config.state_strategy == SNAPSHOT
+    use_max = config.backup == MAX
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
                 else judge_independent_set)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
@@ -203,7 +211,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
         for it in range(1, config.max_iterations + 1):
             iterations = it
             leaf = select_leaf(tree, policy)
-            rec = tree.node(leaf)
+            rec = tree.nodes[leaf]
             if rec.terminal != "none" or rec.depth >= config.max_depth:
                 trace.append(f"iter={it} kind=revisit leaf={leaf} "
                              f"depth={rec.depth}"
@@ -261,11 +269,16 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                              f"node={success_node}")
                 break
 
-            best_idx = max(range(len(played)), key=lambda i: scores[i])
-            reflection = reflector.reflect(
-                [(tree.nodes[nid].action,
-                  q_for_selection(tree, nid, config.backup))
-                 for nid in tree.path_to_root(leaf)[1:] + [child_ids[best_idx]]])
+            # the best child (the first of equal scores) and its ancestors
+            # below the root, root first, with their selection values
+            node = tree.nodes[child_ids[scores.index(max(scores))]]
+            steps = []
+            while node.parent != NO_PARENT:
+                steps.append((node.action,
+                              node.q_max if use_max else node.q_mean))
+                node = tree.nodes[node.parent]
+            steps.reverse()
+            reflection = reflector.reflect(steps)
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 

@@ -5,14 +5,16 @@ exploration term c*sqrt(sum_siblings_N / (N+1)); the +1 keeps the ratio
 defined at zero visits, so freshly judged children compete on their scores
 instead of being force-picked.  The classic log-ratio rule is kept for
 ablations and is undefined at zero visits (callers pick unvisited children
-first, as usual).
+first, as usual).  ``select_leaf`` validates its start node once and scores
+children from ``tree.nodes`` directly, with ``alpha_uct_score``'s
+expression written out in the same float order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .backup import MODES, q_for_selection
+from .backup import MAX, MODES, q_for_selection
 from .tree import ROOT, SearchTree, TreeError
 
 ALPHA_UCT = "alpha_uct"
@@ -58,23 +60,37 @@ def select_child(tree: SearchTree, node_id: int,
     kids = tree.node(node_id).children
     if not kids:
         raise TreeError(f"node {node_id} has no children")
+    return _best_child(tree, node_id, kids, policy)
+
+
+def _best_child(tree: SearchTree, node_id: int, kids: list[int],
+                policy: SelectionPolicy) -> int:
+    """``select_child`` on a known node with children ``kids``."""
+    if len(kids) == 1:  # both rules pick an only child, whatever its score
+        return kids[0]
+    nodes = tree.nodes
     if policy.kind == STANDARD_UCT:
         for cid in kids:
-            if tree.nodes[cid].visit_count == 0:
+            if nodes[cid].visit_count == 0:
                 return cid
-        n_parent = max(1, tree.node(node_id).visit_count)
+        n_parent = max(1, nodes[node_id].visit_count)
         best, best_score = kids[0], -math.inf
         for cid in kids:
             s = uct_score(q_for_selection(tree, cid, policy.value_mode),
-                          tree.nodes[cid].visit_count, n_parent, policy.c)
+                          nodes[cid].visit_count, n_parent, policy.c)
             if s > best_score:
                 best, best_score = cid, s
         return best
-    total = sum(tree.nodes[cid].visit_count for cid in kids)
+    # alpha_uct_score inline, same float expression; every child enters the
+    # tree judged, so both of its statistics are set
+    c = policy.c
+    use_max = policy.value_mode == MAX
+    recs = [nodes[cid] for cid in kids]
+    total = sum(rec.visit_count for rec in recs)
     best, best_score = kids[0], -math.inf
-    for cid in kids:
-        s = alpha_uct_score(q_for_selection(tree, cid, policy.value_mode),
-                            tree.nodes[cid].visit_count, total, policy.c)
+    for cid, rec in zip(kids, recs):
+        s = ((rec.q_max if use_max else rec.q_mean)
+             + c * math.sqrt(total / (rec.visit_count + 1)))
         if s > best_score:
             best, best_score = cid, s
     return best
@@ -83,9 +99,9 @@ def select_child(tree: SearchTree, node_id: int,
 def select_leaf(tree: SearchTree, policy: SelectionPolicy,
                 start: int = ROOT) -> int:
     """Descend by repeated child selection until a childless node is reached."""
-    tree.node(start)  # select_child only returns known nodes
+    tree.node(start)  # _best_child only returns known nodes
     nodes = tree.nodes
     node = start
-    while nodes[node].children:
-        node = select_child(tree, node, policy)
+    while kids := nodes[node].children:
+        node = _best_child(tree, node, kids, policy)
     return node

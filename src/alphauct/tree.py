@@ -6,12 +6,19 @@ A child enters the tree with its judged value, and only ``add_child`` and
 appended to an event log (value + the root path it was propagated along),
 which powers ``subtree_max_oracle`` — a brute-force recomputation of the max
 statistic used to audit incremental backups.
+
+``SearchTree.node`` validates an id at the public edge.  The hot paths of a
+search (``selection.select_leaf``, ``backup.backpropagate``, the loop in
+``search``) validate an id once and then index ``nodes`` directly: a valid
+node's children and ancestors are valid ids.  Edges (``ActionChunk``) and
+events (``EvalEvent``) are immutable named tuples, cheap to build by the
+thousand.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 ROOT = 0
 NO_PARENT = -1
@@ -27,22 +34,29 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ActionChunk:
-    """One tree edge: a short run of primitive actions executed back-to-back."""
-
+class _Edge(NamedTuple):
     atoms: tuple[str, ...]
     norm_key: str
 
-    def __post_init__(self):
-        if not self.atoms:
+
+class ActionChunk(_Edge):
+    """One tree edge: a short run of primitive actions executed back-to-back.
+
+    An immutable named pair ``(atoms, norm_key)``, checked on construction;
+    expansion builds one per proposed candidate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, atoms: tuple[str, ...], norm_key: str):
+        if not atoms:
             raise TreeError("empty action chunk")
-        if not self.norm_key:
+        if not norm_key:
             raise TreeError("action chunk without a normalized key")
+        return tuple.__new__(cls, (atoms, norm_key))
 
 
-@dataclass(frozen=True)
-class EvalEvent:
+class EvalEvent(NamedTuple):
     """One judged value and the root-first path it was propagated along."""
 
     iteration: int
@@ -51,7 +65,7 @@ class EvalEvent:
     path: tuple[int, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     parent: int
     depth: int

@@ -3,6 +3,7 @@ terminals, clone isolation), and the bandit reward family with its residual
 noise contract."""
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,42 +64,48 @@ def test_alias_law_every_surface_reaches_same_screen():
     for surface in ("open_menu", "Open the Menu", "open the menu",
                     "click(100, 40)", "Click (98, 42)"):
         env = GuiGraphEnv(spec)
-        obs, reward = env.step(surface)
+        assert env.step(surface) is None  # observe() shows where it led
+        obs = env.observe()
         assert obs.screen == "menu", surface
-        assert reward == 0.0
+        assert obs.terminal == "none"
 
 
 def test_unknown_and_inapplicable_actions_self_loop():
     spec = parse_fixture(MINI)
     env = GuiGraphEnv(spec)
-    obs, reward = env.step("dance wildly")
-    assert (obs.screen, reward) == ("home", 0.0)
-    obs, reward = env.step("claim")  # real action, wrong screen
-    assert (obs.screen, reward) == ("home", 0.0)
+    env.step("dance wildly")
+    obs = env.observe()
+    assert (obs.screen, obs.terminal) == ("home", "none")
+    env.step("claim")  # real action, wrong screen
+    obs = env.observe()
+    assert (obs.screen, obs.terminal) == ("home", "none")
 
 
 def test_terminal_rewards_and_absorption():
+    """Entering the goal or the trap ends the episode for good; the
+    environment reports which terminal it is and the judge scores it."""
     spec = parse_fixture(MINI)
     env = GuiGraphEnv(spec)
     env.step("open_menu")
-    obs, reward = env.step("claim")
-    assert obs.terminal == "success" and reward == 1.0
-    obs, reward = env.step("open_menu")  # absorbing: no way out, no reward
-    assert obs.screen == "prize" and reward == 0.0
+    env.step("claim")
+    assert env.observe().terminal == "success"
+    env.step("open_menu")  # absorbing: no way out
+    obs = env.observe()
+    assert obs.screen == "prize" and obs.terminal == "success"
 
     env2 = GuiGraphEnv(spec)
     env2.step("open_menu")
-    obs, reward = env2.step("fall")
-    assert obs.terminal == "failure" and reward == -1.0
+    env2.step("fall")
+    assert env2.observe().terminal == "failure"
 
 
 def test_closet_trap_pays_minus_one():
+    """The closet is trap3's failure terminal."""
     spec = load_fixture("trap3")
     env = GuiGraphEnv(spec)
     env.step("open_lobby")
-    obs, reward = env.step("go_closet")
-    assert obs.terminal == "failure"
-    assert reward == -1.0
+    env.step("go_closet")
+    assert env.observe().terminal == "failure"
 
 
 def test_clone_isolation():
@@ -131,6 +138,15 @@ def test_fixture_validation_errors(mangle, fragment):
     with pytest.raises(FixtureError) as err:
         parse_fixture(mangle(MINI))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+def test_policy_weights_must_be_positive_and_finite(weight):
+    """A spec built in code, not parsed, checks its policy weights too: an
+    infinite weight would make every proposal draw fail."""
+    spec = parse_fixture(MINI)
+    with pytest.raises(FixtureError, match="positive and finite"):
+        replace(spec, policy={"home": (("open_menu", weight),)})
 
 
 @pytest.mark.parametrize("tail, fragment", [

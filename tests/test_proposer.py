@@ -1,10 +1,16 @@
 """Proposal-stream contracts: length, keyed determinism, mode collapse under
-duplicate_rate, reflection steering, and the infeasibility declaration."""
-import pytest
+duplicate_rate, reflection steering, the infeasibility declaration, and the
+draws equal to a reference copy of the per-slot ``child(j)`` loop."""
+from bisect import bisect_right
+from itertools import accumulate
 
-from alphauct.envs import ProposerParams, load_fixture
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from alphauct.envs import ProposerParams, builtin_fixtures, load_fixture
 from alphauct.expansion import normalize_action
 from alphauct.proposer import TaskInfeasible, proposer_from_fixture
+from alphauct.rng import derive_rng
 
 
 def make_proposer(**overrides) -> tuple:
@@ -93,6 +99,12 @@ def test_spec_validation():
         ProposerParams(reflection_gain=-1.0)
     with pytest.raises(ValueError):
         ProposerParams(infeasible_after=-1)
+    with pytest.raises(ValueError):  # inf x a zero boost is a NaN weight
+        ProposerParams(reflection_gain=float("inf"))
+    with pytest.raises(ValueError):
+        ProposerParams(infeasible_after=2.5)
+    with pytest.raises(ValueError):
+        ProposerParams(infeasible_after=True)
 
 
 def test_surface_spellings_exercise_normalization():
@@ -104,3 +116,77 @@ def test_surface_spellings_exercise_normalization():
         for s in prop.propose("start", None, 3, iteration=it, leaf=0):
             spellings.setdefault(normalize_action(s, ctx), set()).add(s)
     assert any(len(v) > 1 for v in spellings.values())
+
+
+def reference_propose(prop, screen, reflection, k, *, iteration, leaf,
+                      slot=None):
+    """``SimProposer.propose`` as it drew before the slot words: weights
+    rebuilt on every call, one ``call.child(j)`` object per slot and its
+    ``random``/``integers`` draws."""
+    p = prop.params
+    if p.infeasible_after and iteration > p.infeasible_after:
+        raise TaskInfeasible("gave up")
+    entries = prop.spec.policy.get(screen, ())
+    if not entries:
+        return []
+    weights = []
+    for canon, w in entries:
+        boost = 0.0
+        if reflection is not None and p.reflection_gain > 0:
+            boost = reflection.get(canon, 0.0)
+        weights.append(w * (1.0 + p.reflection_gain * boost))
+    cum = list(accumulate(weights))
+    total = cum[-1]
+    phase = (0, 0, 0) if slot is None else (1, slot[0], slot[1])
+    call = derive_rng(prop.seed, "prop", iteration, leaf, *phase)
+    draws, out = [], []
+    for j in range(k):
+        rng = call.child(j)
+        if j > 0 and p.duplicate_rate > 0 and rng.random() < p.duplicate_rate:
+            canon = draws[rng.integers(0, j)]
+        else:
+            canon = entries[bisect_right(cum, rng.random() * total)][0]
+        surfaces = prop.spec.surfaces_of(canon)
+        draws.append(canon)
+        out.append(surfaces[rng.integers(0, len(surfaces))])
+    return out
+
+
+SPECS = {name: load_fixture(name) for name in builtin_fixtures()}
+
+
+@st.composite
+def propose_calls(draw):
+    spec = SPECS[draw(st.sampled_from(sorted(SPECS)))]
+    screen = draw(st.sampled_from(spec.screens + ("the-moon",)))
+    canons = sorted({c for entries in spec.policy.values() for c, _ in entries})
+    here = [c for c, _ in spec.policy.get(screen, ())]
+    boost = st.floats(0.0, 1.0)
+    reflection = draw(st.one_of(
+        st.none(), st.just({}),
+        # keys of this screen's canonicals, of other screens', or made up
+        st.dictionaries(st.sampled_from(canons + ["no_such_action"]), boost,
+                        max_size=4),
+        st.dictionaries(st.sampled_from(here or ["no_such_action"]), boost,
+                        min_size=1, max_size=3)))
+    params = dict(duplicate_rate=draw(st.one_of(st.just(0.0), st.just(1.0),
+                                                st.floats(0.0, 1.0))),
+                  reflection_gain=draw(st.one_of(st.just(0.0),
+                                                 st.floats(0.0, 50.0))))
+    slot = draw(st.one_of(st.none(), st.tuples(st.integers(0, 7),
+                                               st.integers(1, 3))))
+    call = dict(k=draw(st.integers(1, 12)), iteration=draw(st.integers(1, 60)),
+                leaf=draw(st.integers(0, 500)), slot=slot)
+    return spec, draw(st.integers(0, 10**6)), params, screen, reflection, call
+
+
+@settings(max_examples=300, deadline=None)
+@given(propose_calls())
+def test_propose_equals_the_per_slot_child_loop(case):
+    """The slot words and the per-fixture tables draw exactly what one
+    ``child(j)`` per slot over freshly built weights drew."""
+    spec, seed, params, screen, reflection, call = case
+    prop = proposer_from_fixture(spec, seed=seed, **params)
+    k = call.pop("k")
+    assert prop.propose(screen, reflection, k, **call) == \
+        reference_propose(prop, screen, reflection, k, **call)

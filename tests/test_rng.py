@@ -1,7 +1,8 @@
 """Keyed draws: same key same draws, distinct keys distinct draws, the
 ranges and moments of the scalar draws, string hashing stability, key-type
-policing, ``.generator()`` as the PCG64 stream the key always seeded, and
-``child`` as the key extended by one part."""
+policing, ``.generator()`` as the PCG64 stream the key always seeded,
+``child`` as the key extended by one part, and ``child_words`` as that
+child's first hash block."""
 import hashlib
 import statistics
 
@@ -139,3 +140,24 @@ def test_child_rejects_invalid_parts():
     for part in (True, np.bool_(False), 1.5, ("a",)):
         with pytest.raises(TypeError):
             parent.child(part)
+
+
+@pytest.mark.parametrize("key", [(0,), (3, "prop", 7, 2, 1, 4, 1), ("x", -1)])
+def test_child_words_are_the_childs_first_draws(key):
+    """Word ``i`` of ``child_words(part)``, shifted to 53 bits, is draw ``i``
+    of ``child(part)``, as a uniform and as an integer, for int, str and
+    negative parts; the parent's own draws do not move them."""
+    parent = derive_rng(*key)
+    for part in (0, 5, -1, -(2**63), 2**64 + 5, "slot", np.int64(3)):
+        words = parent.child_words(part)
+        assert len(words) == 8 and all(0 <= w < 2**64 for w in words)
+        child = parent.child(part)
+        uniforms = [child.random() for _ in range(8)]
+        assert uniforms == [(w >> 11) * 2.0 ** -53 for w in words]
+        child = parent.child(part)
+        for i, n in enumerate((1, 2, 3, 7, 10, 1000, 2**40, 5)):
+            assert child.integers(0, n) == ((words[i] >> 11) * n) >> 53
+        take(parent, 2)
+        assert parent.child_words(part) == words
+    with pytest.raises(TypeError):
+        parent.child_words(True)

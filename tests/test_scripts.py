@@ -57,10 +57,25 @@ def test_calibrate_trap3_reports_every_direction():
 
 
 def test_calibrate_trap3_rejects_nan_judge_noise():
-    """A NaN judge knob is an error, not a grid of perfect successes."""
+    """A NaN judge knob is an error, not a grid of perfect successes: one
+    argparse error line and exit 2, before any search runs."""
     proc = run_script(ROOT / "scripts" / "calibrate_trap3.py",
                       "--seeds", "20", "--skip-noiseless", "--noise", "nan",
                       "--offset", "nan")
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "must be finite and >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "c=" not in proc.stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--offset", "inf"), ("--c", "nan"),
+                                         ("--c", "-1"), ("--noise", "x")])
+def test_calibrate_trap3_rejects_bad_knobs(flag, value):
+    proc = run_script(ROOT / "scripts" / "calibrate_trap3.py",
+                      "--seeds", "2", "--skip-noiseless", flag, value)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("calibrate_trap3.py: error: argument "
+                                  f"{flag}: ")
+    assert len(proc.stderr.splitlines()) == 1
     assert "c=" not in proc.stdout

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from alphauct import expansion as expansion_mod
+from alphauct import proposer as proposer_mod
 from alphauct import search as search_mod
 from alphauct.backup import q_for_selection
 from alphauct.envs import GuiGraphEnv, load_fixture
 from alphauct.judging import JudgeFailure, SimJudge, SimJudgeSpec
-from alphauct.proposer import proposer_from_fixture
+from alphauct.proposer import SimProposer, proposer_from_fixture
 from alphauct.search import (OUTCOME_BUDGET, OUTCOME_INFEASIBLE,
                              OUTCOME_SUCCESS, ReplayDivergence, SearchConfig,
                              SimReflector, StateError, extract_best_path,
@@ -228,7 +230,9 @@ def test_config_validation():
                 dict(chunk_size=0), dict(max_depth=0), dict(c=-1.0),
                 dict(backup="median"), dict(judge_mode="jury"),
                 dict(selection="greedy"), dict(state_strategy="teleport"),
-                dict(parallel_actions=-1), dict(seed=-1)):
+                dict(parallel_actions=-1), dict(seed=-1),
+                dict(c=float("inf")), dict(max_iterations=2.5),
+                dict(expansion_factor=True)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
 
@@ -385,6 +389,13 @@ def test_pinned_digest_with_every_proposer_override():
     # expand, stalled and revisit with a re-asserted value, expand, success
     ("bottleneck2", dict(noise=0.2, seed=3, max_iterations=12),
      "7fa27c36cdbac4a1a484adfaddff073527cd5f62d5d6e7da81cda7fec3e367f2"),
+    # the running mean feeds selection and reflection; all four kinds
+    ("trap3", dict(backup="mean", noise=0.3, seed=2, max_iterations=15),
+     "4c70b4dcbf38f1e687a73c9cc2df5e3171320a32ea4a5197acb999181e5fad9e"),
+    # replay positioning through two-atom chunks
+    ("deep7", dict(state_strategy="replay", chunk_size=2, noise=0.1, seed=6,
+                   max_iterations=10),
+     "93d902a3c583b4b79e400e5511453a9b6962fe048d06dccdc23b760729461b43"),
 ])
 def test_pinned_search_digests(fixture, cfg, digest):
     """SHA-256 of the tree dump plus the trace, pinned so that a change to
@@ -392,3 +403,49 @@ def test_pinned_search_digests(fixture, cfg, digest):
     _, res = run_fixture(fixture, **cfg)
     blob = res.tree.dump() + "\n".join(res.trace)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fixture, cfg, overrides", [
+    ("trap3", dict(seed=4), dict(duplicate_rate=0.6)),
+    ("wide16", dict(seed=1, judge_mode="independent"), {}),
+    ("deep7", dict(chunk_size=2, seed=2), dict(duplicate_rate=0.3)),
+])
+def test_make_chunk_and_derive_rng_run_through_their_modules(
+        monkeypatch, fixture, cfg, overrides):
+    """Counting wrappers on the module attributes that fault injection and
+    the benchmark tracer patch: ``expansion.make_chunk`` runs once per
+    non-empty candidate, admitted or not, and ``proposer.derive_rng`` once
+    per ``propose`` call that draws (a screen without policy draws
+    nothing)."""
+    counts = {"make_chunk": 0, "derive_rng": 0, "propose": 0, "heads": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    propose = SimProposer.propose
+
+    def counted_propose(self, *args, **kwargs):
+        out = propose(self, *args, **kwargs)
+        counts["propose"] += bool(out)
+        if kwargs.get("slot") is None:
+            counts["heads"] += len(out)  # each head starts one candidate
+        return out
+
+    monkeypatch.setattr(expansion_mod, "make_chunk",
+                        counted("make_chunk", expansion_mod.make_chunk))
+    monkeypatch.setattr(proposer_mod, "derive_rng",
+                        counted("derive_rng", proposer_mod.derive_rng))
+    monkeypatch.setattr(SimProposer, "propose", counted_propose)
+    res = search_fixture(load_fixture(fixture),
+                         SearchConfig(max_iterations=15, **cfg),
+                         SimJudgeSpec(noise_std=0.2), **overrides)
+    children = len(res.tree) - 1
+    assert counts["propose"] > 0
+    assert counts["derive_rng"] == counts["propose"]
+    assert counts["make_chunk"] == counts["heads"]
+    assert counts["make_chunk"] >= children
+    if overrides.get("duplicate_rate"):
+        assert counts["make_chunk"] > children  # rejected candidates counted

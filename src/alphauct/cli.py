@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
     load_manifest, write_csv, write_json, write_manifest
-from .regret import (ALGOS, ALGO_ALPHA, bound_for_spec,
+from .regret import (ALGOS, ALGO_ALPHA, RatioPoint, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
@@ -195,11 +195,8 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     if grid:
         points = efficiency_ratio_experiment(
             spec, grid, resolved["horizon"], resolved["seeds"])
-        write_csv(outdir / "ratios.csv",
-                  ["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",
-                   "base_mean_regret", "n_seeds"],
-                  [(p.rho, p.ratio, p.ci_lo, p.ci_hi, p.mean_regret,
-                    p.base_mean_regret, p.n_seeds) for p in points])
+        write_csv(outdir / "ratios.csv", [f.name for f in fields(RatioPoint)],
+                  map(astuple, points))
         artifacts["ratios"] = "ratios.csv"
         summary["ratios"] = [{"rho": p.rho, "ratio": p.ratio,
                               "ci": [p.ci_lo, p.ci_hi]} for p in points]
@@ -286,16 +283,18 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
 
 
 def cmd_verify(args) -> int:
+    """With ``--out``: ``verify.json``, plus the tables of the regret
+    criteria that ran (grid.csv, slopes.csv, ratios.csv)."""
     names = args.filter if args.filter else None
+    outdir = _resolve_out(args, "verify") if args.out else None
     try:
         results = run_criteria(names, inject_fault=args.inject_fault,
-                               out=sys.stdout)
+                               out=sys.stdout, outdir=outdir)
     except ValueError as exc:
         raise UsageError(str(exc))
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
-    if args.out:
-        outdir = _resolve_out(args, "verify")
+    if outdir is not None:
         write_json(outdir / "verify.json",
                    [{"name": r.name, "passed": r.passed, "detail": r.detail,
                      "elapsed_s": r.elapsed_s} for r in results])

@@ -499,11 +499,6 @@ class BanditSpec:
         best = self.means[self.best_arm]
         return tuple(best - m for m in self.means if best - m > 0)
 
-    @property
-    def all_gaps(self) -> tuple[float, ...]:
-        best = self.means[self.best_arm]
-        return tuple(best - m for m in self.means)
-
 
 def bandit_pull(spec: BanditSpec, arm: int, rng) -> float:
     """Reward of one pull.  Consumes exactly one uniform draw from ``rng``

@@ -455,6 +455,8 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
     ratio is exactly 1 by construction.  CIs are independent percentile
     bootstraps over seeds.
     """
+    if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
+        raise ValueError("rho grid entries must be in [0, 1]")
     base_spec = replace(spec, rho=1.0)
     base = run_bandit_experiment(base_spec, ALGO_ALPHA, horizon, n_seeds,
                                  seed0=seed0)
@@ -462,8 +464,6 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
     base_mean = float(base_final.mean())
     points = []
     for rho in rho_grid:
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho grid entries must be in [0, 1]")
         if rho == 1.0:
             final = base_final
         else:

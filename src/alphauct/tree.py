@@ -4,8 +4,9 @@ Nodes live in a flat list indexed by dense integer ids; node 0 is the root.
 A child enters the tree with its judged value, and only ``add_child`` and
 ``backup.backpropagate`` write node statistics.  Every judged value is also
 appended to an event log (value + the root path it was propagated along),
-which powers ``subtree_max_oracle`` — a brute-force recomputation of the max
-statistic used to audit incremental backups.
+which powers ``subtree_max_oracle`` and ``subtree_mean_oracle`` — brute-force
+recomputations of the max and mean statistics used to audit incremental
+backups.
 
 ``SearchTree.node`` validates an id at the public edge.  The hot paths of a
 search (``selection.select_leaf``, ``backup.backpropagate``, the loop in
@@ -17,6 +18,7 @@ thousand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -144,9 +146,6 @@ class SearchTree:
             raise TreeError(f"node {node_id} is not rooted")
         return path
 
-    def record_event(self, event: EvalEvent) -> None:
-        self.events.append(event)
-
     def subtree_max_oracle(self, node_id: int) -> float:
         """Brute-force max over the node's init value and every logged event
         whose propagation path passes through it."""
@@ -162,12 +161,13 @@ class SearchTree:
         return best
 
     def subtree_mean_oracle(self, node_id: int) -> float:
-        """Mean of all logged event values passing through the node."""
+        """Exact (``math.fsum``) mean of all logged event values passing
+        through the node."""
         self.node(node_id)
         vals = [ev.value for ev in self.events if node_id in ev.path]
         if not vals:
             raise TreeError(f"node {node_id} has no events")
-        return sum(vals) / len(vals)
+        return math.fsum(vals) / len(vals)
 
     # -- serialization ------------------------------------------------------
     #

@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import count
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import expansion as expansion_mod
 from . import search as search_mod
@@ -26,9 +28,10 @@ from .backup import MAX, MEAN
 from .envs import UNIFORM, BanditSpec, builtin_fixtures, load_fixture
 from .expansion import admit_candidates, chunk_key
 from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
-from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
-                     efficiency_ratio_experiment, fit_log_regret,
-                     freedman_empirical_check, freedman_radius,
+from .manifest import write_csv
+from .regret import (ALGO_ALPHA, MdsSpec, RatioPoint, RegretCurve, SlopeRatio,
+                     bound_for_spec, efficiency_ratio_experiment,
+                     fit_log_regret, freedman_empirical_check, freedman_radius,
                      run_bandit_experiment, slope_ratio_ci)
 from .search import SearchConfig, search_fixture
 from .selection import ALPHA_UCT, SelectionPolicy, select_child
@@ -73,6 +76,25 @@ def grid_spec(k: int, gap: float, sigma2: float) -> BanditSpec:
 
 def ratio_sweep_spec() -> BanditSpec:
     return BanditSpec(means=(0.55,) + (0.45,) * 9, sigma_x2=0.2, rho=1.0)
+
+
+GridKey = tuple[int, float, float]  # (K, gap, sigma2)
+GRID_KEYS = tuple((k, gap, s2) for k in GRID_KS for gap in GRID_GAPS
+                  for s2 in GRID_SIGMA2S)
+SLOPE_CELLS = tuple((gap, s2) for gap in GRID_GAPS for s2 in GRID_SIGMA2S)
+GRID_COLUMNS = ("k", "gap", "sigma2", "mean_regret", "bound", "slope",
+                "r_squared", "linear_r_squared")
+
+
+def regret_curves() -> dict[str, tuple[tuple[GridKey, int], ...]]:
+    """The bandit curves each regret criterion reads, as rows of a grid key
+    and a seed count.  ``regret_slope`` reads
+    the grid for its tail fits and the K = 10 and K = 5 curves of each
+    (gap, sigma2) cell, at more seeds, for its doubling ratios."""
+    grid = tuple((key, GRID_SEEDS) for key in GRID_KEYS)
+    pairs = tuple(((k, gap, s2), SLOPE_RATIO_SEEDS) for gap, s2 in SLOPE_CELLS
+                  for k in (10, 5))
+    return {"regret_bound": grid, "regret_slope": grid + pairs}
 
 
 # -- frozen selection-walk transcripts -----------------------------------------
@@ -215,19 +237,40 @@ class CriterionResult:
 
 
 class VerifyContext:
-    """Shared state across criteria: the bound grid is expensive, and the
-    fit criterion reuses its curves."""
+    """What the selected criteria share: the regret curves, and the directory
+    their tables go to (``None``: no tables).
 
-    def __init__(self):
-        self._grid: dict[tuple[int, float, float], RegretCurve] | None = None
+    Each grid spec runs once, at the largest seed count that any criterion in
+    ``names`` reads of it.  A criterion reading fewer seeds gets a contiguous
+    copy of the first n seed columns, which equals an n-seed run bit for bit:
+    a seed's trajectory does not depend on the batch it runs in.
+    """
 
-    def grid_curves(self) -> dict[tuple[int, float, float], RegretCurve]:
-        if self._grid is None:
-            self._grid = {
-                (k, gap, s2): run_bandit_experiment(
-                    grid_spec(k, gap, s2), ALGO_ALPHA, GRID_HORIZON, GRID_SEEDS)
-                for k in GRID_KS for gap in GRID_GAPS for s2 in GRID_SIGMA2S}
-        return self._grid
+    def __init__(self, names: Iterable[str] = (), outdir: Path | None = None):
+        self.outdir = outdir
+        self._rows = regret_curves()
+        self._seeds: dict[GridKey, int] = {}
+        for name in names:
+            for key, n in self._rows.get(name, ()):
+                self._seeds[key] = max(n, self._seeds.get(key, 0))
+        self._runs: dict[GridKey, RegretCurve] = {}
+
+    def curves(self, name: str) -> dict[tuple[GridKey, int], RegretCurve]:
+        """Criterion ``name``'s curves, keyed by (grid key, seed count)."""
+        out = {}
+        for key, n in self._rows[name]:
+            run = self._runs.get(key)
+            if run is None or run.n_seeds < n:  # a criterion outside ``names``
+                run = self._runs[key] = run_bandit_experiment(
+                    grid_spec(*key), ALGO_ALPHA, GRID_HORIZON,
+                    max(n, self._seeds.get(key, 0)))
+            out[key, n] = run if run.n_seeds == n else replace(
+                run, per_seed=np.ascontiguousarray(run.per_seed[:, :n]))
+        return out
+
+    def write_table(self, name: str, header, rows) -> None:
+        if self.outdir is not None:
+            write_csv(self.outdir / name, list(header), rows)
 
 
 def _search_matrix():
@@ -252,19 +295,29 @@ def _search_matrix():
     return cases
 
 
+CASE_CONFIG = SearchConfig(expansion_factor=5, max_iterations=25)
+# the running q_mean's rounding against the exact mean of the same events;
+# measured worst over the matrix's MEAN runs: 1.1e-16
+Q_MEAN_TOL = 1e-15
+BACKUP_CHECK_FLOOR = 1000
+
+
 def _run_case(fixture: str, seed: int, backup: str, judge_mode: str,
               chunk: int, noise: float = 0.1, **proposer_overrides):
     spec = load_fixture(fixture)
-    cfg = SearchConfig(expansion_factor=5, max_iterations=25, chunk_size=chunk,
-                       backup=backup, judge_mode=judge_mode, seed=seed)
+    cfg = replace(CASE_CONFIG, chunk_size=chunk, backup=backup,
+                  judge_mode=judge_mode, seed=seed)
     judge = SimJudgeSpec(noise_std=noise, shared_offset_std=0.1)
     return spec, search_fixture(spec, cfg, judge, **proposer_overrides)
 
 
 def crit_backup_oracle(ctx: VerifyContext) -> tuple[bool, str]:
     """Incremental max statistic == brute-force recomputation from the event
-    log, exactly, at every scored node of every randomized run."""
-    checks = runs = 0
+    log, exactly, at every scored node of every randomized run; on the
+    mean-backup runs the incremental q_mean is within Q_MEAN_TOL of the exact
+    mean of the events through the node."""
+    checks = mean_checks = runs = 0
+    worst = 0.0
     bad = []
     for fixture, seed, backup, judge_mode, chunk, noise in _search_matrix():
         _, res = _run_case(fixture, seed, backup, judge_mode, chunk, noise)
@@ -275,23 +328,38 @@ def crit_backup_oracle(ctx: VerifyContext) -> tuple[bool, str]:
             if rec.q_max is None:
                 continue
             checks += 1
+            where = f"{fixture}/s{seed}/{backup}/{judge_mode} node {nid}"
             oracle = tree.subtree_max_oracle(nid)
             if rec.q_max != oracle:
-                bad.append(f"{fixture}/s{seed}/{backup}/{judge_mode} node {nid}: "
-                           f"incremental {rec.q_max!r} != oracle {oracle!r}")
+                bad.append(f"{where}: incremental {rec.q_max!r} != oracle "
+                           f"{oracle!r}")
+            if backup == MEAN and rec.visit_count:
+                mean_checks += 1
+                oracle = tree.subtree_mean_oracle(nid)
+                err = abs(rec.q_mean - oracle)
+                worst = max(worst, err)
+                if not err <= Q_MEAN_TOL:
+                    bad.append(f"{where}: incremental q_mean {rec.q_mean!r} "
+                               f"!= oracle {oracle!r}")
     if bad:
-        return False, f"{len(bad)}/{checks} node checks diverged; first: {bad[0]}"
-    if checks < 1000:
-        return False, f"only {checks} node checks ({runs} runs); need >= 1000"
-    return True, f"{checks} exact node checks across {runs} runs"
+        return False, (f"{len(bad)}/{checks + mean_checks} node checks "
+                       f"diverged; first: {bad[0]}")
+    if checks < BACKUP_CHECK_FLOOR:
+        return False, (f"only {checks} node checks ({runs} runs); "
+                       f"need >= {BACKUP_CHECK_FLOOR}")
+    return True, (f"{checks} exact node checks ({checks - BACKUP_CHECK_FLOOR} "
+                  f"over the {BACKUP_CHECK_FLOOR} floor) and {mean_checks} "
+                  f"q_mean checks within {Q_MEAN_TOL:g} (worst {worst:.1e}) "
+                  f"across {runs} runs")
 
 
 def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
     """No two admitted siblings share a true normalized key (recomputed from
     raw atoms, not trusted from the node), b* <= K everywhere, and the
     canonical jittered-coordinate pair collapses."""
+    k = CASE_CONFIG.expansion_factor
     nodes_checked = 0
-    for fixture, seed, backup, judge_mode, chunk, noise in _search_matrix()[:20]:
+    for fixture, seed, backup, judge_mode, chunk, noise in _search_matrix():
         spec, res = _run_case(fixture, seed, backup, judge_mode, chunk, noise,
                               duplicate_rate=0.6)
         aliases = spec.alias_context()
@@ -301,8 +369,9 @@ def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
             if not kids:
                 continue
             nodes_checked += 1
-            if len(kids) > 5:
-                return False, f"{fixture}/s{seed}: node {nid} admitted {len(kids)} > K=5"
+            if len(kids) > k:
+                return False, (f"{fixture}/s{seed}: node {nid} admitted "
+                               f"{len(kids)} > K={k}")
             keys = [chunk_key(tree.nodes[c].action.atoms, aliases) for c in kids]
             if len(set(keys)) != len(keys):
                 return False, (f"{fixture}/s{seed}: siblings under node {nid} "
@@ -338,52 +407,58 @@ def crit_selection_fixtures(ctx: VerifyContext) -> tuple[bool, str]:
 
 def crit_regret_bound(ctx: VerifyContext) -> tuple[bool, str]:
     """Mean final regret <= closed-form bound on every grid config, zero
-    tolerance, 100 seeds each."""
-    worst = 0.0
-    for (k, gap, s2), curve in ctx.grid_curves().items():
-        mean_rt = float(curve.final.mean())
-        bound = bound_for_spec(curve.spec, GRID_HORIZON).total
+    tolerance, 100 seeds each.  Writes grid.csv: each config's final regret,
+    bound and tail fit."""
+    rows = []
+    for ((k, gap, s2), _), curve in ctx.curves("regret_bound").items():
+        fit = fit_log_regret(curve)
+        rows.append((k, gap, s2, float(curve.final.mean()),
+                     bound_for_spec(curve.spec, GRID_HORIZON).total,
+                     fit.slope, fit.r_squared, fit.linear_r_squared))
+    ctx.write_table("grid.csv", GRID_COLUMNS, rows)
+    for k, gap, s2, mean_rt, bound, *_ in rows:
         if mean_rt > bound:
             return False, (f"K={k} gap={gap} s2={s2}: mean regret "
                            f"{mean_rt:.3f} > bound {bound:.3f}")
-        worst = max(worst, mean_rt / bound)
-    n = len(ctx.grid_curves())
-    return True, f"{n} configs hold the bound; worst margin {worst:.3f}"
+    worst = max(row[3] / row[4] for row in rows)
+    return True, f"{len(rows)} configs hold the bound; worst margin {worst:.3f}"
 
 
 def crit_log_slope(ctx: VerifyContext) -> tuple[bool, str]:
     """Tail of every mean curve is ln-linear (r^2 >= 0.95), and doubling K
-    roughly doubles the fitted slope (95% CI inside [1.5, 2.5])."""
-    min_r2 = 1.0
-    for (k, gap, s2), curve in ctx.grid_curves().items():
-        r2 = fit_log_regret(curve).r_squared
-        min_r2 = min(min_r2, r2)
+    roughly doubles the fitted slope (95% CI inside [1.5, 2.5]).  Writes
+    slopes.csv: each (gap, sigma2) cell's K=10 / K=5 slope ratio."""
+    curves = ctx.curves("regret_slope")
+    r2s = {key: fit_log_regret(curves[key, GRID_SEEDS]).r_squared
+           for key in GRID_KEYS}
+    ratios = {(gap, s2): slope_ratio_ci(curves[(10, gap, s2), SLOPE_RATIO_SEEDS],
+                                        curves[(5, gap, s2), SLOPE_RATIO_SEEDS])
+              for gap, s2 in SLOPE_CELLS}
+    ctx.write_table("slopes.csv",
+                    ["gap", "sigma2"] + [f.name for f in fields(SlopeRatio)],
+                    [cell + astuple(sr) for cell, sr in ratios.items()])
+    for (k, gap, s2), r2 in r2s.items():
         if r2 < 0.95:
             return False, f"K={k} gap={gap} s2={s2}: tail fit r^2 {r2:.4f} < 0.95"
-    ratios = []
-    for gap in GRID_GAPS:
-        for s2 in GRID_SIGMA2S:
-            num = run_bandit_experiment(grid_spec(10, gap, s2), ALGO_ALPHA,
-                                        GRID_HORIZON, SLOPE_RATIO_SEEDS)
-            den = run_bandit_experiment(grid_spec(5, gap, s2), ALGO_ALPHA,
-                                        GRID_HORIZON, SLOPE_RATIO_SEEDS)
-            sr = slope_ratio_ci(num, den)
-            ratios.append(sr)
-            if not (1.5 <= sr.ci_lo and sr.ci_hi <= 2.5):
-                return False, (f"gap={gap} s2={s2}: slope ratio {sr.ratio:.3f} "
-                               f"CI [{sr.ci_lo:.3f}, {sr.ci_hi:.3f}] leaves [1.5, 2.5]")
-    lo = min(sr.ci_lo for sr in ratios)
-    hi = max(sr.ci_hi for sr in ratios)
-    return True, (f"min r^2 {min_r2:.4f}; 4 doubling CIs within "
-                  f"[{lo:.3f}, {hi:.3f}] subset of [1.5, 2.5]")
+    for (gap, s2), sr in ratios.items():
+        if not (1.5 <= sr.ci_lo and sr.ci_hi <= 2.5):
+            return False, (f"gap={gap} s2={s2}: slope ratio {sr.ratio:.3f} "
+                           f"CI [{sr.ci_lo:.3f}, {sr.ci_hi:.3f}] leaves [1.5, 2.5]")
+    lo = min(sr.ci_lo for sr in ratios.values())
+    hi = max(sr.ci_hi for sr in ratios.values())
+    return True, (f"min r^2 {min(r2s.values()):.4f}; {len(ratios)} doubling "
+                  f"CIs within [{lo:.3f}, {hi:.3f}] subset of [1.5, 2.5]")
 
 
 def crit_efficiency_ratio(ctx: VerifyContext) -> tuple[bool, str]:
     """Regret ratio vs the blind baseline: < 1 for rho < 1, non-decreasing
     (up to CI overlap), exactly 1 at rho = 1, and the rho = 0.25 point
-    inside the frozen measurement band."""
+    inside the frozen measurement band.  Writes ratios.csv, the table of
+    ``bandit --rho-grid``."""
     points = efficiency_ratio_experiment(ratio_sweep_spec(), RATIO_SWEEP_RHOS,
                                          GRID_HORIZON, RATIO_SWEEP_SEEDS)
+    ctx.write_table("ratios.csv", [f.name for f in fields(RatioPoint)],
+                    map(astuple, points))
     for pt in points:
         if pt.rho < 1.0 and not pt.ratio < 1.0:
             return False, f"rho={pt.rho}: ratio {pt.ratio:.4f} not < 1"
@@ -540,13 +615,14 @@ CRITERION_NAMES = tuple(name for name, _ in CRITERIA)
 
 
 def run_criteria(names: Sequence[str] | None = None, *,
-                 inject_fault: str | None = None,
-                 out=None) -> list[CriterionResult]:
+                 inject_fault: str | None = None, out=None,
+                 outdir: Path | None = None) -> list[CriterionResult]:
     """Run the named criteria (all by default) and return their results.
 
     ``names`` entries match by substring, so ``["regret"]`` selects the
     regret-lab criteria.  ``out`` is an optional stream that receives each
-    result line as it lands.
+    result line as it lands.  With ``outdir``, the regret criteria that run
+    write their tables there: grid.csv, slopes.csv and ratios.csv.
     """
     selected = []
     for name, fn in CRITERIA:
@@ -555,7 +631,7 @@ def run_criteria(names: Sequence[str] | None = None, *,
     if names is not None and not selected:
         raise ValueError(f"no criterion matches {list(names)!r} "
                          f"(known: {', '.join(CRITERION_NAMES)})")
-    ctx = VerifyContext()
+    ctx = VerifyContext([name for name, _ in selected], outdir)
     results = []
     with inject(inject_fault):
         for name, fn in selected:

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alphauct import verify
 from alphauct.cli import (_DEFAULTS, _TYPES, OUT_ENV_VAR, UsageError, _resolve,
                           build_parser, main)
 from alphauct.envs import _FIXTURE_DIR
@@ -456,6 +457,41 @@ def test_out_env_var_sets_default_root(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*SEARCH_ARGS) == 0
     assert (tmp_path / "root" / "search" / "result.json").exists()
+    capsys.readouterr()
+
+
+def test_verify_out_writes_lf_tables(tmp_path, monkeypatch, capsys):
+    """``verify --out`` writes verify.json and the table of each regret
+    criterion that ran, with LF line ends like every artifact.  The horizon
+    and seed counts are shrunk so the criteria run in a second."""
+    for name, value in (("GRID_HORIZON", 300), ("GRID_SEEDS", 3),
+                        ("SLOPE_RATIO_SEEDS", 6), ("RATIO_SWEEP_SEEDS", 4)):
+        monkeypatch.setattr(verify, name, value)
+    tables = {
+        "grid.csv": (list(verify.GRID_COLUMNS), 12),
+        "slopes.csv": (["gap", "sigma2", "ratio", "ci_lo", "ci_hi",
+                        "n_seeds"], 4),
+        "ratios.csv": (["rho", "ratio", "ci_lo", "ci_hi", "mean_regret",
+                        "base_mean_regret", "n_seeds"], 4),
+    }
+    criteria = ["regret_bound", "regret_slope", "regret_ratio"]
+    out = tmp_path / "all"
+    argv = [a for name in criteria for a in ("--filter", name)]
+    assert run_cli("verify", *argv, "--out", str(out)) in (0, 1)
+    assert [r["name"] for r in read_json(out / "verify.json")] == criteria
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*tables, "verify.json"])
+    for name, (want_header, n_rows) in tables.items():
+        data = (out / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name
+        header, rows = csv_rows(out / name)
+        assert (header, len(rows)) == (want_header, n_rows), name
+    assert {r[-1] for r in csv_rows(out / "slopes.csv")[1]} == {"6"}
+    out = tmp_path / "ratio"  # a table only when its criterion ran
+    assert run_cli("verify", "--filter", "regret_ratio",
+                   "--out", str(out)) in (0, 1)
+    assert sorted(p.name for p in out.iterdir()) == ["ratios.csv",
+                                                     "verify.json"]
     capsys.readouterr()
 
 

@@ -239,7 +239,6 @@ def test_bandit_derived_quantities():
     assert spec.k == 3
     assert spec.best_arm == 1
     assert spec.gaps == pytest.approx((0.1, 0.2))
-    assert spec.all_gaps == pytest.approx((0.1, 0.0, 0.2))
     assert spec.residual_var == pytest.approx(0.02)
 
 

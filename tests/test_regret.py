@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from alphauct import regret
 from alphauct.envs import NOISE_KINDS, BanditSpec
 from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
                              MdsSpec, RegretCurve, bound_for_spec,
@@ -205,7 +206,7 @@ def test_regret_curves_start_with_forced_exploration():
     """Every algorithm tries every arm once before exploiting, so regret at
     t = K equals the sum of all gaps."""
     spec = small_spec(means=(0.6, 0.5, 0.45, 0.4), sigma_x2=0.0)
-    total_gap = sum(spec.all_gaps)
+    total_gap = sum(spec.gaps)
     for algo in ALGOS:
         curve = run_bandit_experiment(spec, algo, 50, 3, grid=[spec.k, 50])
         assert np.allclose(curve.per_seed[0], total_gap), algo
@@ -322,3 +323,21 @@ def test_efficiency_ratio_rho_one_is_exactly_one():
     assert points[0].base_mean_regret == points[1].mean_regret
     with pytest.raises(ValueError):
         efficiency_ratio_experiment(spec, [1.5], 500, 4)
+
+
+def test_efficiency_ratio_checks_every_rho_before_any_run(monkeypatch):
+    """A bad grid entry is rejected before the baseline or any earlier sweep
+    point runs; a good grid runs the baseline and each rho < 1 once."""
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.rho)
+        return run_bandit_experiment(spec, *args, **kwargs)
+
+    monkeypatch.setattr(regret, "run_bandit_experiment", counting)
+    spec = small_spec(means=(0.55, 0.45), sigma_x2=0.2)
+    with pytest.raises(ValueError, match="rho grid"):
+        efficiency_ratio_experiment(spec, [0.1, 1.5], 500, 4)
+    assert calls == []
+    efficiency_ratio_experiment(spec, [0.1, 1.0], 50, 2, n_boot=10)
+    assert calls == [1.0, 0.1]

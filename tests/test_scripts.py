@@ -1,6 +1,6 @@
 """Every maintenance script under ``scripts/`` still imports and parses its
 arguments: ``--help`` exits 0 in a fresh interpreter with ``src`` on the
-path.  The trap3 calibration and the regret grid also run tiny grids."""
+path.  The trap3 calibration also runs a tiny grid."""
 import os
 import subprocess
 import sys
@@ -30,19 +30,6 @@ def test_script_help_exits_zero(script):
     proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
-
-
-def test_run_regret_grid_writes_lf_csvs(tmp_path):
-    """A tiny grid runs end to end and writes both CSVs with LF line ends,
-    like every package artifact."""
-    proc = run_script(ROOT / "scripts" / "run_regret_grid.py",
-                      "--horizon", "200", "--seeds", "2", "--slope-seeds", "2",
-                      "--ratio-seeds", "2", "--boot", "10",
-                      "--out-dir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    for name in ("grid.csv", "ratios.csv"):
-        data = (tmp_path / name).read_bytes()
-        assert data.endswith(b"\n") and b"\r" not in data, name
 
 
 def test_calibrate_trap3_reports_every_direction():

@@ -75,8 +75,8 @@ def test_path_to_root():
 
 def test_oracles_match_hand_computation():
     t = small_tree()
-    t.record_event(EvalEvent(iteration=0, leaf=3, value=0.7, path=(0, 1, 3)))
-    t.record_event(EvalEvent(iteration=1, leaf=2, value=0.5, path=(0, 2)))
+    t.events.append(EvalEvent(iteration=0, leaf=3, value=0.7, path=(0, 1, 3)))
+    t.events.append(EvalEvent(iteration=1, leaf=2, value=0.5, path=(0, 2)))
     assert t.subtree_max_oracle(ROOT) == 0.7
     assert t.subtree_max_oracle(1) == 0.7
     assert t.subtree_max_oracle(2) == 0.5

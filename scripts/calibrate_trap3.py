@@ -50,17 +50,28 @@ def knob(text: str) -> float:
     return x
 
 
+def positive_int(text: str) -> int:
+    """A seed count, iteration budget or expansion width: an int >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return n
+
+
 def main(argv=None):
     ap = _Parser()
-    ap.add_argument("--seeds", type=int, default=100)
+    ap.add_argument("--seeds", type=positive_int, default=100)
     ap.add_argument("--c", type=knob, nargs="*", default=[ABLATION_CONFIG.c])
     ap.add_argument("--offset", type=knob, nargs="*",
                     default=[ABLATION_JUDGE.shared_offset_std])
     ap.add_argument("--noise", type=knob, nargs="*",
                     default=[ABLATION_JUDGE.noise_std])
-    ap.add_argument("--iters", type=int, nargs="*",
+    ap.add_argument("--iters", type=positive_int, nargs="*",
                     default=[ABLATION_CONFIG.max_iterations])
-    ap.add_argument("--expansion", type=int,
+    ap.add_argument("--expansion", type=positive_int,
                     default=ABLATION_CONFIG.expansion_factor)
     ap.add_argument("--skip-noiseless", action="store_true")
     args = ap.parse_args(argv)

@@ -20,7 +20,6 @@ from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
 from .search import (SearchConfig, SearchResult, SimReflector,
                      extract_best_path, position_env, run_search,
                      search_fixture)
-from .selection import (SelectionPolicy, alpha_uct_score, select_child,
-                        select_leaf, uct_score)
+from .selection import alpha_uct_score, select_child, select_leaf
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree
 from .verify import CRITERION_NAMES, run_criteria

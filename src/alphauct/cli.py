@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Four subcommands: ``search`` (one tree search on a fixture), ``bandit``
-(regret curves or the rho efficiency sweep), ``ablate`` (the 2x2 backup x
-judging grid, optionally with a parallel-speedup probe), and ``verify`` (the
-acceptance suite).  A fifth, ``rerun``, replays any previous run from its
-``manifest.json`` and reproduces the artifacts byte-for-byte (serial mode;
-timing files are the documented exception).
+Four subcommands: ``search`` (one alpha-UCT tree search on a fixture),
+``bandit`` (regret curves of the residual-variance policy, or its rho
+efficiency sweep), ``ablate`` (the 2x2 backup x judging grid, optionally
+with a parallel-speedup probe), and ``verify`` (the acceptance suite).  A
+fifth, ``rerun``, replays any previous run from its ``manifest.json`` and
+reproduces the artifacts byte-for-byte (serial mode; timing files are the
+documented exception).
 
 ``search``, ``bandit`` and ``ablate`` each resolve their config from one
 table of keys and defaults: defaults < ``--config`` JSON file (search only) <
@@ -35,11 +36,10 @@ from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
     load_manifest, write_csv, write_json, write_manifest
-from .regret import (ALGOS, ALGO_ALPHA, RatioPoint, bound_for_spec,
+from .regret import (ALGO_ALPHA, RatioPoint, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
-from .selection import KINDS
 from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
 
 OUT_ENV_VAR = "ALPHAUCT_OUT"
@@ -53,7 +53,7 @@ _DEFAULTS = {
                "judge_latency": 0.0},
     "bandit": {"arms": 10, "gap": 0.1, "sigma2": 0.05, "rho": 1.0,
                "noise": TWO_POINT, "horizon": 100_000, "seeds": 100,
-               "algo": ALGO_ALPHA, "rho_grid": None},
+               "rho_grid": None},
     "ablate": {"fixture": "trap3", "seeds": 100,
                "iters": ABLATION_CONFIG.max_iterations,
                "parallel_actions": 0, "judge_latency": 0.05},
@@ -201,8 +201,8 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
         summary["ratios"] = [{"rho": p.rho, "ratio": p.ratio,
                               "ci": [p.ci_lo, p.ci_hi]} for p in points]
     else:
-        curve = run_bandit_experiment(spec, resolved["algo"],
-                                      resolved["horizon"], resolved["seeds"])
+        curve = run_bandit_experiment(spec, ALGO_ALPHA, resolved["horizon"],
+                                      resolved["seeds"])
         fit = fit_log_regret(curve)  # may fail: before any artifact is written
         mean, std = curve.mean, curve.std
         rows = [(t, mean[i], std[i], bound_for_spec(spec, t).total)
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--judge", choices=JUDGE_MODES, dest="judge_mode")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--c", type=float)
-    sp.add_argument("--selection", choices=KINDS)
     sp.add_argument("--state", choices=STATE_STRATEGIES, dest="state_strategy")
     sp.add_argument("--max-depth", type=int)
     sp.add_argument("--parallel-actions", type=int)
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", choices=NOISE_KINDS)
     sp.add_argument("--horizon", type=int)
     sp.add_argument("--seeds", type=int)
-    sp.add_argument("--algo", choices=ALGOS)
     sp.add_argument("--rho-grid", type=float_list,
                     help="comma-separated rho values; emits the ratio sweep "
                          "instead of one curve")

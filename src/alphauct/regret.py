@@ -12,9 +12,9 @@ variance-scaled anytime radius sqrt(2 * sigma_res^2 * ln(1/delta_t) / n) with
 delta_t = t^-4, the schedule whose index race pulls each suboptimal arm
 about 8 * sigma_res^2 * ln T / gap^2 times -- the same constant the bound
 carries; residual noise is bounded, hence sub-Gaussian with proxy
-equal to its variance, so the radius is a valid confidence radius.  Classic
-UCB1 ("uct") is the baseline whose radius scales with the full outcome
-spread.
+equal to its variance, so the radius is a valid confidence radius.  The
+blind baseline is the same policy at rho = 1, where the residual variance
+is the full outcome variance.
 """
 from __future__ import annotations
 
@@ -27,9 +27,7 @@ import numpy as np
 from .envs import BanditSpec, bandit_pull, residual_noise
 from .rng import derive_rng
 
-ALGO_ALPHA = "alpha"
-ALGO_UCT = "uct"
-ALGOS = (ALGO_ALPHA, ALGO_UCT)
+ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 
 
 # -- closed-form pieces -------------------------------------------------------
@@ -102,26 +100,22 @@ def bound_for_spec(spec: BanditSpec, horizon: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class MdsSpec:
-    """Bounded martingale-difference generator.
-
-    ``rademacher``: d = +-scale.  ``state_scaled``: a predictable
-    two-regime walk - the next step uses ``scale_hi`` while the running sum
-    is negative, ``scale`` otherwise, so the quadratic variation V_n varies
-    across trials.
+    """Bounded martingale-difference generator: a predictable two-regime
+    walk d = +-scale_now, where the next step uses ``scale_hi`` while the
+    running sum is negative and ``scale`` otherwise, so the quadratic
+    variation V_n varies across trials.  With ``scale_hi == scale`` it is
+    the plain +-scale walk.
     """
 
-    kind: str = "rademacher"
-    scale: float = 0.1
-    scale_hi: float | None = None
+    scale: float
+    scale_hi: float
 
     def __post_init__(self):
-        if self.kind not in ("rademacher", "state_scaled"):
-            raise ValueError(f"unknown mds kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
-        if self.kind == "state_scaled" and (self.scale_hi is None
-                                            or self.scale_hi <= 0):
-            raise ValueError("state_scaled needs scale_hi > 0")
+        for name in ("scale", "scale_hi"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +149,7 @@ def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
     s = np.zeros(trials)
     v = np.zeros(trials)
     for _ in range(n):
-        if mds.kind == "state_scaled":
-            scale = np.where(s < 0.0, mds.scale_hi, mds.scale)
-        else:
-            scale = np.full(trials, mds.scale)
+        scale = np.where(s < 0.0, mds.scale_hi, mds.scale)
         d = scale * np.where(rng.random(trials) >= 0.5, 1.0, -1.0)
         s += d
         v += scale ** 2
@@ -173,7 +164,6 @@ def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
 @dataclass(frozen=True)
 class RegretCurve:
     spec: BanditSpec
-    algo: str
     horizon: int
     t_grid: tuple[int, ...]
     per_seed: np.ndarray  # (len(t_grid), n_seeds) cumulative pseudo-regret
@@ -213,6 +203,11 @@ def default_grid(horizon: int, points: int = 512) -> tuple[int, ...]:
     return tuple(int(t) for t in np.unique(grid))
 
 
+def _check_algo(algo: str) -> None:
+    if algo != ALGO_ALPHA:
+        raise ValueError(f"unknown algo {algo!r} (only {ALGO_ALPHA!r})")
+
+
 def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                           n_seeds: int, *, seed0: int = 0,
                           grid: Sequence[int] | None = None,
@@ -236,8 +231,7 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     the index ``mean + radius`` and its row-wise argmax (a tie goes to the
     lowest arm).
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r} (use one of {ALGOS})")
+    _check_algo(algo)
     if horizon < 1 or n_seeds < 1:
         raise ValueError("horizon and n_seeds must be >= 1")
     t_grid = tuple(grid) if grid is not None else default_grid(horizon)
@@ -249,8 +243,8 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     means = np.asarray(spec.means)
     gaps_all = means[spec.best_arm] - means
     s_res = math.sqrt(spec.residual_var)
-    # alpha: 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4; uct: ln t
-    scale = 8.0 * spec.residual_var if algo == ALGO_ALPHA else 1.0
+    # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
+    scale = 8.0 * spec.residual_var
 
     cells = n_seeds * kk
     # one flat array holding four per-cell slabs: sum | count | inv | mean
@@ -304,7 +298,7 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                 next_t = t_grid[gi] if gi < len(t_grid) else 0
         del noise  # before the next block's uniforms are drawn
     assert gi == len(t_grid)
-    return RegretCurve(spec=spec, algo=algo, horizon=horizon, t_grid=t_grid,
+    return RegretCurve(spec=spec, horizon=horizon, t_grid=t_grid,
                        per_seed=out, seed0=seed0)
 
 
@@ -312,8 +306,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
                            seed: int) -> np.ndarray:
     """Plain-python reference run (one seed): cumulative pseudo-regret at
     every step.  Differential twin of ``run_bandit_experiment``."""
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r}")
+    _check_algo(algo)
     rng = derive_rng(0, "pull-noise", seed).generator()
     kk = spec.k
     counts = [0] * kk
@@ -326,12 +319,9 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
         for a in range(kk):
             if counts[a] == 0:
                 idx = math.inf
-            elif algo == ALGO_ALPHA:
-                idx = sums[a] / counts[a] + math.sqrt(
-                    8.0 * spec.residual_var * math.log(t) / counts[a])
             else:
                 idx = sums[a] / counts[a] + math.sqrt(
-                    math.log(t) / counts[a])
+                    8.0 * spec.residual_var * math.log(t) / counts[a])
             if idx > best_idx:
                 best_arm, best_idx = a, idx
         x = bandit_pull(spec, best_arm, rng)

@@ -1,6 +1,7 @@
 """The search loop: select, expand, judge sibling sets, back up.
 
-Each iteration selects a leaf, positions an environment there (stored
+Each iteration selects a leaf by alpha-UCT (``selection.select_leaf`` with
+the config's ``c`` and backup mode), positions an environment there (stored
 snapshot or replay from the root), expands it into deduplicated candidate
 chunks, judges the admitted set in one comparative call (or per-sibling
 independent calls under ablation), then adds each candidate as a child
@@ -21,19 +22,18 @@ logical call indexes, so parallel runs are bit-identical to serial ones.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .backup import MAX, MODES, backpropagate, q_for_selection
+from .backup import MAX, backpropagate, q_for_selection
 from .envs import GuiGraphEnv, GuiGraphSpec
 from .expansion import CHUNK_SEP, expand_node
 from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure, SimJudge,
                       SimJudgeSpec, judge_comparative, judge_independent_set)
 from .proposer import TaskInfeasible, proposer_from_fixture
-from .selection import ALPHA_UCT, KINDS, SelectionPolicy, select_leaf
+from .selection import check_selection_args, select_leaf
 from .tree import NO_PARENT, ROOT, ActionChunk, SearchTree
 
 SNAPSHOT = "snapshot"
@@ -66,7 +66,6 @@ class SearchConfig:
     max_depth: int = 12
     backup: str = MAX
     judge_mode: str = COMPARATIVE
-    selection: str = ALPHA_UCT
     state_strategy: str = SNAPSHOT
     parallel_actions: int = 0
     seed: int = 0
@@ -84,14 +83,9 @@ class SearchConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not (self.c >= 0 and math.isfinite(self.c)):
-            raise ValueError("exploration constant must be finite and >= 0")
-        if self.backup not in MODES:
-            raise ValueError(f"unknown backup mode {self.backup!r}")
+        check_selection_args(self.c, self.backup)
         if self.judge_mode not in JUDGE_MODES:
             raise ValueError(f"unknown judge mode {self.judge_mode!r}")
-        if self.selection not in KINDS:
-            raise ValueError(f"unknown selection rule {self.selection!r}")
         if self.state_strategy not in STATE_STRATEGIES:
             raise ValueError(f"unknown state strategy {self.state_strategy!r}")
         if self.parallel_actions < 0:
@@ -192,8 +186,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     Trace lines (one per iteration plus a closing ``stop`` line) are part of
     the result and documented in the README.
     """
-    policy = SelectionPolicy(kind=config.selection, c=config.c,
-                             value_mode=config.backup)
     snapshots = config.state_strategy == SNAPSHOT
     use_max = config.backup == MAX
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
@@ -210,7 +202,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
           if config.parallel_actions > 0 else nullcontext()) as action_pool:
         for it in range(1, config.max_iterations + 1):
             iterations = it
-            leaf = select_leaf(tree, policy)
+            leaf = select_leaf(tree, config.c, config.backup)
             rec = tree.nodes[leaf]
             if rec.terminal != "none" or rec.depth >= config.max_depth:
                 trace.append(f"iter={it} kind=revisit leaf={leaf} "

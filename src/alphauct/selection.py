@@ -1,40 +1,29 @@
-"""Child-selection rules.
+"""Child selection by alpha-UCT.
 
-The primary rule scores a child by its subtree-max value plus a visit-ratio
-exploration term c*sqrt(sum_siblings_N / (N+1)); the +1 keeps the ratio
-defined at zero visits, so freshly judged children compete on their scores
-instead of being force-picked.  The classic log-ratio rule is kept for
-ablations and is undefined at zero visits (callers pick unvisited children
-first, as usual).  ``select_leaf`` validates its start node once and scores
-children from ``tree.nodes`` directly, with ``alpha_uct_score``'s
-expression written out in the same float order.
+A child scores its backed-up value (subtree max, or the running mean under
+mean backup) plus a visit-ratio exploration term
+c*sqrt(sum_siblings_N / (N+1)); the +1 keeps the ratio defined at zero
+visits, so freshly judged children compete on their scores instead of being
+force-picked.  ``select_child`` and ``select_leaf`` take the exploration
+constant ``c`` and the backup ``mode`` as arguments, check them once per
+call with the rules ``SearchConfig`` also applies, and score children from
+``tree.nodes`` directly, with ``alpha_uct_score``'s expression written out
+in the same float order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .backup import MAX, MODES, q_for_selection
+from .backup import MAX, MODES
 from .tree import ROOT, SearchTree, TreeError
 
-ALPHA_UCT = "alpha_uct"
-STANDARD_UCT = "standard_uct"
-KINDS = (ALPHA_UCT, STANDARD_UCT)
 
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    kind: str = ALPHA_UCT
-    c: float = 1.0
-    value_mode: str = "max"  # which backed-up statistic feeds exploitation
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown selection kind {self.kind!r}")
-        if not self.c >= 0.0:
-            raise ValueError("exploration constant must be >= 0")
-        if self.value_mode not in MODES:
-            raise ValueError(f"unknown value mode {self.value_mode!r}")
+def check_selection_args(c: float, mode: str) -> None:
+    """``c`` finite and >= 0, ``mode`` one of ``backup.MODES``."""
+    if not (c >= 0 and math.isfinite(c)):
+        raise ValueError("exploration constant must be finite and >= 0")
+    if mode not in MODES:
+        raise ValueError(f"unknown backup mode {mode!r}")
 
 
 def alpha_uct_score(q: float, n_action: int, n_siblings_total: int,
@@ -45,46 +34,24 @@ def alpha_uct_score(q: float, n_action: int, n_siblings_total: int,
     return q + c * math.sqrt(n_siblings_total / (n_action + 1))
 
 
-def uct_score(q: float, n_action: int, n_parent: int, c: float) -> float:
-    """q + c*sqrt(ln(n_parent) / n_action); zero visits are an error here."""
-    if n_action <= 0:
-        raise ValueError("log-ratio score undefined at zero visits")
-    if n_parent < 1:
-        raise ValueError("parent visit count must be >= 1")
-    return q + c * math.sqrt(math.log(n_parent) / n_action)
-
-
-def select_child(tree: SearchTree, node_id: int,
-                 policy: SelectionPolicy) -> int:
+def select_child(tree: SearchTree, node_id: int, c: float,
+                 mode: str = MAX) -> int:
     """Highest-scoring child of ``node_id``; ties go to the earliest-admitted."""
+    check_selection_args(c, mode)
     kids = tree.node(node_id).children
     if not kids:
         raise TreeError(f"node {node_id} has no children")
-    return _best_child(tree, node_id, kids, policy)
+    return _best_child(tree, kids, c, mode == MAX)
 
 
-def _best_child(tree: SearchTree, node_id: int, kids: list[int],
-                policy: SelectionPolicy) -> int:
+def _best_child(tree: SearchTree, kids: list[int], c: float,
+                use_max: bool) -> int:
     """``select_child`` on a known node with children ``kids``."""
-    if len(kids) == 1:  # both rules pick an only child, whatever its score
+    if len(kids) == 1:  # an only child is picked whatever its score
         return kids[0]
-    nodes = tree.nodes
-    if policy.kind == STANDARD_UCT:
-        for cid in kids:
-            if nodes[cid].visit_count == 0:
-                return cid
-        n_parent = max(1, nodes[node_id].visit_count)
-        best, best_score = kids[0], -math.inf
-        for cid in kids:
-            s = uct_score(q_for_selection(tree, cid, policy.value_mode),
-                          nodes[cid].visit_count, n_parent, policy.c)
-            if s > best_score:
-                best, best_score = cid, s
-        return best
     # alpha_uct_score inline, same float expression; every child enters the
     # tree judged, so both of its statistics are set
-    c = policy.c
-    use_max = policy.value_mode == MAX
+    nodes = tree.nodes
     recs = [nodes[cid] for cid in kids]
     total = sum(rec.visit_count for rec in recs)
     best, best_score = kids[0], -math.inf
@@ -96,12 +63,14 @@ def _best_child(tree: SearchTree, node_id: int, kids: list[int],
     return best
 
 
-def select_leaf(tree: SearchTree, policy: SelectionPolicy,
+def select_leaf(tree: SearchTree, c: float, mode: str = MAX,
                 start: int = ROOT) -> int:
     """Descend by repeated child selection until a childless node is reached."""
+    check_selection_args(c, mode)
     tree.node(start)  # _best_child only returns known nodes
     nodes = tree.nodes
+    use_max = mode == MAX
     node = start
     while kids := nodes[node].children:
-        node = _best_child(tree, node, kids, policy)
+        node = _best_child(tree, kids, c, use_max)
     return node

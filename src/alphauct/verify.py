@@ -34,7 +34,7 @@ from .regret import (ALGO_ALPHA, MdsSpec, RatioPoint, RegretCurve, SlopeRatio,
                      fit_log_regret, freedman_empirical_check, freedman_radius,
                      run_bandit_experiment, slope_ratio_ci)
 from .search import SearchConfig, search_fixture
-from .selection import ALPHA_UCT, SelectionPolicy, select_child
+from .selection import select_child
 from .tree import ROOT, ActionChunk, SearchTree
 
 FAULT_KINDS = ("backup", "dedup")
@@ -165,10 +165,9 @@ def build_walk_tree(rows) -> tuple[SearchTree, dict[str, int]]:
 def greedy_walk(tree: SearchTree, ids: dict[str, int]) -> tuple[str, ...]:
     """Descend by repeated zero-exploration selection; returns node labels."""
     by_id = {v: k for k, v in ids.items()}
-    policy = SelectionPolicy(kind=ALPHA_UCT, c=0.0)
     node, path = ROOT, []
     while tree.node(node).children:
-        node = select_child(tree, node, policy)
+        node = select_child(tree, node, 0.0)
         path.append(by_id[node])
     return tuple(path)
 
@@ -389,8 +388,7 @@ def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
 def crit_selection_fixtures(ctx: VerifyContext) -> tuple[bool, str]:
     """Zero-exploration selection reproduces both recorded walks exactly."""
     tree_a, ids_a = build_walk_tree(WALK_SETTINGS)
-    policy = SelectionPolicy(kind=ALPHA_UCT, c=0.0)
-    pick = select_child(tree_a, ROOT, policy)
+    pick = select_child(tree_a, ROOT, 0.0)
     label = {v: k for k, v in ids_a.items()}[pick]
     if label != WALK_SETTINGS_ROOT_PICK:
         return False, f"settings walk root pick {label}, want {WALK_SETTINGS_ROOT_PICK}"
@@ -488,7 +486,7 @@ def crit_freedman_tail(ctx: VerifyContext) -> tuple[bool, str]:
     hand = freedman_radius(100, 0.04, 0.01)
     if abs(hand - 0.09140) > 1e-4:
         return False, f"radius(100, 0.04, 0.01) = {hand:.6f}, want 0.09140 +- 1e-4"
-    mds = MdsSpec(kind="state_scaled", scale=0.08, scale_hi=0.12)
+    mds = MdsSpec(scale=0.08, scale_hi=0.12)
     worst = -math.inf
     for eps in FREEDMAN_EPSILONS:
         for v in FREEDMAN_VCAPS:

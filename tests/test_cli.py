@@ -98,6 +98,12 @@ def test_unknown_subcommand_exits_2(capsys):
     (["ablate", "--seeds", "1", "--judge-latency", "inf",
       "--parallel-actions", "2"], ["'judge_latency'"]),
     (["bandit", "--rho-grid", "0.25,inf"], ["'rho_grid'"]),
+    # retired flags, even at their old defaults: search has one selection
+    # rule, bandit one policy
+    (["search", "--env", "trap3", "--selection", "alpha_uct"],
+     ["--selection"]),
+    (["bandit", "--algo", "alpha"], ["--algo"]),
+    (["bandit", "--algo", "uct"], ["--algo"]),
 ])
 def test_flag_errors_print_one_line(tmp_path, monkeypatch, capsys, argv,
                                     names):
@@ -341,6 +347,22 @@ def test_rerun_rejects_unknown_key(tmp_path, capsys):
     capsys.readouterr()
     assert _rerun_with(tmp_path, first, "horizn", 50) == 2
     _one_error_line(capsys, "'horizn'")
+    assert _no_artifacts(tmp_path / "again")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (SEARCH_ARGS, "selection", "alpha_uct"),
+    (["bandit", "--arms", "3", "--horizon", "200", "--seeds", "2"],
+     "algo", "alpha"),
+])
+def test_rerun_rejects_retired_config_keys(tmp_path, capsys, argv, key, value):
+    """Manifests written while search took a selection rule and bandit an
+    algorithm carry a key the tables no longer hold."""
+    first = tmp_path / "first"
+    assert run_cli(*argv, "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, key, value) == 2
+    _one_error_line(capsys, "unknown config keys", f"'{key}'")
     assert _no_artifacts(tmp_path / "again")
 
 

@@ -9,8 +9,7 @@ import pytest
 
 from alphauct import regret
 from alphauct.envs import NOISE_KINDS, BanditSpec
-from alphauct.regret import (ALGO_ALPHA, ALGO_UCT, ALGOS,
-                             MdsSpec, RegretCurve, bound_for_spec,
+from alphauct.regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
                              fit_log_regret, freedman_empirical_check,
                              freedman_radius, freedman_tail_bound,
@@ -82,24 +81,22 @@ def test_freedman_tail_bound_formula():
 
 
 def test_freedman_empirical_cell_respects_bound():
-    cell = freedman_empirical_check(MdsSpec("rademacher", scale=0.25),
-                                    n=400, epsilon=3.0, v_cap=25.0 + 1e-9,
-                                    trials=4000)
+    mds = MdsSpec(scale=0.25, scale_hi=0.25)  # the plain +-0.25 walk
+    cell = freedman_empirical_check(mds, n=400, epsilon=3.0,
+                                    v_cap=25.0 + 1e-9, trials=4000)
     # V_n = 400 * 0.0625 = 25 always, so the cap never binds
     assert cell.rate <= cell.bound + 3 * cell.binom_std
-    again = freedman_empirical_check(MdsSpec("rademacher", scale=0.25),
-                                     n=400, epsilon=3.0, v_cap=25.0 + 1e-9,
-                                     trials=4000)
+    assert cell.rate == 0.282  # recorded when this walk had its own kind
+    again = freedman_empirical_check(mds, n=400, epsilon=3.0,
+                                     v_cap=25.0 + 1e-9, trials=4000)
     assert cell.rate == again.rate  # keyed rng: bitwise reproducible
 
 
 def test_mds_spec_validation():
-    with pytest.raises(ValueError):
-        MdsSpec("gaussian")
-    with pytest.raises(ValueError):
-        MdsSpec("rademacher", scale=0.0)
-    with pytest.raises(ValueError):
-        MdsSpec("state_scaled", scale=0.1)  # needs scale_hi
+    for scale, scale_hi in ((0.0, 0.1), (0.1, -0.1), (math.nan, 0.1),
+                            (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            MdsSpec(scale, scale_hi)
 
 
 # -- simulation ------------------------------------------------------------------
@@ -131,15 +128,14 @@ def test_experiment_reproducible_and_blockwise_invariant():
 def test_scalar_twin_matches_vectorized_exactly():
     spec = small_spec(means=(0.55, 0.45, 0.35), sigma_x2=0.05, rho=0.5)
     horizon = 1500
-    for algo in ALGOS:
-        curve = run_bandit_experiment(spec, algo, horizon, 4,
-                                      grid=range(1, horizon + 1))
-        for si in range(4):
-            ref = simulate_policy_scalar(spec, algo, horizon, si)
-            assert np.array_equal(curve.per_seed[:, si], ref), (algo, si)
+    curve = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 4,
+                                  grid=range(1, horizon + 1))
+    for si in range(4):
+        ref = simulate_policy_scalar(spec, ALGO_ALPHA, horizon, si)
+        assert np.array_equal(curve.per_seed[:, si], ref), si
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", [ALGO_ALPHA])
 @pytest.mark.parametrize("noise", NOISE_KINDS)
 @pytest.mark.parametrize("rho", [0.0, 0.5])
 def test_scalar_twin_across_noise_kinds_and_rho(algo, noise, rho):
@@ -153,7 +149,7 @@ def test_scalar_twin_across_noise_kinds_and_rho(algo, noise, rho):
         assert np.array_equal(curve.per_seed[:, si], ref), si
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", [ALGO_ALPHA])
 def test_single_arm_bandit_matches_scalar_twin(algo):
     spec = BanditSpec(means=(0.5,), sigma_x2=0.05)
     curve = run_bandit_experiment(spec, algo, 50, 2, grid=range(1, 51))
@@ -163,7 +159,7 @@ def test_single_arm_bandit_matches_scalar_twin(algo):
     assert not curve.per_seed.any()
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", [ALGO_ALPHA])
 def test_horizon_inside_forced_exploration(algo):
     spec = small_spec(means=(0.4, 0.6, 0.5, 0.3, 0.45), sigma_x2=0.04)
     horizon = 3  # stops before every arm was tried once
@@ -173,7 +169,7 @@ def test_horizon_inside_forced_exploration(algo):
         assert np.array_equal(curve.per_seed[:, si], ref)
 
 
-@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("algo", [ALGO_ALPHA])
 @pytest.mark.parametrize("block", [1, 97, 5000])
 def test_block_size_is_physical_only(algo, block):
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
@@ -182,13 +178,15 @@ def test_block_size_is_physical_only(algo, block):
     assert np.array_equal(got.per_seed, ref.per_seed)
 
 
-# SHA-256 of per_seed.tobytes(), recorded before the step loop went
-# incremental; the regret criteria print figures drawn from these curves.
+# SHA-256 of per_seed.tobytes(); the regret criteria print figures drawn
+# from these curves.  The grid row was recorded before the step loop went
+# incremental, the two-point-noise ratio-sweep row before the UCB1 baseline
+# was deleted.
 @pytest.mark.parametrize("spec, algo, horizon, digest", [
     (grid_spec(10, 0.1, 0.05), ALGO_ALPHA, 20_000,
      "4c50cf34d6f25317c66e3fea92dabd625b9c2ae4f8dca9cefc4b5ade51f742d8"),
-    (ratio_sweep_spec(), ALGO_UCT, 5_000,
-     "f458785389279b59c4a3f868ed7a9b8ac3cba4e3708273b85a2cc54595039c40"),
+    (ratio_sweep_spec(), ALGO_ALPHA, 5_000,
+     "72aaaa22a22d79e2ad35aba4c848f3def509b2d5d0c6d151f1483a37616ac826"),
 ])
 def test_curve_digest_is_pinned(spec, algo, horizon, digest):
     curve = run_bandit_experiment(spec, algo, horizon, 20)
@@ -203,13 +201,11 @@ def test_seed_trajectories_independent_of_batch():
 
 
 def test_regret_curves_start_with_forced_exploration():
-    """Every algorithm tries every arm once before exploiting, so regret at
+    """The policy tries every arm once before exploiting, so regret at
     t = K equals the sum of all gaps."""
     spec = small_spec(means=(0.6, 0.5, 0.45, 0.4), sigma_x2=0.0)
-    total_gap = sum(spec.gaps)
-    for algo in ALGOS:
-        curve = run_bandit_experiment(spec, algo, 50, 3, grid=[spec.k, 50])
-        assert np.allclose(curve.per_seed[0], total_gap), algo
+    curve = run_bandit_experiment(spec, ALGO_ALPHA, 50, 3, grid=[spec.k, 50])
+    assert np.allclose(curve.per_seed[0], sum(spec.gaps))
 
 
 def test_mean_curve_non_decreasing():
@@ -233,8 +229,11 @@ def test_noiseless_regret_is_gap_times_mistakes():
 
 def test_experiment_validation():
     spec = small_spec()
-    with pytest.raises(ValueError):
-        run_bandit_experiment(spec, "thompson", 100, 2)
+    for algo in ("thompson", "uct"):  # UCB1 was retired
+        with pytest.raises(ValueError, match="unknown algo"):
+            run_bandit_experiment(spec, algo, 100, 2)
+        with pytest.raises(ValueError, match="unknown algo"):
+            simulate_policy_scalar(spec, algo, 100, 0)
     with pytest.raises(ValueError):
         run_bandit_experiment(spec, ALGO_ALPHA, 0, 2)
     with pytest.raises(ValueError):
@@ -254,7 +253,7 @@ def synthetic_curve(fn, horizon=10_000, n_seeds=5, jitter=0.0) -> RegretCurve:
     per_seed = np.tile(base[:, None], (1, n_seeds))
     if jitter:
         per_seed = per_seed + rng.normal(0.0, jitter, per_seed.shape)
-    return RegretCurve(spec=small_spec(), algo=ALGO_ALPHA, horizon=horizon,
+    return RegretCurve(spec=small_spec(), horizon=horizon,
                        t_grid=grid, per_seed=per_seed, seed0=0)
 
 
@@ -278,8 +277,7 @@ def test_fit_flags_linear_growth():
 def test_fit_window_validation():
     # only t = 9_000 and 10_000 lie in the tail window [5_000, 10_000]
     grid = (1, 10, 100, 1000, 9000, 10_000)
-    short = RegretCurve(spec=small_spec(), algo=ALGO_ALPHA, horizon=10_000,
-                        t_grid=grid,
+    short = RegretCurve(spec=small_spec(), horizon=10_000, t_grid=grid,
                         per_seed=np.tile(np.log(grid)[:, None], (1, 3)),
                         seed0=0)
     with pytest.raises(ValueError, match="fewer than 3"):

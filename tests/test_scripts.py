@@ -57,7 +57,10 @@ def test_calibrate_trap3_rejects_nan_judge_noise():
 
 
 @pytest.mark.parametrize("flag, value", [("--offset", "inf"), ("--c", "nan"),
-                                         ("--c", "-1"), ("--noise", "x")])
+                                         ("--c", "-1"), ("--noise", "x"),
+                                         ("--seeds", "0"), ("--seeds", "-3"),
+                                         ("--iters", "0"),
+                                         ("--expansion", "0")])
 def test_calibrate_trap3_rejects_bad_knobs(flag, value):
     proc = run_script(ROOT / "scripts" / "calibrate_trap3.py",
                       "--seeds", "2", "--skip-noiseless", flag, value)

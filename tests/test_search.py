@@ -229,7 +229,7 @@ def test_config_validation():
     for bad in (dict(max_iterations=0), dict(expansion_factor=0),
                 dict(chunk_size=0), dict(max_depth=0), dict(c=-1.0),
                 dict(backup="median"), dict(judge_mode="jury"),
-                dict(selection="greedy"), dict(state_strategy="teleport"),
+                dict(state_strategy="teleport"),
                 dict(parallel_actions=-1), dict(seed=-1),
                 dict(c=float("inf")), dict(max_iterations=2.5),
                 dict(expansion_factor=True)):

@@ -1,13 +1,11 @@
-"""Score formulas against hand-computed values, tie-breaking, and the
-zero-visit behavior that separates the two rules."""
+"""Score formula against hand-computed values, tie-breaking, zero-visit
+behavior, and the checks on the exploration constant and backup mode."""
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from alphauct.selection import (ALPHA_UCT, STANDARD_UCT, SelectionPolicy,
-                                alpha_uct_score, select_child, select_leaf,
-                                uct_score)
+from alphauct.selection import alpha_uct_score, select_child, select_leaf
 from alphauct.tree import ROOT, ActionChunk, SearchTree, TreeError
 
 
@@ -26,16 +24,6 @@ def test_alpha_uct_score_hand_values():
         alpha_uct_score(0.0, -1, 3, 1.0)
 
 
-def test_uct_score_hand_values():
-    assert uct_score(0.5, 1, 1, 1.0) == 0.5  # ln(1) = 0
-    assert uct_score(0.2, 4, 100, 1.0) == pytest.approx(
-        0.2 + math.sqrt(math.log(100) / 4))
-    with pytest.raises(ValueError):
-        uct_score(0.5, 0, 10, 1.0)
-    with pytest.raises(ValueError):
-        uct_score(0.5, 1, 0, 1.0)
-
-
 @given(st.floats(-1, 1), st.integers(0, 50), st.integers(0, 500),
        st.floats(0, 10))
 def test_alpha_uct_monotone_in_sibling_visits(q, n, total, c):
@@ -50,38 +38,41 @@ def test_alpha_uct_decreases_with_own_visits(q, n, total, c):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        SelectionPolicy(kind="greedy")
-    with pytest.raises(ValueError):
-        SelectionPolicy(c=-0.5)
-    with pytest.raises(ValueError):
-        SelectionPolicy(value_mode="median")
+    """A negative or non-finite ``c`` and an unknown mode are rejected by
+    both entry points, before the tree is read."""
+    t = SearchTree()
+    t.add_child(ROOT, chunk("a"), init_value=0.4)
+    for select in (lambda c, mode: select_child(t, ROOT, c, mode),
+                   lambda c, mode: select_leaf(t, c, mode)):
+        for c in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="exploration constant"):
+                select(c, "max")
+        with pytest.raises(ValueError, match="unknown backup mode"):
+            select(1.0, "median")
 
 
 def test_tie_break_goes_to_earliest_child():
     t = SearchTree()
     a = t.add_child(ROOT, chunk("a"), init_value=0.4)
     t.add_child(ROOT, chunk("b"), init_value=0.4)
-    pol = SelectionPolicy(ALPHA_UCT, c=1.0)
-    assert select_child(t, ROOT, pol) == a
+    assert select_child(t, ROOT, 1.0) == a
 
 
 def test_alpha_uct_prefers_higher_value_at_equal_visits():
     t = SearchTree()
     t.add_child(ROOT, chunk("a"), init_value=0.2)
     b = t.add_child(ROOT, chunk("b"), init_value=0.9)
-    assert select_child(t, ROOT, SelectionPolicy(ALPHA_UCT, c=1.0)) == b
+    assert select_child(t, ROOT, 1.0) == b
 
 
 def test_alpha_uct_zero_visits_compete_on_score():
-    # under-visited low-value child loses to a fresh high-value sibling when
-    # c is small, unlike the classic rule which force-picks the fresh one
+    # an unvisited low-value child does not win by being fresh: at small c
+    # the visited high-value sibling keeps the pick
     t = SearchTree()
     a = t.add_child(ROOT, chunk("a"), init_value=0.9)
     t.nodes[a].visit_count = 3
-    b = t.add_child(ROOT, chunk("b"), init_value=0.1)
-    assert select_child(t, ROOT, SelectionPolicy(ALPHA_UCT, c=0.1)) == a
-    assert select_child(t, ROOT, SelectionPolicy(STANDARD_UCT, c=0.1)) == b
+    t.add_child(ROOT, chunk("b"), init_value=0.1)
+    assert select_child(t, ROOT, 0.1) == a
 
 
 def test_exploration_flips_choice_at_large_c():
@@ -90,19 +81,8 @@ def test_exploration_flips_choice_at_large_c():
     b = t.add_child(ROOT, chunk("b"), init_value=0.7)
     t.nodes[a].visit_count = 10
     t.nodes[b].visit_count = 1
-    assert select_child(t, ROOT, SelectionPolicy(ALPHA_UCT, c=0.0)) == a
-    assert select_child(t, ROOT, SelectionPolicy(ALPHA_UCT, c=2.0)) == b
-
-
-def test_standard_uct_uses_log_ratio():
-    t = SearchTree()
-    a = t.add_child(ROOT, chunk("a"), init_value=0.6)
-    b = t.add_child(ROOT, chunk("b"), init_value=0.5)
-    t.nodes[ROOT].visit_count = 20
-    t.nodes[a].visit_count = 18
-    t.nodes[b].visit_count = 2
-    # 0.6 + sqrt(ln20/18) = 1.008 vs 0.5 + sqrt(ln20/2) = 1.724
-    assert select_child(t, ROOT, SelectionPolicy(STANDARD_UCT, c=1.0)) == b
+    assert select_child(t, ROOT, 0.0) == a
+    assert select_child(t, ROOT, 2.0) == b
 
 
 def test_select_leaf_descends_to_childless_node():
@@ -110,10 +90,10 @@ def test_select_leaf_descends_to_childless_node():
     a = t.add_child(ROOT, chunk("a"), init_value=0.9)
     t.add_child(ROOT, chunk("b"), init_value=0.1)
     c = t.add_child(a, chunk("c"), init_value=0.8)
-    assert select_leaf(t, SelectionPolicy(ALPHA_UCT, c=0.0)) == c
-    assert select_leaf(t, SelectionPolicy(ALPHA_UCT, c=0.0), start=c) == c
+    assert select_leaf(t, 0.0) == c
+    assert select_leaf(t, 0.0, start=c) == c
 
 
 def test_select_child_requires_children():
     with pytest.raises(TreeError):
-        select_child(SearchTree(), ROOT, SelectionPolicy())
+        select_child(SearchTree(), ROOT, 1.0)

@@ -64,12 +64,12 @@ def positive_int(text: str) -> int:
 def main(argv=None):
     ap = _Parser()
     ap.add_argument("--seeds", type=positive_int, default=100)
-    ap.add_argument("--c", type=knob, nargs="*", default=[ABLATION_CONFIG.c])
-    ap.add_argument("--offset", type=knob, nargs="*",
+    ap.add_argument("--c", type=knob, nargs="+", default=[ABLATION_CONFIG.c])
+    ap.add_argument("--offset", type=knob, nargs="+",
                     default=[ABLATION_JUDGE.shared_offset_std])
-    ap.add_argument("--noise", type=knob, nargs="*",
+    ap.add_argument("--noise", type=knob, nargs="+",
                     default=[ABLATION_JUDGE.noise_std])
-    ap.add_argument("--iters", type=positive_int, nargs="*",
+    ap.add_argument("--iters", type=positive_int, nargs="+",
                     default=[ABLATION_CONFIG.max_iterations])
     ap.add_argument("--expansion", type=positive_int,
                     default=ABLATION_CONFIG.expansion_factor)

@@ -37,7 +37,7 @@ from .search import SearchConfig, search_fixture
 from .selection import select_child
 from .tree import ROOT, ActionChunk, SearchTree
 
-FAULT_KINDS = ("backup", "dedup")
+FAULT_KINDS = ("backup", "mean", "dedup")
 
 # -- regret-lab experiment design (frozen before the acceptance gate) ---------
 #
@@ -181,22 +181,26 @@ def inject(kind: str | None):
 
     ``backup``: every seventh propagation smudges the root's max statistic
     after the real update, so the event log no longer explains it.
+    ``mean``: the same smudge on the root's running mean, every seventh
+    mean-backup propagation.
     ``dedup``: candidate keys get a unique salt, so the admission filter
     stops seeing collisions while the true keys still collide.
     """
     if kind is None:
         yield
         return
-    if kind == "backup":
+    if kind in ("backup", "mean"):
+        stat = "q_max" if kind == "backup" else "q_mean"
         orig = search_mod.backpropagate
         calls = count(1)
 
         def smudged(tree, leaf, value, mode=MAX, *, iteration=0):
             orig(tree, leaf, value, mode, iteration=iteration)
-            if next(calls) % 7 == 0:
+            if (kind == "backup" or mode == MEAN) and next(calls) % 7 == 0:
                 rec = tree.nodes[ROOT]
-                if rec.q_max is not None:
-                    rec.q_max = max(-1.0, rec.q_max - 0.125)
+                q = getattr(rec, stat)
+                if q is not None:
+                    setattr(rec, stat, max(-1.0, q - 0.125))
 
         search_mod.backpropagate = smudged
         try:

@@ -46,6 +46,16 @@ def test_fault_injection_trips_the_detectors():
     assert "share a normalized key" in broken[0].detail
 
 
+def test_mean_fault_trips_the_q_mean_audit():
+    """The ``mean`` fault smudges only the running mean, so the max checks
+    stay clean and the q_mean audit is what catches it."""
+    broken = run_criteria(["backup_oracle"], inject_fault="mean")[0]
+    assert not broken.passed
+    assert "diverged" in broken.detail
+    assert "incremental q_mean" in broken.detail
+    assert "!= oracle" in broken.detail
+
+
 def test_backup_oracle_audits_q_mean(monkeypatch):
     """A running mean smudged after every mean-mode propagation fails the
     audit, though q_max and the event log stay intact."""

@@ -528,3 +528,11 @@ def test_verify_filter_and_fault_exit_codes(capsys):
     assert "FAIL dedup_law" in out
     assert run_cli("verify", "--filter", "no_such_criterion") == 2
     capsys.readouterr()
+
+
+def test_verify_mean_fault_exits_one(capsys):
+    assert run_cli("verify", "--filter", "backup_oracle",
+                   "--inject-fault", "mean") == 1
+    out = capsys.readouterr().out
+    assert "FAIL backup_oracle" in out and "incremental q_mean" in out
+    assert out.strip().endswith("0/1 criteria passed")

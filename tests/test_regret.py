@@ -3,6 +3,8 @@ martingale tail bound, simulation determinism, the scalar/vectorized twin
 property, pinned curve digests, and slope fitting on synthetic curves."""
 import hashlib
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -182,15 +184,143 @@ def test_block_size_is_physical_only(algo, block):
 # from these curves.  The grid row was recorded before the step loop went
 # incremental, the two-point-noise ratio-sweep row before the UCB1 baseline
 # was deleted.
-@pytest.mark.parametrize("spec, algo, horizon, digest", [
+PINNED_CURVES = [
     (grid_spec(10, 0.1, 0.05), ALGO_ALPHA, 20_000,
      "4c50cf34d6f25317c66e3fea92dabd625b9c2ae4f8dca9cefc4b5ade51f742d8"),
     (ratio_sweep_spec(), ALGO_ALPHA, 5_000,
      "72aaaa22a22d79e2ad35aba4c848f3def509b2d5d0c6d151f1483a37616ac826"),
-])
+]
+
+
+@pytest.mark.parametrize("spec, algo, horizon, digest", PINNED_CURVES)
 def test_curve_digest_is_pinned(spec, algo, horizon, digest):
     curve = run_bandit_experiment(spec, algo, horizon, 20)
     assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+
+
+# -- seed shards -----------------------------------------------------------------
+
+
+# the library never forks there, and a fork in a numpy process would warn
+needs_fork = pytest.mark.skipif(
+    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
+    reason="seed shards fork only on CPython < 3.12 with os.fork")
+
+
+def force_workers(monkeypatch, w: int) -> list[int]:
+    """Split every run into ``w`` seed ranges; returns the pids forked."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: w)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+UNEVEN_GRID = (1, 2, 3, 4, 50, 333, 1000, 1499, 1500)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_seed_shards_are_bit_equal_to_one_process(monkeypatch, workers):
+    """7 seeds in 1, 2 or 3 contiguous ranges (3 gives 2 + 2 + 3), joined in
+    seed order: the same bytes as the in-process run."""
+    spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
+    ref = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
+                                grid=UNEVEN_GRID, block=97)
+    pids = force_workers(monkeypatch, workers)
+    got = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
+                                grid=UNEVEN_GRID, block=97)
+    assert len(pids) == workers - 1
+    assert_reaped(pids)
+    assert got.per_seed.shape == (len(UNEVEN_GRID), 7)
+    assert got.per_seed.flags.c_contiguous and got.per_seed.flags.writeable
+    assert got.per_seed.tobytes() == ref.per_seed.tobytes()
+    assert (got.t_grid, got.seed0) == (UNEVEN_GRID, 4)
+
+
+@needs_fork
+@pytest.mark.parametrize("spec, algo, horizon, digest", PINNED_CURVES)
+def test_sharded_curve_matches_pinned_digest(monkeypatch, spec, algo, horizon,
+                                             digest):
+    force_workers(monkeypatch, 2)
+    curve = run_bandit_experiment(spec, algo, horizon, 20)
+    assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+
+
+@needs_fork
+@pytest.mark.parametrize("fault, want", [
+    ("raise", "child exited 1 after sending 0 of 2400 bytes"),
+    ("short", "child exited 0 after sending 1200 of 2400 bytes"),
+    ("status", "child exited 3 after sending 2400 of 2400 bytes"),
+], ids=["raise", "short", "status"])
+def test_a_failed_shard_makes_the_run_raise(monkeypatch, capfd, fault, want):
+    """A child that raises exits 1 and sends nothing; a short block or a
+    non-zero exit status after a whole block is caught too.  Each way the
+    call raises and every child is reaped."""
+    real = regret._simulate
+    real_exit = os._exit
+
+    def broken(spec, horizon, t_grid, block, seed_lo, seed_hi):
+        if seed_lo == 0 or fault == "status":  # the caller's own range
+            return real(spec, horizon, t_grid, block, seed_lo, seed_hi)
+        if fault == "short":
+            return real(spec, horizon, t_grid, block, seed_lo, seed_lo + 1)
+        raise OSError("shard lost")
+
+    monkeypatch.setattr(regret, "_simulate", broken)
+    if fault == "status":  # only the forked children call os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    pids = force_workers(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match=r"bandit seeds \[2, 4\): " + want):
+        run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
+                              grid=range(2, 302, 2))
+    assert len(pids) == 2
+    assert_reaped(pids)
+    if fault == "raise":
+        assert ("bandit seeds [2, 4): OSError('shard lost')"
+                in capfd.readouterr().err)
+
+
+def test_arguments_are_checked_before_any_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before the arguments were checked")
+
+    monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = small_spec()
+    for args, kwargs in [((ALGO_ALPHA, 0, 4), {}), ((ALGO_ALPHA, 100, 0), {}),
+                         (("uct", 100, 4), {}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [5, 3]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [0, 5]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [5, 101]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": []})]:
+        with pytest.raises(ValueError):
+            run_bandit_experiment(spec, *args, **kwargs)
+
+
+def test_worker_count_rule(monkeypatch):
+    """Small runs stay in-process; a large one gets a range per usable core,
+    at most one per seed, and none on CPython >= 3.12."""
+    big = regret.SHARD_MIN_SEED_STEPS
+    assert regret._worker_count(20, 20_000) == 1  # the pinned-digest runs
+    assert regret._worker_count(1, big - 1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cores = 1 if sys.version_info >= (3, 12) else 3
+    assert regret._worker_count(1000, big) == cores
+    assert regret._worker_count(2, big) == min(cores, 2)
+    assert regret._worker_count(1, big) == 1
 
 
 def test_seed_trajectories_independent_of_batch():

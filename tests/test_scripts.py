@@ -60,10 +60,14 @@ def test_calibrate_trap3_rejects_nan_judge_noise():
                                          ("--c", "-1"), ("--noise", "x"),
                                          ("--seeds", "0"), ("--seeds", "-3"),
                                          ("--iters", "0"),
-                                         ("--expansion", "0")])
+                                         ("--expansion", "0"),
+                                         # an empty grid axis
+                                         ("--c", None), ("--offset", None),
+                                         ("--noise", None), ("--iters", None)])
 def test_calibrate_trap3_rejects_bad_knobs(flag, value):
     proc = run_script(ROOT / "scripts" / "calibrate_trap3.py",
-                      "--seeds", "2", "--skip-noiseless", flag, value)
+                      "--seeds", "2", "--skip-noiseless", flag,
+                      *([] if value is None else [value]))
     assert proc.returncode == 2
     assert proc.stderr.startswith("calibrate_trap3.py: error: argument "
                                   f"{flag}: ")

@@ -36,7 +36,7 @@ from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
     load_manifest, write_csv, write_json, write_manifest
-from .regret import (ALGO_ALPHA, RatioPoint, bound_for_spec,
+from .regret import (ALGO_ALPHA, LOOP_RUNS, RatioPoint, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
@@ -284,9 +284,12 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
 
 def cmd_verify(args) -> int:
     """With ``--out``: ``verify.json``, plus the tables of the regret
-    criteria that ran (grid.csv, slopes.csv, ratios.csv)."""
+    criteria that ran (grid.csv, slopes.csv, ratios.csv).  After the summary
+    line, when a criterion ran bandit experiments, one line names the step
+    loop they ran on (``compiled`` or ``numpy``); it goes to no file."""
     names = args.filter if args.filter else None
     outdir = _resolve_out(args, "verify") if args.out else None
+    loops_before = LOOP_RUNS.copy()
     try:
         results = run_criteria(names, inject_fault=args.inject_fault,
                                out=sys.stdout, outdir=outdir)
@@ -294,6 +297,9 @@ def cmd_verify(args) -> int:
         raise UsageError(str(exc))
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
+    loops = LOOP_RUNS - loops_before
+    if loops:
+        print(f"bandit loop: {', '.join(sorted(loops))}")
     if outdir is not None:
         write_json(outdir / "verify.json",
                    [{"name": r.name, "passed": r.passed, "detail": r.detail,

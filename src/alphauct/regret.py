@@ -15,12 +15,19 @@ carries; residual noise is bounded, hence sub-Gaussian with proxy
 equal to its variance, so the radius is a valid confidence radius.  The
 blind baseline is the same policy at rho = 1, where the residual variance
 is the full outcome variance.
+
+The bandit step loop runs in a small C kernel (``_ucb.c``, see the
+``kernel`` module) when one builds and passes its check, and in numpy
+otherwise.  The two loops do the same IEEE operations in the same order, so
+every curve is bit for bit the same on either: the numpy loop is the
+fallback and the tests' reference.
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -30,6 +37,9 @@ from .envs import BanditSpec, bandit_pull, residual_noise
 from .rng import derive_rng
 
 ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
+# run_bandit_experiment calls in this process, by the step loop they ran
+LOOP_RUNS: Counter[str] = Counter()
+_KERNEL_MEMO: list = []  # empty until _kernel() first runs in this process
 
 
 # -- closed-form pieces -------------------------------------------------------
@@ -212,9 +222,10 @@ def _check_algo(algo: str) -> None:
 
 # A run of fewer seed-steps stays in the calling process.  Forking a shard,
 # piping its block back and reaping it took 2.4-2.6 ms (median; 11 ms at
-# worst) on a 2-vCPU VM with numpy loaded, while the step loop does 6-14M
-# seed-steps/s: at this size one fork is under 2 % of the run in the median
-# and under 10 % at worst, and no unit-test-sized run forks.
+# worst) on a 2-vCPU VM with numpy loaded.  There the compiled step loop does
+# about 20M seed-steps/s per core at K = 10 (the numpy loop 6-14M): at this
+# size one fork costs about 2.5 % of a shard's run in the median and 11 % at
+# worst, and no unit-test-sized run forks.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 
@@ -250,12 +261,14 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     call raise.
     """
     _check_algo(algo)
-    if horizon < 1 or n_seeds < 1:
-        raise ValueError("horizon and n_seeds must be >= 1")
+    if horizon < 1 or n_seeds < 1 or block < 1:
+        raise ValueError("horizon, n_seeds and block must be >= 1")
     t_grid = tuple(grid) if grid is not None else default_grid(horizon)
     if not t_grid or list(t_grid) != sorted(set(t_grid)) or \
             t_grid[0] < 1 or t_grid[-1] > horizon:
         raise ValueError("grid must be sorted unique ints in [1, horizon]")
+    # resolved before any fork, so that no shard ever compiles
+    LOOP_RUNS["numpy" if _kernel() is None else "compiled"] += 1
     w = _worker_count(n_seeds, horizon)
     cuts = [seed0 + i * n_seeds // w for i in range(w + 1)]
     shards = []  # (pid, pipe, first seed, end seed) of each forked range
@@ -325,7 +338,31 @@ def _join_shard(shard, rows: int) -> np.ndarray:
 def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
               block: int, seed_lo: int, seed_hi: int) -> np.ndarray:
     """Cumulative pseudo-regret of seeds [seed_lo, seed_hi) at the grid
-    checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``.
+    checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``: the compiled
+    loop when ``_kernel()`` has one, else the numpy loop, bit for bit the
+    same curve."""
+    lib = _kernel()
+    if lib is None:
+        return _numpy_loop(spec, horizon, t_grid, block, seed_lo, seed_hi)
+    from .kernel import compiled_loop
+    return compiled_loop(lib, spec, horizon, t_grid, block, seed_lo, seed_hi)
+
+
+def _kernel():
+    """The compiled step loop as a ``ctypes`` library (``kernel.build()``),
+    or ``None``: the numpy loop runs then.  Resolved once per process, on
+    first use; nothing is built or loaded at import."""
+    if not _KERNEL_MEMO:
+        from .kernel import build
+        _KERNEL_MEMO.append(build())
+    return _KERNEL_MEMO[0]
+
+
+def _numpy_loop(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
+                block: int, seed_lo: int, seed_hi: int,
+                state: np.ndarray | None = None) -> np.ndarray:
+    """The step loop in numpy, all seeds a step at a time: the fallback
+    where no kernel builds, and the reference the kernel is checked against.
 
     Uniforms are drawn and mapped to residuals ``block`` steps at a time; the
     block size is physical only.
@@ -338,7 +375,8 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     K steps play arm ``t - 1``, the arm an infinite untried-arm index picks.
     After that a step recomputes only the radius ``sqrt(inv * scale * ln t)``,
     the index ``mean + radius`` and its row-wise argmax (a tie goes to the
-    lowest arm).
+    lowest arm).  A caller's zeroed ``state`` of ``4 * n_seeds * K`` floats
+    serves as the slabs and is left holding their final values.
     """
     n_seeds = seed_hi - seed_lo
     kk = spec.k
@@ -350,7 +388,7 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
 
     cells = n_seeds * kk
     # one flat array holding four per-cell slabs: sum | count | inv | mean
-    state = np.zeros(4 * cells)
+    state = np.zeros(4 * cells) if state is None else state
     inv = state[2 * cells:3 * cells]
     mean = state[3 * cells:]
     index = np.empty((n_seeds, kk))

@@ -3,11 +3,12 @@ the rho sweep, manifest reruns, and the output-directory env var."""
 import argparse
 import json
 import math
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphauct import verify
+from alphauct import kernel, regret, verify
 from alphauct.cli import (_DEFAULTS, _TYPES, OUT_ENV_VAR, UsageError, _resolve,
                           build_parser, main)
 from alphauct.envs import _FIXTURE_DIR
@@ -515,6 +516,28 @@ def test_verify_out_writes_lf_tables(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["ratios.csv",
                                                      "verify.json"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("loop", ["compiled", "numpy"])
+def test_verify_names_the_bandit_loop_after_its_summary(tmp_path, monkeypatch,
+                                                        capsys, loop):
+    """One stdout line after the summary names the step loop, only when a
+    criterion ran bandit experiments; verify.json never holds it."""
+    if loop == "compiled" and shutil.which(kernel.CC[0]) is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(verify, "RATIO_SWEEP_SEEDS", 4)
+    monkeypatch.setattr(verify, "GRID_HORIZON", 300)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(regret, "_KERNEL_MEMO", [] if loop == "compiled"
+                        else [None])
+    out = tmp_path / "out"
+    run_cli("verify", "--filter", "regret_ratio", "--out", str(out))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].endswith("/1 criteria passed")
+    assert lines[-1] == f"bandit loop: {loop}"
+    assert "bandit loop" not in (out / "verify.json").read_text()
+    assert run_cli("verify", "--filter", "selection") == 0  # no bandit run
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 criteria passed"
 
 
 def test_verify_filter_and_fault_exit_codes(capsys):

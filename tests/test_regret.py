@@ -1,16 +1,20 @@
 """Regret-lab numerics: closed-form bound values, confidence radii, the
 martingale tail bound, simulation determinism, the scalar/vectorized twin
-property, pinned curve digests, and slope fitting on synthetic curves."""
+property, pinned curve digests, the compiled step loop against the numpy
+loop, and slope fitting on synthetic curves."""
 import hashlib
 import math
 import os
+import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from alphauct import kernel as ucb
 from alphauct import regret
-from alphauct.envs import NOISE_KINDS, BanditSpec
+from alphauct.envs import NOISE_KINDS, BanditSpec, residual_noise
 from alphauct.regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
                              fit_log_regret, freedman_empirical_check,
@@ -110,6 +114,31 @@ def small_spec(**kw) -> BanditSpec:
     return BanditSpec(**defaults)
 
 
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """The compiled step loop, freshly built (and checked) in a scratch
+    cache; ``None`` where there is no C compiler."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        mp.setattr(regret, "_KERNEL_MEMO", [])
+        lib = regret._kernel()
+    if lib is None and shutil.which(ucb.CC[0]) is not None:
+        pytest.fail("a C compiler is present but the kernel did not build")
+    return lib
+
+
+@pytest.fixture
+def each_loop(monkeypatch, kernel):
+    """Call it to iterate over the step loops, "compiled" (where it built)
+    and then "numpy", with ``regret._kernel`` patched to each in turn."""
+    def each():
+        for name, lib in (("compiled", kernel), ("numpy", None)):
+            if name == "numpy" or lib is not None:
+                monkeypatch.setattr(regret, "_kernel", lambda lib=lib: lib)
+                yield name
+    return each
+
+
 def test_default_grid_shape():
     grid = default_grid(100_000, points=512)
     assert grid[0] == 1 and grid[-1] == 100_000
@@ -118,66 +147,74 @@ def test_default_grid_shape():
     assert small == tuple(range(1, 101))
 
 
-def test_experiment_reproducible_and_blockwise_invariant():
+def test_experiment_reproducible_and_blockwise_invariant(each_loop):
     spec = small_spec()
-    a = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8)
-    b = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8)
-    c = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8, block=97)
-    assert np.array_equal(a.per_seed, b.per_seed)
-    assert np.array_equal(a.per_seed, c.per_seed)  # block size is physical only
+    for loop in each_loop():
+        a = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8)
+        b = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8)
+        c = run_bandit_experiment(spec, ALGO_ALPHA, 2000, 8, block=97)
+        assert np.array_equal(a.per_seed, b.per_seed), loop
+        # block size is physical only
+        assert np.array_equal(a.per_seed, c.per_seed), loop
 
 
-def test_scalar_twin_matches_vectorized_exactly():
+def test_scalar_twin_matches_vectorized_exactly(each_loop):
     spec = small_spec(means=(0.55, 0.45, 0.35), sigma_x2=0.05, rho=0.5)
     horizon = 1500
-    curve = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 4,
-                                  grid=range(1, horizon + 1))
-    for si in range(4):
-        ref = simulate_policy_scalar(spec, ALGO_ALPHA, horizon, si)
-        assert np.array_equal(curve.per_seed[:, si], ref), si
+    refs = [simulate_policy_scalar(spec, ALGO_ALPHA, horizon, si)
+            for si in range(4)]
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 4,
+                                      grid=range(1, horizon + 1))
+        for si, ref in enumerate(refs):
+            assert np.array_equal(curve.per_seed[:, si], ref), (loop, si)
 
 
 @pytest.mark.parametrize("algo", [ALGO_ALPHA])
 @pytest.mark.parametrize("noise", NOISE_KINDS)
 @pytest.mark.parametrize("rho", [0.0, 0.5])
-def test_scalar_twin_across_noise_kinds_and_rho(algo, noise, rho):
+def test_scalar_twin_across_noise_kinds_and_rho(each_loop, algo, noise, rho):
     spec = small_spec(means=(0.6, 0.5, 0.5, 0.4), sigma_x2=0.05, rho=rho,
                       noise=noise)
     horizon = 600
-    curve = run_bandit_experiment(spec, algo, horizon, 3,
-                                  grid=range(1, horizon + 1))
-    for si in range(3):
-        ref = simulate_policy_scalar(spec, algo, horizon, si)
-        assert np.array_equal(curve.per_seed[:, si], ref), si
+    refs = [simulate_policy_scalar(spec, algo, horizon, si) for si in range(3)]
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, algo, horizon, 3,
+                                      grid=range(1, horizon + 1))
+        for si, ref in enumerate(refs):
+            assert np.array_equal(curve.per_seed[:, si], ref), (loop, si)
 
 
 @pytest.mark.parametrize("algo", [ALGO_ALPHA])
-def test_single_arm_bandit_matches_scalar_twin(algo):
+def test_single_arm_bandit_matches_scalar_twin(each_loop, algo):
     spec = BanditSpec(means=(0.5,), sigma_x2=0.05)
-    curve = run_bandit_experiment(spec, algo, 50, 2, grid=range(1, 51))
-    for si in range(2):
-        ref = simulate_policy_scalar(spec, algo, 50, si)
-        assert np.array_equal(curve.per_seed[:, si], ref)
-    assert not curve.per_seed.any()
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, algo, 50, 2, grid=range(1, 51))
+        for si in range(2):
+            ref = simulate_policy_scalar(spec, algo, 50, si)
+            assert np.array_equal(curve.per_seed[:, si], ref), loop
+        assert not curve.per_seed.any(), loop
 
 
 @pytest.mark.parametrize("algo", [ALGO_ALPHA])
-def test_horizon_inside_forced_exploration(algo):
+def test_horizon_inside_forced_exploration(each_loop, algo):
     spec = small_spec(means=(0.4, 0.6, 0.5, 0.3, 0.45), sigma_x2=0.04)
     horizon = 3  # stops before every arm was tried once
-    curve = run_bandit_experiment(spec, algo, horizon, 4, grid=[1, 2, 3])
-    for si in range(4):
-        ref = simulate_policy_scalar(spec, algo, horizon, si)
-        assert np.array_equal(curve.per_seed[:, si], ref)
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, algo, horizon, 4, grid=[1, 2, 3])
+        for si in range(4):
+            ref = simulate_policy_scalar(spec, algo, horizon, si)
+            assert np.array_equal(curve.per_seed[:, si], ref), loop
 
 
 @pytest.mark.parametrize("algo", [ALGO_ALPHA])
 @pytest.mark.parametrize("block", [1, 97, 5000])
-def test_block_size_is_physical_only(algo, block):
+def test_block_size_is_physical_only(each_loop, algo, block):
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
-    ref = run_bandit_experiment(spec, algo, 3000, 5)
-    got = run_bandit_experiment(spec, algo, 3000, 5, block=block)
-    assert np.array_equal(got.per_seed, ref.per_seed)
+    for loop in each_loop():
+        ref = run_bandit_experiment(spec, algo, 3000, 5)
+        got = run_bandit_experiment(spec, algo, 3000, 5, block=block)
+        assert np.array_equal(got.per_seed, ref.per_seed), loop
 
 
 # SHA-256 of per_seed.tobytes(); the regret criteria print figures drawn
@@ -193,9 +230,11 @@ PINNED_CURVES = [
 
 
 @pytest.mark.parametrize("spec, algo, horizon, digest", PINNED_CURVES)
-def test_curve_digest_is_pinned(spec, algo, horizon, digest):
-    curve = run_bandit_experiment(spec, algo, horizon, 20)
-    assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+def test_curve_digest_is_pinned(each_loop, spec, algo, horizon, digest):
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, algo, horizon, 20)
+        assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest, \
+            loop
 
 
 # -- seed shards -----------------------------------------------------------------
@@ -233,30 +272,35 @@ UNEVEN_GRID = (1, 2, 3, 4, 50, 333, 1000, 1499, 1500)
 
 @needs_fork
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_seed_shards_are_bit_equal_to_one_process(monkeypatch, workers):
+def test_seed_shards_are_bit_equal_to_one_process(monkeypatch, each_loop,
+                                                  workers):
     """7 seeds in 1, 2 or 3 contiguous ranges (3 gives 2 + 2 + 3), joined in
     seed order: the same bytes as the in-process run."""
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
-    ref = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
-                                grid=UNEVEN_GRID, block=97)
-    pids = force_workers(monkeypatch, workers)
-    got = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
-                                grid=UNEVEN_GRID, block=97)
-    assert len(pids) == workers - 1
-    assert_reaped(pids)
-    assert got.per_seed.shape == (len(UNEVEN_GRID), 7)
-    assert got.per_seed.flags.c_contiguous and got.per_seed.flags.writeable
-    assert got.per_seed.tobytes() == ref.per_seed.tobytes()
-    assert (got.t_grid, got.seed0) == (UNEVEN_GRID, 4)
+    for loop in each_loop():
+        ref = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
+                                    grid=UNEVEN_GRID, block=97)
+        with monkeypatch.context() as mp:
+            pids = force_workers(mp, workers)
+            got = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
+                                        grid=UNEVEN_GRID, block=97)
+        assert len(pids) == workers - 1, loop
+        assert_reaped(pids)
+        assert got.per_seed.shape == (len(UNEVEN_GRID), 7)
+        assert got.per_seed.flags.c_contiguous and got.per_seed.flags.writeable
+        assert got.per_seed.tobytes() == ref.per_seed.tobytes(), loop
+        assert (got.t_grid, got.seed0) == (UNEVEN_GRID, 4)
 
 
 @needs_fork
 @pytest.mark.parametrize("spec, algo, horizon, digest", PINNED_CURVES)
-def test_sharded_curve_matches_pinned_digest(monkeypatch, spec, algo, horizon,
-                                             digest):
+def test_sharded_curve_matches_pinned_digest(monkeypatch, each_loop, spec,
+                                             algo, horizon, digest):
     force_workers(monkeypatch, 2)
-    curve = run_bandit_experiment(spec, algo, horizon, 20)
-    assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, algo, horizon, 20)
+        assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest, \
+            loop
 
 
 @needs_fork
@@ -265,7 +309,8 @@ def test_sharded_curve_matches_pinned_digest(monkeypatch, spec, algo, horizon,
     ("short", "child exited 0 after sending 1200 of 2400 bytes"),
     ("status", "child exited 3 after sending 2400 of 2400 bytes"),
 ], ids=["raise", "short", "status"])
-def test_a_failed_shard_makes_the_run_raise(monkeypatch, capfd, fault, want):
+def test_a_failed_shard_makes_the_run_raise(monkeypatch, capfd, each_loop,
+                                            fault, want):
     """A child that raises exits 1 and sends nothing; a short block or a
     non-zero exit status after a whole block is caught too.  Each way the
     call raises and every child is reaped."""
@@ -283,14 +328,17 @@ def test_a_failed_shard_makes_the_run_raise(monkeypatch, capfd, fault, want):
     if fault == "status":  # only the forked children call os._exit
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
     pids = force_workers(monkeypatch, 3)
-    with pytest.raises(RuntimeError, match=r"bandit seeds \[2, 4\): " + want):
-        run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
-                              grid=range(2, 302, 2))
-    assert len(pids) == 2
-    assert_reaped(pids)
-    if fault == "raise":
-        assert ("bandit seeds [2, 4): OSError('shard lost')"
-                in capfd.readouterr().err)
+    for loop in each_loop():
+        pids.clear()
+        with pytest.raises(RuntimeError,
+                           match=r"bandit seeds \[2, 4\): " + want):
+            run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
+                                  grid=range(2, 302, 2))
+        assert len(pids) == 2, loop
+        assert_reaped(pids)
+        if fault == "raise":
+            assert ("bandit seeds [2, 4): OSError('shard lost')"
+                    in capfd.readouterr().err), loop
 
 
 def test_arguments_are_checked_before_any_fork(monkeypatch):
@@ -305,7 +353,9 @@ def test_arguments_are_checked_before_any_fork(monkeypatch):
                          ((ALGO_ALPHA, 100, 4), {"grid": [5, 3]}),
                          ((ALGO_ALPHA, 100, 4), {"grid": [0, 5]}),
                          ((ALGO_ALPHA, 100, 4), {"grid": [5, 101]}),
-                         ((ALGO_ALPHA, 100, 4), {"grid": []})]:
+                         ((ALGO_ALPHA, 100, 4), {"grid": []}),
+                         ((ALGO_ALPHA, 100, 4), {"block": 0}),
+                         ((ALGO_ALPHA, 100, 4), {"block": -3})]:
         with pytest.raises(ValueError):
             run_bandit_experiment(spec, *args, **kwargs)
 
@@ -323,6 +373,157 @@ def test_worker_count_rule(monkeypatch):
     assert regret._worker_count(1, big) == 1
 
 
+# -- the compiled step loop ------------------------------------------------------
+
+
+# (spec, horizon, grid): the edges of the step loop
+DIFFERENTIAL_CASES = {
+    "one_arm": (BanditSpec(means=(0.5,), sigma_x2=0.05), 60, None),
+    "horizon_below_k": (small_spec(means=(0.4, 0.6, 0.5, 0.3, 0.45)), 3,
+                        (1, 2, 3)),
+    "noiseless": (small_spec(means=(0.6, 0.5, 0.45, 0.4), sigma_x2=0.0), 400,
+                  None),
+    "rho_zero": (small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, rho=0.0),
+                 400, None),
+    "two_point": (small_spec(means=(0.6, 0.5, 0.5, 0.4), sigma_x2=0.05,
+                             rho=0.5, noise="two_point"), 900, None),
+    # exact binary rewards: arms of different means tie on the index
+    "exact_ties": (small_spec(means=(0.75, 0.25, 0.5), sigma_x2=0.0625,
+                              noise="two_point"), 900, None),
+    "grid_in_forced": (small_spec(means=(0.6, 0.5, 0.45, 0.4, 0.55),
+                                  sigma_x2=0.05, noise="uniform"), 700,
+                       (1, 2, 4, 5, 6, 7, 333, 699, 700)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_compiled_loop_leaves_the_numpy_loops_state(kernel, case):
+    """Not only the curve: every slab cell (sum, count, 1/count, mean) ends
+    with the numpy loop's bits, so no rounding differs on the way."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    spec, horizon, grid = DIFFERENTIAL_CASES[case]
+    args = (spec, horizon, grid or tuple(range(1, horizon + 1)), 97, 2, 7)
+    ours, ref = np.zeros((2, 4 * 5 * spec.k))
+    assert (ucb.compiled_loop(kernel, *args, ours).tobytes()
+            == regret._numpy_loop(*args, ref).tobytes())
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork),
+                                     pytest.param(3, marks=needs_fork)])
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
+                                                  workers):
+    if kernel is None:
+        pytest.skip("no C compiler")
+    spec, horizon, grid = DIFFERENTIAL_CASES[case]
+    monkeypatch.setattr(regret, "_kernel", lambda: None)
+    ref = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
+                                grid=grid, block=97)
+    monkeypatch.setattr(regret, "_kernel", lambda: kernel)
+    pids = force_workers(monkeypatch, workers)
+    got = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
+                                grid=grid, block=97)
+    assert len(pids) == workers - 1
+    assert got.per_seed.tobytes() == ref.per_seed.tobytes()
+
+
+def test_compiled_noise_is_drawn_for_a_group_of_seeds_at_a_time(monkeypatch,
+                                                                kernel):
+    """The compiled loop holds at most ``_NOISE_FLOATS`` uniforms at once:
+    a block's noise is drawn for as many seeds at a time as fit, and the
+    grouping is physical only."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
+    args = (spec, 700, UNEVEN_GRID[:4] + (50, 333, 699, 700), 97, 0, 5)
+    ref, ref_state = regret._numpy_loop(*args), np.zeros(4 * 5 * spec.k)
+    regret._numpy_loop(*args, ref_state)
+    shapes = []
+
+    def recording(u, s, kind):
+        shapes.append(u.shape)
+        return residual_noise(u, s, kind)
+
+    monkeypatch.setattr(ucb, "NOISE_FLOATS", 200)  # 2 seeds of 97 steps
+    monkeypatch.setattr(ucb, "residual_noise", recording)
+    state = np.zeros(4 * 5 * spec.k)
+    assert ucb.compiled_loop(kernel, *args, state).tobytes() == ref.tobytes()
+    assert state.tobytes() == ref_state.tobytes()
+    assert shapes[:4] == [(2, 97), (2, 97), (1, 97), (2, 97)]
+    assert sum(r * c for r, c in shapes) == 5 * 700
+
+
+def cold_cache(monkeypatch, tmp_path, **patch):
+    """Point the kernel cache at ``tmp_path/cache``, apply ``patch`` to the
+    kernel module, and forget this process's kernel."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for name, value in patch.items():
+        monkeypatch.setattr(ucb, name, value)
+    monkeypatch.setattr(regret, "_KERNEL_MEMO", [])
+
+
+def files_under(path):
+    return sorted(p for p in path.rglob("*") if p.is_file())
+
+
+def pinned_digest_holds() -> bool:
+    spec, algo, horizon, digest = PINNED_CURVES[0]
+    curve = run_bandit_experiment(spec, algo, horizon, 20)
+    return hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
+
+
+def test_without_a_compiler_the_numpy_loop_runs(monkeypatch, tmp_path):
+    cold_cache(monkeypatch, tmp_path,
+               CC=(str(tmp_path / "no-such-cc"),) + ucb.CC[1:])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert regret._kernel() is None
+    assert caught == []
+    assert files_under(tmp_path) == []
+    runs = regret.LOOP_RUNS["numpy"]
+    assert pinned_digest_holds()
+    assert regret.LOOP_RUNS["numpy"] == runs + 1
+
+
+def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path):
+    """A build whose tie rule differs from numpy's fails the check against
+    the numpy loop: no kernel, and nothing left in the cache."""
+    if shutil.which(ucb.CC[0]) is None:
+        pytest.skip("no C compiler")
+    src = ucb.SOURCE.read_text()
+    assert src.count("if (v > best)") == 1
+    wrong = tmp_path / "src" / "_ucb.c"
+    wrong.parent.mkdir()
+    wrong.write_text(src.replace("if (v > best)", "if (v >= best)"))
+    cold_cache(monkeypatch, tmp_path, SOURCE=wrong)
+    assert regret._kernel() is None
+    assert files_under(tmp_path / "cache") == []
+
+
+@needs_fork
+def test_a_sharded_run_with_a_cold_cache_compiles_once(monkeypatch, tmp_path):
+    cc = shutil.which(ucb.CC[0])
+    if cc is None:
+        pytest.skip("no C compiler")
+    log = tmp_path / "cc.log"
+    wrapper = tmp_path / "cc"
+    wrapper.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{cc}" "$@"\n')
+    wrapper.chmod(0o755)
+    cold_cache(monkeypatch, tmp_path, CC=(str(wrapper),) + ucb.CC[1:])
+    pids = force_workers(monkeypatch, 3)
+    runs = regret.LOOP_RUNS["compiled"]
+    assert pinned_digest_holds()
+    assert len(pids) == 2
+    assert regret.LOOP_RUNS["compiled"] == runs + 1
+    assert log.read_text() == "run\n"
+    assert len(files_under(tmp_path / "cache")) == 1
+    monkeypatch.setattr(regret, "_KERNEL_MEMO", [])  # a new process
+    assert regret._kernel() is not None
+    assert log.read_text() == "run\n"  # loaded from the cache
+
+
 def test_seed_trajectories_independent_of_batch():
     spec = small_spec()
     solo = run_bandit_experiment(spec, ALGO_ALPHA, 1000, 1, seed0=3)
@@ -330,12 +531,14 @@ def test_seed_trajectories_independent_of_batch():
     assert np.array_equal(solo.per_seed[:, 0], batch.per_seed[:, 3])
 
 
-def test_regret_curves_start_with_forced_exploration():
+def test_regret_curves_start_with_forced_exploration(each_loop):
     """The policy tries every arm once before exploiting, so regret at
     t = K equals the sum of all gaps."""
     spec = small_spec(means=(0.6, 0.5, 0.45, 0.4), sigma_x2=0.0)
-    curve = run_bandit_experiment(spec, ALGO_ALPHA, 50, 3, grid=[spec.k, 50])
-    assert np.allclose(curve.per_seed[0], sum(spec.gaps))
+    for loop in each_loop():
+        curve = run_bandit_experiment(spec, ALGO_ALPHA, 50, 3,
+                                      grid=[spec.k, 50])
+        assert np.allclose(curve.per_seed[0], sum(spec.gaps)), loop
 
 
 def test_mean_curve_non_decreasing():

@@ -9,9 +9,15 @@ of (source, compile command, platform); failing that it compiles the
 source into a temporary file, checks it (``agrees_with_numpy``) and moves
 it into place.  A missing compiler, a failed build or check and a library
 that does not load all give ``None``, and a failed build leaves no file
-behind.  The kernel does the numpy loop's IEEE operations on the same
-operands in the same order, so ``compiled_loop`` returns the numpy loop's
-curve bit for bit.
+behind.
+
+The kernel picks each step's arm by the numpy loop's index and tie rule, but
+computes all K indices only after a change of leader: in between, each other
+arm's index is bounded above by one value computed at the end of a short
+window, and the leader's own index decides whether any of them could win
+(see the header of ``_ucb.c``).  Every index it does compute, and every
+slab update, is the numpy loop's IEEE operations on the same operands, so
+``compiled_loop`` returns the numpy loop's curve and slabs bit for bit.
 """
 from __future__ import annotations
 
@@ -38,12 +44,14 @@ NOISE_FLOATS = 1 << 17
 
 def compiled_loop(lib, spec: BanditSpec, horizon: int,
                   t_grid: tuple[int, ...], block: int, seed_lo: int,
-                  seed_hi: int, state: np.ndarray | None = None) -> np.ndarray:
+                  seed_hi: int, state: np.ndarray | None = None,
+                  full: np.ndarray | None = None) -> np.ndarray:
     """The step loop of ``regret._numpy_loop`` in the kernel ``lib``, on the
     same four slabs (and the same optional ``state``): per ``block`` steps
     and per group of at most ``NOISE_FLOATS // block`` seeds, one call runs
     each seed's steps in turn on its own row of noise, drawn as the numpy
-    loop draws it."""
+    loop draws it.  The kernel adds the number of steps that computed all K
+    indices to ``full[0]``, a caller's int64 cell, when one is given."""
     n_seeds = seed_hi - seed_lo
     kk = spec.k
     means = np.asarray(spec.means, dtype=np.float64)
@@ -53,6 +61,8 @@ def compiled_loop(lib, spec: BanditSpec, horizon: int,
     grid = np.asarray(t_grid, dtype=np.int64)
     if state is None:
         state = np.zeros(4 * n_seeds * kk)  # sum | count | inv | mean
+    if full is None:
+        full = np.zeros(1, dtype=np.int64)
     reg = np.zeros(n_seeds)
     ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
     gens = [derive_rng(0, "pull-noise", sd).generator()
@@ -73,7 +83,8 @@ def compiled_loop(lib, spec: BanditSpec, horizon: int,
             del u
             next_gi = lib.ucb_block(hi - lo, n_seeds, kk, t0, bl, ct, means,
                                     gaps, noise, state[kk * lo:], reg[lo:],
-                                    grid, len(grid), gi, flat_out[lo:])
+                                    grid, len(grid), gi, flat_out[lo:],
+                                    full)
             del noise  # before the next group's uniforms are drawn
         gi = next_gi
     assert gi == len(t_grid)
@@ -155,6 +166,7 @@ def bind(lib):
     lib.ucb_log_table.argtypes = [ctypes.c_double, i64, i64, f64s]
     lib.ucb_log_table.restype = None
     lib.ucb_block.argtypes = [i64, i64, i64, i64, i64, f64s, f64s, f64s,
-                              f64s, f64s, f64s, i64s, i64, i64, f64s]
+                              f64s, f64s, f64s, i64s, i64, i64, f64s,
+                              i64s]
     lib.ucb_block.restype = i64
     return lib

@@ -18,9 +18,10 @@ is the full outcome variance.
 
 The bandit step loop runs in a small C kernel (``_ucb.c``, see the
 ``kernel`` module) when one builds and passes its check, and in numpy
-otherwise.  The two loops do the same IEEE operations in the same order, so
-every curve is bit for bit the same on either: the numpy loop is the
-fallback and the tests' reference.
+otherwise.  The kernel skips index values that provably cannot win, and
+computes every other value with the numpy loop's IEEE operations, so every
+curve is bit for bit the same on either: the numpy loop, which computes
+every index at every step, is the fallback and the tests' reference.
 """
 from __future__ import annotations
 
@@ -151,10 +152,17 @@ def freedman_tail_bound(epsilon: float, v_cap: float) -> float:
     return math.exp(-epsilon ** 2 / (2.0 * v_cap + 2.0 * epsilon / 3.0))
 
 
-def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
-                             v_cap: float, trials: int,
-                             seed: int = 0) -> FreedmanCell:
-    """Monte-Carlo hit rate of {S_n >= eps and V_n <= v} for the generator."""
+def freedman_empirical_check(mds: MdsSpec, n: int,
+                             epsilons: Sequence[float],
+                             v_caps: Sequence[float], trials: int,
+                             seed: int = 0) -> list[FreedmanCell]:
+    """Monte-Carlo hit rates of {S_n >= eps and V_n <= v} for the generator,
+    one ``FreedmanCell`` per (eps, v) pair, epsilon-major: the cells of
+    ``epsilons[0]`` first, each in ``v_caps`` order.
+
+    Every cell thresholds the final (S_n, V_n) of the same ``trials`` walks,
+    one sample simulated once, so the cells are correlated: they are not
+    independent tests of the bound."""
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
     rng = derive_rng(seed, "freedman", n).generator()
@@ -165,9 +173,10 @@ def freedman_empirical_check(mds: MdsSpec, n: int, epsilon: float,
         d = scale * np.where(rng.random(trials) >= 0.5, 1.0, -1.0)
         s += d
         v += scale ** 2
-    rate = float(np.mean((s >= epsilon) & (v <= v_cap)))
-    return FreedmanCell(epsilon=epsilon, v_cap=v_cap, n=n, trials=trials,
-                        rate=rate, bound=freedman_tail_bound(epsilon, v_cap))
+    return [FreedmanCell(epsilon=eps, v_cap=cap, n=n, trials=trials,
+                         rate=float(np.mean((s >= eps) & (v <= cap))),
+                         bound=freedman_tail_bound(eps, cap))
+            for eps in epsilons for cap in v_caps]
 
 
 # -- bandit simulation --------------------------------------------------------

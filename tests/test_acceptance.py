@@ -72,6 +72,18 @@ def test_backup_oracle_audits_q_mean(monkeypatch):
     assert "diverged" in broken.detail and "q_mean" in broken.detail
 
 
+def test_freedman_names_its_first_failing_cell(monkeypatch):
+    """A bound the walks beat fails the criterion at the first such cell in
+    epsilon-major order, with that cell's rate (recorded when every cell
+    simulated its own walks)."""
+    monkeypatch.setattr(regret, "freedman_tail_bound",
+                        lambda eps, v: 0.5 if (eps, v) == (2.0, 7.0) else 0.01)
+    res = run_criteria(["regret_freedman"])[0]
+    assert not res.passed
+    assert res.detail == ("eps=2.0 v=8.5: rate 0.2219 beats bound 0.0100 "
+                          "+ 3 std")
+
+
 def _grid_runs(seeds_by_k):
     return [(grid_spec(k, gap, s2), seeds_by_k[k]) for k in (2, 5, 10)
             for gap in (0.1, 0.2) for s2 in (0.01, 0.05)]

@@ -88,13 +88,13 @@ def test_freedman_tail_bound_formula():
 
 def test_freedman_empirical_cell_respects_bound():
     mds = MdsSpec(scale=0.25, scale_hi=0.25)  # the plain +-0.25 walk
-    cell = freedman_empirical_check(mds, n=400, epsilon=3.0,
-                                    v_cap=25.0 + 1e-9, trials=4000)
+    cell, = freedman_empirical_check(mds, 400, (3.0,), (25.0 + 1e-9,),
+                                     trials=4000)
     # V_n = 400 * 0.0625 = 25 always, so the cap never binds
     assert cell.rate <= cell.bound + 3 * cell.binom_std
     assert cell.rate == 0.282  # recorded when this walk had its own kind
-    again = freedman_empirical_check(mds, n=400, epsilon=3.0,
-                                     v_cap=25.0 + 1e-9, trials=4000)
+    again, = freedman_empirical_check(mds, 400, (3.0,), (25.0 + 1e-9,),
+                                      trials=4000)
     assert cell.rate == again.rate  # keyed rng: bitwise reproducible
 
 
@@ -453,6 +453,83 @@ def test_compiled_noise_is_drawn_for_a_group_of_seeds_at_a_time(monkeypatch,
     assert state.tobytes() == ref_state.tobytes()
     assert shapes[:4] == [(2, 97), (2, 97), (1, 97), (2, 97)]
     assert sum(r * c for r, c in shapes) == 5 * 700
+
+
+# Hand-built blocks of one seed for ``ucb_block``, past its forced steps:
+# (K, radius factor c_t per step, arm means, per-arm (sum, count) at the
+# start), the arms the full index picks at each step (the noise is 0), and
+# how many of those steps the kernel must take on the full K-way path.
+LAZY_CASES = {
+    # Arm 1 leads with a wider radius.  Four pulls at 0.5 give it arm 0's
+    # exact (sum, count) on the window's last step, where c_t = c_end: arm
+    # 0's bound equals the leader's index, the indices tie, and arm 0 wins.
+    "tie_below_at_c_end": (2, [0.5 * math.log(1001 + b) for b in range(5)],
+                           (0.5, 0.5), ((4.0, 8.0), (2.0, 4.0)),
+                           [1, 1, 1, 1, 0], 2),
+    # c_t = 0, so an index is its mean.  Arm 0 leads; one pull at 0 brings
+    # it to arm 1's bound exactly (it keeps the lead, lazily), the next just
+    # under it, by far less than 1e-300, and arm 1 takes over.
+    "tie_above_then_under": (2, [0.0] * 3, (0.0, 0.0),
+                             ((4e-300, 1.0), (2e-300, 1.0)), [0, 0, 1], 2),
+    # c_t jumps above the window's c_end on step 2, where arm 0's radius
+    # wins: the step must see that its bounds do not hold.
+    "c_t_above_c_end": (2, [1.0, 1.0, 4.0, 1.0], (0.0, 0.75),
+                        ((0.0, 1.0), (3.0, 4.0)), [1, 1, 0, 1], 3),
+}
+
+
+def hand_state(cells):
+    """The four slabs sum | count | inv | mean of one seed's arms, with the
+    kernel's own operations for inv and mean."""
+    sums, counts = np.array(cells).T
+    inv = 1.0 / counts
+    return np.concatenate([sums, counts, inv, sums * inv])
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
+    """``ucb_block`` pulls the arms a full index recomputed at every step
+    pulls, leaves the same slabs, and takes the leader-only path where the
+    case says it must."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    k, ct, means, cells, arms, full_steps = LAZY_CASES[case]
+    n, t0 = len(ct), 1000
+    ct, means = np.array(ct), np.array(means)
+    noise = np.zeros(n)
+    ref = hand_state(cells)
+    sums, counts, inv, mean = ref.reshape(4, k)  # views
+    want = []
+    for b, c in enumerate(ct):  # the numpy loop's step, for one seed
+        a = int(np.argmax(mean + np.sqrt(inv * c)))
+        want.append(a)
+        sums[a] = sums[a] + (means[a] + noise[b])
+        counts[a] = counts[a] + 1.0
+        inv[a] = 1.0 / counts[a]
+        mean[a] = sums[a] * inv[a]
+    assert want == arms
+    state, reg, out = hand_state(cells), np.zeros(1), np.empty(n)
+    full = np.zeros(1, dtype=np.int64)
+    grid = np.arange(t0 + 1, t0 + n + 1)
+    gaps = np.arange(k, dtype=np.float64)  # regret counts the arm numbers
+    assert kernel.ucb_block(1, 1, k, t0, n, ct, means, gaps, noise, state,
+                            reg, grid, n, 0, out, full) == n
+    assert np.diff(out, prepend=0.0).tolist() == arms
+    assert state.tobytes() == ref.tobytes()
+    assert full[0] == full_steps
+
+
+def test_most_steps_skip_the_full_index(kernel):
+    """Between changes of leader the kernel computes only the leader's
+    index: at K = 10, gap 0.1, sigma2 0.05 and T = 100k, under 10 % of all
+    steps take the full K-way path (5.5 % when this was written)."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    horizon, n_seeds = 100_000, 20
+    full = np.zeros(1, dtype=np.int64)
+    ucb.compiled_loop(kernel, grid_spec(10, 0.1, 0.05), horizon,
+                      default_grid(horizon), 2048, 0, n_seeds, None, full)
+    assert 0 < full[0] < 0.10 * horizon * n_seeds
 
 
 def cold_cache(monkeypatch, tmp_path, **patch):

@@ -1,10 +1,13 @@
-/* The alpha-UCT bandit step loop of alphauct.regret, one seed at a time.
+/* The alpha-UCT bandit step loop of alphauct.regret, one seed at a time:
+   the two entry points regret._simulate calls, which regret.NUMPY also
+   holds in numpy, with the same arguments.
 
    A step's arm is the first maximum of the index mean_j + sqrt(inv_j * c_t)
-   over the K arms, as in the numpy loop (regret._numpy_loop).  Wherever the
-   kernel computes an index it does the numpy loop's IEEE operations on the
-   same operands, and every slab update too, so the two loops give the same
-   bits.  The kernel computes all K indices only where it must:
+   over the K arms, as in the numpy block (regret.NUMPY.ucb_block).
+   Wherever the kernel computes an index it does the numpy block's IEEE
+   operations on the same operands, and every slab update too, so the two
+   give the same bits.  The kernel computes all K indices only where it
+   must:
 
    After a full K-way step, while the leader keeps being pulled, no other
    arm's mean or inv changes.  Multiplying by inv_j >= 0, sqrt and adding
@@ -42,7 +45,7 @@ void ucb_log_table(double scale, int64_t t0, int64_t n, double *ct)
 /* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a run of stride
    seeds (n_seeds <= stride).  st holds four slabs sum | count | inv | mean
    of stride * K cells each, seed s's K cells at offset k * s in every slab,
-   as in the numpy loop.  Seed s keeps its regret at reg[s] and this block's
+   as in the numpy block.  Seed s keeps its regret at reg[s] and this block's
    noise at noise + n * s; its regret at checkpoint grid[g] goes to
    out[g * stride + s].  gi is the first checkpoint not yet passed; returns
    the first one after step t0 + n.  Adds to *full the number of steps that

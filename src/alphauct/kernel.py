@@ -1,6 +1,6 @@
-"""The compiled bandit step loop: ``_ucb.c`` built with the system ``cc``,
-checked against the numpy loop, cached, loaded through ``ctypes`` and
-called block by block.
+"""The compiled bandit step loop: ``_ucb.c``, the C twin of ``regret.NUMPY``
+(``ucb_log_table`` and ``ucb_block``, with the same arguments), built with
+the system ``cc``, checked against it, cached and loaded through ``ctypes``.
 
 ``regret._kernel()`` imports this module on the first bandit run of a
 process, never at package import.  ``build()`` looks for the library in
@@ -11,13 +11,13 @@ it into place.  A missing compiler, a failed build or check and a library
 that does not load all give ``None``, and a failed build leaves no file
 behind.
 
-The kernel picks each step's arm by the numpy loop's index and tie rule, but
-computes all K indices only after a change of leader: in between, each other
-arm's index is bounded above by one value computed at the end of a short
-window, and the leader's own index decides whether any of them could win
-(see the header of ``_ucb.c``).  Every index it does compute, and every
-slab update, is the numpy loop's IEEE operations on the same operands, so
-``compiled_loop`` returns the numpy loop's curve and slabs bit for bit.
+The kernel picks each step's arm by the numpy block's index and tie rule,
+but computes all K indices only after a change of leader: in between, each
+other arm's index is bounded above by one value computed at the end of a
+short window, and the leader's own index decides whether any of them could
+win (see the header of ``_ucb.c``).  Every index it does compute, and every
+slab update, is the numpy block's IEEE operations on the same operands, so
+both leave the same curve and slabs bit for bit.
 """
 from __future__ import annotations
 
@@ -33,63 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import regret
-from .envs import BanditSpec, residual_noise
-from .rng import derive_rng
-
-# The most uniforms (and as many residuals) the compiled loop holds at once:
-# it draws a block's noise and runs its steps for as many seeds at a time as
-# fit (64 at block 2048), so a 500-seed shard holds 1 MB of each, not 8 MB.
-NOISE_FLOATS = 1 << 17
-
-
-def compiled_loop(lib, spec: BanditSpec, horizon: int,
-                  t_grid: tuple[int, ...], block: int, seed_lo: int,
-                  seed_hi: int, state: np.ndarray | None = None,
-                  full: np.ndarray | None = None) -> np.ndarray:
-    """The step loop of ``regret._numpy_loop`` in the kernel ``lib``, on the
-    same four slabs (and the same optional ``state``): per ``block`` steps
-    and per group of at most ``NOISE_FLOATS // block`` seeds, one call runs
-    each seed's steps in turn on its own row of noise, drawn as the numpy
-    loop draws it.  The kernel adds the number of steps that computed all K
-    indices to ``full[0]``, a caller's int64 cell, when one is given."""
-    n_seeds = seed_hi - seed_lo
-    kk = spec.k
-    means = np.asarray(spec.means, dtype=np.float64)
-    gaps = means[spec.best_arm] - means
-    s_res = math.sqrt(spec.residual_var)
-    scale = 8.0 * spec.residual_var
-    grid = np.asarray(t_grid, dtype=np.int64)
-    if state is None:
-        state = np.zeros(4 * n_seeds * kk)  # sum | count | inv | mean
-    if full is None:
-        full = np.zeros(1, dtype=np.int64)
-    reg = np.zeros(n_seeds)
-    ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
-    gens = [derive_rng(0, "pull-noise", sd).generator()
-            for sd in range(seed_lo, seed_hi)]
-    out = np.empty((len(t_grid), n_seeds))
-    flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
-    group = max(1, NOISE_FLOATS // len(ct))
-    gi = 0
-    for t0 in range(0, horizon, block):
-        bl = min(block, horizon - t0)
-        lib.ucb_log_table(scale, t0, bl, ct)
-        for lo in range(0, n_seeds, group):
-            hi = min(lo + group, n_seeds)
-            u = np.empty((hi - lo, bl))
-            for g, row in zip(gens[lo:hi], u):
-                g.random(out=row)
-            noise = residual_noise(u, s_res, spec.noise)
-            del u
-            next_gi = lib.ucb_block(hi - lo, n_seeds, kk, t0, bl, ct, means,
-                                    gaps, noise, state[kk * lo:], reg[lo:],
-                                    grid, len(grid), gi, flat_out[lo:],
-                                    full)
-            del noise  # before the next group's uniforms are drawn
-        gi = next_gi
-    assert gi == len(t_grid)
-    return out
-
+from .envs import BanditSpec
 
 # The kernel's one compile command: no fast-math, no -march, and no
 # contraction of a multiply and an add into an FMA, so that every operation
@@ -107,6 +51,44 @@ CHECK_RUNS = (
                 noise="uniform"), 300, 3),
 )
 CHECK_BLOCK = 64
+
+# One-seed blocks for ``ucb_block``, past the forced steps, where the lazy
+# index meets a tie or its bound's edge: (K, c_t per step, arm means, per-arm
+# (sum, count) at the start), the arms the full index picks at each step (the
+# noise is 0), and how many of those steps the kernel takes on the full path.
+LAZY_CASES = {
+    # Arm 1 leads with a wider radius.  Four pulls at 0.5 give it arm 0's
+    # exact (sum, count) on the window's last step, where c_t = c_end: arm
+    # 0's bound equals the leader's index, the indices tie, and arm 0 wins.
+    "tie_below_at_c_end": (2, [0.5 * math.log(1001 + b) for b in range(5)],
+                           (0.5, 0.5), ((4.0, 8.0), (2.0, 4.0)),
+                           [1, 1, 1, 1, 0], 2),
+    # c_t = 0, so an index is its mean.  Arm 0 leads; one pull at 0 brings
+    # it to arm 1's bound exactly (it keeps the lead, lazily), the next just
+    # under it, by far less than 1e-300, and arm 1 takes over.
+    "tie_above_then_under": (2, [0.0] * 3, (0.0, 0.0),
+                             ((4e-300, 1.0), (2e-300, 1.0)), [0, 0, 1], 2),
+    # c_t jumps above the window's c_end on step 2, where arm 0's radius
+    # wins: the step must see that its bounds do not hold.
+    "c_t_above_c_end": (2, [1.0, 1.0, 4.0, 1.0], (0.0, 0.75),
+                        ((0.0, 1.0), (3.0, 4.0)), [1, 1, 0, 1], 3),
+}
+
+
+def run_lazy_case(lib, case: str):
+    """``LAZY_CASES[case]`` from step 1001 through ``lib.ucb_block``, each
+    arm's gap its own number: (return value, the bytes of the regret at each
+    step and of the final slabs, full-step count)."""
+    k, ct, means, cells, _, _ = LAZY_CASES[case]
+    n, t0 = len(ct), 1000
+    sums, counts = np.array(cells).T
+    state = np.concatenate([sums, counts, 1.0 / counts, sums * (1.0 / counts)])
+    out, full = np.empty(n), np.zeros(1, dtype=np.int64)
+    got = lib.ucb_block(1, 1, k, t0, n, np.array(ct), np.array(means),
+                        np.arange(k, dtype=np.float64), np.zeros(n), state,
+                        np.zeros(1), np.arange(t0 + 1, t0 + n + 1), n, 0, out,
+                        full)
+    return got, out.tobytes(), state.tobytes(), int(full[0])
 
 
 def build():
@@ -141,21 +123,21 @@ def build():
 
 
 def agrees_with_numpy(lib) -> bool:
-    """The build check: on ``CHECK_RUNS`` the kernel leaves the numpy
-    loop's curve and final slabs, bit for bit, and its ln table far out
-    equals ``math.log``'s."""
-    for spec, horizon, n_seeds in CHECK_RUNS:
-        args = (spec, horizon, tuple(range(1, horizon + 1)), CHECK_BLOCK,
-                0, n_seeds)
-        ours, ref = np.zeros((2, 4 * n_seeds * spec.k))
-        if (compiled_loop(lib, *args, ours).tobytes()
-                != regret._numpy_loop(*args, ref).tobytes()
-                or ours.tobytes() != ref.tobytes()):
-            return False
-    scale, t0 = 0.4, 123_456
-    ct = np.empty(CHECK_BLOCK)
-    lib.ucb_log_table(scale, t0, len(ct), ct)
-    return ct.tolist() == [scale * math.log(t0 + 1 + b) for b in range(len(ct))]
+    """The build check: ``lib`` gives ``regret.NUMPY``'s bits on the curves
+    and final slabs of ``CHECK_RUNS``, the slabs, regret writes and return
+    value of each of ``LAZY_CASES``, and a ln table far out."""
+    def results(x):
+        for spec, horizon, n_seeds in CHECK_RUNS:
+            state = np.zeros(4 * n_seeds * spec.k)
+            yield regret._simulate(spec, horizon, tuple(range(1, horizon + 1)),
+                                   CHECK_BLOCK, 0, n_seeds, x, state).tobytes()
+            yield state.tobytes()
+        for case in LAZY_CASES:
+            yield run_lazy_case(x, case)[:3]
+        ct = np.empty(CHECK_BLOCK)
+        x.ucb_log_table(0.4, 123_456, len(ct), ct)
+        yield ct.tobytes()
+    return all(a == b for a, b in zip(results(lib), results(regret.NUMPY)))
 
 
 def bind(lib):
@@ -165,8 +147,7 @@ def bind(lib):
                   for dtype in (np.float64, np.int64))
     lib.ucb_log_table.argtypes = [ctypes.c_double, i64, i64, f64s]
     lib.ucb_log_table.restype = None
-    lib.ucb_block.argtypes = [i64, i64, i64, i64, i64, f64s, f64s, f64s,
-                              f64s, f64s, f64s, i64s, i64, i64, f64s,
-                              i64s]
+    lib.ucb_block.argtypes = ([i64] * 5 + [f64s] * 6
+                              + [i64s, i64, i64, f64s, i64s])
     lib.ucb_block.restype = i64
     return lib

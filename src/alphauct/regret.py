@@ -16,12 +16,12 @@ equal to its variance, so the radius is a valid confidence radius.  The
 blind baseline is the same policy at rho = 1, where the residual variance
 is the full outcome variance.
 
-The bandit step loop runs in a small C kernel (``_ucb.c``, see the
-``kernel`` module) when one builds and passes its check, and in numpy
-otherwise.  The kernel skips index values that provably cannot win, and
-computes every other value with the numpy loop's IEEE operations, so every
-curve is bit for bit the same on either: the numpy loop, which computes
-every index at every step, is the fallback and the tests' reference.
+``_simulate`` runs the bandit step loop through ``ucb_log_table`` and
+``ucb_block`` of a small C kernel (``_ucb.c``, see ``kernel``) when one
+builds and passes its check, else of ``NUMPY``, the same two in numpy.  The
+kernel skips index values that provably cannot win and computes every other
+one with ``NUMPY``'s IEEE operations, so a curve is bit for bit the same on
+either; ``NUMPY`` is the fallback and the tests' reference.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -231,11 +232,15 @@ def _check_algo(algo: str) -> None:
 
 # A run of fewer seed-steps stays in the calling process.  Forking a shard,
 # piping its block back and reaping it took 2.4-2.6 ms (median; 11 ms at
-# worst) on a 2-vCPU VM with numpy loaded.  There the compiled step loop does
-# about 20M seed-steps/s per core at K = 10 (the numpy loop 6-14M): at this
-# size one fork costs about 2.5 % of a shard's run in the median and 11 % at
-# worst, and no unit-test-sized run forks.
+# worst) on a 2-vCPU VM with numpy loaded, 4.6-5.2 ms when re-measured.  The
+# lazy-bound kernel does 37-52M seed-steps/s per core at K = 10 (NUMPY 3-10M),
+# so a shard of this size runs 40-55 ms and one fork costs 5-13 % of it in
+# the median; no unit-test-sized run forks.
 SHARD_MIN_SEED_STEPS = 2_000_000
+
+# The most uniforms (and as many residuals) a kernel seed group holds: 64
+# seeds at block 2048, so a 500-seed shard holds 1 MB of each, not 8 MB.
+NOISE_FLOATS = 1 << 17
 
 
 def _worker_count(n_seeds: int, horizon: int) -> int:
@@ -345,21 +350,66 @@ def _join_shard(shard, rows: int) -> np.ndarray:
 
 
 def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
-              block: int, seed_lo: int, seed_hi: int) -> np.ndarray:
+              block: int, seed_lo: int, seed_hi: int, lib=None,
+              state: np.ndarray | None = None,
+              full: np.ndarray | None = None) -> np.ndarray:
     """Cumulative pseudo-regret of seeds [seed_lo, seed_hi) at the grid
-    checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``: the compiled
-    loop when ``_kernel()`` has one, else the numpy loop, bit for bit the
-    same curve."""
-    lib = _kernel()
-    if lib is None:
-        return _numpy_loop(spec, horizon, t_grid, block, seed_lo, seed_hi)
-    from .kernel import compiled_loop
-    return compiled_loop(lib, spec, horizon, t_grid, block, seed_lo, seed_hi)
+    checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``, stepped by
+    ``lib`` (default: ``_kernel()``, or ``NUMPY`` where it is ``None``).
+
+    Per ``block`` steps one ``lib.ucb_log_table`` call fills the radius
+    factors, and per group of seeds the block's noise is drawn, each seed's
+    row from its own stream, and one ``lib.ucb_block`` call runs the
+    group's steps: ``NUMPY`` takes all seeds at once, the kernel
+    ``NOISE_FLOATS // block``.  Block and group sizes are physical only.
+    Each (seed, arm) cell keeps its reward sum, pull count, ``inv =
+    1/count`` and ``mean = sum * inv`` in four ``n_seeds * K`` slabs of one
+    array; a caller's zeroed ``state`` of ``4 * n_seeds * K`` floats serves
+    as the slabs, and ``lib`` adds the seed-steps that computed all K
+    indices to ``full[0]``, a caller's int64 cell.
+    """
+    lib = lib or _kernel() or NUMPY
+    n_seeds = seed_hi - seed_lo
+    kk = spec.k
+    means = np.asarray(spec.means, dtype=np.float64)
+    gaps = means[spec.best_arm] - means
+    s_res = math.sqrt(spec.residual_var)
+    # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
+    scale = 8.0 * spec.residual_var
+    grid = np.asarray(t_grid, dtype=np.int64)
+    state = np.zeros(4 * n_seeds * kk) if state is None else state
+    full = np.zeros(1, dtype=np.int64) if full is None else full
+    reg = np.zeros(n_seeds)
+    ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
+    gens = [derive_rng(0, "pull-noise", sd).generator()
+            for sd in range(seed_lo, seed_hi)]
+    out = np.empty((len(t_grid), n_seeds))
+    flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
+    group = n_seeds if lib is NUMPY else max(1, NOISE_FLOATS // len(ct))
+    gi = 0
+    for t0 in range(0, horizon, block):
+        bl = min(block, horizon - t0)
+        lib.ucb_log_table(scale, t0, bl, ct)
+        for lo in range(0, n_seeds, group):
+            hi = min(lo + group, n_seeds)
+            u = np.empty((hi - lo, bl))
+            for g, row in zip(gens[lo:hi], u):
+                g.random(out=row)
+            noise = residual_noise(u, s_res, spec.noise)
+            del u
+            next_gi = lib.ucb_block(hi - lo, n_seeds, kk, t0, bl, ct, means,
+                                    gaps, noise, state[kk * lo:], reg[lo:],
+                                    grid, len(grid), gi, flat_out[lo:],
+                                    full)
+            del noise  # before the next group's uniforms are drawn
+        gi = next_gi
+    assert gi == len(t_grid)
+    return out
 
 
 def _kernel():
     """The compiled step loop as a ``ctypes`` library (``kernel.build()``),
-    or ``None``: the numpy loop runs then.  Resolved once per process, on
+    or ``None``: ``NUMPY`` steps then.  Resolved once per process, on
     first use; nothing is built or loaded at import."""
     if not _KERNEL_MEMO:
         from .kernel import build
@@ -367,87 +417,58 @@ def _kernel():
     return _KERNEL_MEMO[0]
 
 
-def _numpy_loop(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
-                block: int, seed_lo: int, seed_hi: int,
-                state: np.ndarray | None = None) -> np.ndarray:
-    """The step loop in numpy, all seeds a step at a time: the fallback
-    where no kernel builds, and the reference the kernel is checked against.
+def _numpy_log_table(scale: float, t0: int, n: int, ct: np.ndarray) -> None:
+    """``ucb_log_table`` in numpy: ct[b] = scale * ln(t0 + 1 + b), b < n."""
+    ct[:n] = [scale * math.log(t) for t in range(t0 + 1, t0 + n + 1)]
 
-    Uniforms are drawn and mapped to residuals ``block`` steps at a time; the
-    block size is physical only.
 
-    State is incremental.  Each (seed, arm) cell keeps its reward sum, pull
-    count, ``inv = 1/count`` and ``mean = sum * inv`` in four flat
-    ``n_seeds * K`` slabs of one array.  A step rewrites only the cell each
-    seed pulled, with the same IEEE operations a full recompute would do, so
-    its index values are bit-for-bit those of the full recompute.  The first
-    K steps play arm ``t - 1``, the arm an infinite untried-arm index picks.
-    After that a step recomputes only the radius ``sqrt(inv * scale * ln t)``,
-    the index ``mean + radius`` and its row-wise argmax (a tie goes to the
-    lowest arm).  A caller's zeroed ``state`` of ``4 * n_seeds * K`` floats
-    serves as the slabs and is left holding their final values.
-    """
-    n_seeds = seed_hi - seed_lo
-    kk = spec.k
-    means = np.asarray(spec.means)
-    gaps_all = means[spec.best_arm] - means
-    s_res = math.sqrt(spec.residual_var)
-    # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
-    scale = 8.0 * spec.residual_var
-
-    cells = n_seeds * kk
-    # one flat array holding four per-cell slabs: sum | count | inv | mean
-    state = np.zeros(4 * cells) if state is None else state
-    inv = state[2 * cells:3 * cells]
-    mean = state[3 * cells:]
-    index = np.empty((n_seeds, kk))
+def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, noise, st, reg,
+                 grid, n_grid, gi, out, full) -> int:
+    """``ucb_block`` of ``_ucb.c`` in numpy, all seeds a step at a time:
+    the first K steps play arm ``t - 1`` (an untried arm's index is
+    infinite), each later step computes every arm's index ``mean +
+    sqrt(inv * c_t)`` and its first maximum.  A step rewrites only the cells
+    each seed pulled, with the operations a full recompute would do."""
+    cells, size = n_seeds * k, stride * k
+    inv = st[2 * size:2 * size + cells]
+    mean = st[3 * size:3 * size + cells]
+    index = np.empty((n_seeds, k))
     flat_index = index.reshape(cells)
     # cell[j, s]: slab j's entry for the arm seed s pulled this step
-    slab_base = np.arange(0, 4 * cells, cells)[:, None] + np.arange(0, cells, kk)
+    slab_base = np.arange(0, 4 * size, size)[:, None] + np.arange(0, cells, k)
     cell = np.empty((4, n_seeds), dtype=np.intp)
-    sum_count_cell = cell[:2]
     upd = np.empty((4, n_seeds))
-    sum_count_upd = upd[:2]
     new_sum, new_count, new_inv, new_mean = upd
     inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
-    x = inc[0]
-    reg = np.zeros(n_seeds)
-    gens = [derive_rng(0, "pull-noise", sd).generator()
-            for sd in range(seed_lo, seed_hi)]
-    out = np.empty((len(t_grid), n_seeds))
-    gi = 0
-    next_t = t_grid[0]
+    reg = reg[:n_seeds]
+    step_noise = noise.reshape(n_seeds, n).T  # row b: step b's noise
+    for b in range(n):
+        t = t0 + 1 + b
+        if t <= k:
+            chosen = np.full(n_seeds, t - 1)
+        else:
+            np.multiply(inv, ct[b], out=flat_index)
+            np.sqrt(flat_index, out=flat_index)
+            np.add(flat_index, mean, out=flat_index)
+            chosen = index.argmax(axis=1)
+        np.add(slab_base, chosen, out=cell)
+        np.add(means[chosen], step_noise[b], out=inc[0])
+        np.add(st[cell[:2]], inc, out=upd[:2])
+        np.divide(1.0, new_count, out=new_inv)
+        np.multiply(new_sum, new_inv, out=new_mean)
+        st[cell] = upd
+        reg += gaps[chosen]
+        if gi < n_grid and t == grid[gi]:
+            out[gi * stride:gi * stride + n_seeds] = reg
+            gi += 1
+    full[0] += n_seeds * max(0, t0 + n - max(t0, k))
+    return gi
 
-    for t0 in range(0, horizon, block):
-        bl = min(block, horizon - t0)
-        u = np.empty((bl, n_seeds))
-        for si, g in enumerate(gens):
-            u[:, si] = g.random(bl)
-        noise = residual_noise(u, s_res, spec.noise)
-        del u
-        for b in range(bl):
-            t = t0 + b + 1
-            if t <= kk:
-                chosen = np.full(n_seeds, t - 1)
-            else:
-                np.multiply(inv, scale * math.log(t), out=flat_index)
-                np.sqrt(flat_index, out=flat_index)
-                np.add(flat_index, mean, out=flat_index)
-                chosen = index.argmax(axis=1)
-            np.add(slab_base, chosen, out=cell)
-            np.add(means[chosen], noise[b], out=x)
-            np.add(state[sum_count_cell], inc, out=sum_count_upd)
-            np.divide(1.0, new_count, out=new_inv)
-            np.multiply(new_sum, new_inv, out=new_mean)
-            state[cell] = upd
-            reg += gaps_all[chosen]
-            if t == next_t:
-                out[gi] = reg
-                gi += 1
-                next_t = t_grid[gi] if gi < len(t_grid) else 0
-        del noise  # before the next block's uniforms are drawn
-    assert gi == len(t_grid)
-    return out
+
+# The kernel's two entry points in numpy, the step loop wherever no kernel
+# builds: ``_simulate(..., lib=NUMPY)`` runs it.
+NUMPY = SimpleNamespace(ucb_log_table=_numpy_log_table,
+                        ucb_block=_numpy_block)
 
 
 def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
@@ -603,18 +624,15 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
     points = []
     for rho in rho_grid:
         if rho == 1.0:
-            final = base_final
+            final, lo, hi = base_final, 1.0, 1.0
         else:
-            cur = run_bandit_experiment(replace(spec, rho=rho), ALGO_ALPHA,
-                                        horizon, n_seeds, seed0=seed0)
-            final = cur.final
-        ratio = float(final.mean()) / base_mean
-        if rho == 1.0:
-            lo = hi = 1.0
-        else:
+            final = run_bandit_experiment(replace(spec, rho=rho), ALGO_ALPHA,
+                                          horizon, n_seeds,
+                                          seed0=seed0).final
             lo, hi = _ratio_ci(final, base_final, n_boot,
                                derive_rng(0, "ratio-boot",
                                           int(round(rho * 1e6))).generator())
+        ratio = float(final.mean()) / base_mean
         points.append(RatioPoint(rho=float(rho), ratio=ratio, ci_lo=lo,
                                  ci_hi=hi, mean_regret=float(final.mean()),
                                  base_mean_regret=base_mean, n_seeds=n_seeds))

@@ -1,13 +1,15 @@
 """Regret-lab numerics: closed-form bound values, confidence radii, the
 martingale tail bound, simulation determinism, the scalar/vectorized twin
-property, pinned curve digests, the compiled step loop against the numpy
-loop, and slope fitting on synthetic curves."""
+property, pinned curve digests, the kernel's ``ucb_block`` against
+``regret.NUMPY``'s under the one driver ``regret._simulate``, and slope
+fitting on synthetic curves."""
 import hashlib
 import math
 import os
 import shutil
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,14 +401,14 @@ DIFFERENTIAL_CASES = {
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
 def test_compiled_loop_leaves_the_numpy_loops_state(kernel, case):
     """Not only the curve: every slab cell (sum, count, 1/count, mean) ends
-    with the numpy loop's bits, so no rounding differs on the way."""
+    with ``regret.NUMPY``'s bits, so no rounding differs on the way."""
     if kernel is None:
         pytest.skip("no C compiler")
     spec, horizon, grid = DIFFERENTIAL_CASES[case]
     args = (spec, horizon, grid or tuple(range(1, horizon + 1)), 97, 2, 7)
     ours, ref = np.zeros((2, 4 * 5 * spec.k))
-    assert (ucb.compiled_loop(kernel, *args, ours).tobytes()
-            == regret._numpy_loop(*args, ref).tobytes())
+    assert (regret._simulate(*args, kernel, ours).tobytes()
+            == regret._simulate(*args, regret.NUMPY, ref).tobytes())
     assert ours.tobytes() == ref.tobytes()
 
 
@@ -431,92 +433,48 @@ def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
 
 def test_compiled_noise_is_drawn_for_a_group_of_seeds_at_a_time(monkeypatch,
                                                                 kernel):
-    """The compiled loop holds at most ``_NOISE_FLOATS`` uniforms at once:
-    a block's noise is drawn for as many seeds at a time as fit, and the
-    grouping is physical only."""
-    if kernel is None:
-        pytest.skip("no C compiler")
+    """The kernel's seed groups hold at most ``NOISE_FLOATS`` uniforms at
+    once: a block's noise is drawn for as many seeds at a time as fit, and
+    the grouping is physical only.  ``NUMPY`` draws one all-seed group per
+    block, and its ``ucb_block``, handed the kernel's groups, gives the same
+    bits."""
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
     args = (spec, 700, UNEVEN_GRID[:4] + (50, 333, 699, 700), 97, 0, 5)
-    ref, ref_state = regret._numpy_loop(*args), np.zeros(4 * 5 * spec.k)
-    regret._numpy_loop(*args, ref_state)
     shapes = []
 
     def recording(u, s, kind):
         shapes.append(u.shape)
         return residual_noise(u, s, kind)
 
-    monkeypatch.setattr(ucb, "NOISE_FLOATS", 200)  # 2 seeds of 97 steps
-    monkeypatch.setattr(ucb, "residual_noise", recording)
-    state = np.zeros(4 * 5 * spec.k)
-    assert ucb.compiled_loop(kernel, *args, state).tobytes() == ref.tobytes()
-    assert state.tobytes() == ref_state.tobytes()
-    assert shapes[:4] == [(2, 97), (2, 97), (1, 97), (2, 97)]
-    assert sum(r * c for r, c in shapes) == 5 * 700
+    monkeypatch.setattr(regret, "NOISE_FLOATS", 200)  # 2 seeds of 97 steps
+    monkeypatch.setattr(regret, "residual_noise", recording)
+    ref_state = np.zeros(4 * 5 * spec.k)
+    ref = regret._simulate(*args, regret.NUMPY, ref_state)
+    assert shapes == [(5, 97)] * 7 + [(5, 21)]
+    grouped = SimpleNamespace(**vars(regret.NUMPY))  # not NUMPY: grouped
+    for lib in (grouped, kernel) if kernel is not None else (grouped,):
+        shapes.clear()
+        state = np.zeros(4 * 5 * spec.k)
+        assert regret._simulate(*args, lib, state).tobytes() == ref.tobytes()
+        assert state.tobytes() == ref_state.tobytes()
+        assert shapes[:4] == [(2, 97), (2, 97), (1, 97), (2, 97)]
+        assert sum(r * c for r, c in shapes) == 5 * 700
 
 
-# Hand-built blocks of one seed for ``ucb_block``, past its forced steps:
-# (K, radius factor c_t per step, arm means, per-arm (sum, count) at the
-# start), the arms the full index picks at each step (the noise is 0), and
-# how many of those steps the kernel must take on the full K-way path.
-LAZY_CASES = {
-    # Arm 1 leads with a wider radius.  Four pulls at 0.5 give it arm 0's
-    # exact (sum, count) on the window's last step, where c_t = c_end: arm
-    # 0's bound equals the leader's index, the indices tie, and arm 0 wins.
-    "tie_below_at_c_end": (2, [0.5 * math.log(1001 + b) for b in range(5)],
-                           (0.5, 0.5), ((4.0, 8.0), (2.0, 4.0)),
-                           [1, 1, 1, 1, 0], 2),
-    # c_t = 0, so an index is its mean.  Arm 0 leads; one pull at 0 brings
-    # it to arm 1's bound exactly (it keeps the lead, lazily), the next just
-    # under it, by far less than 1e-300, and arm 1 takes over.
-    "tie_above_then_under": (2, [0.0] * 3, (0.0, 0.0),
-                             ((4e-300, 1.0), (2e-300, 1.0)), [0, 0, 1], 2),
-    # c_t jumps above the window's c_end on step 2, where arm 0's radius
-    # wins: the step must see that its bounds do not hold.
-    "c_t_above_c_end": (2, [1.0, 1.0, 4.0, 1.0], (0.0, 0.75),
-                        ((0.0, 1.0), (3.0, 4.0)), [1, 1, 0, 1], 3),
-}
-
-
-def hand_state(cells):
-    """The four slabs sum | count | inv | mean of one seed's arms, with the
-    kernel's own operations for inv and mean."""
-    sums, counts = np.array(cells).T
-    inv = 1.0 / counts
-    return np.concatenate([sums, counts, inv, sums * inv])
-
-
-@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+@pytest.mark.parametrize("case", sorted(ucb.LAZY_CASES))
 def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
-    """``ucb_block`` pulls the arms a full index recomputed at every step
-    pulls, leaves the same slabs, and takes the leader-only path where the
-    case says it must."""
+    """On each hand-built block ``NUMPY.ucb_block`` pulls the arms the case
+    states, and the kernel's ``ucb_block`` returns the same checkpoint
+    index, regret writes and slabs, bit for bit, and takes the leader-only
+    path where the case says it must."""
+    arms, full_steps = ucb.LAZY_CASES[case][4:]
+    got, out, state, full = ucb.run_lazy_case(regret.NUMPY, case)
+    assert got == len(arms)
+    assert np.diff(np.frombuffer(out), prepend=0.0).tolist() == arms
+    assert full == len(arms)  # the numpy block computes every index
     if kernel is None:
         pytest.skip("no C compiler")
-    k, ct, means, cells, arms, full_steps = LAZY_CASES[case]
-    n, t0 = len(ct), 1000
-    ct, means = np.array(ct), np.array(means)
-    noise = np.zeros(n)
-    ref = hand_state(cells)
-    sums, counts, inv, mean = ref.reshape(4, k)  # views
-    want = []
-    for b, c in enumerate(ct):  # the numpy loop's step, for one seed
-        a = int(np.argmax(mean + np.sqrt(inv * c)))
-        want.append(a)
-        sums[a] = sums[a] + (means[a] + noise[b])
-        counts[a] = counts[a] + 1.0
-        inv[a] = 1.0 / counts[a]
-        mean[a] = sums[a] * inv[a]
-    assert want == arms
-    state, reg, out = hand_state(cells), np.zeros(1), np.empty(n)
-    full = np.zeros(1, dtype=np.int64)
-    grid = np.arange(t0 + 1, t0 + n + 1)
-    gaps = np.arange(k, dtype=np.float64)  # regret counts the arm numbers
-    assert kernel.ucb_block(1, 1, k, t0, n, ct, means, gaps, noise, state,
-                            reg, grid, n, 0, out, full) == n
-    assert np.diff(out, prepend=0.0).tolist() == arms
-    assert state.tobytes() == ref.tobytes()
-    assert full[0] == full_steps
+    assert ucb.run_lazy_case(kernel, case) == (got, out, state, full_steps)
 
 
 def test_most_steps_skip_the_full_index(kernel):
@@ -527,8 +485,8 @@ def test_most_steps_skip_the_full_index(kernel):
         pytest.skip("no C compiler")
     horizon, n_seeds = 100_000, 20
     full = np.zeros(1, dtype=np.int64)
-    ucb.compiled_loop(kernel, grid_spec(10, 0.1, 0.05), horizon,
-                      default_grid(horizon), 2048, 0, n_seeds, None, full)
+    regret._simulate(grid_spec(10, 0.1, 0.05), horizon, default_grid(horizon),
+                     2048, 0, n_seeds, kernel, full=full)
     assert 0 < full[0] < 0.10 * horizon * n_seeds
 
 
@@ -564,17 +522,23 @@ def test_without_a_compiler_the_numpy_loop_runs(monkeypatch, tmp_path):
     assert regret.LOOP_RUNS["numpy"] == runs + 1
 
 
-def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path):
+@pytest.mark.parametrize("right, wrong", [
+    ("if (v > best)", "if (v >= best)"),  # a tie in the full index
+    ("lo < v", "lo <= v"),  # a tie with a bound below the leader
+], ids=["full_tie", "lazy_tie"])
+def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
+                                                 wrong):
     """A build whose tie rule differs from numpy's fails the check against
-    the numpy loop: no kernel, and nothing left in the cache."""
+    ``regret.NUMPY``: no kernel, and nothing left in the cache.  The lazy
+    tie shows only on ``LAZY_CASES``' hand-built blocks."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()
-    assert src.count("if (v > best)") == 1
-    wrong = tmp_path / "src" / "_ucb.c"
-    wrong.parent.mkdir()
-    wrong.write_text(src.replace("if (v > best)", "if (v >= best)"))
-    cold_cache(monkeypatch, tmp_path, SOURCE=wrong)
+    assert src.count(right) == 1
+    wrong_src = tmp_path / "src" / "_ucb.c"
+    wrong_src.parent.mkdir()
+    wrong_src.write_text(src.replace(right, wrong))
+    cold_cache(monkeypatch, tmp_path, SOURCE=wrong_src)
     assert regret._kernel() is None
     assert files_under(tmp_path / "cache") == []
 

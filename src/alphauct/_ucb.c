@@ -21,6 +21,13 @@
    step compares ct[b] <= c_end itself, so this never rests on libm's log
    being monotone.  Otherwise it takes the full step and opens a new window.
 
+   Each step also takes the seed's pull noise, one draw whatever the arm:
+   the next uniform of its numpy PCG64 stream (a 128-bit LCG step and the
+   XSL-RR output, O'Neill 2014), mapped as envs.residual_noise maps it.  The
+   128-bit state needs a compiler with unsigned __int128 (gcc and clang on
+   64-bit targets); where it is missing the build fails and regret runs
+   NUMPY.
+
    Build it only as kernel.CC does: -O2 with -ffp-contract=off, no fast-math
    and no -march, so that the compiler fuses, reorders or approximates none
    of these operations.  */
@@ -42,27 +49,43 @@ void ucb_log_table(double scale, int64_t t0, int64_t n, double *ct)
         ct[b] = scale * log((double)(t0 + 1 + b));
 }
 
+/* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128 */
+#define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
+                  | 0x4385DF649FCCF645ULL)
+
 /* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a run of stride
    seeds (n_seeds <= stride).  st holds four slabs sum | count | inv | mean
    of stride * K cells each, seed s's K cells at offset k * s in every slab,
-   as in the numpy block.  Seed s keeps its regret at reg[s] and this block's
-   noise at noise + n * s; its regret at checkpoint grid[g] goes to
-   out[g * stride + s].  gi is the first checkpoint not yet passed; returns
-   the first one after step t0 + n.  Adds to *full the number of steps that
-   computed all K indices.  */
+   as in the numpy block.  Seed s keeps its regret at reg[s] and its PCG64
+   state at pcg[4 s ..]: state lo, hi, inc lo, hi, advanced one draw per
+   step.  Its pull noise has standard deviation s_res, of kind 0 (two_point:
+   +-s_res) or 1 (uniform: over +-s_res * sqrt(3)), envs.NOISE_KINDS' order.
+   Its regret at checkpoint grid[g] goes to out[g * stride + s].  gi is the
+   first checkpoint not yet passed; returns the first one after step t0 + n.
+   Adds to *full the number of steps that computed all K indices.  */
 int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
                   int64_t n,
                   const double *ct, const double *means, const double *gaps,
-                  const double *noise, double *st, double *reg,
+                  uint64_t *pcg, double s_res, int64_t kind,
+                  double *st, double *reg,
                   const int64_t *grid, int64_t n_grid, int64_t gi,
                   double *out, int64_t *full)
 {
     int64_t g = gi, n_full = 0;
+    /* two_point picks its residual from pm by the draw, without a branch.
+       Where s_res is 0 the residual is +-0.0, not numpy's +0.0, but
+       means[a] + -0.0 differs from means[a] + 0.0 only as -0.0 against
+       +0.0, and adding either to a sum that starts at +0.0 gives the same
+       bits.  */
+    int uniform = kind == 1;
+    double pm[2] = {-s_res, s_res}, width = s_res * sqrt(3.0);
     for (int64_t s = 0; s < n_seeds; s++) {
         double *sum = st + k * s, *count = sum + stride * k;
         double *inv = count + stride * k, *mean = inv + stride * k;
         double r = reg[s];
-        const double *x = noise + n * s;
+        uint64_t *p = pcg + 4 * s;
+        unsigned __int128 state = (unsigned __int128)p[1] << 64 | p[0];
+        unsigned __int128 inc = (unsigned __int128)p[3] << 64 | p[2];
         /* the open window: its leader, last step and c_end, and the largest
            bound below (lo) and above (hi) the leader; none open yet */
         int64_t lead = 0, wend = -1;
@@ -105,7 +128,13 @@ int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
                     }
                 }
             }
-            sum[a] = sum[a] + (means[a] + x[b]);
+            state = state * PCG_MULT + inc;
+            uint64_t hi = (uint64_t)(state >> 64), xsl = hi ^ (uint64_t)state;
+            unsigned rot = (unsigned)(state >> 122);
+            uint64_t w = xsl >> rot | xsl << (-rot & 63);
+            double u = (double)(w >> 11) * 0x1.0p-53;
+            double x = uniform ? width * (2.0 * u - 1.0) : pm[u >= 0.5];
+            sum[a] = sum[a] + (means[a] + x);
             count[a] = count[a] + 1.0;
             inv[a] = 1.0 / count[a];
             mean[a] = sum[a] * inv[a];
@@ -114,6 +143,7 @@ int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
                 out[g++ * stride + s] = r;
         }
         reg[s] = r;
+        p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);
     }
     *full += n_full;
     return g;

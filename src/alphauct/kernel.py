@@ -17,7 +17,10 @@ other arm's index is bounded above by one value computed at the end of a
 short window, and the leader's own index decides whether any of them could
 win (see the header of ``_ucb.c``).  Every index it does compute, and every
 slab update, is the numpy block's IEEE operations on the same operands, so
-both leave the same curve and slabs bit for bit.
+both leave the same curve and slabs bit for bit.  The kernel also draws
+each step's pull noise, from the seed's numpy PCG64 stream carried in four
+uint64 words, so both draw the same numbers, and the build check compares
+the streams' final states too.
 """
 from __future__ import annotations
 
@@ -77,15 +80,17 @@ LAZY_CASES = {
 
 def run_lazy_case(lib, case: str):
     """``LAZY_CASES[case]`` from step 1001 through ``lib.ucb_block``, each
-    arm's gap its own number: (return value, the bytes of the regret at each
-    step and of the final slabs, full-step count)."""
+    arm's gap its own number and the noise 0 (``s_res = 0``, still one draw
+    per step): (return value, the bytes of the regret at each step and of
+    the final slabs, full-step count)."""
     k, ct, means, cells, _, _ = LAZY_CASES[case]
     n, t0 = len(ct), 1000
     sums, counts = np.array(cells).T
     state = np.concatenate([sums, counts, 1.0 / counts, sums * (1.0 / counts)])
     out, full = np.empty(n), np.zeros(1, dtype=np.int64)
+    pcg = np.array(regret._pcg_row(np.random.PCG64(0)), dtype=np.uint64)
     got = lib.ucb_block(1, 1, k, t0, n, np.array(ct), np.array(means),
-                        np.arange(k, dtype=np.float64), np.zeros(n), state,
+                        np.arange(k, dtype=np.float64), pcg, 0.0, 0, state,
                         np.zeros(1), np.arange(t0 + 1, t0 + n + 1), n, 0, out,
                         full)
     return got, out.tobytes(), state.tobytes(), int(full[0])
@@ -123,15 +128,20 @@ def build():
 
 
 def agrees_with_numpy(lib) -> bool:
-    """The build check: ``lib`` gives ``regret.NUMPY``'s bits on the curves
-    and final slabs of ``CHECK_RUNS``, the slabs, regret writes and return
-    value of each of ``LAZY_CASES``, and a ln table far out."""
+    """The build check: ``lib`` gives ``regret.NUMPY``'s bits on the curves,
+    final slabs and final PCG64 states of ``CHECK_RUNS``, the slabs, regret
+    writes and return value of each of ``LAZY_CASES``, and a ln table far
+    out.  ``NUMPY`` draws through numpy's own generator, so this pins the
+    kernel's stream to numpy's."""
     def results(x):
         for spec, horizon, n_seeds in CHECK_RUNS:
             state = np.zeros(4 * n_seeds * spec.k)
+            pcg = np.empty(4 * n_seeds, dtype=np.uint64)
             yield regret._simulate(spec, horizon, tuple(range(1, horizon + 1)),
-                                   CHECK_BLOCK, 0, n_seeds, x, state).tobytes()
+                                   CHECK_BLOCK, 0, n_seeds, x, state,
+                                   pcg=pcg).tobytes()
             yield state.tobytes()
+            yield pcg.tobytes()
         for case in LAZY_CASES:
             yield run_lazy_case(x, case)[:3]
         ct = np.empty(CHECK_BLOCK)
@@ -142,12 +152,12 @@ def agrees_with_numpy(lib) -> bool:
 
 def bind(lib):
     """Declare the kernel's two entry points on the loaded ``lib``."""
-    i64 = ctypes.c_int64
-    f64s, i64s = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-                  for dtype in (np.float64, np.int64))
-    lib.ucb_log_table.argtypes = [ctypes.c_double, i64, i64, f64s]
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    f64s, i64s, u64s = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+                        for dtype in (np.float64, np.int64, np.uint64))
+    lib.ucb_log_table.argtypes = [f64, i64, i64, f64s]
     lib.ucb_log_table.restype = None
-    lib.ucb_block.argtypes = ([i64] * 5 + [f64s] * 6
-                              + [i64s, i64, i64, f64s, i64s])
+    lib.ucb_block.argtypes = ([i64] * 5 + [f64s] * 3 + [u64s, f64, i64]
+                              + [f64s] * 2 + [i64s, i64, i64, f64s, i64s])
     lib.ucb_block.restype = i64
     return lib

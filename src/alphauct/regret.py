@@ -20,8 +20,10 @@ is the full outcome variance.
 ``ucb_block`` of a small C kernel (``_ucb.c``, see ``kernel``) when one
 builds and passes its check, else of ``NUMPY``, the same two in numpy.  The
 kernel skips index values that provably cannot win and computes every other
-one with ``NUMPY``'s IEEE operations, so a curve is bit for bit the same on
-either; ``NUMPY`` is the fallback and the tests' reference.
+one with ``NUMPY``'s IEEE operations, and draws each step's pull noise from
+the seed's PCG64 stream as numpy's own generator does, so a curve is bit
+for bit the same on either; ``NUMPY`` is the fallback and the tests'
+reference.
 """
 from __future__ import annotations
 
@@ -35,13 +37,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .envs import BanditSpec, bandit_pull, residual_noise
+from .envs import NOISE_KINDS, BanditSpec, bandit_pull, residual_noise
 from .rng import derive_rng
 
 ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 # run_bandit_experiment calls in this process, by the step loop they ran
 LOOP_RUNS: Counter[str] = Counter()
 _KERNEL_MEMO: list = []  # empty until _kernel() first runs in this process
+_MASK64 = (1 << 64) - 1
 
 
 # -- closed-form pieces -------------------------------------------------------
@@ -238,10 +241,6 @@ def _check_algo(algo: str) -> None:
 # the median; no unit-test-sized run forks.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
-# The most uniforms (and as many residuals) a kernel seed group holds: 64
-# seeds at block 2048, so a 500-seed shard holds 1 MB of each, not 8 MB.
-NOISE_FLOATS = 1 << 17
-
 
 def _worker_count(n_seeds: int, horizon: int) -> int:
     """How many seed ranges one run splits into: one per core this process
@@ -352,21 +351,23 @@ def _join_shard(shard, rows: int) -> np.ndarray:
 def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
               block: int, seed_lo: int, seed_hi: int, lib=None,
               state: np.ndarray | None = None,
-              full: np.ndarray | None = None) -> np.ndarray:
+              full: np.ndarray | None = None,
+              pcg: np.ndarray | None = None) -> np.ndarray:
     """Cumulative pseudo-regret of seeds [seed_lo, seed_hi) at the grid
     checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``, stepped by
     ``lib`` (default: ``_kernel()``, or ``NUMPY`` where it is ``None``).
 
     Per ``block`` steps one ``lib.ucb_log_table`` call fills the radius
-    factors, and per group of seeds the block's noise is drawn, each seed's
-    row from its own stream, and one ``lib.ucb_block`` call runs the
-    group's steps: ``NUMPY`` takes all seeds at once, the kernel
-    ``NOISE_FLOATS // block``.  Block and group sizes are physical only.
-    Each (seed, arm) cell keeps its reward sum, pull count, ``inv =
-    1/count`` and ``mean = sum * inv`` in four ``n_seeds * K`` slabs of one
-    array; a caller's zeroed ``state`` of ``4 * n_seeds * K`` floats serves
-    as the slabs, and ``lib`` adds the seed-steps that computed all K
-    indices to ``full[0]``, a caller's int64 cell.
+    factors and one ``lib.ucb_block`` call runs every seed's steps, drawing
+    each step's pull noise from the seed's own PCG64 stream; the block size
+    is physical only.  Each (seed, arm) cell keeps its reward sum, pull
+    count, ``inv = 1/count`` and ``mean = sum * inv`` in four
+    ``n_seeds * K`` slabs of one array; a caller's zeroed ``state`` of
+    ``4 * n_seeds * K`` floats serves as the slabs, and ``lib`` adds the
+    seed-steps that computed all K indices to ``full[0]``, a caller's int64
+    cell.  Each seed's stream state is a row of four uint64 words (see
+    ``_pcg_row``) in ``pcg``, a caller's ``4 * n_seeds`` words if given,
+    which ends holding each seed's state after its last draw.
     """
     lib = lib or _kernel() or NUMPY
     n_seeds = seed_hi - seed_lo
@@ -374,37 +375,36 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     means = np.asarray(spec.means, dtype=np.float64)
     gaps = means[spec.best_arm] - means
     s_res = math.sqrt(spec.residual_var)
+    kind = NOISE_KINDS.index(spec.noise)
     # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
     scale = 8.0 * spec.residual_var
     grid = np.asarray(t_grid, dtype=np.int64)
     state = np.zeros(4 * n_seeds * kk) if state is None else state
     full = np.zeros(1, dtype=np.int64) if full is None else full
+    pcg = np.empty(4 * n_seeds, dtype=np.uint64) if pcg is None else pcg
+    pcg[:] = [word for sd in range(seed_lo, seed_hi) for word in _pcg_row(
+        derive_rng(0, "pull-noise", sd).generator().bit_generator)]
     reg = np.zeros(n_seeds)
     ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
-    gens = [derive_rng(0, "pull-noise", sd).generator()
-            for sd in range(seed_lo, seed_hi)]
     out = np.empty((len(t_grid), n_seeds))
     flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
-    group = n_seeds if lib is NUMPY else max(1, NOISE_FLOATS // len(ct))
     gi = 0
     for t0 in range(0, horizon, block):
         bl = min(block, horizon - t0)
         lib.ucb_log_table(scale, t0, bl, ct)
-        for lo in range(0, n_seeds, group):
-            hi = min(lo + group, n_seeds)
-            u = np.empty((hi - lo, bl))
-            for g, row in zip(gens[lo:hi], u):
-                g.random(out=row)
-            noise = residual_noise(u, s_res, spec.noise)
-            del u
-            next_gi = lib.ucb_block(hi - lo, n_seeds, kk, t0, bl, ct, means,
-                                    gaps, noise, state[kk * lo:], reg[lo:],
-                                    grid, len(grid), gi, flat_out[lo:],
-                                    full)
-            del noise  # before the next group's uniforms are drawn
-        gi = next_gi
+        gi = lib.ucb_block(n_seeds, n_seeds, kk, t0, bl, ct, means, gaps, pcg,
+                           s_res, kind, state, reg, grid, len(grid), gi,
+                           flat_out, full)
     assert gi == len(t_grid)
     return out
+
+
+def _pcg_row(bit_generator) -> list[int]:
+    """A PCG64's state as the step loop's four uint64 words: the 128-bit
+    LCG state, low word first, then its increment."""
+    words = bit_generator.state["state"]
+    return [words["state"] & _MASK64, words["state"] >> 64,
+            words["inc"] & _MASK64, words["inc"] >> 64]
 
 
 def _kernel():
@@ -422,13 +422,29 @@ def _numpy_log_table(scale: float, t0: int, n: int, ct: np.ndarray) -> None:
     ct[:n] = [scale * math.log(t) for t in range(t0 + 1, t0 + n + 1)]
 
 
-def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, noise, st, reg,
-                 grid, n_grid, gi, out, full) -> int:
-    """``ucb_block`` of ``_ucb.c`` in numpy, all seeds a step at a time:
-    the first K steps play arm ``t - 1`` (an untried arm's index is
-    infinite), each later step computes every arm's index ``mean +
-    sqrt(inv * c_t)`` and its first maximum.  A step rewrites only the cells
-    each seed pulled, with the operations a full recompute would do."""
+def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, pcg, s_res,
+                 kind, st, reg, grid, n_grid, gi, out, full) -> int:
+    """``ucb_block`` of ``_ucb.c`` in numpy, all seeds a step at a time.
+    First each seed's ``n`` uniforms come from numpy's own PCG64 restored
+    from its row of ``pcg`` (``Generator.random``), which then holds the
+    advanced state, and ``residual_noise`` maps them.  The first K steps
+    play arm ``t - 1`` (an untried arm's index is infinite), each later step
+    computes every arm's index ``mean + sqrt(inv * c_t)`` and its first
+    maximum.  A step rewrites only the cells each seed pulled, with the
+    operations a full recompute would do."""
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    rows = pcg[:4 * n_seeds].reshape(n_seeds, 4)
+    noise = np.empty((n_seeds, n))
+    for row, u in zip(rows, noise):
+        lo, hi, inc_lo, inc_hi = (int(word) for word in row)
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": hi << 64 | lo,
+                                   "inc": inc_hi << 64 | inc_lo},
+                         "has_uint32": 0, "uinteger": 0}
+        gen.random(out=u)
+        row[:] = _pcg_row(bit_gen)
+    noise = residual_noise(noise, s_res, NOISE_KINDS[kind])
     cells, size = n_seeds * k, stride * k
     inv = st[2 * size:2 * size + cells]
     mean = st[3 * size:3 * size + cells]
@@ -441,7 +457,7 @@ def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, noise, st, reg,
     new_sum, new_count, new_inv, new_mean = upd
     inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
     reg = reg[:n_seeds]
-    step_noise = noise.reshape(n_seeds, n).T  # row b: step b's noise
+    step_noise = noise.T  # row b: step b's noise
     for b in range(n):
         t = t0 + 1 + b
         if t <= k:

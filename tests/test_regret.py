@@ -9,14 +9,13 @@ import os
 import shutil
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from alphauct import kernel as ucb
 from alphauct import regret
-from alphauct.envs import NOISE_KINDS, BanditSpec, residual_noise
+from alphauct.envs import NOISE_KINDS, BanditSpec
 from alphauct.regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                              default_grid, efficiency_ratio_experiment,
                              fit_log_regret, freedman_empirical_check,
@@ -24,6 +23,7 @@ from alphauct.regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
                              per_seed_log_slopes, run_bandit_experiment,
                              simulate_policy_scalar, slope_ratio_ci,
                              theorem1_bound)
+from alphauct.rng import derive_rng
 from alphauct.verify import grid_spec, ratio_sweep_spec
 
 
@@ -431,34 +431,30 @@ def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
     assert got.per_seed.tobytes() == ref.per_seed.tobytes()
 
 
-def test_compiled_noise_is_drawn_for_a_group_of_seeds_at_a_time(monkeypatch,
-                                                                kernel):
-    """The kernel's seed groups hold at most ``NOISE_FLOATS`` uniforms at
-    once: a block's noise is drawn for as many seeds at a time as fit, and
-    the grouping is physical only.  ``NUMPY`` draws one all-seed group per
-    block, and its ``ucb_block``, handed the kernel's groups, gives the same
-    bits."""
-    spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
-    args = (spec, 700, UNEVEN_GRID[:4] + (50, 333, 699, 700), 97, 0, 5)
-    shapes = []
-
-    def recording(u, s, kind):
-        shapes.append(u.shape)
-        return residual_noise(u, s, kind)
-
-    monkeypatch.setattr(regret, "NOISE_FLOATS", 200)  # 2 seeds of 97 steps
-    monkeypatch.setattr(regret, "residual_noise", recording)
-    ref_state = np.zeros(4 * 5 * spec.k)
-    ref = regret._simulate(*args, regret.NUMPY, ref_state)
-    assert shapes == [(5, 97)] * 7 + [(5, 21)]
-    grouped = SimpleNamespace(**vars(regret.NUMPY))  # not NUMPY: grouped
-    for lib in (grouped, kernel) if kernel is not None else (grouped,):
-        shapes.clear()
-        state = np.zeros(4 * 5 * spec.k)
-        assert regret._simulate(*args, lib, state).tobytes() == ref.tobytes()
-        assert state.tobytes() == ref_state.tobytes()
-        assert shapes[:4] == [(2, 97), (2, 97), (1, 97), (2, 97)]
-        assert sum(r * c for r, c in shapes) == 5 * 700
+@pytest.mark.parametrize("spec", [
+    small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform"),
+    small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="two_point"),
+    small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.0),
+], ids=["uniform", "two_point", "noiseless"])
+def test_each_seed_ends_at_its_numpy_generators_state(kernel, spec):
+    """Either lib draws each seed's pull noise from the seed's own numpy
+    PCG64 stream, one draw a step whatever the arm (zero noise too), across
+    blocks: after the run each seed's state row is what its numpy generator
+    holds after ``horizon`` ``random()`` draws."""
+    horizon, seed_lo, seed_hi = 700, 2, 7
+    want = []
+    for sd in range(seed_lo, seed_hi):
+        gen = derive_rng(0, "pull-noise", sd).generator()
+        gen.random(horizon)
+        want.append(gen.bit_generator.state["state"])
+    for lib in [lib for lib in (regret.NUMPY, kernel) if lib is not None]:
+        pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
+        regret._simulate(spec, horizon, (horizon,), 97, seed_lo, seed_hi, lib,
+                         pcg=pcg)
+        got = [{"state": int(hi) << 64 | int(lo),
+                "inc": int(inc_hi) << 64 | int(inc_lo)}
+               for lo, hi, inc_lo, inc_hi in pcg.reshape(-1, 4)]
+        assert got == want
 
 
 @pytest.mark.parametrize("case", sorted(ucb.LAZY_CASES))
@@ -509,9 +505,9 @@ def pinned_digest_holds() -> bool:
     return hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest
 
 
-def test_without_a_compiler_the_numpy_loop_runs(monkeypatch, tmp_path):
-    cold_cache(monkeypatch, tmp_path,
-               CC=(str(tmp_path / "no-such-cc"),) + ucb.CC[1:])
+def assert_numpy_fallback(tmp_path):
+    """No kernel, no warning, no file under ``tmp_path``, and the pinned
+    curve from ``regret.NUMPY``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert regret._kernel() is None
@@ -522,15 +518,38 @@ def test_without_a_compiler_the_numpy_loop_runs(monkeypatch, tmp_path):
     assert regret.LOOP_RUNS["numpy"] == runs + 1
 
 
+def test_without_a_compiler_the_numpy_loop_runs(monkeypatch, tmp_path):
+    cold_cache(monkeypatch, tmp_path,
+               CC=(str(tmp_path / "no-such-cc"),) + ucb.CC[1:])
+    assert_numpy_fallback(tmp_path)
+
+
+def test_a_compiler_that_rejects_the_source_leaves_the_numpy_loop(
+        monkeypatch, tmp_path):
+    """The kernel's PCG64 state is an ``unsigned __int128``.  A compiler
+    without the type (here ``cc`` with it defined away) fails the build,
+    and the numpy loop runs as without a compiler."""
+    if shutil.which(ucb.CC[0]) is None:
+        pytest.skip("no C compiler")
+    cold_cache(monkeypatch, tmp_path,
+               CC=(ucb.CC[0], "-D__int128=__no_int128_type") + ucb.CC[1:])
+    assert_numpy_fallback(tmp_path)
+
+
 @pytest.mark.parametrize("right, wrong", [
     ("if (v > best)", "if (v >= best)"),  # a tie in the full index
     ("lo < v", "lo <= v"),  # a tie with a bound below the leader
-], ids=["full_tie", "lazy_tie"])
+    ("(w >> 11)", "(w >> 12)"),  # the uniform's bits
+    ("state >> 122", "state >> 121"),  # the XSL-RR rotation
+    ("p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);", ""),
+], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back"])
 def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
-    """A build whose tie rule differs from numpy's fails the check against
-    ``regret.NUMPY``: no kernel, and nothing left in the cache.  The lazy
-    tie shows only on ``LAZY_CASES``' hand-built blocks."""
+    """A build whose tie rule or noise stream differs from numpy's fails the
+    check against ``regret.NUMPY``: no kernel, and nothing left in the
+    cache.  The lazy tie shows only on ``LAZY_CASES``' hand-built blocks; a
+    state not written back after a block shows because ``CHECK_BLOCK`` ends
+    blocks inside ``CHECK_RUNS``."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()

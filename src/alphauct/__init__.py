@@ -1,6 +1,14 @@
 """Max-backup tree search with diversity-constrained expansion, comparative
 sibling judging, and a bandit regret laboratory for the residual-variance
-policy family."""
+policy family.
+
+``import alphauct`` loads only what a search or bandit caller runs: the
+search core and the regret lab (``regret``).  Import the acceptance suite
+(``alphauct.verify``, with ``ablation``), ``manifest`` and ``cli``
+explicitly; ``kernel`` loads on a process's first bandit run.
+"""
+
+__version__ = "0.2.0"
 
 from .backup import MAX, MEAN, backpropagate, q_for_selection
 from .envs import (BanditSpec, GuiGraphEnv, GuiGraphSpec, Observation,
@@ -10,7 +18,6 @@ from .expansion import (admit_candidates, chunk_key, expand_node, lexical_key,
                         make_chunk, normalize_action)
 from .judging import (JudgeFailure, SimJudge, SimJudgeSpec,
                       judge_comparative, judge_independent_set)
-from .manifest import PACKAGE_VERSION as __version__
 from .proposer import SimProposer, TaskInfeasible, proposer_from_fixture
 from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret,
@@ -22,4 +29,3 @@ from .search import (SearchConfig, SearchResult, SimReflector,
                      search_fixture)
 from .selection import alpha_uct_score, select_child, select_leaf
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree
-from .verify import CRITERION_NAMES, run_criteria

@@ -129,7 +129,7 @@ int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
                 }
             }
             state = state * PCG_MULT + inc;
-            uint64_t hi = (uint64_t)(state >> 64), xsl = hi ^ (uint64_t)state;
+            uint64_t xsl = (uint64_t)(state >> 64) ^ (uint64_t)state;
             unsigned rot = (unsigned)(state >> 122);
             uint64_t w = xsl >> rot | xsl << (-rot & 63);
             double u = (double)(w >> 11) * 0x1.0p-53;

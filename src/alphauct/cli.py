@@ -169,8 +169,9 @@ def run_search_command(resolved: dict, outdir: Path) -> int:
 
 
 def float_list(text: str) -> list[float]:
-    """``--rho-grid`` value: comma-separated numbers."""
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """``--rho-grid`` value: comma-separated numbers; an empty element (as
+    in ``0.5,,1`` or ``0.5,``) is an error, not skipped."""
+    return [float(tok) for tok in text.split(",")]
 
 
 def run_bandit_command(resolved: dict, outdir: Path) -> int:

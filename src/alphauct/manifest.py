@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-PACKAGE_VERSION = "0.2.0"
+from . import __version__ as PACKAGE_VERSION
+
 MANIFEST_NAME = "manifest.json"
 
 

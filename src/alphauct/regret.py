@@ -234,11 +234,12 @@ def _check_algo(algo: str) -> None:
 
 
 # A run of fewer seed-steps stays in the calling process.  Forking a shard,
-# piping its block back and reaping it took 2.4-2.6 ms (median; 11 ms at
-# worst) on a 2-vCPU VM with numpy loaded, 4.6-5.2 ms when re-measured.  The
-# lazy-bound kernel does 37-52M seed-steps/s per core at K = 10 (NUMPY 3-10M),
-# so a shard of this size runs 40-55 ms and one fork costs 5-13 % of it in
-# the median; no unit-test-sized run forks.
+# piping its block back and reaping it took 4.5-5.0 ms (quartiles of 60;
+# 27 ms at worst) on a 2-vCPU VM with numpy loaded.  The kernel, drawing its
+# own noise, does 41-52M seed-steps/s per core at K = 10, gap 0.1, T = 100k
+# and 37-43M at T = 20k (NUMPY 2.7-7.4M), so a shard of this size runs
+# 38-54 ms and one fork costs 9-13 % of it in the median; no
+# unit-test-sized run forks.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 
@@ -256,6 +257,13 @@ def _worker_count(n_seeds: int, horizon: int) -> int:
     return min(cores, n_seeds)
 
 
+def _int_arg(name: str, value) -> int:
+    """``value`` as a plain ``int``: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                           n_seeds: int, *, seed0: int = 0,
                           grid: Sequence[int] | None = None,
@@ -270,13 +278,19 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     near-equal ranges, simulates the first in this process and each other
     one in a forked child that pipes its block of the curve back, and joins
     the blocks in seed order, bit for bit the curve of one in-process run.
-    All arguments are checked before any fork, and a failed child makes the
+    All arguments are checked before any fork: ``horizon``, ``n_seeds``,
+    ``seed0``, ``block`` and the grid entries must be ints (numpy integers
+    are stored as ``int``; a bool is refused).  A failed child makes the
     call raise.
     """
     _check_algo(algo)
+    horizon, n_seeds, seed0, block = (
+        _int_arg("horizon", horizon), _int_arg("n_seeds", n_seeds),
+        _int_arg("seed0", seed0), _int_arg("block", block))
     if horizon < 1 or n_seeds < 1 or block < 1:
         raise ValueError("horizon, n_seeds and block must be >= 1")
-    t_grid = tuple(grid) if grid is not None else default_grid(horizon)
+    t_grid = (tuple(_int_arg("grid entry", t) for t in grid)
+              if grid is not None else default_grid(horizon))
     if not t_grid or list(t_grid) != sorted(set(t_grid)) or \
             t_grid[0] < 1 or t_grid[-1] > horizon:
         raise ValueError("grid must be sorted unique ints in [1, horizon]")

@@ -105,6 +105,9 @@ def test_unknown_subcommand_exits_2(capsys):
      ["--selection"]),
     (["bandit", "--algo", "alpha"], ["--algo"]),
     (["bandit", "--algo", "uct"], ["--algo"]),
+    # an empty element is refused, not dropped
+    (["bandit", "--rho-grid", "0.5,,1"], ["--rho-grid", "'0.5,,1'"]),
+    (["bandit", "--rho-grid", "0.5,"], ["--rho-grid", "'0.5,'"]),
 ])
 def test_flag_errors_print_one_line(tmp_path, monkeypatch, capsys, argv,
                                     names):

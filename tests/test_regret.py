@@ -7,6 +7,7 @@ import hashlib
 import math
 import os
 import shutil
+import subprocess
 import sys
 import warnings
 
@@ -357,9 +358,36 @@ def test_arguments_are_checked_before_any_fork(monkeypatch):
                          ((ALGO_ALPHA, 100, 4), {"grid": [5, 101]}),
                          ((ALGO_ALPHA, 100, 4), {"grid": []}),
                          ((ALGO_ALPHA, 100, 4), {"block": 0}),
-                         ((ALGO_ALPHA, 100, 4), {"block": -3})]:
+                         ((ALGO_ALPHA, 100, 4), {"block": -3}),
+                         # ints only: no float, bool or string, even where
+                         # its value is a whole number
+                         ((ALGO_ALPHA, 2000, 1000.0), {}),
+                         ((ALGO_ALPHA, 100.0, 4), {}),
+                         ((ALGO_ALPHA, True, 4), {}),
+                         ((ALGO_ALPHA, 100, True), {}),
+                         ((ALGO_ALPHA, 100, 4), {"block": 64.0}),
+                         ((ALGO_ALPHA, 100, 4), {"block": True}),
+                         ((ALGO_ALPHA, 2000, 1000), {"seed0": 1.5}),
+                         ((ALGO_ALPHA, 100, 4), {"seed0": True}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [1.5, 10]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [True, 10]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [1, 10.0]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": [1, np.bool_(1)]}),
+                         ((ALGO_ALPHA, 100, 4), {"grid": ["1", 10]})]:
         with pytest.raises(ValueError):
             run_bandit_experiment(spec, *args, **kwargs)
+
+
+def test_numpy_integer_arguments_are_stored_as_int():
+    spec = small_spec()
+    ref = run_bandit_experiment(spec, ALGO_ALPHA, 60, 3, grid=[3, 10, 60])
+    got = run_bandit_experiment(spec, ALGO_ALPHA, np.int64(60), np.int32(3),
+                                seed0=np.int8(0), grid=np.array([3, 10, 60]),
+                                block=np.uint16(7))
+    assert got.t_grid == (3, 10, 60)
+    assert all(type(t) is int for t in got.t_grid)
+    assert type(got.horizon) is int and type(got.seed0) is int
+    assert np.array_equal(got.per_seed, ref.per_seed)
 
 
 def test_worker_count_rule(monkeypatch):
@@ -534,6 +562,19 @@ def test_a_compiler_that_rejects_the_source_leaves_the_numpy_loop(
     cold_cache(monkeypatch, tmp_path,
                CC=(ucb.CC[0], "-D__int128=__no_int128_type") + ucb.CC[1:])
     assert_numpy_fallback(tmp_path)
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    """``_ucb.c`` builds with ``kernel.CC`` plus ``-Wall -Wextra -Wshadow
+    -Werror``: in particular no name in the step body shadows another, so
+    each means one thing over its whole scope."""
+    if shutil.which(ucb.CC[0]) is None:
+        pytest.skip("no C compiler")
+    res = subprocess.run([*ucb.CC, "-Wall", "-Wextra", "-Wshadow", "-Werror",
+                          "-o", str(tmp_path / "ucb.so"), str(ucb.SOURCE),
+                          "-lm"], stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("right, wrong", [

@@ -5,7 +5,8 @@ policy family.
 ``import alphauct`` loads only what a search or bandit caller runs: the
 search core and the regret lab (``regret``).  Import the acceptance suite
 (``alphauct.verify``, with ``ablation``), ``manifest`` and ``cli``
-explicitly; ``kernel`` loads on a process's first bandit run.
+explicitly; ``kernel`` loads on a process's first bandit run, and
+``concurrent.futures`` with the first thread pool.
 """
 
 __version__ = "0.2.0"

@@ -53,16 +53,19 @@ void ucb_log_table(double scale, int64_t t0, int64_t n, double *ct)
 #define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
                   | 0x4385DF649FCCF645ULL)
 
-/* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a run of stride
-   seeds (n_seeds <= stride).  st holds four slabs sum | count | inv | mean
-   of stride * K cells each, seed s's K cells at offset k * s in every slab,
-   as in the numpy block.  Seed s keeps its regret at reg[s] and its PCG64
-   state at pcg[4 s ..]: state lo, hi, inc lo, hi, advanced one draw per
-   step.  Its pull noise has standard deviation s_res, of kind 0 (two_point:
-   +-s_res) or 1 (uniform: over +-s_res * sqrt(3)), envs.NOISE_KINDS' order.
-   Its regret at checkpoint grid[g] goes to out[g * stride + s].  gi is the
-   first checkpoint not yet passed; returns the first one after step t0 + n.
-   Adds to *full the number of steps that computed all K indices.  */
+/* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a shard of a run of
+   stride seeds (n_seeds <= stride).  regret._simulate passes st, pcg, reg
+   and out offset to the shard's first seed, so that several threads can
+   each step their own shard of one set of arrays.  st holds four slabs
+   sum | count | inv | mean of stride * K cells each, seed s's K cells at
+   offset k * s in every slab, as in the numpy block.  Seed s keeps its
+   regret at reg[s] and its PCG64 state at pcg[4 s ..]: state lo, hi, inc
+   lo, hi, advanced one draw per step.  Its pull noise has standard
+   deviation s_res, of kind 0 (two_point: +-s_res) or 1 (uniform: over
+   +-s_res * sqrt(3)), envs.NOISE_KINDS' order.  Its regret at checkpoint
+   grid[g] goes to out[g * stride + s].  gi is the first checkpoint not yet
+   passed; returns the first one after step t0 + n.  Adds to *full the
+   number of steps that computed all K indices.  */
 int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
                   int64_t n,
                   const double *ct, const double *means, const double *gaps,

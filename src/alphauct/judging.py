@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .rng import derive_rng
 from .tree import ActionChunk
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 COMPARATIVE = "comparative"
 INDEPENDENT = "independent"

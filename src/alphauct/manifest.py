@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,22 +62,10 @@ class RunManifest:
     created_unix: float = field(default_factory=time.time)
     duration_s: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "package_version": self.package_version,
-            "python_version": self.python_version,
-            "numpy_version": self.numpy_version,
-            "created_unix": self.created_unix,
-            "duration_s": self.duration_s,
-        }
-
 
 def write_manifest(outdir: Path | str, manifest: RunManifest) -> Path:
     path = Path(outdir) / MANIFEST_NAME
-    write_json(path, manifest.to_dict())
+    write_json(path, asdict(manifest))
     return path
 
 

@@ -23,13 +23,13 @@ kernel skips index values that provably cannot win and computes every other
 one with ``NUMPY``'s IEEE operations, and draws each step's pull noise from
 the seed's PCG64 stream as numpy's own generator does, so a curve is bit
 for bit the same on either; ``NUMPY`` is the fallback and the tests'
-reference.
+reference.  A large compiled run splits its seeds into shards, one per
+core, on threads that fill disjoint columns of one set of arrays.
 """
 from __future__ import annotations
 
 import math
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -233,24 +233,21 @@ def _check_algo(algo: str) -> None:
         raise ValueError(f"unknown algo {algo!r} (only {ALGO_ALPHA!r})")
 
 
-# A run of fewer seed-steps stays in the calling process.  Forking a shard,
-# piping its block back and reaping it took 4.5-5.0 ms (quartiles of 60;
-# 27 ms at worst) on a 2-vCPU VM with numpy loaded.  The kernel, drawing its
-# own noise, does 41-52M seed-steps/s per core at K = 10, gap 0.1, T = 100k
-# and 37-43M at T = 20k (NUMPY 2.7-7.4M), so a shard of this size runs
-# 38-54 ms and one fork costs 9-13 % of it in the median; no
-# unit-test-sized run forks.
+# A run of fewer seed-steps runs in one thread.  Starting a pool thread,
+# running a trivial job on it and joining it took 0.3 ms in the median
+# (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
+# loaded.  The kernel does 40-53M seed-steps/s per thread at K = 10, gap 0.1,
+# T = 100k and 34-38M at T = 20k, so a shard of this size runs 38-59 ms and
+# its thread costs under 1 % of it in the median; no unit-test-sized run
+# starts a thread.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 
 def _worker_count(n_seeds: int, horizon: int) -> int:
-    """How many seed ranges one run splits into: one per core this process
-    may run on, at most one per seed, and 1 for a run below
-    ``SHARD_MIN_SEED_STEPS``, where ``os.fork`` is missing, or on
-    CPython >= 3.12, which warns on a fork in a process with more than one
-    OS thread (importing numpy can start one)."""
-    if (n_seeds * horizon < SHARD_MIN_SEED_STEPS or not hasattr(os, "fork")
-            or sys.version_info >= (3, 12)):
+    """How many seed shards one compiled run splits into: one per core this
+    process may run on, at most one per seed, and 1 for a run below
+    ``SHARD_MIN_SEED_STEPS``."""
+    if n_seeds * horizon < SHARD_MIN_SEED_STEPS:
         return 1
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -273,15 +270,10 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
 
     Noise streams are per-seed (one uniform draw per step, whatever the arm),
     so a seed's trajectory is identical whether it runs alone, in any batch,
-    or through the scalar reference implementation.  That makes the seeds
-    free to split: the run cuts them into ``_worker_count`` contiguous,
-    near-equal ranges, simulates the first in this process and each other
-    one in a forked child that pipes its block of the curve back, and joins
-    the blocks in seed order, bit for bit the curve of one in-process run.
-    All arguments are checked before any fork: ``horizon``, ``n_seeds``,
-    ``seed0``, ``block`` and the grid entries must be ints (numpy integers
-    are stored as ``int``; a bool is refused).  A failed child makes the
-    call raise.
+    in any seed shard, or through the scalar reference implementation.
+    All arguments are checked before any simulation: ``horizon``,
+    ``n_seeds``, ``seed0``, ``block`` and the grid entries must be ints
+    (numpy integers are stored as ``int``; a bool is refused).
     """
     _check_algo(algo)
     horizon, n_seeds, seed0, block = (
@@ -294,72 +286,11 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
     if not t_grid or list(t_grid) != sorted(set(t_grid)) or \
             t_grid[0] < 1 or t_grid[-1] > horizon:
         raise ValueError("grid must be sorted unique ints in [1, horizon]")
-    # resolved before any fork, so that no shard ever compiles
+    # resolved before any shard starts, so that a cold cache compiles once
     LOOP_RUNS["numpy" if _kernel() is None else "compiled"] += 1
-    w = _worker_count(n_seeds, horizon)
-    cuts = [seed0 + i * n_seeds // w for i in range(w + 1)]
-    shards = []  # (pid, pipe, first seed, end seed) of each forked range
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            shards.append(_fork_shard(spec, horizon, t_grid, block, lo, hi))
-        blocks = [_simulate(spec, horizon, t_grid, block, cuts[0], cuts[1])]
-        blocks += [_join_shard(shard, len(t_grid)) for shard in shards]
-    finally:
-        for pid, pipe, _, _ in shards:
-            if not pipe.closed:  # not joined: this call is raising
-                from signal import SIGKILL
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-    per_seed = blocks[0] if w == 1 else np.concatenate(blocks, axis=1)
+    per_seed = _simulate(spec, horizon, t_grid, block, seed0, seed0 + n_seeds)
     return RegretCurve(spec=spec, horizon=horizon, t_grid=t_grid,
                        per_seed=per_seed, seed0=seed0)
-
-
-def _fork_shard(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
-                block: int, seed_lo: int, seed_hi: int):
-    """Simulate seeds [seed_lo, seed_hi) in a forked child, which writes its
-    float64 block to a pipe and leaves through ``os._exit``: it never returns
-    into the caller's code or runs its exit handlers."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rfd)
-            out = _simulate(spec, horizon, t_grid, block, seed_lo, seed_hi)
-            data = memoryview(out).cast("B")
-            while data:
-                data = data[os.write(wfd, data):]
-            code = 0
-        except BaseException as exc:
-            os.write(2, f"bandit seeds [{seed_lo}, {seed_hi}): "
-                        f"{exc!r}\n".encode())
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb"), seed_lo, seed_hi
-
-
-def _join_shard(shard, rows: int) -> np.ndarray:
-    """Read a forked range's block, reap the child, and check that it exited
-    0 and sent the whole block.  The pipe closes only once the child is
-    reaped."""
-    pid, pipe, seed_lo, seed_hi = shard
-    data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    pipe.close()
-    want = rows * (seed_hi - seed_lo) * 8
-    if code != 0 or len(data) != want:
-        raise RuntimeError(f"bandit seeds [{seed_lo}, {seed_hi}): child "
-                           f"exited {code} after sending {len(data)} of "
-                           f"{want} bytes")
-    return np.frombuffer(data).reshape(rows, seed_hi - seed_lo)
 
 
 def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
@@ -372,16 +303,26 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     ``lib`` (default: ``_kernel()``, or ``NUMPY`` where it is ``None``).
 
     Per ``block`` steps one ``lib.ucb_log_table`` call fills the radius
-    factors and one ``lib.ucb_block`` call runs every seed's steps, drawing
+    factors and one ``lib.ucb_block`` call runs a shard's steps, drawing
     each step's pull noise from the seed's own PCG64 stream; the block size
     is physical only.  Each (seed, arm) cell keeps its reward sum, pull
     count, ``inv = 1/count`` and ``mean = sum * inv`` in four
     ``n_seeds * K`` slabs of one array; a caller's zeroed ``state`` of
-    ``4 * n_seeds * K`` floats serves as the slabs, and ``lib`` adds the
-    seed-steps that computed all K indices to ``full[0]``, a caller's int64
-    cell.  Each seed's stream state is a row of four uint64 words (see
+    ``4 * n_seeds * K`` floats serves as the slabs, and the seed-steps that
+    computed all K indices are added to ``full[0]``, a caller's int64 cell.
+    Each seed's stream state is a row of four uint64 words (see
     ``_pcg_row``) in ``pcg``, a caller's ``4 * n_seeds`` words if given,
     which ends holding each seed's state after its last draw.
+
+    Once every stream is set up here, the seeds split into
+    ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
+    calls hold the GIL).  Shard ``i`` of seeds [lo, hi) runs its own block
+    loop, ``ucb_block(hi - lo, n_seeds, ...)`` with each per-seed array
+    offset to seed ``lo``: shard 0 in this thread, each other one in a pool
+    thread.  A shard's exception is raised once every shard has stopped;
+    so is a ``RuntimeError`` for a shard whose ``ucb_block`` returns a
+    checkpoint index behind the last one or past the grid, or short of the
+    grid after the last step.
     """
     lib = lib or _kernel() or NUMPY
     n_seeds = seed_hi - seed_lo
@@ -394,22 +335,48 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     scale = 8.0 * spec.residual_var
     grid = np.asarray(t_grid, dtype=np.int64)
     state = np.zeros(4 * n_seeds * kk) if state is None else state
-    full = np.zeros(1, dtype=np.int64) if full is None else full
     pcg = np.empty(4 * n_seeds, dtype=np.uint64) if pcg is None else pcg
     pcg[:] = [word for sd in range(seed_lo, seed_hi) for word in _pcg_row(
         derive_rng(0, "pull-noise", sd).generator().bit_generator)]
     reg = np.zeros(n_seeds)
-    ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
     out = np.empty((len(t_grid), n_seeds))
     flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
-    gi = 0
-    for t0 in range(0, horizon, block):
-        bl = min(block, horizon - t0)
-        lib.ucb_log_table(scale, t0, bl, ct)
-        gi = lib.ucb_block(n_seeds, n_seeds, kk, t0, bl, ct, means, gaps, pcg,
-                           s_res, kind, state, reg, grid, len(grid), gi,
-                           flat_out, full)
-    assert gi == len(t_grid)
+    w = 1 if lib is NUMPY else _worker_count(n_seeds, horizon)
+    cuts = [i * n_seeds // w for i in range(w + 1)]
+    fulls = np.zeros(w, dtype=np.int64)
+
+    def shard(i: int) -> None:
+        lo = cuts[i]
+        ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
+        gi = 0
+        for t0 in range(0, horizon, block):
+            bl = min(block, horizon - t0)
+            lib.ucb_log_table(scale, t0, bl, ct)
+            got = lib.ucb_block(cuts[i + 1] - lo, n_seeds, kk, t0, bl, ct,
+                                means, gaps, pcg[4 * lo:], s_res, kind,
+                                state[kk * lo:], reg[lo:], grid, len(grid), gi,
+                                flat_out[lo:], fulls[i:i + 1])
+            # a checkpoint index outside [gi, len(grid)] would be read out
+            # of bounds by the next block
+            if not gi <= got <= len(grid) or (t0 + bl == horizon
+                                              and got != len(grid)):
+                raise RuntimeError(
+                    f"bandit seeds [{seed_lo + lo}, {seed_lo + cuts[i + 1]}): "
+                    f"step loop returned checkpoint {got} of {len(grid)} "
+                    f"after step {t0 + bl}")
+            gi = got
+
+    if w == 1:
+        shard(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(w - 1) as pool:
+            others = [pool.submit(shard, i) for i in range(1, w)]
+            shard(0)
+            for future in others:
+                future.result()
+    if full is not None:
+        full[0] += fulls.sum()
     return out
 
 

@@ -22,7 +22,6 @@ logical call indexes, so parallel runs are bit-identical to serial ones.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -198,8 +197,11 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     success_node: int | None = None
     iterations = 0
 
-    with (ThreadPoolExecutor(max_workers=config.parallel_actions)
-          if config.parallel_actions > 0 else nullcontext()) as action_pool:
+    action_pool_cm = nullcontext()
+    if config.parallel_actions > 0:
+        from concurrent.futures import ThreadPoolExecutor
+        action_pool_cm = ThreadPoolExecutor(max_workers=config.parallel_actions)
+    with action_pool_cm as action_pool:
         for it in range(1, config.max_iterations + 1):
             iterations = it
             leaf = select_leaf(tree, config.c, config.backup)

@@ -9,7 +9,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,113 +245,161 @@ def test_curve_digest_is_pinned(each_loop, spec, algo, horizon, digest):
 # -- seed shards -----------------------------------------------------------------
 
 
-# the library never forks there, and a fork in a numpy process would warn
-needs_fork = pytest.mark.skipif(
-    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
-    reason="seed shards fork only on CPython < 3.12 with os.fork")
+def force_shards(monkeypatch, w: int) -> list[tuple[int, int]]:
+    """Split every run into ``w`` seed shards of a recording wrapper around
+    the step loop ``regret._kernel`` gives now (``NUMPY`` where that is
+    ``None``), resolved on each call; returns the ``(thread id, n_seeds)``
+    of every ``ucb_block`` call."""
+    calls = []
+    inner = regret._kernel
 
+    def recording():
+        lib = inner() or regret.NUMPY
 
-def force_workers(monkeypatch, w: int) -> list[int]:
-    """Split every run into ``w`` seed ranges; returns the pids forked."""
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
+        def ucb_block(n_seeds, *args):
+            calls.append((threading.get_ident(), n_seeds))
+            return lib.ucb_block(n_seeds, *args)
+        return SimpleNamespace(ucb_log_table=lib.ucb_log_table,
+                               ucb_block=ucb_block)
 
     monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: w)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+    monkeypatch.setattr(regret, "_kernel", recording)
+    return calls
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+def assert_shards_ran(calls, sizes, blocks):
+    """Shard 0 (``sizes[0]`` seeds) made ``blocks`` calls in this thread,
+    and every other shard made its ``blocks`` calls in another thread."""
+    here = threading.get_ident()
+    assert [n for tid, n in calls if tid == here] == [sizes[0]] * blocks
+    assert (sorted(n for tid, n in calls if tid != here)
+            == sorted(list(sizes[1:]) * blocks))
 
 
 UNEVEN_GRID = (1, 2, 3, 4, 50, 333, 1000, 1499, 1500)
 
 
-@needs_fork
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_seed_shards_are_bit_equal_to_one_process(monkeypatch, each_loop,
                                                   workers):
-    """7 seeds in 1, 2 or 3 contiguous ranges (3 gives 2 + 2 + 3), joined in
-    seed order: the same bytes as the in-process run."""
+    """7 seeds in 1, 2 or 3 contiguous shards (3 gives 2 + 2 + 3), the
+    first on this thread and each other one on a pool thread: the same
+    bytes as the one-thread run, on either step loop, and no thread is left
+    running."""
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
+    sizes = {1: (7,), 2: (3, 4), 3: (2, 2, 3)}[workers]
+    threads = threading.active_count()
     for loop in each_loop():
         ref = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
                                     grid=UNEVEN_GRID, block=97)
         with monkeypatch.context() as mp:
-            pids = force_workers(mp, workers)
+            calls = force_shards(mp, workers)
             got = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
                                         grid=UNEVEN_GRID, block=97)
-        assert len(pids) == workers - 1, loop
-        assert_reaped(pids)
+        assert_shards_ran(calls, sizes, blocks=16)
+        assert threading.active_count() == threads, loop
         assert got.per_seed.shape == (len(UNEVEN_GRID), 7)
         assert got.per_seed.flags.c_contiguous and got.per_seed.flags.writeable
         assert got.per_seed.tobytes() == ref.per_seed.tobytes(), loop
         assert (got.t_grid, got.seed0) == (UNEVEN_GRID, 4)
 
 
-@needs_fork
 @pytest.mark.parametrize("spec, algo, horizon, digest", PINNED_CURVES)
 def test_sharded_curve_matches_pinned_digest(monkeypatch, each_loop, spec,
                                              algo, horizon, digest):
-    force_workers(monkeypatch, 2)
     for loop in each_loop():
-        curve = run_bandit_experiment(spec, algo, horizon, 20)
+        with monkeypatch.context() as mp:
+            calls = force_shards(mp, 2)
+            curve = run_bandit_experiment(spec, algo, horizon, 20)
+        assert_shards_ran(calls, (10, 10), blocks=-(-horizon // 2048))
         assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest, \
             loop
 
 
-@needs_fork
-@pytest.mark.parametrize("fault, want", [
-    ("raise", "child exited 1 after sending 0 of 2400 bytes"),
-    ("short", "child exited 0 after sending 1200 of 2400 bytes"),
-    ("status", "child exited 3 after sending 2400 of 2400 bytes"),
-], ids=["raise", "short", "status"])
-def test_a_failed_shard_makes_the_run_raise(monkeypatch, capfd, each_loop,
-                                            fault, want):
-    """A child that raises exits 1 and sends nothing; a short block or a
-    non-zero exit status after a whole block is caught too.  Each way the
-    call raises and every child is reaped."""
-    real = regret._simulate
-    real_exit = os._exit
+def test_more_shards_than_cores_keep_every_cell(monkeypatch, kernel):
+    """16 seeds in 8 shards, with the interpreter switching threads every
+    microsecond: the curve, final slabs, PCG64 rows and full-step count
+    equal the one-thread run's, so no shard wrote another's cells or lost
+    its count."""
+    spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
+    monkeypatch.setattr(regret, "_kernel", lambda: kernel)
 
-    def broken(spec, horizon, t_grid, block, seed_lo, seed_hi):
-        if seed_lo == 0 or fault == "status":  # the caller's own range
-            return real(spec, horizon, t_grid, block, seed_lo, seed_hi)
-        if fault == "short":
-            return real(spec, horizon, t_grid, block, seed_lo, seed_lo + 1)
-        raise OSError("shard lost")
+    def run(w):
+        with monkeypatch.context() as mp:
+            calls = force_shards(mp, w)
+            state, full = np.zeros(4 * 16 * spec.k), np.zeros(1, dtype=np.int64)
+            pcg = np.empty(4 * 16, dtype=np.uint64)
+            out = regret._simulate(spec, 3000, default_grid(3000), 97, 5, 21,
+                                   None, state, full, pcg)
+        assert_shards_ran(calls, (16 // w,) * w, blocks=31)
+        return out.tobytes(), state.tobytes(), pcg.tobytes(), int(full[0])
 
-    monkeypatch.setattr(regret, "_simulate", broken)
-    if fault == "status":  # only the forked children call os._exit
-        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
-    pids = force_workers(monkeypatch, 3)
-    for loop in each_loop():
-        pids.clear()
-        with pytest.raises(RuntimeError,
-                           match=r"bandit seeds \[2, 4\): " + want):
-            run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
-                                  grid=range(2, 302, 2))
-        assert len(pids) == 2, loop
-        assert_reaped(pids)
-        if fault == "raise":
-            assert ("bandit seeds [2, 4): OSError('shard lost')"
-                    in capfd.readouterr().err), loop
+    ref = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(8) == ref
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_arguments_are_checked_before_any_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked before the arguments were checked")
+@pytest.mark.parametrize("fault", ["raise", "short", "status"])
+def test_a_failed_shard_makes_the_run_raise(monkeypatch, kernel, fault):
+    """7 seeds in shards of 2 + 2 + 3.  "raise": a shard's ``ucb_block``
+    raises on its second block, in this thread or in a pool thread; the call
+    raises that exception.  "short": the pool shard of seeds [2, 4) returns
+    one checkpoint too few from its last block; "status": it returns -1, a
+    C-style error status, from its first, which must never reach the next
+    block.  Each way the call raises once every shard has stopped, returns
+    no curve, and leaves no thread running."""
+    here = threading.get_ident()
+    threads = threading.active_count()
+    lib = kernel or regret.NUMPY
+    horizon = 300
+    for in_caller in ((True, False) if fault == "raise" else (False,)):
+        calls = []
 
-    monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
+        def ucb_block(n_seeds, stride, k, t0, n, *args):
+            calls.append((t0, n_seeds))
+            faulty = ((threading.get_ident() == here) == in_caller
+                      and n_seeds == 2)
+            if fault == "raise" and faulty and t0 > 0:
+                raise OSError("shard lost")
+            gi = lib.ucb_block(n_seeds, stride, k, t0, n, *args)
+            if fault == "short" and faulty and t0 + n == horizon:
+                return gi - 1
+            if fault == "status" and faulty:
+                return -1
+            return gi
+
+        broken = SimpleNamespace(ucb_log_table=lib.ucb_log_table,
+                                 ucb_block=ucb_block)
+        want = {"raise": (OSError, "shard lost"),
+                "short": (RuntimeError, r"bandit seeds \[2, 4\): step loop "
+                          r"returned checkpoint 149 of 150 after step 300$"),
+                "status": (RuntimeError, r"bandit seeds \[2, 4\): step loop "
+                           r"returned checkpoint -1 of 150 after step 97$")}
+        with monkeypatch.context() as mp:
+            mp.setattr(regret, "_worker_count", lambda n_seeds, horizon: 3)
+            mp.setattr(regret, "_kernel", lambda: broken)
+            curve = None
+            with pytest.raises(want[fault][0], match=want[fault][1]):
+                curve = run_bandit_experiment(small_spec(), ALGO_ALPHA,
+                                              horizon, 7,
+                                              grid=range(2, 302, 2), block=97)
+        assert curve is None
+        assert threading.active_count() == threads, in_caller
+        # every shard ran, and the faulty one made no call after its fault
+        assert sorted({n for t0, n in calls}) == [2, 3], in_caller
+        if fault == "status":  # 4 blocks of shard 0, 1 of the faulty one
+            assert [n for t0, n in calls].count(2) == 4 + 1
+
+
+def test_arguments_are_checked_before_any_simulation(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(regret, "_simulate", no_simulation)
     spec = small_spec()
     for args, kwargs in [((ALGO_ALPHA, 0, 4), {}), ((ALGO_ALPHA, 100, 0), {}),
                          (("uct", 100, 4), {}),
@@ -391,15 +441,14 @@ def test_numpy_integer_arguments_are_stored_as_int():
 
 
 def test_worker_count_rule(monkeypatch):
-    """Small runs stay in-process; a large one gets a range per usable core,
-    at most one per seed, and none on CPython >= 3.12."""
+    """Small runs take one thread; a large one gets a shard per usable
+    core, at most one per seed."""
     big = regret.SHARD_MIN_SEED_STEPS
     assert regret._worker_count(20, 20_000) == 1  # the pinned-digest runs
     assert regret._worker_count(1, big - 1) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    cores = 1 if sys.version_info >= (3, 12) else 3
-    assert regret._worker_count(1000, big) == cores
-    assert regret._worker_count(2, big) == min(cores, 2)
+    assert regret._worker_count(1000, big) == 3
+    assert regret._worker_count(2, big) == 2
     assert regret._worker_count(1, big) == 1
 
 
@@ -440,8 +489,7 @@ def test_compiled_loop_leaves_the_numpy_loops_state(kernel, case):
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork),
-                                     pytest.param(3, marks=needs_fork)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
 def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
                                                   workers):
@@ -452,10 +500,11 @@ def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
     ref = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
                                 grid=grid, block=97)
     monkeypatch.setattr(regret, "_kernel", lambda: kernel)
-    pids = force_workers(monkeypatch, workers)
+    calls = force_shards(monkeypatch, workers)
     got = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
                                 grid=grid, block=97)
-    assert len(pids) == workers - 1
+    assert_shards_ran(calls, {1: (5,), 2: (2, 3), 3: (1, 2, 2)}[workers],
+                      blocks=-(-horizon // 97))
     assert got.per_seed.tobytes() == ref.per_seed.tobytes()
 
 
@@ -603,7 +652,6 @@ def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
     assert files_under(tmp_path / "cache") == []
 
 
-@needs_fork
 def test_a_sharded_run_with_a_cold_cache_compiles_once(monkeypatch, tmp_path):
     cc = shutil.which(ucb.CC[0])
     if cc is None:
@@ -613,10 +661,10 @@ def test_a_sharded_run_with_a_cold_cache_compiles_once(monkeypatch, tmp_path):
     wrapper.write_text(f'#!/bin/sh\necho run >> "{log}"\nexec "{cc}" "$@"\n')
     wrapper.chmod(0o755)
     cold_cache(monkeypatch, tmp_path, CC=(str(wrapper),) + ucb.CC[1:])
-    pids = force_workers(monkeypatch, 3)
+    calls = force_shards(monkeypatch, 3)
     runs = regret.LOOP_RUNS["compiled"]
     assert pinned_digest_holds()
-    assert len(pids) == 2
+    assert_shards_ran(calls, (6, 7, 7), blocks=10)
     assert regret.LOOP_RUNS["compiled"] == runs + 1
     assert log.read_text() == "run\n"
     assert len(files_under(tmp_path / "cache")) == 1

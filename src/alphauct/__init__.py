@@ -28,5 +28,5 @@ from .regret import (BoundReport, MdsSpec, RegretCurve, bound_for_spec,
 from .search import (SearchConfig, SearchResult, SimReflector,
                      extract_best_path, position_env, run_search,
                      search_fixture)
-from .selection import alpha_uct_score, select_child, select_leaf
+from .selection import select_child, select_leaf
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .envs import NOISE_KINDS, BanditSpec, bandit_pull, residual_noise
-from .rng import derive_rng
+from .rng import derive_rng, pcg64_rows
 
 ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 # run_bandit_experiment calls in this process, by the step loop they ran
@@ -312,7 +312,9 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     computed all K indices are added to ``full[0]``, a caller's int64 cell.
     Each seed's stream state is a row of four uint64 words (see
     ``_pcg_row``) in ``pcg``, a caller's ``4 * n_seeds`` words if given,
-    which ends holding each seed's state after its last draw.
+    which ends holding each seed's state after its last draw.  One
+    ``rng.pcg64_rows`` call sets up every row, as the seed's
+    ``derive_rng(0, "pull-noise", sd).generator()`` would start.
 
     Once every stream is set up here, the seeds split into
     ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
@@ -336,8 +338,7 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     grid = np.asarray(t_grid, dtype=np.int64)
     state = np.zeros(4 * n_seeds * kk) if state is None else state
     pcg = np.empty(4 * n_seeds, dtype=np.uint64) if pcg is None else pcg
-    pcg[:] = [word for sd in range(seed_lo, seed_hi) for word in _pcg_row(
-        derive_rng(0, "pull-noise", sd).generator().bit_generator)]
+    pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
     reg = np.zeros(n_seeds)
     out = np.empty((len(t_grid), n_seeds))
     flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s

@@ -7,8 +7,8 @@ visits, so freshly judged children compete on their scores instead of being
 force-picked.  ``select_child`` and ``select_leaf`` take the exploration
 constant ``c`` and the backup ``mode`` as arguments, check them once per
 call with the rules ``SearchConfig`` also applies, and score children from
-``tree.nodes`` directly, with ``alpha_uct_score``'s expression written out
-in the same float order.
+``tree.nodes`` directly (``tests/test_selection.py`` holds the score as a
+standalone oracle, ``alpha_uct_score``).
 """
 from __future__ import annotations
 
@@ -26,14 +26,6 @@ def check_selection_args(c: float, mode: str) -> None:
         raise ValueError(f"unknown backup mode {mode!r}")
 
 
-def alpha_uct_score(q: float, n_action: int, n_siblings_total: int,
-                    c: float) -> float:
-    """q + c*sqrt(n_siblings_total / (n_action + 1))."""
-    if n_action < 0 or n_siblings_total < 0:
-        raise ValueError("visit counts must be non-negative")
-    return q + c * math.sqrt(n_siblings_total / (n_action + 1))
-
-
 def select_child(tree: SearchTree, node_id: int, c: float,
                  mode: str = MAX) -> int:
     """Highest-scoring child of ``node_id``; ties go to the earliest-admitted."""
@@ -49,8 +41,8 @@ def _best_child(tree: SearchTree, kids: list[int], c: float,
     """``select_child`` on a known node with children ``kids``."""
     if len(kids) == 1:  # an only child is picked whatever its score
         return kids[0]
-    # alpha_uct_score inline, same float expression; every child enters the
-    # tree judged, so both of its statistics are set
+    # q + c*sqrt(sum_siblings_N / (N+1)); every child enters the tree
+    # judged, so both of its statistics are set
     nodes = tree.nodes
     recs = [nodes[cid] for cid in kids]
     total = sum(rec.visit_count for rec in recs)

@@ -1,7 +1,7 @@
 """What ``import alphauct`` loads: the search core and the regret lab, and
 none of the acceptance suite, the run artifacts, the compiled step loop,
-the command line or ``concurrent.futures`` (loaded only for a thread
-pool)."""
+the command line, ``concurrent.futures`` (loaded only for a thread pool)
+or ``statistics`` (loaded on the first normal draw)."""
 import os
 import subprocess
 import sys
@@ -11,7 +11,8 @@ import alphauct
 
 SRC = Path(alphauct.__file__).resolve().parents[1]
 NOT_AT_IMPORT = ("alphauct.verify", "alphauct.ablation", "alphauct.manifest",
-                 "alphauct.kernel", "alphauct.cli", "concurrent.futures")
+                 "alphauct.kernel", "alphauct.cli", "concurrent.futures",
+                 "statistics")
 
 
 def test_import_loads_no_suite_manifest_kernel_or_cli():

@@ -517,21 +517,24 @@ def test_each_seed_ends_at_its_numpy_generators_state(kernel, spec):
     """Either lib draws each seed's pull noise from the seed's own numpy
     PCG64 stream, one draw a step whatever the arm (zero noise too), across
     blocks: after the run each seed's state row is what its numpy generator
-    holds after ``horizon`` ``random()`` draws."""
-    horizon, seed_lo, seed_hi = 700, 2, 7
-    want = []
-    for sd in range(seed_lo, seed_hi):
-        gen = derive_rng(0, "pull-noise", sd).generator()
-        gen.random(horizon)
-        want.append(gen.bit_generator.state["state"])
-    for lib in [lib for lib in (regret.NUMPY, kernel) if lib is not None]:
-        pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
-        regret._simulate(spec, horizon, (horizon,), 97, seed_lo, seed_hi, lib,
-                         pcg=pcg)
-        got = [{"state": int(hi) << 64 | int(lo),
-                "inc": int(inc_hi) << 64 | int(inc_lo)}
-               for lo, hi, inc_lo, inc_hi in pcg.reshape(-1, 4)]
-        assert got == want
+    holds after ``horizon`` ``random()`` draws.  The windows include seeds
+    of two 32-bit words (a wider key) and negative seeds (masked to 64
+    bits)."""
+    horizon = 700
+    for seed_lo, seed_hi in ((2, 7), (2**32 - 2, 2**32 + 2), (-3, 1)):
+        want = []
+        for sd in range(seed_lo, seed_hi):
+            gen = derive_rng(0, "pull-noise", sd).generator()
+            gen.random(horizon)
+            want.append(gen.bit_generator.state["state"])
+        for lib in [lib for lib in (regret.NUMPY, kernel) if lib is not None]:
+            pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
+            regret._simulate(spec, horizon, (horizon,), 97, seed_lo, seed_hi,
+                             lib, pcg=pcg)
+            got = [{"state": int(hi) << 64 | int(lo),
+                    "inc": int(inc_hi) << 64 | int(inc_lo)}
+                   for lo, hi, inc_lo, inc_hi in pcg.reshape(-1, 4)]
+            assert got == want, (seed_lo, seed_hi)
 
 
 @pytest.mark.parametrize("case", sorted(ucb.LAZY_CASES))

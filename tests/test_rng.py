@@ -1,15 +1,20 @@
 """Keyed draws: same key same draws, distinct keys distinct draws, the
 ranges and moments of the scalar draws, string hashing stability, key-type
 policing, ``.generator()`` as the PCG64 stream the key always seeded,
-``child`` as the key extended by one part, and ``child_words`` as that
-child's first hash block."""
+``child`` as the key extended by one part, ``child_words`` as that
+child's first hash block, and ``pcg64_rows`` as the states those generators
+start from."""
 import hashlib
 import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphauct.rng import derive_rng
+from alphauct.rng import derive_rng, pcg64_rows
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def take(rng, n=12):
@@ -161,3 +166,51 @@ def test_child_words_are_the_childs_first_draws(key):
         assert parent.child_words(part) == words
     with pytest.raises(TypeError):
         parent.child_words(True)
+
+
+def generator_rows(prefix, seed_lo, seed_hi):
+    """``pcg64_rows`` the slow way: one numpy generator per seed."""
+    rows = []
+    for sd in range(seed_lo, seed_hi):
+        state = derive_rng(*prefix, sd).generator().bit_generator.state["state"]
+        rows += [state["state"] & (2**64 - 1), state["state"] >> 64,
+                 state["inc"] & (2**64 - 1), state["inc"] >> 64]
+    return np.array(rows, dtype=np.uint64)
+
+
+# one- and two-word seeds, both sides of 2^31, 2^32 and 2^63, negative seeds
+# (masked to 64 bits) and the top of the 64-bit range
+WINDOWS = ((0, 1), (1, 2), (0, 1000), (7000, 8000), (2**31, 2**31 + 500),
+           (2**32 - 200, 2**32 + 200), (-300, 300), (2**63 - 5, 2**63 + 5),
+           (2**64 - 50, 2**64))
+
+
+@pytest.mark.parametrize("prefix", [(0, "pull-noise"), (5,), (3, "judge", 7),
+                                    (2**40, -1)])
+def test_pcg64_rows_are_the_generators_states(prefix):
+    """The bulk rows equal each seed's own ``.generator()`` state, for keys
+    of two to six 32-bit words: under numpy's four-word pool, filling it, and
+    past it, where a seed's second word takes the mixer's extra phase; a
+    part of 33 to 64 bits is two words, a negative one is masked to 64."""
+    for seed_lo, seed_hi in WINDOWS:
+        got = pcg64_rows(prefix, seed_lo, seed_hi)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, generator_rows(prefix, seed_lo, seed_hi)), \
+            (seed_lo, seed_hi)
+
+
+def test_pcg64_rows_cover_the_benchmark_seed_windows(monkeypatch):
+    """Every bandit seed window of the benchmark's workload seeds 0-3, which
+    include verify's (seed 0 is [0, n_seeds))."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    try:
+        for name in (workloads.BANDIT_NARROW, workloads.BANDIT_WIDE):
+            for seed in range(4):
+                case = workloads.bandit_case(name, seed)
+                lo, hi = case.seed0, case.seed0 + case.n_seeds
+                assert np.array_equal(
+                    pcg64_rows((0, "pull-noise"), lo, hi),
+                    generator_rows((0, "pull-noise"), lo, hi)), (name, seed)
+    finally:
+        sys.modules.pop("workloads", None)

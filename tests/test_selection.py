@@ -1,12 +1,22 @@
-"""Score formula against hand-computed values, tie-breaking, zero-visit
-behavior, and the checks on the exploration constant and backup mode."""
+"""The alpha-UCT score oracle against hand-computed values, ``select_child``
+against the oracle, tie-breaking, zero-visit behavior, and the checks on the
+exploration constant and backup mode."""
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from alphauct.selection import alpha_uct_score, select_child, select_leaf
+from alphauct.backup import MAX, MEAN
+from alphauct.selection import select_child, select_leaf
 from alphauct.tree import ROOT, ActionChunk, SearchTree, TreeError
+
+
+def alpha_uct_score(q: float, n_action: int, n_siblings_total: int,
+                    c: float) -> float:
+    """The oracle: q + c*sqrt(n_siblings_total / (n_action + 1))."""
+    if n_action < 0 or n_siblings_total < 0:
+        raise ValueError("visit counts must be non-negative")
+    return q + c * math.sqrt(n_siblings_total / (n_action + 1))
 
 
 def chunk(key: str) -> ActionChunk:
@@ -35,6 +45,24 @@ def test_alpha_uct_monotone_in_sibling_visits(q, n, total, c):
        st.floats(0.01, 10))
 def test_alpha_uct_decreases_with_own_visits(q, n, total, c):
     assert alpha_uct_score(q, n + 1, total, c) <= alpha_uct_score(q, n, total, c)
+
+
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1),
+                          st.integers(0, 50)), min_size=2, max_size=8),
+       st.floats(0, 10), st.sampled_from([MAX, MEAN]))
+def test_select_child_takes_the_oracles_first_maximum(kids, c, mode):
+    """Over (q_max, q_mean, visits) siblings, ``select_child`` returns the
+    first child with the highest oracle score under the mode's value."""
+    t = SearchTree()
+    ids = []
+    for i, (q_max, q_mean, visits) in enumerate(kids):
+        ids.append(t.add_child(ROOT, chunk(str(i)), init_value=q_max))
+        t.nodes[ids[-1]].q_mean = q_mean
+        t.nodes[ids[-1]].visit_count = visits
+    total = sum(visits for _, _, visits in kids)
+    scores = [alpha_uct_score(q_max if mode == MAX else q_mean, visits,
+                              total, c) for q_max, q_mean, visits in kids]
+    assert select_child(t, ROOT, c, mode) == ids[scores.index(max(scores))]
 
 
 def test_policy_validation():

@@ -1,17 +1,12 @@
-"""Ablation grids and parallelism timing on the navigation fixtures.
+"""Ablation grids on the navigation fixtures.
 
 The 2x2 grid crosses the backup statistic (max vs mean) with the judging
 protocol (comparative vs independent) under a noisy judge and counts goal
-discoveries.  The speedup probe runs one configuration serially and with a
-judge thread pool under simulated judge latency and checks the trees come out
-identical.
+discoveries.
 """
 from __future__ import annotations
 
-# a parallel search imports it on first use; not inside the probe's clock
-import concurrent.futures  # noqa: F401
 import math
-import time
 from dataclasses import dataclass, replace
 
 from .backup import MAX, MEAN
@@ -111,49 +106,3 @@ def direction_tests(cells: list[AblationCell]) -> dict[str, tuple[float, float]]
                                       *pooled(cells, **worse))
             for name, better, worse in DIRECTIONS}
 
-
-@dataclass(frozen=True)
-class SpeedupReport:
-    serial_s: float
-    parallel_s: float
-    workers: int
-    trees_equal: bool
-    outcomes_equal: bool
-    ceiling: float  # Amdahl bound of the tree: judged items / pool rounds
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / self.parallel_s
-
-
-def _timed_run(spec, cfg: SearchConfig, judge_spec: SimJudgeSpec):
-    t0 = time.perf_counter()
-    res = search_fixture(spec, cfg, judge_spec)
-    return time.perf_counter() - t0, res
-
-
-def measure_parallel_speedup(fixture: str = "wide16", *, k: int = 8,
-                             latency_s: float = 0.05, workers: int = 8,
-                             iterations: int = 6, seed: int = 0,
-                             judge_noise: float = 0.05) -> SpeedupReport:
-    """Same search serially and with `workers` judge-preparation threads.
-
-    The judge carries a per-sibling preparation latency; everything else is
-    deterministic, so the two runs must produce identical trees.
-    """
-    spec = load_fixture(fixture)
-    judge_spec = SimJudgeSpec(noise_std=judge_noise, latency_s=latency_s)
-    base = SearchConfig(expansion_factor=k, max_iterations=iterations, seed=seed)
-    serial_s, serial = _timed_run(spec, base, judge_spec)
-    parallel_s, parallel = _timed_run(
-        spec, replace(base, parallel_actions=workers), judge_spec)
-    # each expanded node's children were one judged sibling set; the pool
-    # prepares a set in ceil(b* / workers) latency rounds, serial in b*
-    widths = [len(rec.children) for rec in serial.tree.nodes if rec.children]
-    return SpeedupReport(
-        serial_s=serial_s, parallel_s=parallel_s, workers=workers,
-        trees_equal=serial.tree.dump() == parallel.tree.dump(),
-        outcomes_equal=(serial.outcome, serial.iterations) ==
-                       (parallel.outcome, parallel.iterations),
-        ceiling=(sum(widths) / sum(-(-b // workers) for b in widths)
-                 if widths else 1.0))

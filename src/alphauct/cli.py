@@ -2,11 +2,9 @@
 
 Four subcommands: ``search`` (one alpha-UCT tree search on a fixture),
 ``bandit`` (regret curves of the residual-variance policy, or its rho
-efficiency sweep), ``ablate`` (the 2x2 backup x judging grid, optionally
-with a parallel-speedup probe), and ``verify`` (the acceptance suite).  A
-fifth, ``rerun``, replays any previous run from its ``manifest.json`` and
-reproduces the artifacts byte-for-byte (serial mode; timing files are the
-documented exception).
+efficiency sweep), ``ablate`` (the 2x2 backup x judging grid), and
+``verify`` (the acceptance suite).  A fifth, ``rerun``, replays any previous
+run from its ``manifest.json`` and reproduces the artifacts byte-for-byte.
 
 ``search``, ``bandit`` and ``ablate`` each resolve their config from one
 table of keys and defaults: defaults < ``--config`` JSON file (search only) <
@@ -29,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ablation import (ABLATION_CONFIG, direction_tests,
-                       measure_parallel_speedup, run_ablation)
+from .ablation import ABLATION_CONFIG, direction_tests, run_ablation
 from .backup import MODES
 from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
@@ -55,8 +52,7 @@ _DEFAULTS = {
                "noise": TWO_POINT, "horizon": 100_000, "seeds": 100,
                "rho_grid": None},
     "ablate": {"fixture": "trap3", "seeds": 100,
-               "iters": ABLATION_CONFIG.max_iterations,
-               "parallel_actions": 0, "judge_latency": 0.05},
+               "iters": ABLATION_CONFIG.max_iterations},
 }
 _TYPES = {"env": str, "rho_grid": list}  # rho_grid: a list of numbers
 
@@ -229,10 +225,7 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
 
 def run_ablate_command(resolved: dict, outdir: Path) -> int:
     _require(resolved, "seeds", resolved["seeds"] >= 1, ">= 1")
-    _require(resolved, "parallel_actions", resolved["parallel_actions"] >= 0,
-             ">= 0")
-    _require(resolved, "judge_latency", resolved["judge_latency"] >= 0.0,
-             ">= 0")
+    _require(resolved, "iters", resolved["iters"] >= 1, ">= 1")
     t0 = time.perf_counter()
     cfg = replace(ABLATION_CONFIG, max_iterations=resolved["iters"])
     cells = run_ablation(resolved["fixture"], resolved["seeds"], config=cfg)
@@ -252,28 +245,13 @@ def run_ablate_command(resolved: dict, outdir: Path) -> int:
             "comparative_vs_independent": {"z": z2, "p": p2},
         },
     }
-    artifacts = {"ablation": "ablation.csv", "summary": "summary.json"}
-    shown = {k: v for k, v in summary.items() if k != "config"}
-    if resolved["parallel_actions"] > 0:
-        rep = measure_parallel_speedup(
-            resolved["fixture"] if resolved["fixture"] != "trap3" else "wide16",
-            k=8, latency_s=resolved["judge_latency"],
-            workers=resolved["parallel_actions"])
-        speedup = {"serial_s": rep.serial_s, "parallel_s": rep.parallel_s,
-                   "speedup": rep.speedup, "ceiling": rep.ceiling,
-                   "workers": rep.workers,
-                   "trees_equal": rep.trees_equal,
-                   "outcomes_equal": rep.outcomes_equal}
-        write_json(outdir / "speedup.json", speedup)
-        artifacts["speedup"] = "speedup.json"
-        # wall-clock timings are printed but kept out of summary.json,
-        # which rerun reproduces byte for byte
-        shown["speedup"] = speedup
     write_json(outdir / "summary.json", summary)
     write_manifest(outdir, RunManifest(
-        command="ablate", config=resolved, artifacts=artifacts,
+        command="ablate", config=resolved,
+        artifacts={"ablation": "ablation.csv", "summary": "summary.json"},
         duration_s=time.perf_counter() - t0))
-    print(json.dumps(shown, indent=2, sort_keys=True))
+    print(json.dumps({k: v for k, v in summary.items() if k != "config"},
+                     indent=2, sort_keys=True))
     return 0
 
 
@@ -399,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture")
     sp.add_argument("--seeds", type=int)
     sp.add_argument("--iters", type=int)
-    sp.add_argument("--parallel-actions", type=int,
-                    help="also run the speedup probe with this many workers")
-    sp.add_argument("--judge-latency", type=float,
-                    help="simulated per-sibling judge latency for the probe")
     add_out(sp)
     sp.set_defaults(fn=cmd_run)
 

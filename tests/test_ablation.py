@@ -1,12 +1,11 @@
-"""Ablation machinery: cell bookkeeping, pooling, the z-test arithmetic, and
-the parallel run's serial-equivalence guarantee."""
+"""Ablation machinery: cell bookkeeping, pooling and the z-test
+arithmetic."""
 import math
 
 import pytest
 
-from alphauct.ablation import (AblationCell, direction_tests,
-                               measure_parallel_speedup, pooled, run_ablation,
-                               run_cell, two_proportion_test)
+from alphauct.ablation import (AblationCell, direction_tests, pooled,
+                               run_ablation, run_cell, two_proportion_test)
 from alphauct.judging import SimJudgeSpec
 from alphauct.search import SearchConfig
 from alphauct.verify import ABLATION_SEEDS
@@ -72,16 +71,6 @@ def test_two_proportion_test_edges():
     z_fwd, _ = two_proportion_test(40, 50, 30, 50)
     z_rev, _ = two_proportion_test(30, 50, 40, 50)
     assert z_fwd == pytest.approx(-z_rev)
-
-
-def test_parallel_run_is_serial_equivalent():
-    rep = measure_parallel_speedup("wide16", k=6, latency_s=0.01, workers=6,
-                                   iterations=4)
-    assert rep.trees_equal
-    assert rep.outcomes_equal
-    assert rep.workers == 6
-    assert rep.serial_s > 0 and rep.parallel_s > 0
-    assert rep.speedup == rep.serial_s / rep.parallel_s
 
 
 def test_custom_config_plumbs_through():

@@ -3,6 +3,7 @@ pass.  One test per criterion (so the report carries one pass/fail line
 each); the shared run is cached module-wide.  Run with ``-s -v`` to stream
 the per-criterion detail lines as they complete.
 """
+import concurrent.futures
 import sys
 from dataclasses import replace
 
@@ -82,6 +83,29 @@ def test_freedman_names_its_first_failing_cell(monkeypatch):
     assert not res.passed
     assert res.detail == ("eps=2.0 v=8.5: rate 0.2219 beats bound 0.0100 "
                           "+ 3 std")
+
+
+def test_parallel_speedup_fails_without_the_pool(monkeypatch):
+    """A judge pool of one worker hides no latency: the gate fails below 2x
+    and prints the ceiling that eight workers reach."""
+    real = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: real(max_workers=1))
+    res = run_criteria(["parallel_speedup"])[0]
+    assert not res.passed
+    assert "< 2x" in res.detail and "ceiling 8.00x" in res.detail
+
+
+def test_parallel_speedup_fails_on_narrow_sibling_sets(monkeypatch):
+    """A probe graph with one action per screen judges 1-wide sibling sets,
+    which leave the pool no latency to hide; the gate names the widths."""
+    monkeypatch.setattr(verify, "PROBE_FIXTURE", "\n".join([
+        "[screens]", "s0 s1 goal", "[start]", "s0", "[goals]", "goal",
+        "[edges]", "s0 a -> s1", "s1 a -> goal",
+        "[policy]", "s0 a 1", "s1 a 1"]))
+    res = run_criteria(["parallel_speedup"])[0]
+    assert not res.passed
+    assert res.detail == "sibling set widths [1, 1] < K = 8"
 
 
 def _grid_runs(seeds_by_k):

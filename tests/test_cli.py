@@ -96,11 +96,11 @@ def test_unknown_subcommand_exits_2(capsys):
     (["search", "--env", "trap3", "--judge-offset", "inf"],
      ["'judge_offset'"]),
     (["search", "--env", "trap3", "--c", "inf"], ["'c'"]),
-    (["ablate", "--seeds", "1", "--judge-latency", "inf",
-      "--parallel-actions", "2"], ["'judge_latency'"]),
     (["bandit", "--rho-grid", "0.25,inf"], ["'rho_grid'"]),
     # retired flags, even at their old defaults: search has one selection
-    # rule, bandit one policy
+    # rule, bandit one policy, and verify alone runs the speedup probe
+    (["ablate", "--parallel-actions", "8", "--judge-latency", "0.05"],
+     ["--parallel-actions", "--judge-latency"]),
     (["search", "--env", "trap3", "--selection", "alpha_uct"],
      ["--selection"]),
     (["bandit", "--algo", "alpha"], ["--algo"]),
@@ -208,7 +208,8 @@ def test_ablate_artifacts(tmp_path, capsys):
     summary = read_json(out / "summary.json")
     assert set(summary["tests"]) == {"max_vs_mean",
                                      "comparative_vs_independent"}
-    assert not (out / "speedup.json").exists()  # probe off by default
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["ablation.csv", "manifest.json", "summary.json"]
     capsys.readouterr()
 
 
@@ -258,20 +259,6 @@ def test_rerun_warns_on_another_numpy_version(tmp_path, capsys):
     assert "numpy 0.0.1" in err
     assert (first / "tree.txt").read_bytes() == \
         (tmp_path / "b" / "tree.txt").read_bytes()
-
-
-def test_ablate_rerun_with_speedup_probe_is_byte_identical(tmp_path, capsys):
-    first, again = tmp_path / "a", tmp_path / "b"
-    assert run_cli("ablate", "--seeds", "2", "--parallel-actions", "2",
-                   "--judge-latency", "0", "--out", str(first)) == 0
-    assert run_cli("rerun", str(first), "--out", str(again)) == 0
-    for name in ("summary.json", "ablation.csv"):
-        assert (first / name).read_bytes() == (again / name).read_bytes(), name
-    assert "speedup" not in read_json(first / "summary.json")
-    assert read_json(first / "manifest.json")["artifacts"]["speedup"] == \
-        "speedup.json"
-    assert read_json(again / "speedup.json")["workers"] == 2
-    capsys.readouterr()
 
 
 def test_rerun_rejects_foreign_manifests(tmp_path, capsys):
@@ -358,10 +345,13 @@ def test_rerun_rejects_unknown_key(tmp_path, capsys):
     (SEARCH_ARGS, "selection", "alpha_uct"),
     (["bandit", "--arms", "3", "--horizon", "200", "--seeds", "2"],
      "algo", "alpha"),
+    (["ablate", "--seeds", "1", "--iters", "2"], "parallel_actions", 0),
+    (["ablate", "--seeds", "1", "--iters", "2"], "judge_latency", 0.05),
 ])
 def test_rerun_rejects_retired_config_keys(tmp_path, capsys, argv, key, value):
-    """Manifests written while search took a selection rule and bandit an
-    algorithm carry a key the tables no longer hold."""
+    """Manifests written while search took a selection rule, bandit an
+    algorithm and ablate the speedup probe's options carry a key the tables
+    no longer hold."""
     first = tmp_path / "first"
     assert run_cli(*argv, "--out", str(first)) == 0
     capsys.readouterr()
@@ -388,8 +378,7 @@ def test_rerun_applies_bandit_range_checks(tmp_path, capsys, key, value, flag):
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("key, value", [("seeds", 0), ("parallel_actions", -1),
-                                        ("judge_latency", -1.0)])
+@pytest.mark.parametrize("key, value", [("seeds", 0), ("iters", 0)])
 def test_rerun_applies_ablate_range_checks(tmp_path, capsys, key, value):
     first = tmp_path / "ablate"
     assert run_cli("ablate", "--seeds", "1", "--iters", "2",

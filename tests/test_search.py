@@ -2,6 +2,7 @@
 structure, chunked edges, state-positioning equivalence, and the abort and
 dead-end routes."""
 import hashlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ from alphauct import expansion as expansion_mod
 from alphauct import proposer as proposer_mod
 from alphauct import search as search_mod
 from alphauct.backup import q_for_selection
-from alphauct.envs import GuiGraphEnv, load_fixture
+from alphauct.envs import GuiGraphEnv, builtin_fixtures, load_fixture
 from alphauct.judging import JudgeFailure, SimJudge, SimJudgeSpec
 from alphauct.proposer import SimProposer, proposer_from_fixture
 from alphauct.search import (OUTCOME_BUDGET, OUTCOME_INFEASIBLE,
@@ -84,6 +85,28 @@ def test_snapshot_and_replay_agree():
         assert snap.trace == rep.trace
         assert snap.tree.dump() == rep.tree.dump()
         assert snap.outcome == rep.outcome
+
+
+@pytest.mark.parametrize("judge_mode", ["comparative", "independent"])
+@pytest.mark.parametrize("strategy", ["snapshot", "replay"])
+@pytest.mark.parametrize("fixture", builtin_fixtures())
+def test_threaded_judging_equals_serial(fixture, strategy, judge_mode):
+    """A judge thread pool changes no draw: the tree, trace and outcome
+    equal the serial run's, with threads switching as often as they can."""
+    spec = load_fixture(fixture)
+    judge = SimJudgeSpec(noise_std=0.05, shared_offset_std=0.2)
+    cfg = SearchConfig(max_iterations=12, judge_mode=judge_mode,
+                       state_strategy=strategy, seed=3)
+    serial = search_fixture(spec, cfg, judge)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = search_fixture(spec, replace(cfg, parallel_actions=3), judge)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tree.dump() == serial.tree.dump()
+    assert threaded.trace == serial.trace
+    assert threaded.outcome == serial.outcome
 
 
 def test_optimal_route_matches_exhaustive_enumeration():

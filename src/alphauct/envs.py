@@ -2,10 +2,11 @@
 
 Screen graphs model app navigation: screens connected by canonical actions,
 each canonical action carrying several surface spellings (aliases).  Stepping
-resolves a surface string to its canonical action; unknown or inapplicable
-actions are harmless self-loops.  Goal and trap screens are absorbing: an
-observation reports which one was entered (``terminal`` is ``success`` or
-``failure``), and the judge, not the environment, scores screens.
+looks an edge up under the dedup key, ``expansion.normalize_action`` over
+``alias_context()``, so actions that expansion treats as one lead to the
+same screen; unknown, blank or inapplicable actions are self-loops.  Goal
+and trap screens are absorbing: an observation is the screen and its
+``terminal`` (``success`` or ``failure``); the judge scores screens.
 Environments clone cheaply and exactly, which is what the snapshot
 positioning strategy relies on.  Each screen's proposal table (the policy's
 canonical ids, weights, running weight sums and surface spellings) is built
@@ -26,9 +27,11 @@ Fixture files are plain text, one section per bracketed header::
 
 '#' starts a comment.  Canonical ids must be lexical fixed points (lowercase,
 no spaces); goal reachability from the start screen is checked at load.  An
-unknown section or proposer key, a number that is malformed or not finite, or
-a proposer value out of its ``ProposerParams`` range is an error naming the
-fixture and the line.
+unknown section, meta key or proposer key, a line before the first header, a
+repeated edge, alias block, value, policy entry, proposer key or
+instruction, a number that is malformed or not finite, or a proposer value
+out of its ``ProposerParams`` range is an error naming the fixture and the
+line.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .expansion import lexical_key
+from .expansion import lexical_key, normalize_action
 
 TERMINAL_NONE = "none"
 TERMINAL_SUCCESS = "success"
@@ -57,7 +60,6 @@ class FixtureError(ValueError):
 @dataclass(frozen=True)
 class Observation:
     screen: str
-    actions: tuple[str, ...]  # sorted surface strings available here
     terminal: str = TERMINAL_NONE
 
 
@@ -182,15 +184,7 @@ class GuiGraphSpec:
         return res
 
     def _build_obs(self):
-        cache = {}
-        for screen in self.screens:
-            surfaces: list[str] = []
-            for canon, _ in self._out[screen]:
-                forms = self.aliases.get(canon) or (canon,)
-                surfaces.extend(forms)
-            cache[screen] = Observation(screen, tuple(sorted(surfaces)),
-                                        self.terminal_of(screen))
-        return cache
+        return {s: Observation(s, self.terminal_of(s)) for s in self.screens}
 
     def _build_proposals(self):
         tables = {}
@@ -226,14 +220,6 @@ class GuiGraphSpec:
             return TERMINAL_FAILURE
         return TERMINAL_NONE
 
-    def resolve(self, action: str) -> str | None:
-        """Surface string -> canonical action id, or None if unrecognized."""
-        trimmed = action.strip()
-        hit = self._resolver.get(trimmed)
-        if hit is None:
-            hit = self._resolver.get(lexical_key(trimmed))
-        return hit
-
     def alias_context(self) -> dict[str, str]:
         """Alias map for ``expansion.normalize_action``: every surface
         spelling, and its lexical key, mapped to its canonical id."""
@@ -267,15 +253,13 @@ class GuiGraphEnv:
         return self.spec._obs_cache[self._screen]
 
     def step(self, action: str) -> None:
-        """Apply one surface action; ``observe`` shows where it led."""
-        if self.observe().terminal != TERMINAL_NONE:
-            return  # absorbing
-        canon = self.spec.resolve(action)
-        if canon is None:
-            return  # unrecognized action: self-loop
-        dst = self.spec.edges.get((self._screen, canon))
-        if dst is not None:  # else recognized but inapplicable: self-loop
-            self._screen = dst
+        """Apply one surface action; ``observe`` shows where it led.  An
+        unrecognized action's key names no edge: each canonical id is its
+        own key."""
+        if self.observe().terminal != TERMINAL_NONE or not action.strip():
+            return  # absorbing, or a blank action: self-loop
+        key = normalize_action(action, self.spec._resolver)
+        self._screen = self.spec.edges.get((self._screen, key), self._screen)
 
     def clone(self) -> "GuiGraphEnv":
         dup = GuiGraphEnv(self.spec)
@@ -301,7 +285,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
     """Parse fixture text; a malformed line raises ``FixtureError`` naming
     ``name`` and the line number."""
     sections: dict[str, list[tuple[int, str]]] = {}
-    current = "meta"
+    current = None
 
     def err(lineno: int, msg: str) -> FixtureError:
         return FixtureError(f"{name}:{lineno}: {msg}")
@@ -324,6 +308,8 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
                 raise err(lineno, f"unknown section [{current}] "
                                   f"(known: {', '.join(_SECTIONS)})")
             continue
+        if current is None:
+            raise err(lineno, f"line {line!r} before the first section header")
         sections.setdefault(current, []).append((lineno, line))
 
     def single(section: str) -> str:
@@ -361,17 +347,24 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         parts = line.split()
         if len(parts) != 2:
             raise err(lineno, f"bad value line {line!r}")
-        values[parts[0]] = number(lineno, parts[1])
+        x = number(lineno, parts[1])
+        if parts[0] in values:
+            raise err(lineno, f"duplicate value for screen {parts[0]!r}")
+        values[parts[0]] = x
 
     policy: dict[str, list[tuple[str, float]]] = {}
     for lineno, line in sections.get("policy", []):
         parts = line.split()
         if len(parts) != 3:
             raise err(lineno, f"bad policy line {line!r}")
-        policy.setdefault(parts[0], []).append(
-            (parts[1], number(lineno, parts[2])))
+        x = number(lineno, parts[2])
+        entries = policy.setdefault(parts[0], [])
+        if any(canon == parts[1] for canon, _ in entries):
+            raise err(lineno, f"duplicate policy entry {parts[0]} {parts[1]}")
+        entries.append((parts[1], x))
 
     proposer = ProposerParams()
+    proposer_keys: set[str] = set()
     for lineno, line in sections.get("proposer", []):
         parts = line.split()
         if len(parts) != 2:
@@ -380,6 +373,9 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         if key not in _PROPOSER_TYPES:
             raise err(lineno, f"unknown proposer key {key!r} "
                               f"(known: {', '.join(_PROPOSER_TYPES)})")
+        if key in proposer_keys:
+            raise err(lineno, f"duplicate proposer key {key!r}")
+        proposer_keys.add(key)
         if _PROPOSER_TYPES[key] is int:
             if x != int(x):
                 raise err(lineno, f"{key} must be a whole number, "
@@ -390,17 +386,22 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         except ValueError as exc:
             raise err(lineno, str(exc))
 
-    instruction = "reach the goal screen"
-    for _, line in sections.get("meta", []):
+    instruction = None
+    for lineno, line in sections.get("meta", []):
         key, _, rest = line.partition(" ")
-        if key == "instruction" and rest.strip():
-            instruction = rest.strip()
+        if key != "instruction":
+            raise err(lineno, f"unknown meta key {key!r} (known: instruction)")
+        if not rest.strip():
+            raise err(lineno, "instruction needs text")
+        if instruction is not None:
+            raise err(lineno, "duplicate meta key 'instruction'")
+        instruction = rest.strip()
 
     return GuiGraphSpec(
         name=name, screens=tuple(tokens("screens")), start=single("start"),
         goals=frozenset(tokens("goals")), traps=frozenset(tokens("traps")),
         edges=edges, aliases=aliases,
-        values=values, instruction=instruction,
+        values=values, instruction=instruction or GuiGraphSpec.instruction,
         policy={s: tuple(v) for s, v in policy.items()},
         proposer=proposer)
 
@@ -464,12 +465,14 @@ class BanditSpec:
     def __post_init__(self):
         if not self.means:
             raise ValueError("bandit needs at least one arm")
+        if not all(math.isfinite(m) for m in self.means):
+            raise ValueError(f"arm means must be finite, got {self.means!r}")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        if self.sigma_x2 < 0:
-            raise ValueError("sigma_x2 must be >= 0")
+        if not 0.0 <= self.sigma_x2 < math.inf:
+            raise ValueError("sigma_x2 must be finite and >= 0")
         best = max(self.means)
         if sum(1 for m in self.means if m == best) != 1:
             raise ValueError("bandit needs a unique best arm")

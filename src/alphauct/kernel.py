@@ -4,11 +4,11 @@ the system ``cc``, checked against it, cached and loaded through ``ctypes``.
 
 ``regret._kernel()`` imports this module on the first bandit run of a
 process, never at package import, and before any seed shard starts its
-thread; a ``CDLL`` call releases the GIL, so the shards step in parallel.  ``build()`` looks for the library in
-``$XDG_CACHE_HOME/alphauct`` (default ``~/.cache/alphauct``) under a hash
-of (source, compile command, platform); failing that it compiles the
-source into a temporary file, checks it (``agrees_with_numpy``) and moves
-it into place.  A missing compiler, a failed build or check and a library
+thread; a ``CDLL`` call releases the GIL, so the shards step in parallel.
+``build()`` looks for the library in ``$XDG_CACHE_HOME/alphauct`` (default
+``~/.cache/alphauct``) under a hash of (source, compile command, platform);
+failing that it compiles the source into a temporary file, checks it
+(``agrees_with_numpy``) and moves it into place.  A missing compiler, a failed build or check and a library
 that does not load all give ``None``, and a failed build leaves no file
 behind.
 

@@ -45,6 +45,8 @@ ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 LOOP_RUNS: Counter[str] = Counter()
 _KERNEL_MEMO: list = []  # empty until _kernel() first runs in this process
 _MASK64 = (1 << 64) - 1
+GRID_POINTS = 512  # checkpoints of ``default_grid``
+N_BOOT = 2000  # bootstrap resamples behind every ratio CI
 
 
 # -- closed-form pieces -------------------------------------------------------
@@ -55,7 +57,7 @@ def freedman_radius(n: int, sigma2: float, delta: float) -> float:
     sqrt(2*sigma2*ln(1/delta)/n) + 2*ln(1/delta)/(3*n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be >= 0")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
@@ -91,13 +93,13 @@ def theorem1_bound(gaps: Iterable[float], sigma_res2: float,
     """Gap-dependent cumulative-regret bound over the suboptimal arms, all
     sharing the residual variance ``sigma_res2``."""
     gaps = tuple(float(g) for g in gaps)
-    if any(g <= 0 for g in gaps):
-        raise ValueError("gaps must be positive (suboptimal arms only)")
+    if not all(0 < g < math.inf for g in gaps):
+        raise ValueError("gaps must be positive and finite (suboptimal arms)")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s = float(sigma_res2)
-    if s < 0:
-        raise ValueError("sigma_res2 must be >= 0")
+    if not 0 <= s < math.inf:
+        raise ValueError("sigma_res2 must be finite and >= 0")
     log_t = math.log(horizon)
     arms = tuple(
         PerArmBound(gap=g, sigma_res2=s,
@@ -158,8 +160,8 @@ def freedman_tail_bound(epsilon: float, v_cap: float) -> float:
 
 def freedman_empirical_check(mds: MdsSpec, n: int,
                              epsilons: Sequence[float],
-                             v_caps: Sequence[float], trials: int,
-                             seed: int = 0) -> list[FreedmanCell]:
+                             v_caps: Sequence[float],
+                             trials: int) -> list[FreedmanCell]:
     """Monte-Carlo hit rates of {S_n >= eps and V_n <= v} for the generator,
     one ``FreedmanCell`` per (eps, v) pair, epsilon-major: the cells of
     ``epsilons[0]`` first, each in ``v_caps`` order.
@@ -169,7 +171,7 @@ def freedman_empirical_check(mds: MdsSpec, n: int,
     independent tests of the bound."""
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
-    rng = derive_rng(seed, "freedman", n).generator()
+    rng = derive_rng(0, "freedman", n).generator()
     s = np.zeros(trials)
     v = np.zeros(trials)
     for _ in range(n):
@@ -214,13 +216,14 @@ class RegretCurve:
         return self.per_seed[-1]
 
 
-def default_grid(horizon: int, points: int = 512) -> tuple[int, ...]:
-    """Geometrically spaced integer checkpoints, always ending at the horizon."""
+def default_grid(horizon: int) -> tuple[int, ...]:
+    """``GRID_POINTS`` geometrically spaced integer checkpoints (every step
+    up to that horizon), always ending at the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if points >= horizon:
+    if GRID_POINTS >= horizon:
         return tuple(range(1, horizon + 1))
-    raw = np.geomspace(1.0, float(horizon), num=points)
+    raw = np.geomspace(1.0, float(horizon), num=GRID_POINTS)
     grid = np.unique(np.rint(raw).astype(np.int64))
     grid[0] = max(grid[0], 1)
     if grid[-1] != horizon:
@@ -561,12 +564,11 @@ def per_seed_log_slopes(curve: RegretCurve) -> np.ndarray:
     return (xc @ curve.per_seed[mask]) / float(xc @ x)
 
 
-def _ratio_ci(num: np.ndarray, den: np.ndarray, n_boot: int,
-              rng) -> tuple[float, float]:
-    """Percentile 95 % CI of ``mean(num) / mean(den)`` over independent
-    bootstrap resamples of the two arrays."""
-    ni = rng.integers(0, len(num), size=(n_boot, len(num)))
-    di = rng.integers(0, len(den), size=(n_boot, len(den)))
+def _ratio_ci(num: np.ndarray, den: np.ndarray, rng) -> tuple[float, float]:
+    """Percentile 95 % CI of ``mean(num) / mean(den)`` over ``N_BOOT``
+    independent bootstrap resamples of the two arrays."""
+    ni = rng.integers(0, len(num), size=(N_BOOT, len(num)))
+    di = rng.integers(0, len(den), size=(N_BOOT, len(den)))
     boots = num[ni].mean(axis=1) / den[di].mean(axis=1)
     return float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))
 
@@ -579,14 +581,12 @@ class SlopeRatio:
     n_seeds: int
 
 
-def slope_ratio_ci(num: RegretCurve, den: RegretCurve, *,
-                   n_boot: int = 2000) -> SlopeRatio:
+def slope_ratio_ci(num: RegretCurve, den: RegretCurve) -> SlopeRatio:
     """Ratio of fitted tail slopes with a percentile bootstrap CI over seeds
     (independent resamples for numerator and denominator)."""
     sn = per_seed_log_slopes(num)
     sd = per_seed_log_slopes(den)
-    lo, hi = _ratio_ci(sn, sd, n_boot,
-                       derive_rng(0, "slope-boot").generator())
+    lo, hi = _ratio_ci(sn, sd, derive_rng(0, "slope-boot").generator())
     return SlopeRatio(ratio=float(sn.mean() / sd.mean()), ci_lo=lo, ci_hi=hi,
                       n_seeds=len(sn))
 
@@ -603,8 +603,8 @@ class RatioPoint:
 
 
 def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
-                                horizon: int, n_seeds: int, *, seed0: int = 0,
-                                n_boot: int = 2000) -> list[RatioPoint]:
+                                horizon: int,
+                                n_seeds: int) -> list[RatioPoint]:
     """Final-regret ratio of the residual-variance policy at each rho against
     the blind (rho = 1) baseline of the same family.
 
@@ -615,8 +615,7 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
     if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
         raise ValueError("rho grid entries must be in [0, 1]")
     base_spec = replace(spec, rho=1.0)
-    base = run_bandit_experiment(base_spec, ALGO_ALPHA, horizon, n_seeds,
-                                 seed0=seed0)
+    base = run_bandit_experiment(base_spec, ALGO_ALPHA, horizon, n_seeds)
     base_final = base.final
     base_mean = float(base_final.mean())
     points = []
@@ -625,9 +624,8 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
             final, lo, hi = base_final, 1.0, 1.0
         else:
             final = run_bandit_experiment(replace(spec, rho=rho), ALGO_ALPHA,
-                                          horizon, n_seeds,
-                                          seed0=seed0).final
-            lo, hi = _ratio_ci(final, base_final, n_boot,
+                                          horizon, n_seeds).final
+            lo, hi = _ratio_ci(final, base_final,
                                derive_rng(0, "ratio-boot",
                                           int(round(rho * 1e6))).generator())
         ratio = float(final.mean()) / base_mean

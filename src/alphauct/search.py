@@ -8,10 +8,12 @@ independent calls under ablation), then adds each candidate as a child
 carrying its judged value and backs that value up the root path; an
 unexpandable leaf re-asserts its own value instead.  A failed judge call
 aborts the iteration before anything enters the tree.  The last
-expansion's best path, as (chunk, q) pairs, is distilled into a *reflection*:
-a map from normalized atom keys to their best non-negative q, which boosts
-those actions' weights in the next iteration's proposals.  A proposer with
-``reflection_gain 0`` (in the fixture, or as an override) ignores it.
+expansion's best path (its best child's root path, as (chunk, selection q)
+pairs) is distilled into a *reflection*: a map from normalized atom keys to
+their best non-negative q, which boosts those actions' weights in the next
+iteration's proposals.  A proposer with ``reflection_gain 0`` (in the
+fixture, or as an override) ignores it.  The reported best path is
+``selection.select_path`` at zero exploration.
 
 ``search_fixture`` wires a search on a fixture (environment, proposer, judge,
 reflector) and seeds its proposer and judge with the config's seed.
@@ -32,8 +34,8 @@ from .expansion import CHUNK_SEP, expand_node
 from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure, SimJudge,
                       SimJudgeSpec, judge_comparative, judge_independent_set)
 from .proposer import TaskInfeasible, proposer_from_fixture
-from .selection import check_selection_args, select_leaf
-from .tree import NO_PARENT, ROOT, ActionChunk, SearchTree
+from .selection import check_selection_args, select_leaf, select_path
+from .tree import ROOT, ActionChunk, SearchTree
 
 SNAPSHOT = "snapshot"
 REPLAY = "replay"
@@ -152,14 +154,7 @@ def position_env(tree: SearchTree, node_id: int, strategy: str):
 
 def extract_best_path(tree: SearchTree) -> tuple[ActionChunk, ...]:
     """Greedy max-value descent from the root; ties to the earliest child."""
-    nodes = tree.nodes
-    path: list[ActionChunk] = []
-    kids = nodes[ROOT].children
-    while kids:
-        best = max((nodes[cid] for cid in kids), key=lambda rec: rec.q_max)
-        path.append(best.action)
-        kids = best.children
-    return tuple(path)
+    return tuple(tree.nodes[nid].action for nid in select_path(tree, 0.0))
 
 
 def _fmt_scores(scores) -> str:
@@ -186,7 +181,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
     the result and documented in the README.
     """
     snapshots = config.state_strategy == SNAPSHOT
-    use_max = config.backup == MAX
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
                 else judge_independent_set)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
@@ -265,14 +259,11 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
 
             # the best child (the first of equal scores) and its ancestors
             # below the root, root first, with their selection values
-            node = tree.nodes[child_ids[scores.index(max(scores))]]
-            steps = []
-            while node.parent != NO_PARENT:
-                steps.append((node.action,
-                              node.q_max if use_max else node.q_mean))
-                node = tree.nodes[node.parent]
-            steps.reverse()
-            reflection = reflector.reflect(steps)
+            best = child_ids[scores.index(max(scores))]
+            reflection = reflector.reflect(
+                [(tree.nodes[nid].action,
+                  q_for_selection(tree, nid, config.backup))
+                 for nid in tree.path_to_root(best)[1:]])
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 

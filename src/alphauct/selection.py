@@ -4,11 +4,13 @@ A child scores its backed-up value (subtree max, or the running mean under
 mean backup) plus a visit-ratio exploration term
 c*sqrt(sum_siblings_N / (N+1)); the +1 keeps the ratio defined at zero
 visits, so freshly judged children compete on their scores instead of being
-force-picked.  ``select_child`` and ``select_leaf`` take the exploration
-constant ``c`` and the backup ``mode`` as arguments, check them once per
-call with the rules ``SearchConfig`` also applies, and score children from
-``tree.nodes`` directly (``tests/test_selection.py`` holds the score as a
-standalone oracle, ``alpha_uct_score``).
+force-picked.  ``select_path`` is the one descent from the root: its last
+node is each iteration's leaf (``select_leaf``), and at ``c = 0`` it is a
+search's best path and verify's recorded walks.  Each entry point checks
+``c`` and the backup ``mode`` once per call with the rules ``SearchConfig``
+also applies, and scores children from ``tree.nodes`` directly
+(``tests/test_selection.py`` holds the score as a standalone oracle,
+``alpha_uct_score``).
 """
 from __future__ import annotations
 
@@ -55,14 +57,21 @@ def _best_child(tree: SearchTree, kids: list[int], c: float,
     return best
 
 
-def select_leaf(tree: SearchTree, c: float, mode: str = MAX,
-                start: int = ROOT) -> int:
-    """Descend by repeated child selection until a childless node is reached."""
+def select_path(tree: SearchTree, c: float, mode: str = MAX) -> list[int]:
+    """Node ids below the root that repeated child selection visits on its
+    way down to a childless node; empty if the root has no children."""
     check_selection_args(c, mode)
-    tree.node(start)  # _best_child only returns known nodes
     nodes = tree.nodes
     use_max = mode == MAX
-    node = start
+    path = []
+    node = ROOT
     while kids := nodes[node].children:
         node = _best_child(tree, kids, c, use_max)
-    return node
+        path.append(node)
+    return path
+
+
+def select_leaf(tree: SearchTree, c: float, mode: str = MAX) -> int:
+    """The childless node ``select_path`` ends at; the root of a bare tree."""
+    path = select_path(tree, c, mode)
+    return path[-1] if path else ROOT

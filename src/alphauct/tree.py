@@ -9,7 +9,7 @@ recomputations of the max and mean statistics used to audit incremental
 backups.
 
 ``SearchTree.node`` validates an id at the public edge.  The hot paths of a
-search (``selection.select_leaf``, ``backup.backpropagate``, the loop in
+search (``selection.select_path``, ``backup.backpropagate``, the loop in
 ``search``) validate an id once and then index ``nodes`` directly: a valid
 node's children and ancestors are valid ids.  Edges (``ActionChunk``) and
 events (``EvalEvent``) are immutable named tuples, cheap to build by the

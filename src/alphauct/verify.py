@@ -37,7 +37,7 @@ from .regret import (ALGO_ALPHA, MdsSpec, RatioPoint, RegretCurve, SlopeRatio,
                      fit_log_regret, freedman_empirical_check, freedman_radius,
                      run_bandit_experiment, slope_ratio_ci)
 from .search import SearchConfig, search_fixture
-from .selection import select_child
+from .selection import select_child, select_path
 from .tree import ROOT, ActionChunk, SearchTree
 
 FAULT_KINDS = ("backup", "mean", "dedup")
@@ -180,11 +180,7 @@ def build_walk_tree(rows) -> tuple[SearchTree, dict[str, int]]:
 def greedy_walk(tree: SearchTree, ids: dict[str, int]) -> tuple[str, ...]:
     """Descend by repeated zero-exploration selection; returns node labels."""
     by_id = {v: k for k, v in ids.items()}
-    node, path = ROOT, []
-    while tree.node(node).children:
-        node = select_child(tree, node, 0.0)
-        path.append(by_id[node])
-    return tuple(path)
+    return tuple(by_id[nid] for nid in select_path(tree, 0.0))
 
 
 # -- fault injection -----------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from alphauct.envs import (BanditSpec, FixtureError, GuiGraphEnv,
                            bandit_pull, builtin_fixtures, load_fixture,
                            parse_fixture, residual_noise)
+from alphauct.expansion import normalize_action
 from alphauct.rng import derive_rng
 
 MINI = """
@@ -117,12 +118,42 @@ def test_clone_isolation():
     assert dup.screen == "menu"
 
 
-def test_observation_lists_sorted_surfaces():
-    spec = parse_fixture(MINI)
-    obs = GuiGraphEnv(spec).observe()
-    assert obs.screen == "home"
-    assert obs.actions == ("Open the Menu", "click(100, 40)")
-    assert obs.actions == tuple(sorted(obs.actions))
+def _variants(surface: str) -> list[str]:
+    """A surface, cased and padded, and a ``name(x, y)`` call with each
+    coordinate jittered inside its bucket."""
+    out = [surface, surface.upper(), surface.lower(), f"  {surface} \t",
+           surface.replace(" ", "  ")]
+    head, _, args = surface.partition("(")
+    nums = args.rstrip(")").split(",")
+    if args and all(n.strip().lstrip("-").isdigit() for n in nums):
+        for d in (-4, 3):
+            out.append(f"{head}({', '.join(str(int(n) + d) for n in nums)})")
+    return out
+
+
+@pytest.mark.parametrize("name", builtin_fixtures())
+def test_stepping_agrees_with_dedup(name):
+    """Every spelling expansion would treat as one operation leads where the
+    edge under its normalized key leads; anything else self-loops."""
+    spec = load_fixture(name)
+    ctx = spec.alias_context()
+    actions = [v for surface in ctx for v in _variants(surface)]
+    actions += ["dance wildly", "click(-999, 12345)", "open_lobby;go_closet"]
+    for screen in spec.screens:
+        if spec.terminal_of(screen) != "none":
+            continue
+        for action in actions:
+            env = GuiGraphEnv(spec)
+            env._screen = screen
+            env.step(action)
+            want = spec.edges.get(
+                (screen, normalize_action(action, ctx)), screen)
+            assert env.screen == want, (screen, action)
+        for blank in ("", "   "):
+            env = GuiGraphEnv(spec)
+            env._screen = screen
+            env.step(blank)
+            assert env.screen == screen
 
 
 @pytest.mark.parametrize("mangle,fragment", [
@@ -159,6 +190,16 @@ def test_policy_weights_must_be_positive_and_finite(weight):
     ("[proposer]\nreflection_gain -1", "reflection_gain must be >= 0"),
     ("[proposer]\ninfeasible_after -1", "infeasible_after must be >= 0"),
     ("[values]\nmenu 0.4x", "finite number, got '0.4x'"),
+    ("[values]\nmenu 0.5", "duplicate value for screen 'menu'"),
+    ("[policy]\nhome open_menu 1\nhome open_menu 2",
+     "duplicate policy entry home open_menu"),
+    ("[proposer]\nduplicate_rate 0.1\nduplicate_rate 0.2",
+     "duplicate proposer key 'duplicate_rate'"),
+    ("[meta]\nbudget 5", "unknown meta key 'budget'"),
+    ("[meta]\ninstruction again", "duplicate meta key 'instruction'"),
+    ("[meta]\ninstruction", "instruction needs text"),
+    ("[edges]\nhome open_menu -> pit", "duplicate edge home open_menu"),
+    ("[aliases]\nopen_menu = open it", "duplicate alias block for 'open_menu'"),
 ])
 def test_fixture_line_errors_name_the_line(tail, fragment):
     """Typos and bad numbers are errors at their line (the last one here),
@@ -168,6 +209,14 @@ def test_fixture_line_errors_name_the_line(tail, fragment):
         parse_fixture(text, name="mini")
     assert str(err.value).startswith(f"mini:{len(text.splitlines())}: ")
     assert fragment in str(err.value)
+
+
+def test_line_before_the_first_header_is_an_error():
+    with pytest.raises(FixtureError) as err:
+        parse_fixture("\n# comment\ninstruction find it\n" + MINI,
+                      name="mini")
+    assert str(err.value).startswith(
+        "mini:3: line 'instruction find it' before the first section header")
 
 
 _SOUP_HEADERS = st.sampled_from(
@@ -223,6 +272,21 @@ def test_bandit_spec_validation():
     BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="two_point")
     with pytest.raises(ValueError):
         BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="uniform")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(means=(0.6, 0.4), sigma_x2=math.nan),
+    dict(means=(0.6, 0.4), sigma_x2=math.inf),
+    dict(means=(0.5, math.nan)),
+    dict(means=(math.nan, 0.5)),
+    dict(means=(0.5, math.inf)),
+    dict(means=(0.6, -math.inf)),
+])
+def test_bandit_spec_rejects_non_finite_values(kwargs):
+    """A NaN arm would drop out of ``gaps`` (so the bound ignores it) while
+    the regret curve turns NaN; a NaN variance passes every range check."""
+    with pytest.raises(ValueError, match="finite"):
+        BanditSpec(**kwargs)
 
 
 def test_bandit_spec_noise_validation():

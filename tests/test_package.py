@@ -1,7 +1,9 @@
 """What ``import alphauct`` loads: the search core and the regret lab, and
 none of the acceptance suite, the run artifacts, the compiled step loop,
 the command line, ``concurrent.futures`` (loaded only for a thread pool)
-or ``statistics`` (loaded on the first normal draw)."""
+or ``statistics`` (loaded on the first normal draw); and no module of the
+package or its scripts imports a name it never uses."""
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +33,38 @@ def test_one_version_string():
     from alphauct import manifest
     assert alphauct.__version__ == manifest.PACKAGE_VERSION
     assert manifest.RunManifest("x", {}).package_version == alphauct.__version__
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import binds in ``path`` that the module never reads; an
+    import with ``# noqa`` on any of its lines, and ``__future__``
+    imports, are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{lineno}: {name}"
+            for name, lineno in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """No linter ships with the test dependencies, and a deletion leaves
+    dead imports behind; this is the one check that catches them."""
+    repo = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((repo / "src" / "alphauct").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((repo / "scripts").glob("*.py"))
+    assert len(files) > 10
+    assert [u for p in files for u in _unused_imports(p)] == []

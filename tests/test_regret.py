@@ -64,6 +64,16 @@ def test_bound_validates_its_inputs():
         theorem1_bound([0.1], 0.01, horizon=0)
 
 
+@pytest.mark.parametrize("gaps, sigma_res2", [
+    ([math.nan], 0.1), ([0.1, math.inf], 0.1), ([0.1], math.nan),
+    ([0.1], math.inf),
+])
+def test_bound_rejects_non_finite_inputs(gaps, sigma_res2):
+    """A NaN gap or variance would give a NaN bound that no regret exceeds."""
+    with pytest.raises(ValueError, match="finite"):
+        theorem1_bound(gaps, sigma_res2, horizon=100)
+
+
 def test_bound_for_spec_uses_residual_variance():
     spec = BanditSpec(means=(0.6, 0.5, 0.4), sigma_x2=0.04, rho=0.25)
     rep = bound_for_spec(spec, 1000)
@@ -81,6 +91,12 @@ def test_freedman_radius_values():
         freedman_radius(0, 0.04, 0.01)
     with pytest.raises(ValueError):
         freedman_radius(10, 0.04, 0.0)
+
+
+@pytest.mark.parametrize("sigma2", [-0.01, math.nan])
+def test_freedman_radius_rejects_bad_variance(sigma2):
+    with pytest.raises(ValueError, match="sigma2 must be >= 0"):
+        freedman_radius(10, sigma2, 0.1)
 
 
 def test_freedman_tail_bound_formula():
@@ -145,10 +161,10 @@ def each_loop(monkeypatch, kernel):
 
 
 def test_default_grid_shape():
-    grid = default_grid(100_000, points=512)
+    grid = default_grid(100_000)
     assert grid[0] == 1 and grid[-1] == 100_000
     assert list(grid) == sorted(set(grid))
-    small = default_grid(100, points=512)
+    small = default_grid(100)
     assert small == tuple(range(1, 101))
 
 
@@ -788,7 +804,7 @@ def test_per_seed_slopes_mean_equals_mean_curve_slope():
 def test_slope_ratio_ci_on_synthetic_curves():
     num = synthetic_curve(lambda t: 9.0 * np.log(t), jitter=0.05)
     den = synthetic_curve(lambda t: 3.0 * np.log(t), jitter=0.05)
-    sr = slope_ratio_ci(num, den, n_boot=500)
+    sr = slope_ratio_ci(num, den)
     assert sr.ratio == pytest.approx(3.0, rel=0.05)
     assert sr.ci_lo <= sr.ratio <= sr.ci_hi
     assert sr.n_seeds == 5
@@ -796,8 +812,7 @@ def test_slope_ratio_ci_on_synthetic_curves():
 
 def test_efficiency_ratio_rho_one_is_exactly_one():
     spec = small_spec(means=(0.55, 0.45), sigma_x2=0.2)
-    points = efficiency_ratio_experiment(spec, [0.25, 1.0], 2000, 12,
-                                         n_boot=300)
+    points = efficiency_ratio_experiment(spec, [0.25, 1.0], 2000, 12)
     assert points[1].rho == 1.0
     assert points[1].ratio == 1.0
     assert (points[1].ci_lo, points[1].ci_hi) == (1.0, 1.0)
@@ -822,5 +837,5 @@ def test_efficiency_ratio_checks_every_rho_before_any_run(monkeypatch):
     with pytest.raises(ValueError, match="rho grid"):
         efficiency_ratio_experiment(spec, [0.1, 1.5], 500, 4)
     assert calls == []
-    efficiency_ratio_experiment(spec, [0.1, 1.0], 50, 2, n_boot=10)
+    efficiency_ratio_experiment(spec, [0.1, 1.0], 50, 2)
     assert calls == [1.0, 0.1]

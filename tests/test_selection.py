@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alphauct.backup import MAX, MEAN
-from alphauct.selection import select_child, select_leaf
+from alphauct.selection import select_child, select_leaf, select_path
 from alphauct.tree import ROOT, ActionChunk, SearchTree, TreeError
 
 
@@ -67,10 +67,11 @@ def test_select_child_takes_the_oracles_first_maximum(kids, c, mode):
 
 def test_policy_validation():
     """A negative or non-finite ``c`` and an unknown mode are rejected by
-    both entry points, before the tree is read."""
+    every entry point, before the tree is read."""
     t = SearchTree()
     t.add_child(ROOT, chunk("a"), init_value=0.4)
     for select in (lambda c, mode: select_child(t, ROOT, c, mode),
+                   lambda c, mode: select_path(t, c, mode),
                    lambda c, mode: select_leaf(t, c, mode)):
         for c in (-0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="exploration constant"):
@@ -119,7 +120,9 @@ def test_select_leaf_descends_to_childless_node():
     t.add_child(ROOT, chunk("b"), init_value=0.1)
     c = t.add_child(a, chunk("c"), init_value=0.8)
     assert select_leaf(t, 0.0) == c
-    assert select_leaf(t, 0.0, start=c) == c
+    assert select_path(t, 0.0) == [a, c]
+    assert select_path(SearchTree(), 1.0) == []
+    assert select_leaf(SearchTree(), 1.0) == ROOT
 
 
 def test_select_child_requires_children():

@@ -5,7 +5,7 @@
    A step's arm is the first maximum of the index mean_j + sqrt(inv_j * c_t)
    over the K arms, as in the numpy block (regret.NUMPY.ucb_block).
    Wherever the kernel computes an index it does the numpy block's IEEE
-   operations on the same operands, and every slab update too, so the two
+   operations on the same operands, and every cell update too, so the two
    give the same bits.  The kernel computes all K indices only where it
    must:
 
@@ -21,6 +21,21 @@
    step compares ct[b] <= c_end itself, so this never rests on libm's log
    being monotone.  Otherwise it takes the full step and opens a new window.
 
+   While a window is open the leader's sum, count, inv and mean, its arm
+   mean and its gap live in locals, and a leader-only step updates only
+   those, so no cell makes a store-to-load round trip through memory from
+   one step to the next.  They go back to the slabs before a full step
+   reads every arm and at the end of the seed's block.  inv and mean are
+   functions of (sum, count) alone, so holding them changes no bit.
+
+   A full step computes each arm's index and bound in one pass: one SSE2
+   multiply, sqrt and add of inv_j * (c_t, c_end) plus mean_j, index in
+   lane 0 and bound in lane 1.  mulpd, sqrtpd and addpd are the same
+   correctly rounded IEEE operations per lane as their scalar forms, and
+   SSE2 is part of baseline x86-64.  The same pass keeps the first maximum
+   and the largest bound below (lo) and above (hi) it.  Without __SSE2__ the
+   pass computes the same two values with scalar sqrt.
+
    Each step also takes the seed's pull noise, one draw whatever the arm:
    the next uniform of its numpy PCG64 stream (a 128-bit LCG step and the
    XSL-RR output, O'Neill 2014), mapped as envs.residual_noise maps it.  The
@@ -33,6 +48,9 @@
    of these operations.  */
 #include <math.h>
 #include <stdint.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* The most steps one window of leader-only steps spans.  Opening a window
    costs K - 1 bounds; a longer one loosens them (c_end grows) and sends more
@@ -52,6 +70,17 @@ void ucb_log_table(double scale, int64_t t0, int64_t n, double *ct)
 /* numpy's PCG64 multiplier, PCG_DEFAULT_MULTIPLIER_128 */
 #define PCG_MULT (((unsigned __int128)0x2360ED051FC65DA4ULL << 64) \
                   | 0x4385DF649FCCF645ULL)
+
+/* One pull of the arm whose cells are *sum, *count, *inv and *mean, for
+   reward: the numpy block's update, operation for operation.  */
+static inline void pull(double *sum, double *count, double *inv, double *mean,
+                        double reward)
+{
+    *sum = *sum + reward;
+    *count = *count + 1.0;
+    *inv = 1.0 / *count;
+    *mean = *sum * *inv;
+}
 
 /* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a shard of a run of
    stride seeds (n_seeds <= stride).  regret._simulate passes st, pcg, reg
@@ -90,60 +119,88 @@ int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
         unsigned __int128 state = (unsigned __int128)p[1] << 64 | p[0];
         unsigned __int128 inc = (unsigned __int128)p[3] << 64 | p[2];
         /* the open window: its leader, last step and c_end, and the largest
-           bound below (lo) and above (hi) the leader; none open yet */
+           bound below (lo) and above (hi) the leader; none open yet.  While
+           one is open, the leader's four cells, arm mean and gap are held
+           in lsum .. lgap, and its slab cells are stale.  */
         int64_t lead = 0, wend = -1;
         double c_end = 0.0, lo = 0.0, hi = 0.0;
+        double lsum = 0.0, lcount = 0.0, linv = 0.0, lmean = 0.0;
+        double lmu = 0.0, lgap = 0.0;
         g = gi;
         for (int64_t b = 0; b < n; b++) {
-            int64_t t = t0 + 1 + b, a = t - 1;  /* the first K steps: arm t-1 */
-            if (t > k) {
-                int keep = b <= wend && ct[b] <= c_end;
-                if (keep) {
-                    double v = mean[lead] + sqrt(inv[lead] * ct[b]);
-                    keep = lo < v && hi <= v;
-                }
-                if (keep) {
-                    a = lead;
-                } else {  /* all K indices; a tie keeps the lowest arm */
-                    double best = mean[0] + sqrt(inv[0] * ct[b]);
-                    a = 0;
-                    for (int64_t j = 1; j < k; j++) {
-                        double v = mean[j] + sqrt(inv[j] * ct[b]);
-                        if (v > best) {
-                            best = v;
-                            a = j;
-                        }
-                    }
-                    n_full++;
-                    lead = a;
-                    wend = b + WINDOW < n ? b + WINDOW : n - 1;
-                    c_end = ct[wend];
-                    lo = hi = -INFINITY;
-                    for (int64_t j = 0; j < a; j++) {
-                        double u = mean[j] + sqrt(inv[j] * c_end);
-                        if (u > lo)
-                            lo = u;
-                    }
-                    for (int64_t j = a + 1; j < k; j++) {
-                        double u = mean[j] + sqrt(inv[j] * c_end);
-                        if (u > hi)
-                            hi = u;
-                    }
-                }
-            }
+            int64_t t = t0 + 1 + b;
             state = state * PCG_MULT + inc;
             uint64_t xsl = (uint64_t)(state >> 64) ^ (uint64_t)state;
             unsigned rot = (unsigned)(state >> 122);
             uint64_t w = xsl >> rot | xsl << (-rot & 63);
             double u = (double)(w >> 11) * 0x1.0p-53;
             double x = uniform ? width * (2.0 * u - 1.0) : pm[u >= 0.5];
-            sum[a] = sum[a] + (means[a] + x);
-            count[a] = count[a] + 1.0;
-            inv[a] = 1.0 / count[a];
-            mean[a] = sum[a] * inv[a];
-            r += gaps[a];
+            if (t <= k) {  /* the first K steps: arm t - 1, in the slabs */
+                int64_t a = t - 1;
+                pull(sum + a, count + a, inv + a, mean + a, means[a] + x);
+                r += gaps[a];
+            } else {
+                int keep = b <= wend && ct[b] <= c_end;
+                if (keep) {
+                    double v = lmean + sqrt(linv * ct[b]);
+                    keep = lo < v && hi <= v;
+                }
+                if (!keep) {  /* all K indices; a tie keeps the lowest arm */
+                    if (wend >= 0) {  /* the held leader, before the pass */
+                        sum[lead] = lsum;
+                        count[lead] = lcount;
+                        inv[lead] = linv;
+                        mean[lead] = lmean;
+                    }
+                    wend = b + WINDOW < n ? b + WINDOW : n - 1;
+                    c_end = ct[wend];
+                    /* arm j's index v and bound ub; top is the largest bound
+                       so far, which becomes lo when arm j takes the lead */
+                    double best = -INFINITY, top = -INFINITY;
+#ifdef __SSE2__
+                    __m128d c = _mm_set_pd(c_end, ct[b]);
+#endif
+                    for (int64_t j = 0; j < k; j++) {
+#ifdef __SSE2__
+                        __m128d vu = _mm_add_pd(
+                            _mm_set1_pd(mean[j]),
+                            _mm_sqrt_pd(_mm_mul_pd(_mm_set1_pd(inv[j]), c)));
+                        double v = _mm_cvtsd_f64(vu);
+                        double ub = _mm_cvtsd_f64(_mm_unpackhi_pd(vu, vu));
+#else
+                        double v = mean[j] + sqrt(inv[j] * ct[b]);
+                        double ub = mean[j] + sqrt(inv[j] * c_end);
+#endif
+                        if (v > best) {
+                            best = v;
+                            lead = j;
+                            lo = top;
+                            hi = -INFINITY;
+                        } else if (ub > hi) {
+                            hi = ub;
+                        }
+                        if (ub > top)
+                            top = ub;
+                    }
+                    n_full++;
+                    lsum = sum[lead];
+                    lcount = count[lead];
+                    linv = inv[lead];
+                    lmean = mean[lead];
+                    lmu = means[lead];
+                    lgap = gaps[lead];
+                }
+                pull(&lsum, &lcount, &linv, &lmean, lmu + x);
+                r += lgap;
+            }
             if (g < n_grid && t == grid[g])
                 out[g++ * stride + s] = r;
+        }
+        if (wend >= 0) {  /* the held leader, at the block's end */
+            sum[lead] = lsum;
+            count[lead] = lcount;
+            inv[lead] = linv;
+            mean[lead] = lmean;
         }
         reg[s] = r;
         p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);

@@ -110,6 +110,12 @@ class GuiGraphSpec:
     proposer: ProposerParams = ProposerParams()
 
     def __post_init__(self):
+        try:
+            self._check_and_build()
+        except FixtureError as exc:  # a parse_fixture error names the line
+            raise FixtureError(f"{self.name}: {exc}") from None
+
+    def _check_and_build(self):
         known = set(self.screens)
         if len(known) != len(self.screens):
             raise FixtureError("duplicate screen ids")
@@ -321,6 +327,16 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
     def tokens(section: str) -> list[str]:
         return [t for _, line in sections.get(section, []) for t in line.split()]
 
+    def screen_set(section: str) -> frozenset[str]:
+        seen: set[str] = set()
+        for lineno, line in sections.get(section, []):
+            for tok in line.split():
+                if tok in seen:
+                    raise err(lineno, f"screen {tok!r} listed twice in "
+                                      f"[{section}]")
+                seen.add(tok)
+        return frozenset(seen)
+
     edges: dict[tuple[str, str], str] = {}
     for lineno, line in sections.get("edges", []):
         parts = line.split()
@@ -340,6 +356,10 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         surfaces = tuple(s.strip() for s in rest.split("|") if s.strip())
         if canon in aliases:
             raise err(lineno, f"duplicate alias block for {canon!r}")
+        for i, surface in enumerate(surfaces):
+            if surface in surfaces[:i]:
+                raise err(lineno, f"spelling {surface!r} repeated for "
+                                  f"{canon!r}")
         aliases[canon] = surfaces
 
     values: dict[str, float] = {}
@@ -399,7 +419,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
 
     return GuiGraphSpec(
         name=name, screens=tuple(tokens("screens")), start=single("start"),
-        goals=frozenset(tokens("goals")), traps=frozenset(tokens("traps")),
+        goals=screen_set("goals"), traps=screen_set("traps"),
         edges=edges, aliases=aliases,
         values=values, instruction=instruction or GuiGraphSpec.instruction,
         policy={s: tuple(v) for s, v in policy.items()},

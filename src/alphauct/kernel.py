@@ -16,12 +16,16 @@ The kernel picks each step's arm by the numpy block's index and tie rule,
 but computes all K indices only after a change of leader: in between, each
 other arm's index is bounded above by one value computed at the end of a
 short window, and the leader's own index decides whether any of them could
-win (see the header of ``_ucb.c``).  Every index it does compute, and every
-slab update, is the numpy block's IEEE operations on the same operands, so
-both leave the same curve and slabs bit for bit.  The kernel also draws
-each step's pull noise, from the seed's numpy PCG64 stream carried in four
-uint64 words, so both draw the same numbers, and the build check compares
-the streams' final states too.
+win (see the header of ``_ucb.c``).  Meanwhile the leader's cells stay in
+registers and go back to the slabs before the next full step and at the
+end of the block.  A full step computes each arm's index and bound as the
+two lanes of one SSE2 sqrt (scalar ``sqrt`` where ``__SSE2__`` is not
+defined).  Every index it does compute, and every cell update, is the numpy
+block's IEEE operations on the same operands, so both leave the same curve
+and slabs bit for bit.  The kernel also draws each step's pull noise, from
+the seed's numpy PCG64 stream carried in four uint64 words, so both draw
+the same numbers, and the build check compares the streams' final states
+too.
 """
 from __future__ import annotations
 

@@ -19,12 +19,15 @@ is the full outcome variance.
 ``_simulate`` runs the bandit step loop through ``ucb_log_table`` and
 ``ucb_block`` of a small C kernel (``_ucb.c``, see ``kernel``) when one
 builds and passes its check, else of ``NUMPY``, the same two in numpy.  The
-kernel skips index values that provably cannot win and computes every other
-one with ``NUMPY``'s IEEE operations, and draws each step's pull noise from
-the seed's PCG64 stream as numpy's own generator does, so a curve is bit
-for bit the same on either; ``NUMPY`` is the fallback and the tests'
-reference.  A large compiled run splits its seeds into shards, one per
-core, on threads that fill disjoint columns of one set of arrays.
+kernel skips index values that provably cannot win, holds the leading
+arm's cells in registers between full steps, computes each arm's index and
+bound on a full step as the two lanes of one SSE2 sqrt (scalar sqrt
+without SSE2), each with ``NUMPY``'s IEEE operations, and draws each
+step's pull noise from the seed's PCG64 stream as numpy's own generator
+does, so a curve is bit for bit the same on either; ``NUMPY`` is the
+fallback and the tests' reference.  A large compiled run splits its seeds
+into shards, one per core, on threads that fill disjoint columns of one
+set of arrays.
 """
 from __future__ import annotations
 
@@ -239,10 +242,10 @@ def _check_algo(algo: str) -> None:
 # A run of fewer seed-steps runs in one thread.  Starting a pool thread,
 # running a trivial job on it and joining it took 0.3 ms in the median
 # (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
-# loaded.  The kernel does 40-53M seed-steps/s per thread at K = 10, gap 0.1,
-# T = 100k and 34-38M at T = 20k, so a shard of this size runs 38-59 ms and
-# its thread costs under 1 % of it in the median; no unit-test-sized run
-# starts a thread.
+# loaded.  The kernel does 120-140M seed-steps/s per thread at K = 10, gap
+# 0.1, T = 100k and 60-87M at T = 20k (50 and 1000 seeds), so a shard of
+# this size runs 14-33 ms and its thread costs 1-2 % of it in the median; no
+# unit-test-sized run starts a thread.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 

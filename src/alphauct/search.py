@@ -258,12 +258,14 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 break
 
             # the best child (the first of equal scores) and its ancestors
-            # below the root, root first, with their selection values
+            # below the root, root first, with their selection values; the
+            # last back-up's path is the root, those ancestors and a sibling
             best = child_ids[scores.index(max(scores))]
+            nodes, use_max = tree.nodes, config.backup == MAX
             reflection = reflector.reflect(
-                [(tree.nodes[nid].action,
-                  q_for_selection(tree, nid, config.backup))
-                 for nid in tree.path_to_root(best)[1:]])
+                [(nodes[nid].action,
+                  nodes[nid].q_max if use_max else nodes[nid].q_mean)
+                 for nid in (*tree.events[-1].path[1:-1], best)])
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 

@@ -200,6 +200,10 @@ def test_policy_weights_must_be_positive_and_finite(weight):
     ("[meta]\ninstruction", "instruction needs text"),
     ("[edges]\nhome open_menu -> pit", "duplicate edge home open_menu"),
     ("[aliases]\nopen_menu = open it", "duplicate alias block for 'open_menu'"),
+    ("[aliases]\nclaim = take it | grab it | take it",
+     "spelling 'take it' repeated for 'claim'"),
+    ("[goals]\nprize", "screen 'prize' listed twice in [goals]"),
+    ("[traps]\npit", "screen 'pit' listed twice in [traps]"),
 ])
 def test_fixture_line_errors_name_the_line(tail, fragment):
     """Typos and bad numbers are errors at their line (the last one here),
@@ -209,6 +213,15 @@ def test_fixture_line_errors_name_the_line(tail, fragment):
         parse_fixture(text, name="mini")
     assert str(err.value).startswith(f"mini:{len(text.splitlines())}: ")
     assert fragment in str(err.value)
+
+
+def test_spec_errors_name_the_fixture():
+    """A check on the whole spec has no line to name, but names the
+    fixture."""
+    text = MINI.replace("[screens]\nhome menu", "[screens]\nhome home menu")
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(text, name="mini")
+    assert str(err.value) == "mini: duplicate screen ids"
 
 
 def test_line_before_the_first_header_is_an_error():

@@ -3,6 +3,7 @@ martingale tail bound, simulation determinism, the scalar/vectorized twin
 property, pinned curve digests, the kernel's ``ucb_block`` against
 ``regret.NUMPY``'s under the one driver ``regret._simulate``, and slope
 fitting on synthetic curves."""
+import ctypes
 import hashlib
 import math
 import os
@@ -632,6 +633,21 @@ def test_a_compiler_that_rejects_the_source_leaves_the_numpy_loop(
     assert_numpy_fallback(tmp_path)
 
 
+def test_the_portable_pass_agrees_with_numpy(tmp_path):
+    """Built without ``__SSE2__``, the full step computes each arm's index
+    and bound with scalar ``sqrt``: that path also builds without warnings
+    and passes the build check."""
+    if shutil.which(ucb.CC[0]) is None:
+        pytest.skip("no C compiler")
+    lib = tmp_path / "ucb.so"
+    res = subprocess.run([ucb.CC[0], "-U__SSE2__", *ucb.CC[1:], "-Wall",
+                          "-Wextra", "-Wshadow", "-Werror", "-o", str(lib),
+                          str(ucb.SOURCE), "-lm"], stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert ucb.agrees_with_numpy(ucb.bind(ctypes.CDLL(str(lib))))
+
+
 def test_the_kernel_compiles_without_warnings(tmp_path):
     """``_ucb.c`` builds with ``kernel.CC`` plus ``-Wall -Wextra -Wshadow
     -Werror``: in particular no name in the step body shadows another, so
@@ -651,14 +667,18 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     ("(w >> 11)", "(w >> 12)"),  # the uniform's bits
     ("state >> 122", "state >> 121"),  # the XSL-RR rotation
     ("p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);", ""),
-], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back"])
+    ("if (wend >= 0) {  /* the held leader, before the pass */", "if (0) {"),
+    ("if (wend >= 0) {  /* the held leader, at the block's end */",
+     "if (0) {"),
+], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back",
+        "no_flush_on_change", "no_flush_at_block_end"])
 def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
-    """A build whose tie rule or noise stream differs from numpy's fails the
-    check against ``regret.NUMPY``: no kernel, and nothing left in the
-    cache.  The lazy tie shows only on ``LAZY_CASES``' hand-built blocks; a
-    state not written back after a block shows because ``CHECK_BLOCK`` ends
-    blocks inside ``CHECK_RUNS``."""
+    """A build whose tie rule, noise stream or slab updates differ from
+    numpy's fails the check against ``regret.NUMPY``: no kernel, and nothing
+    left in the cache.  The lazy tie shows only on ``LAZY_CASES``'
+    hand-built blocks; a state or held leader not written back after a
+    block shows because ``CHECK_BLOCK`` ends blocks inside ``CHECK_RUNS``."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()

@@ -1,6 +1,7 @@
-/* The alpha-UCT bandit step loop of alphauct.regret, one seed at a time:
-   the two entry points regret._simulate calls, which regret.NUMPY also
-   holds in numpy, with the same arguments.
+/* The alpha-UCT bandit step loop of alphauct.regret, one seed at a time.
+   regret._simulate makes one ucb_run call per seed shard, which steps the
+   shard's seeds block by block through ucb_log_table and ucb_block;
+   regret.NUMPY holds all three in numpy, with the same arguments.
 
    A step's arm is the first maximum of the index mean_j + sqrt(inv_j * c_t)
    over the K arms, as in the numpy block (regret.NUMPY.ucb_block).
@@ -207,4 +208,34 @@ int64_t ucb_block(int64_t n_seeds, int64_t stride, int64_t k, int64_t t0,
     }
     *full += n_full;
     return g;
+}
+
+/* Steps 1 .. horizon of a shard's seeds, as ucb_block's arguments name
+   them, in blocks of `block` steps (the last one shorter), block-major
+   with the seeds in order inside a block: for each block ct, a caller's
+   scratch of min(block, horizon) doubles, gets the block's radius factors
+   scale * ln t, and ucb_block steps the seeds from the checkpoint index
+   the previous block returned.  Returns the index after the last step, or
+   -1 as soon as a block returns one outside [gi, n_grid], which the next
+   block would read out of bounds.  */
+int64_t ucb_run(int64_t n_seeds, int64_t stride, int64_t k, int64_t horizon,
+                int64_t block, double scale, double *ct,
+                const double *means, const double *gaps,
+                uint64_t *pcg, double s_res, int64_t kind,
+                double *st, double *reg,
+                const int64_t *grid, int64_t n_grid,
+                double *out, int64_t *full)
+{
+    int64_t gi = 0;
+    for (int64_t t0 = 0; t0 < horizon; t0 += block) {
+        int64_t n = horizon - t0 < block ? horizon - t0 : block;
+        ucb_log_table(scale, t0, n, ct);
+        int64_t got = ucb_block(n_seeds, stride, k, t0, n, ct, means, gaps,
+                                pcg, s_res, kind, st, reg, grid, n_grid, gi,
+                                out, full);
+        if (got < gi || got > n_grid)
+            return -1;
+        gi = got;
+    }
+    return gi;
 }

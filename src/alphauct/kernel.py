@@ -1,31 +1,24 @@
 """The compiled bandit step loop: ``_ucb.c``, the C twin of ``regret.NUMPY``
-(``ucb_log_table`` and ``ucb_block``, with the same arguments), built with
-the system ``cc``, checked against it, cached and loaded through ``ctypes``.
+(``ucb_log_table``, ``ucb_block`` and ``ucb_run``, with the same arguments),
+built with the system ``cc``, checked against it, cached and loaded through
+``ctypes``.
 
 ``regret._kernel()`` imports this module on the first bandit run of a
 process, never at package import, and before any seed shard starts its
-thread; a ``CDLL`` call releases the GIL, so the shards step in parallel.
-``build()`` looks for the library in ``$XDG_CACHE_HOME/alphauct`` (default
-``~/.cache/alphauct``) under a hash of (source, compile command, platform);
-failing that it compiles the source into a temporary file, checks it
-(``agrees_with_numpy``) and moves it into place.  A missing compiler, a failed build or check and a library
-that does not load all give ``None``, and a failed build leaves no file
-behind.
+thread.  Each shard makes one ``ucb_run`` call, which runs its whole block
+loop in C; a ``CDLL`` call releases the GIL, so the shards step in
+parallel.  ``build()`` looks for the library in ``$XDG_CACHE_HOME/alphauct``
+(default ``~/.cache/alphauct``) under a hash of (source, compile command,
+platform); failing that it compiles the source into a temporary file,
+checks it (``agrees_with_numpy``) and moves it into place.  A missing
+compiler, a failed build or check and a library that does not load all
+give ``None``, and a failed build leaves no file behind.
 
-The kernel picks each step's arm by the numpy block's index and tie rule,
-but computes all K indices only after a change of leader: in between, each
-other arm's index is bounded above by one value computed at the end of a
-short window, and the leader's own index decides whether any of them could
-win (see the header of ``_ucb.c``).  Meanwhile the leader's cells stay in
-registers and go back to the slabs before the next full step and at the
-end of the block.  A full step computes each arm's index and bound as the
-two lanes of one SSE2 sqrt (scalar ``sqrt`` where ``__SSE2__`` is not
-defined).  Every index it does compute, and every cell update, is the numpy
-block's IEEE operations on the same operands, so both leave the same curve
-and slabs bit for bit.  The kernel also draws each step's pull noise, from
-the seed's numpy PCG64 stream carried in four uint64 words, so both draw
-the same numbers, and the build check compares the streams' final states
-too.
+The kernel picks each step's arm by the numpy block's index and tie rule
+and draws each step's pull noise from the seed's numpy PCG64 stream, with
+numpy's IEEE operations wherever it computes an index or updates a cell, so
+both leave the same curve, slabs and stream states bit for bit; the header
+of ``_ucb.c`` says which index values it skips and why that is exact.
 """
 from __future__ import annotations
 
@@ -156,7 +149,9 @@ def agrees_with_numpy(lib) -> bool:
 
 
 def bind(lib):
-    """Declare the kernel's two entry points on the loaded ``lib``."""
+    """Declare the kernel's entry points on the loaded ``lib``: ``ucb_run``,
+    which ``regret._simulate`` calls, and ``ucb_block`` and
+    ``ucb_log_table``, which ``run_lazy_case`` and the build check call."""
     i64, f64 = ctypes.c_int64, ctypes.c_double
     f64s, i64s, u64s = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
                         for dtype in (np.float64, np.int64, np.uint64))
@@ -165,4 +160,7 @@ def bind(lib):
     lib.ucb_block.argtypes = ([i64] * 5 + [f64s] * 3 + [u64s, f64, i64]
                               + [f64s] * 2 + [i64s, i64, i64, f64s, i64s])
     lib.ucb_block.restype = i64
+    lib.ucb_run.argtypes = ([i64] * 5 + [f64] + [f64s] * 3 + [u64s, f64, i64]
+                            + [f64s] * 2 + [i64s, i64, f64s, i64s])
+    lib.ucb_run.restype = i64
     return lib

@@ -16,18 +16,16 @@ equal to its variance, so the radius is a valid confidence radius.  The
 blind baseline is the same policy at rho = 1, where the residual variance
 is the full outcome variance.
 
-``_simulate`` runs the bandit step loop through ``ucb_log_table`` and
-``ucb_block`` of a small C kernel (``_ucb.c``, see ``kernel``) when one
-builds and passes its check, else of ``NUMPY``, the same two in numpy.  The
-kernel skips index values that provably cannot win, holds the leading
-arm's cells in registers between full steps, computes each arm's index and
-bound on a full step as the two lanes of one SSE2 sqrt (scalar sqrt
-without SSE2), each with ``NUMPY``'s IEEE operations, and draws each
-step's pull noise from the seed's PCG64 stream as numpy's own generator
-does, so a curve is bit for bit the same on either; ``NUMPY`` is the
-fallback and the tests' reference.  A large compiled run splits its seeds
-into shards, one per core, on threads that fill disjoint columns of one
-set of arrays.
+``_simulate`` runs the bandit step loop through ``ucb_run`` of a small C
+kernel (``_ucb.c``, see ``kernel``), one call per seed shard, when one
+builds and passes its check, else of ``NUMPY``, the same loop in numpy.  The
+kernel skips index values that provably cannot win and computes every
+other one, and every cell update, with ``NUMPY``'s IEEE operations, and
+draws each step's pull noise from the seed's PCG64 stream as numpy's own
+generator does, so a curve is bit for bit the same on either; ``NUMPY`` is
+the fallback and the tests' reference.  A large compiled run splits its
+seeds into shards, one per core, on threads that fill disjoint columns of
+one set of arrays.
 """
 from __future__ import annotations
 
@@ -242,10 +240,10 @@ def _check_algo(algo: str) -> None:
 # A run of fewer seed-steps runs in one thread.  Starting a pool thread,
 # running a trivial job on it and joining it took 0.3 ms in the median
 # (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
-# loaded.  The kernel does 120-140M seed-steps/s per thread at K = 10, gap
-# 0.1, T = 100k and 60-87M at T = 20k (50 and 1000 seeds), so a shard of
-# this size runs 14-33 ms and its thread costs 1-2 % of it in the median; no
-# unit-test-sized run starts a thread.
+# loaded.  The kernel does 69-75M seed-steps/s per thread at K = 10, gap
+# 0.1, T = 100k and 53-54M at T = 20k (50 and 1000 seeds), so a shard of
+# this size runs 27-38 ms and its thread costs about 1 % of it in the
+# median; no unit-test-sized run starts a thread.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 
@@ -308,29 +306,26 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``, stepped by
     ``lib`` (default: ``_kernel()``, or ``NUMPY`` where it is ``None``).
 
-    Per ``block`` steps one ``lib.ucb_log_table`` call fills the radius
-    factors and one ``lib.ucb_block`` call runs a shard's steps, drawing
-    each step's pull noise from the seed's own PCG64 stream; the block size
-    is physical only.  Each (seed, arm) cell keeps its reward sum, pull
-    count, ``inv = 1/count`` and ``mean = sum * inv`` in four
-    ``n_seeds * K`` slabs of one array; a caller's zeroed ``state`` of
-    ``4 * n_seeds * K`` floats serves as the slabs, and the seed-steps that
-    computed all K indices are added to ``full[0]``, a caller's int64 cell.
-    Each seed's stream state is a row of four uint64 words (see
-    ``_pcg_row``) in ``pcg``, a caller's ``4 * n_seeds`` words if given,
-    which ends holding each seed's state after its last draw.  One
-    ``rng.pcg64_rows`` call sets up every row, as the seed's
-    ``derive_rng(0, "pull-noise", sd).generator()`` would start.
+    One ``lib.ucb_run`` call per shard (below) runs ``block`` steps per
+    ``ucb_block`` call, drawing each step's pull noise from the seed's own
+    PCG64 stream; the block size is physical only.  Each
+    (seed, arm) cell keeps its reward sum, pull count, ``inv = 1/count``
+    and ``mean = sum * inv`` in four ``n_seeds * K`` slabs of one array; a
+    caller's zeroed ``state`` of ``4 * n_seeds * K`` floats serves as the
+    slabs, and the seed-steps that computed all K indices are added to
+    ``full[0]``, a caller's int64 cell.  Each seed's stream state is a row
+    of four uint64 words (see ``_pcg_row``) in ``pcg``, a caller's
+    ``4 * n_seeds`` words if given, which ends holding each seed's state
+    after its last draw.  One ``rng.pcg64_rows`` call sets up every row, as
+    the seed's ``derive_rng(0, "pull-noise", sd).generator()`` would start.
 
     Once every stream is set up here, the seeds split into
     ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
-    calls hold the GIL).  Shard ``i`` of seeds [lo, hi) runs its own block
-    loop, ``ucb_block(hi - lo, n_seeds, ...)`` with each per-seed array
-    offset to seed ``lo``: shard 0 in this thread, each other one in a pool
-    thread.  A shard's exception is raised once every shard has stopped;
-    so is a ``RuntimeError`` for a shard whose ``ucb_block`` returns a
-    checkpoint index behind the last one or past the grid, or short of the
-    grid after the last step.
+    calls hold the GIL).  Shard ``i`` of seeds [lo, hi) calls
+    ``ucb_run(hi - lo, n_seeds, ...)`` with each per-seed array offset to
+    seed ``lo``: shard 0 in this thread, each other one in a pool thread.  A shard's exception is raised once every shard has stopped;
+    so is a ``RuntimeError`` for a shard whose ``ucb_run`` returns any
+    index but the grid's length (-1: a block's fell outside [gi, n_grid]).
     """
     lib = lib or _kernel() or NUMPY
     n_seeds = seed_hi - seed_lo
@@ -353,25 +348,16 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     fulls = np.zeros(w, dtype=np.int64)
 
     def shard(i: int) -> None:
-        lo = cuts[i]
-        ct = np.empty(min(block, horizon))  # scale * ln t for the block's steps
-        gi = 0
-        for t0 in range(0, horizon, block):
-            bl = min(block, horizon - t0)
-            lib.ucb_log_table(scale, t0, bl, ct)
-            got = lib.ucb_block(cuts[i + 1] - lo, n_seeds, kk, t0, bl, ct,
-                                means, gaps, pcg[4 * lo:], s_res, kind,
-                                state[kk * lo:], reg[lo:], grid, len(grid), gi,
-                                flat_out[lo:], fulls[i:i + 1])
-            # a checkpoint index outside [gi, len(grid)] would be read out
-            # of bounds by the next block
-            if not gi <= got <= len(grid) or (t0 + bl == horizon
-                                              and got != len(grid)):
-                raise RuntimeError(
-                    f"bandit seeds [{seed_lo + lo}, {seed_lo + cuts[i + 1]}): "
-                    f"step loop returned checkpoint {got} of {len(grid)} "
-                    f"after step {t0 + bl}")
-            gi = got
+        lo, hi = cuts[i], cuts[i + 1]
+        ct = np.empty(min(block, horizon))  # scale * ln t for a block's steps
+        got = lib.ucb_run(hi - lo, n_seeds, kk, horizon, len(ct), scale, ct,
+                          means, gaps, pcg[4 * lo:], s_res, kind,
+                          state[kk * lo:], reg[lo:], grid, len(grid),
+                          flat_out[lo:], fulls[i:i + 1])
+        if got != len(grid):
+            raise RuntimeError(
+                f"bandit seeds [{seed_lo + lo}, {seed_lo + hi}): step loop "
+                f"returned checkpoint {got} of {len(grid)}")
 
     if w == 1:
         shard(0)
@@ -469,10 +455,25 @@ def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, pcg, s_res,
     return gi
 
 
-# The kernel's two entry points in numpy, the step loop wherever no kernel
+def _numpy_run(n_seeds, stride, k, horizon, block, scale, ct, means, gaps,
+               pcg, s_res, kind, st, reg, grid, n_grid, out, full) -> int:
+    """``ucb_run`` in numpy: -1 once a block's index leaves [gi, n_grid]."""
+    gi = 0
+    for t0 in range(0, horizon, block):
+        n = min(block, horizon - t0)
+        _numpy_log_table(scale, t0, n, ct)
+        got = _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, pcg,
+                           s_res, kind, st, reg, grid, n_grid, gi, out, full)
+        if not gi <= got <= n_grid:
+            return -1
+        gi = got
+    return gi
+
+
+# The kernel's entry points in numpy, the step loop wherever no kernel
 # builds: ``_simulate(..., lib=NUMPY)`` runs it.
 NUMPY = SimpleNamespace(ucb_log_table=_numpy_log_table,
-                        ucb_block=_numpy_block)
+                        ucb_block=_numpy_block, ucb_run=_numpy_run)
 
 
 def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,

@@ -1,8 +1,8 @@
 """Regret-lab numerics: closed-form bound values, confidence radii, the
 martingale tail bound, simulation determinism, the scalar/vectorized twin
-property, pinned curve digests, the kernel's ``ucb_block`` against
-``regret.NUMPY``'s under the one driver ``regret._simulate``, and slope
-fitting on synthetic curves."""
+property, pinned curve digests, the kernel's step loop against
+``regret.NUMPY``'s under the one driver ``regret._simulate`` on hand-picked
+and random runs, and slope fitting on synthetic curves."""
 import ctypes
 import hashlib
 import math
@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from alphauct import kernel as ucb
 from alphauct import regret
@@ -149,6 +150,22 @@ def kernel(tmp_path_factory):
     return lib
 
 
+@pytest.fixture(scope="module")
+def portable(tmp_path_factory):
+    """The kernel built with ``kernel.CC`` plus ``-U__SSE2__`` and every
+    warning an error, bound but not checked; ``None`` where there is no C
+    compiler."""
+    if shutil.which(ucb.CC[0]) is None:
+        return None
+    lib = tmp_path_factory.mktemp("portable") / "ucb.so"
+    res = subprocess.run([ucb.CC[0], "-U__SSE2__", *ucb.CC[1:], "-Wall",
+                          "-Wextra", "-Wshadow", "-Werror", "-o", str(lib),
+                          str(ucb.SOURCE), "-lm"], stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return ucb.bind(ctypes.CDLL(str(lib)))
+
+
 @pytest.fixture
 def each_loop(monkeypatch, kernel):
     """Call it to iterate over the step loops, "compiled" (where it built)
@@ -266,31 +283,29 @@ def force_shards(monkeypatch, w: int) -> list[tuple[int, int]]:
     """Split every run into ``w`` seed shards of a recording wrapper around
     the step loop ``regret._kernel`` gives now (``NUMPY`` where that is
     ``None``), resolved on each call; returns the ``(thread id, n_seeds)``
-    of every ``ucb_block`` call."""
+    of every ``ucb_run`` call."""
     calls = []
     inner = regret._kernel
 
     def recording():
         lib = inner() or regret.NUMPY
 
-        def ucb_block(n_seeds, *args):
+        def ucb_run(n_seeds, *args):
             calls.append((threading.get_ident(), n_seeds))
-            return lib.ucb_block(n_seeds, *args)
-        return SimpleNamespace(ucb_log_table=lib.ucb_log_table,
-                               ucb_block=ucb_block)
+            return lib.ucb_run(n_seeds, *args)
+        return SimpleNamespace(ucb_run=ucb_run)
 
     monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: w)
     monkeypatch.setattr(regret, "_kernel", recording)
     return calls
 
 
-def assert_shards_ran(calls, sizes, blocks):
-    """Shard 0 (``sizes[0]`` seeds) made ``blocks`` calls in this thread,
-    and every other shard made its ``blocks`` calls in another thread."""
+def assert_shards_ran(calls, sizes):
+    """Each shard made exactly one ``ucb_run`` call: shard 0 (``sizes[0]``
+    seeds) in this thread, every other one in another thread."""
     here = threading.get_ident()
-    assert [n for tid, n in calls if tid == here] == [sizes[0]] * blocks
-    assert (sorted(n for tid, n in calls if tid != here)
-            == sorted(list(sizes[1:]) * blocks))
+    assert [n for tid, n in calls if tid == here] == [sizes[0]]
+    assert sorted(n for tid, n in calls if tid != here) == sorted(sizes[1:])
 
 
 UNEVEN_GRID = (1, 2, 3, 4, 50, 333, 1000, 1499, 1500)
@@ -313,7 +328,7 @@ def test_seed_shards_are_bit_equal_to_one_process(monkeypatch, each_loop,
             calls = force_shards(mp, workers)
             got = run_bandit_experiment(spec, ALGO_ALPHA, 1500, 7, seed0=4,
                                         grid=UNEVEN_GRID, block=97)
-        assert_shards_ran(calls, sizes, blocks=16)
+        assert_shards_ran(calls, sizes)
         assert threading.active_count() == threads, loop
         assert got.per_seed.shape == (len(UNEVEN_GRID), 7)
         assert got.per_seed.flags.c_contiguous and got.per_seed.flags.writeable
@@ -328,7 +343,7 @@ def test_sharded_curve_matches_pinned_digest(monkeypatch, each_loop, spec,
         with monkeypatch.context() as mp:
             calls = force_shards(mp, 2)
             curve = run_bandit_experiment(spec, algo, horizon, 20)
-        assert_shards_ran(calls, (10, 10), blocks=-(-horizon // 2048))
+        assert_shards_ran(calls, (10, 10))
         assert hashlib.sha256(curve.per_seed.tobytes()).hexdigest() == digest, \
             loop
 
@@ -348,7 +363,7 @@ def test_more_shards_than_cores_keep_every_cell(monkeypatch, kernel):
             pcg = np.empty(4 * 16, dtype=np.uint64)
             out = regret._simulate(spec, 3000, default_grid(3000), 97, 5, 21,
                                    None, state, full, pcg)
-        assert_shards_ran(calls, (16 // w,) * w, blocks=31)
+        assert_shards_ran(calls, (16 // w,) * w)
         return out.tobytes(), state.tobytes(), pcg.tobytes(), int(full[0])
 
     ref = run(1)
@@ -362,54 +377,70 @@ def test_more_shards_than_cores_keep_every_cell(monkeypatch, kernel):
 
 @pytest.mark.parametrize("fault", ["raise", "short", "status"])
 def test_a_failed_shard_makes_the_run_raise(monkeypatch, kernel, fault):
-    """7 seeds in shards of 2 + 2 + 3.  "raise": a shard's ``ucb_block``
-    raises on its second block, in this thread or in a pool thread; the call
-    raises that exception.  "short": the pool shard of seeds [2, 4) returns
-    one checkpoint too few from its last block; "status": it returns -1, a
-    C-style error status, from its first, which must never reach the next
-    block.  Each way the call raises once every shard has stopped, returns
-    no curve, and leaves no thread running."""
+    """7 seeds in shards of 2 + 2 + 3.  "raise": a shard's ``ucb_run``
+    raises, in this thread or in a pool thread; the call raises that
+    exception.  "short": the pool shard of seeds [2, 4) returns one
+    checkpoint too few; "status": it returns -1, the status of a block whose
+    checkpoint index left [gi, n_grid].  Each way the call raises once
+    every shard has stopped, returns no curve, and leaves no thread
+    running."""
     here = threading.get_ident()
     threads = threading.active_count()
     lib = kernel or regret.NUMPY
-    horizon = 300
     for in_caller in ((True, False) if fault == "raise" else (False,)):
         calls = []
 
-        def ucb_block(n_seeds, stride, k, t0, n, *args):
-            calls.append((t0, n_seeds))
+        def ucb_run(n_seeds, *args):
+            calls.append(n_seeds)
             faulty = ((threading.get_ident() == here) == in_caller
                       and n_seeds == 2)
-            if fault == "raise" and faulty and t0 > 0:
+            if fault == "raise" and faulty:
                 raise OSError("shard lost")
-            gi = lib.ucb_block(n_seeds, stride, k, t0, n, *args)
-            if fault == "short" and faulty and t0 + n == horizon:
+            gi = lib.ucb_run(n_seeds, *args)
+            if fault == "short" and faulty:
                 return gi - 1
             if fault == "status" and faulty:
                 return -1
             return gi
 
-        broken = SimpleNamespace(ucb_log_table=lib.ucb_log_table,
-                                 ucb_block=ucb_block)
         want = {"raise": (OSError, "shard lost"),
                 "short": (RuntimeError, r"bandit seeds \[2, 4\): step loop "
-                          r"returned checkpoint 149 of 150 after step 300$"),
+                          r"returned checkpoint 149 of 150$"),
                 "status": (RuntimeError, r"bandit seeds \[2, 4\): step loop "
-                           r"returned checkpoint -1 of 150 after step 97$")}
+                           r"returned checkpoint -1 of 150$")}
         with monkeypatch.context() as mp:
             mp.setattr(regret, "_worker_count", lambda n_seeds, horizon: 3)
-            mp.setattr(regret, "_kernel", lambda: broken)
+            mp.setattr(regret, "_kernel",
+                       lambda: SimpleNamespace(ucb_run=ucb_run))
             curve = None
             with pytest.raises(want[fault][0], match=want[fault][1]):
-                curve = run_bandit_experiment(small_spec(), ALGO_ALPHA,
-                                              horizon, 7,
-                                              grid=range(2, 302, 2), block=97)
+                curve = run_bandit_experiment(small_spec(), ALGO_ALPHA, 300,
+                                              7, grid=range(2, 302, 2),
+                                              block=97)
         assert curve is None
         assert threading.active_count() == threads, in_caller
-        # every shard ran, and the faulty one made no call after its fault
-        assert sorted({n for t0, n in calls}) == [2, 3], in_caller
-        if fault == "status":  # 4 blocks of shard 0, 1 of the faulty one
-            assert [n for t0, n in calls].count(2) == 4 + 1
+        assert sorted(calls) == [2, 2, 3], in_caller  # every shard ran once
+
+
+def test_the_numpy_run_stops_at_a_block_behind_its_index(monkeypatch):
+    """``NUMPY.ucb_run`` returns -1 as soon as a block's step returns a
+    checkpoint index behind the one it was given, here on the second of four
+    blocks, and steps no further block; the run raises."""
+    blocks = []
+    inner = regret._numpy_block
+
+    def behind(n_seeds, stride, k, t0, n, *args):
+        blocks.append(t0)
+        got = inner(n_seeds, stride, k, t0, n, *args)
+        return args[-3] - 1 if t0 == 97 else got  # args[-3]: gi
+
+    monkeypatch.setattr(regret, "_kernel", lambda: None)
+    monkeypatch.setattr(regret, "_numpy_block", behind)
+    with pytest.raises(RuntimeError, match=r"bandit seeds \[0, 7\): step "
+                       r"loop returned checkpoint -1 of 150$"):
+        run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
+                              grid=range(2, 302, 2), block=97)
+    assert blocks == [0, 97]
 
 
 def test_arguments_are_checked_before_any_simulation(monkeypatch):
@@ -520,9 +551,74 @@ def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
     calls = force_shards(monkeypatch, workers)
     got = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
                                 grid=grid, block=97)
-    assert_shards_ran(calls, {1: (5,), 2: (2, 3), 3: (1, 2, 2)}[workers],
-                      blocks=-(-horizon // 97))
+    assert_shards_ran(calls, {1: (5,), 2: (2, 3), 3: (1, 2, 2)}[workers])
     assert got.per_seed.tobytes() == ref.per_seed.tobytes()
+
+
+@st.composite
+def bandit_runs(draw):
+    """(spec, horizon, grid, block, seed_lo, seed_hi) of a random run: K in
+    1..16; either exact binary means (0.75 over ties at 0.25 and 0.5) under
+    two-point noise of a binary width, so that arms tie on the index, or
+    free means with sigma2 including 0 and 1e-6, either noise kind and rho
+    in [0, 1]; seed windows with negative seeds and seeds of two 32-bit
+    words, blocks of 1..400 steps, horizons up to 3,000, and grids with
+    checkpoints inside the forced first K steps."""
+    k = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        means = draw(st.lists(st.sampled_from((0.25, 0.5)), min_size=k - 1,
+                              max_size=k - 1))
+        means.insert(draw(st.integers(0, k - 1)), 0.75)
+        spec = BanditSpec(means=tuple(means), sigma_x2=0.0625,
+                          rho=draw(st.sampled_from((1.0, 0.25))))
+    else:
+        means = draw(st.lists(st.floats(0.3, 0.7), min_size=k, max_size=k,
+                              unique=True))
+        noise = draw(st.sampled_from(NOISE_KINDS))
+        top = 0.0625 if noise == "two_point" else 0.02  # half-width <= 0.25
+        spec = BanditSpec(
+            means=tuple(means), noise=noise,
+            sigma_x2=draw(st.sampled_from((0.0, 1e-6)) | st.floats(0.0, top)),
+            rho=draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)))
+    block = draw(st.integers(1, 8) | st.integers(1, 400))
+    horizon = draw(st.integers(1, min(3000, 300 * block)))
+    forced = draw(st.sets(st.integers(1, min(k, horizon))))
+    free = draw(st.sets(st.integers(1, horizon), min_size=1, max_size=30))
+    seed_lo = draw(st.sampled_from((-4, 2**32 - 2))
+                   | st.integers(-(2**33), 2**33))
+    return (spec, horizon, tuple(sorted(forced | free)), block, seed_lo,
+            seed_lo + draw(st.integers(1, 16)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(run=bandit_runs())
+@example(run=(BanditSpec(means=(0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.25, 0.5),
+                         sigma_x2=0.0625), 200, (1, 3, 8, 9, 100, 200), 2,
+              -4, 12))
+def test_random_runs_agree_bit_for_bit(kernel, portable, run):
+    """On random runs both kernel builds (SSE2 and portable) leave
+    ``regret.NUMPY``'s curve, final slabs and final PCG64 rows bit for bit,
+    across many block edges of ``ucb_run``, and the first seed's curve is
+    ``simulate_policy_scalar``'s.  The explicit run, 16 seeds of exact
+    binary rewards in 2-step blocks, meets index ties at window ends, where
+    the leader-only step must hand the lead to a lower arm; random runs
+    meet them rarely."""
+    spec, horizon, grid, block, seed_lo, seed_hi = run
+
+    def simulate(lib):
+        state = np.zeros(4 * (seed_hi - seed_lo) * spec.k)
+        pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
+        out = regret._simulate(spec, horizon, grid, block, seed_lo, seed_hi,
+                               lib, state, pcg=pcg)
+        return out, state.tobytes(), pcg.tobytes()
+
+    out, *ref = simulate(regret.NUMPY)
+    for lib in (kernel, portable):
+        if lib is not None:
+            got, *cells = simulate(lib)
+            assert (got.tobytes(), cells) == (out.tobytes(), ref)
+    scalar = simulate_policy_scalar(spec, ALGO_ALPHA, horizon, seed_lo)
+    assert np.array_equal(out[:, 0], scalar[np.array(grid) - 1])
 
 
 @pytest.mark.parametrize("spec", [
@@ -633,19 +729,13 @@ def test_a_compiler_that_rejects_the_source_leaves_the_numpy_loop(
     assert_numpy_fallback(tmp_path)
 
 
-def test_the_portable_pass_agrees_with_numpy(tmp_path):
+def test_the_portable_pass_agrees_with_numpy(portable):
     """Built without ``__SSE2__``, the full step computes each arm's index
     and bound with scalar ``sqrt``: that path also builds without warnings
     and passes the build check."""
-    if shutil.which(ucb.CC[0]) is None:
+    if portable is None:
         pytest.skip("no C compiler")
-    lib = tmp_path / "ucb.so"
-    res = subprocess.run([ucb.CC[0], "-U__SSE2__", *ucb.CC[1:], "-Wall",
-                          "-Wextra", "-Wshadow", "-Werror", "-o", str(lib),
-                          str(ucb.SOURCE), "-lm"], stdin=subprocess.DEVNULL,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert ucb.agrees_with_numpy(ucb.bind(ctypes.CDLL(str(lib))))
+    assert ucb.agrees_with_numpy(portable)
 
 
 def test_the_kernel_compiles_without_warnings(tmp_path):
@@ -670,15 +760,23 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     ("if (wend >= 0) {  /* the held leader, before the pass */", "if (0) {"),
     ("if (wend >= 0) {  /* the held leader, at the block's end */",
      "if (0) {"),
+    ("ucb_log_table(scale, t0, n, ct);", "ucb_log_table(scale, 0, n, ct);"),
+    ("gi = got;", "gi = 0;"),
+    ("int64_t n = horizon - t0 < block ? horizon - t0 : block;",
+     "int64_t n = block;"),
 ], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back",
-        "no_flush_on_change", "no_flush_at_block_end"])
+        "no_flush_on_change", "no_flush_at_block_end", "ln_from_step_1",
+        "index_from_0", "full_last_block"])
 def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
-    """A build whose tie rule, noise stream or slab updates differ from
-    numpy's fails the check against ``regret.NUMPY``: no kernel, and nothing
-    left in the cache.  The lazy tie shows only on ``LAZY_CASES``'
-    hand-built blocks; a state or held leader not written back after a
-    block shows because ``CHECK_BLOCK`` ends blocks inside ``CHECK_RUNS``."""
+    """A build whose tie rule, noise stream, slab updates or block loop
+    differ from numpy's fails the check against ``regret.NUMPY``: no
+    kernel, and nothing left in the cache.  The lazy tie shows only on
+    ``LAZY_CASES``' hand-built blocks; a state or held leader not written
+    back after a block, and a ``ucb_run`` that fills the ln table from step
+    1, restarts the checkpoint index or runs the last, shorter block in
+    full, show because ``CHECK_RUNS`` cross five ``CHECK_BLOCK``-step
+    blocks."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()
@@ -703,7 +801,7 @@ def test_a_sharded_run_with_a_cold_cache_compiles_once(monkeypatch, tmp_path):
     calls = force_shards(monkeypatch, 3)
     runs = regret.LOOP_RUNS["compiled"]
     assert pinned_digest_holds()
-    assert_shards_ran(calls, (6, 7, 7), blocks=10)
+    assert_shards_ran(calls, (6, 7, 7))
     assert regret.LOOP_RUNS["compiled"] == runs + 1
     assert log.read_text() == "run\n"
     assert len(files_under(tmp_path / "cache")) == 1

@@ -296,7 +296,8 @@ def cmd_run(args) -> int:
     resolved = dict(_DEFAULTS[args.command])
     if getattr(args, "config", None):
         try:
-            layer = json.loads(Path(args.config).read_text())
+            layer = json.loads(
+                Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         resolved = _resolve(args.command, layer, resolved)

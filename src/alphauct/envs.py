@@ -26,17 +26,16 @@ Fixture files are plain text, one section per bracketed header::
                                    takes a whole number)
 
 '#' starts a comment.  Canonical ids must be lexical fixed points (lowercase,
-no spaces); goal reachability from the start screen is checked at load.  An
-unknown section, meta key or proposer key, a line before the first header, a
-repeated edge, alias block, value, policy entry, proposer key or
-instruction, a number that is malformed or not finite, or a proposer value
-out of its ``ProposerParams`` range is an error naming the fixture and the
-line.
+no spaces), and a goal must be reachable from the start screen.
+``parse_fixture`` makes every check, and each error names the fixture and
+the line at fault: the later line where a check spans two (a repeated
+screen, a goal that is also a trap, a spelling of two canonicals).  Only an
+error about something absent names the fixture alone: no ``[start]`` line,
+no goal screen, or no goal reachable.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from pathlib import Path
@@ -97,71 +96,26 @@ class ProposerParams:
 
 @dataclass(frozen=True)
 class GuiGraphSpec:
-    name: str
+    """A checked screen graph and its derived tables.  ``parse_fixture``
+    builds and checks every spec; ``__post_init__`` only builds the tables
+    that stepping and proposing read."""
+
     screens: tuple[str, ...]
     start: str
     goals: frozenset[str]
     traps: frozenset[str]
     edges: Mapping[tuple[str, str], str]  # (screen, canonical) -> screen
     aliases: Mapping[str, tuple[str, ...]]  # canonical -> surface spellings
+    resolver: Mapping[str, str]  # spelling or its lexical key -> canonical
     values: Mapping[str, float]
     instruction: str = "reach the goal screen"
     policy: Mapping[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
     proposer: ProposerParams = ProposerParams()
 
     def __post_init__(self):
-        try:
-            self._check_and_build()
-        except FixtureError as exc:  # a parse_fixture error names the line
-            raise FixtureError(f"{self.name}: {exc}") from None
-
-    def _check_and_build(self):
-        known = set(self.screens)
-        if len(known) != len(self.screens):
-            raise FixtureError("duplicate screen ids")
-        if self.start not in known:
-            raise FixtureError(f"unknown start screen {self.start!r}")
-        for s in self.goals | self.traps:
-            if s not in known:
-                raise FixtureError(f"terminal screen {s!r} not declared")
-        if self.goals & self.traps:
-            raise FixtureError("goal and trap sets overlap")
-        if not self.goals:
-            raise FixtureError("fixture declares no goal screen")
-        terminal = self.goals | self.traps
-        for (src, canon), dst in self.edges.items():
-            if src not in known or dst not in known:
-                raise FixtureError(f"edge {src!r}-[{canon}]->{dst!r} off the map")
-            if src in terminal:
-                raise FixtureError(f"terminal screen {src!r} has outgoing edges")
-            if lexical_key(canon) != canon:
-                raise FixtureError(f"canonical id {canon!r} is not normal form")
-        edge_canons = {c for (_, c) in self.edges}
-        for canon, surfaces in self.aliases.items():
-            if canon not in edge_canons:
-                raise FixtureError(f"alias for unused canonical {canon!r}")
-            if not surfaces:
-                raise FixtureError(f"empty alias list for {canon!r}")
-        for screen, v in self.values.items():
-            if screen not in known:
-                raise FixtureError(f"value for unknown screen {screen!r}")
-            if not -1.0 <= float(v) <= 1.0:
-                raise FixtureError(f"screen value {v!r} outside [-1, 1]")
-        for screen, entries in self.policy.items():
-            if screen not in known:
-                raise FixtureError(f"policy for unknown screen {screen!r}")
-            for canon, w in entries:
-                if (screen, canon) not in self.edges:
-                    raise FixtureError(
-                        f"policy action {canon!r} has no edge at {screen!r}")
-                if not (w > 0 and math.isfinite(w)):
-                    raise FixtureError(
-                        "policy weights must be positive and finite")
         object.__setattr__(self, "_out", self._build_out())
-        object.__setattr__(self, "_resolver", self._build_resolver())
         object.__setattr__(self, "_obs_cache", self._build_obs())
         object.__setattr__(self, "_proposals", self._build_proposals())
-        self._check_reachable()
 
     # derived tables -------------------------------------------------------
 
@@ -170,24 +124,6 @@ class GuiGraphSpec:
         for (src, canon), dst in sorted(self.edges.items()):
             out[src].append((canon, dst))
         return {s: tuple(v) for s, v in out.items()}
-
-    def _build_resolver(self):
-        res: dict[str, str] = {}
-
-        def put(surface: str, canon: str):
-            for form in (surface, lexical_key(surface)):
-                prev = res.get(form)
-                if prev is not None and prev != canon:
-                    raise FixtureError(
-                        f"surface {form!r} maps to both {prev!r} and {canon!r}")
-                res[form] = canon
-
-        for (_, canon) in self.edges:
-            put(canon, canon)
-        for canon, surfaces in self.aliases.items():
-            for s in surfaces:
-                put(s, canon)
-        return res
 
     def _build_obs(self):
         return {s: Observation(s, self.terminal_of(s)) for s in self.screens}
@@ -205,18 +141,6 @@ class GuiGraphSpec:
                 tuple(self.surfaces_of(canon) for canon in canons))
         return tables
 
-    def _check_reachable(self):
-        seen = {self.start}
-        queue = deque([self.start])
-        while queue:
-            cur = queue.popleft()
-            for _, dst in self._out[cur]:
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        if not self.goals & seen:
-            raise FixtureError(f"no goal reachable from {self.start!r}")
-
     # public helpers ---------------------------------------------------------
 
     def terminal_of(self, screen: str) -> str:
@@ -229,7 +153,7 @@ class GuiGraphSpec:
     def alias_context(self) -> dict[str, str]:
         """Alias map for ``expansion.normalize_action``: every surface
         spelling, and its lexical key, mapped to its canonical id."""
-        return dict(self._resolver)
+        return dict(self.resolver)
 
     def surfaces_of(self, canon: str) -> tuple[str, ...]:
         return self.aliases.get(canon) or (canon,)
@@ -264,7 +188,7 @@ class GuiGraphEnv:
         own key."""
         if self.observe().terminal != TERMINAL_NONE or not action.strip():
             return  # absorbing, or a blank action: self-loop
-        key = normalize_action(action, self.spec._resolver)
+        key = normalize_action(action, self.spec.resolver)
         self._screen = self.spec.edges.get((self._screen, key), self._screen)
 
     def clone(self) -> "GuiGraphEnv":
@@ -288,8 +212,10 @@ _PROPOSER_TYPES = {f.name: type(f.default) for f in fields(ProposerParams)}
 
 
 def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
-    """Parse fixture text; a malformed line raises ``FixtureError`` naming
-    ``name`` and the line number."""
+    """Parse and check fixture text; the one place a ``GuiGraphSpec`` is
+    built.  A fault raises ``FixtureError`` naming ``name`` and its line
+    (the later line where a check spans two); a missing ``[start]`` line or
+    goal, and an unreachable goal, name ``name`` alone."""
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
 
@@ -317,71 +243,6 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         if current is None:
             raise err(lineno, f"line {line!r} before the first section header")
         sections.setdefault(current, []).append((lineno, line))
-
-    def single(section: str) -> str:
-        lines = sections.get(section, [])
-        if len(lines) != 1 or len(lines[0][1].split()) != 1:
-            raise FixtureError(f"{name}: [{section}] needs exactly one id")
-        return lines[0][1]
-
-    def tokens(section: str) -> list[str]:
-        return [t for _, line in sections.get(section, []) for t in line.split()]
-
-    def screen_set(section: str) -> frozenset[str]:
-        seen: set[str] = set()
-        for lineno, line in sections.get(section, []):
-            for tok in line.split():
-                if tok in seen:
-                    raise err(lineno, f"screen {tok!r} listed twice in "
-                                      f"[{section}]")
-                seen.add(tok)
-        return frozenset(seen)
-
-    edges: dict[tuple[str, str], str] = {}
-    for lineno, line in sections.get("edges", []):
-        parts = line.split()
-        if len(parts) != 4 or parts[2] != "->":
-            raise err(lineno, f"bad edge line {line!r}")
-        src, canon, _, dst = parts
-        if (src, canon) in edges:
-            raise err(lineno, f"duplicate edge {src} {canon}")
-        edges[(src, canon)] = dst
-
-    aliases: dict[str, tuple[str, ...]] = {}
-    for lineno, line in sections.get("aliases", []):
-        if "=" not in line:
-            raise err(lineno, f"bad alias line {line!r}")
-        canon, rest = line.split("=", 1)
-        canon = canon.strip()
-        surfaces = tuple(s.strip() for s in rest.split("|") if s.strip())
-        if canon in aliases:
-            raise err(lineno, f"duplicate alias block for {canon!r}")
-        for i, surface in enumerate(surfaces):
-            if surface in surfaces[:i]:
-                raise err(lineno, f"spelling {surface!r} repeated for "
-                                  f"{canon!r}")
-        aliases[canon] = surfaces
-
-    values: dict[str, float] = {}
-    for lineno, line in sections.get("values", []):
-        parts = line.split()
-        if len(parts) != 2:
-            raise err(lineno, f"bad value line {line!r}")
-        x = number(lineno, parts[1])
-        if parts[0] in values:
-            raise err(lineno, f"duplicate value for screen {parts[0]!r}")
-        values[parts[0]] = x
-
-    policy: dict[str, list[tuple[str, float]]] = {}
-    for lineno, line in sections.get("policy", []):
-        parts = line.split()
-        if len(parts) != 3:
-            raise err(lineno, f"bad policy line {line!r}")
-        x = number(lineno, parts[2])
-        entries = policy.setdefault(parts[0], [])
-        if any(canon == parts[1] for canon, _ in entries):
-            raise err(lineno, f"duplicate policy entry {parts[0]} {parts[1]}")
-        entries.append((parts[1], x))
 
     proposer = ProposerParams()
     proposer_keys: set[str] = set()
@@ -417,13 +278,142 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
             raise err(lineno, "duplicate meta key 'instruction'")
         instruction = rest.strip()
 
-    return GuiGraphSpec(
-        name=name, screens=tuple(tokens("screens")), start=single("start"),
-        goals=screen_set("goals"), traps=screen_set("traps"),
-        edges=edges, aliases=aliases,
-        values=values, instruction=instruction or GuiGraphSpec.instruction,
-        policy={s: tuple(v) for s, v in policy.items()},
-        proposer=proposer)
+    start_line = start = None
+    for lineno, line in sections.get("start", []):
+        if start is not None or len(line.split()) != 1:
+            raise err(lineno, "[start] needs exactly one id")
+        start_line, start = lineno, line
+    if start is None:
+        raise FixtureError(f"{name}: [start] needs exactly one id")
+
+    def screen_lines(section: str) -> dict[str, int]:
+        found: dict[str, int] = {}  # screen -> its line
+        for lineno, line in sections.get(section, []):
+            for tok in line.split():
+                if tok in found:
+                    raise err(lineno, f"screen {tok!r} listed twice in "
+                                      f"[{section}]")
+                found[tok] = lineno
+        return found
+
+    goals, traps = screen_lines("goals"), screen_lines("traps")
+    screens: dict[str, int] = {}
+    for lineno, line in sections.get("screens", []):
+        for tok in line.split():
+            if tok in screens:
+                raise err(lineno, "duplicate screen ids")
+            screens[tok] = lineno
+    if start not in screens:
+        raise err(start_line, f"unknown start screen {start!r}")
+    terminal = {**goals, **traps}  # goal or trap screen -> its line
+    for tok, lineno in terminal.items():
+        if tok not in screens:
+            raise err(lineno, f"terminal screen {tok!r} not declared")
+    for tok, lineno in traps.items():
+        if tok in goals:
+            raise err(max(lineno, goals[tok]), "goal and trap sets overlap")
+    if not goals:
+        raise FixtureError(f"{name}: fixture declares no goal screen")
+
+    edges: dict[tuple[str, str], str] = {}
+    resolver: dict[str, str] = {}
+    resolver_line: dict[str, int] = {}  # form -> the line that mapped it
+
+    def resolve(lineno: int, surface: str, canon: str):
+        for form in (surface, lexical_key(surface)):
+            prev = resolver.setdefault(form, canon)
+            if prev != canon:
+                raise err(max(lineno, resolver_line[form]),
+                          f"surface {form!r} maps to both {prev!r} and "
+                          f"{canon!r}")
+            resolver_line.setdefault(form, lineno)
+
+    for lineno, line in sections.get("edges", []):
+        parts = line.split()
+        if len(parts) != 4 or parts[2] != "->":
+            raise err(lineno, f"bad edge line {line!r}")
+        src, canon, _, dst = parts
+        if (src, canon) in edges:
+            raise err(lineno, f"duplicate edge {src} {canon}")
+        if src not in screens or dst not in screens:
+            raise err(lineno, f"edge {src!r}-[{canon}]->{dst!r} off the map")
+        if src in terminal:
+            raise err(max(lineno, terminal[src]),
+                      f"terminal screen {src!r} has outgoing edges")
+        if lexical_key(canon) != canon:
+            raise err(lineno, f"canonical id {canon!r} is not normal form")
+        edges[(src, canon)] = dst
+        resolve(lineno, canon, canon)
+
+    aliases: dict[str, tuple[str, ...]] = {}
+    edge_canons = {canon for _, canon in edges}
+    for lineno, line in sections.get("aliases", []):
+        if "=" not in line:
+            raise err(lineno, f"bad alias line {line!r}")
+        canon, rest = line.split("=", 1)
+        canon = canon.strip()
+        surfaces = tuple(s.strip() for s in rest.split("|") if s.strip())
+        if canon in aliases:
+            raise err(lineno, f"duplicate alias block for {canon!r}")
+        for i, surface in enumerate(surfaces):
+            if surface in surfaces[:i]:
+                raise err(lineno, f"spelling {surface!r} repeated for "
+                                  f"{canon!r}")
+        if canon not in edge_canons:
+            raise err(lineno, f"alias for unused canonical {canon!r}")
+        if not surfaces:
+            raise err(lineno, f"empty alias list for {canon!r}")
+        for surface in surfaces:
+            resolve(lineno, surface, canon)
+        aliases[canon] = surfaces
+
+    values: dict[str, float] = {}
+    for lineno, line in sections.get("values", []):
+        parts = line.split()
+        if len(parts) != 2:
+            raise err(lineno, f"bad value line {line!r}")
+        x = number(lineno, parts[1])
+        if parts[0] in values:
+            raise err(lineno, f"duplicate value for screen {parts[0]!r}")
+        if parts[0] not in screens:
+            raise err(lineno, f"value for unknown screen {parts[0]!r}")
+        if not -1.0 <= x <= 1.0:
+            raise err(lineno, f"screen value {x!r} outside [-1, 1]")
+        values[parts[0]] = x
+
+    policy: dict[str, list[tuple[str, float]]] = {}
+    for lineno, line in sections.get("policy", []):
+        parts = line.split()
+        if len(parts) != 3:
+            raise err(lineno, f"bad policy line {line!r}")
+        x = number(lineno, parts[2])
+        entries = policy.setdefault(parts[0], [])
+        if any(canon == parts[1] for canon, _ in entries):
+            raise err(lineno, f"duplicate policy entry {parts[0]} {parts[1]}")
+        if parts[0] not in screens:
+            raise err(lineno, f"policy for unknown screen {parts[0]!r}")
+        if (parts[0], parts[1]) not in edges:
+            raise err(lineno, f"policy action {parts[1]!r} has no edge at "
+                              f"{parts[0]!r}")
+        if not x > 0:  # ``number`` has checked that x is finite
+            raise err(lineno, "policy weights must be positive and finite")
+        entries.append((parts[1], x))
+
+    spec = GuiGraphSpec(
+        screens=tuple(screens), start=start, goals=frozenset(goals),
+        traps=frozenset(traps),
+        edges=edges, aliases=aliases, resolver=resolver, values=values,
+        instruction=instruction or GuiGraphSpec.instruction,
+        policy={s: tuple(v) for s, v in policy.items()}, proposer=proposer)
+    seen, todo = {start}, [start]
+    while todo:
+        for _, dst in spec._out[todo.pop()]:
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    if not goals.keys() & seen:
+        raise FixtureError(f"{name}: no goal reachable from {start!r}")
+    return spec
 
 
 def builtin_fixtures() -> tuple[str, ...]:
@@ -431,14 +421,20 @@ def builtin_fixtures() -> tuple[str, ...]:
 
 
 def load_fixture(name: str) -> GuiGraphSpec:
-    """Load a built-in fixture by name, or any fixture file by path."""
+    """Load a built-in fixture by name, or any fixture file by path; a file
+    that is not UTF-8 text is an error at its first undecodable line."""
     path = Path(name)
     if not path.suffix:
         path = _FIXTURE_DIR / f"{name}.env"
     if not path.exists():
         raise FixtureError(f"no fixture {name!r} (builtins: "
                            f"{', '.join(builtin_fixtures())})")
-    return parse_fixture(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FixtureError(f"{path.stem}:{lineno}: not UTF-8 text") from None
+    return parse_fixture(text, name=path.stem)
 
 
 # -- bandit family ------------------------------------------------------------

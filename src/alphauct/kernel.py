@@ -126,20 +126,16 @@ def build():
 
 
 def agrees_with_numpy(lib) -> bool:
-    """The build check: ``lib`` gives ``regret.NUMPY``'s bits on the curves,
-    final slabs and final PCG64 states of ``CHECK_RUNS``, the slabs, regret
-    writes and return value of each of ``LAZY_CASES``, and a ln table far
-    out.  ``NUMPY`` draws through numpy's own generator, so this pins the
+    """The build check: ``lib`` gives ``regret.NUMPY``'s bits on the curve,
+    final slabs and final PCG64 rows of the ``regret.Simulation`` each of
+    ``CHECK_RUNS`` returns, the slabs, regret writes and return value of
+    each of ``LAZY_CASES``, and a ln table far out.  ``NUMPY`` draws through numpy's own generator, so this pins the
     kernel's stream to numpy's."""
     def results(x):
         for spec, horizon, n_seeds in CHECK_RUNS:
-            state = np.zeros(4 * n_seeds * spec.k)
-            pcg = np.empty(4 * n_seeds, dtype=np.uint64)
-            yield regret._simulate(spec, horizon, tuple(range(1, horizon + 1)),
-                                   CHECK_BLOCK, 0, n_seeds, x, state,
-                                   pcg=pcg).tobytes()
-            yield state.tobytes()
-            yield pcg.tobytes()
+            run = regret._simulate(spec, horizon, tuple(range(1, horizon + 1)),
+                                   CHECK_BLOCK, 0, n_seeds, x)
+            yield from (a.tobytes() for a in (run.per_seed, run.state, run.pcg))
         for case in LAZY_CASES:
             yield run_lazy_case(x, case)[:3]
         ct = np.empty(CHECK_BLOCK)

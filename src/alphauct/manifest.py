@@ -36,7 +36,7 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -73,7 +73,7 @@ def load_manifest(path: Path | str) -> dict:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} is not a JSON object")
     for key in ("command", "config"):

@@ -34,7 +34,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,40 +292,46 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
         raise ValueError("grid must be sorted unique ints in [1, horizon]")
     # resolved before any shard starts, so that a cold cache compiles once
     LOOP_RUNS["numpy" if _kernel() is None else "compiled"] += 1
-    per_seed = _simulate(spec, horizon, t_grid, block, seed0, seed0 + n_seeds)
+    per_seed = _simulate(spec, horizon, t_grid, block, seed0,
+                         seed0 + n_seeds).per_seed
     return RegretCurve(spec=spec, horizon=horizon, t_grid=t_grid,
                        per_seed=per_seed, seed0=seed0)
 
 
+class Simulation(NamedTuple):
+    """What ``_simulate`` leaves behind."""
+
+    per_seed: np.ndarray  # regret at each checkpoint, (len(t_grid), n_seeds)
+    state: np.ndarray  # the four slabs: sum, count, inv, mean per cell
+    pcg: np.ndarray  # each seed's PCG64 row after its last draw
+    full_steps: int  # seed-steps that computed all K indices
+
+
 def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
-              block: int, seed_lo: int, seed_hi: int, lib=None,
-              state: np.ndarray | None = None,
-              full: np.ndarray | None = None,
-              pcg: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative pseudo-regret of seeds [seed_lo, seed_hi) at the grid
-    checkpoints, shape ``(len(t_grid), seed_hi - seed_lo)``, stepped by
-    ``lib`` (default: ``_kernel()``, or ``NUMPY`` where it is ``None``).
+              block: int, seed_lo: int, seed_hi: int, lib=None) -> Simulation:
+    """Step seeds [seed_lo, seed_hi) through ``horizon`` pulls with ``lib``
+    (default: ``_kernel()``, or ``NUMPY`` where it is ``None``) and return
+    their ``Simulation``: the cumulative pseudo-regret at the grid
+    checkpoints, the final slabs and PCG64 rows, and the full-step count.
 
     One ``lib.ucb_run`` call per shard (below) runs ``block`` steps per
     ``ucb_block`` call, drawing each step's pull noise from the seed's own
-    PCG64 stream; the block size is physical only.  Each
-    (seed, arm) cell keeps its reward sum, pull count, ``inv = 1/count``
-    and ``mean = sum * inv`` in four ``n_seeds * K`` slabs of one array; a
-    caller's zeroed ``state`` of ``4 * n_seeds * K`` floats serves as the
-    slabs, and the seed-steps that computed all K indices are added to
-    ``full[0]``, a caller's int64 cell.  Each seed's stream state is a row
-    of four uint64 words (see ``_pcg_row``) in ``pcg``, a caller's
-    ``4 * n_seeds`` words if given, which ends holding each seed's state
-    after its last draw.  One ``rng.pcg64_rows`` call sets up every row, as
-    the seed's ``derive_rng(0, "pull-noise", sd).generator()`` would start.
+    PCG64 stream; the block size is physical only.  Each (seed, arm) cell
+    keeps its reward sum, pull count, ``inv = 1/count`` and ``mean = sum *
+    inv`` in four ``n_seeds * K`` slabs of one array, ``state``.  Each
+    seed's stream state is a row of four uint64 words (see ``_pcg_row``) in
+    ``pcg``, which ends holding the seed's state after its last draw.  One
+    ``rng.pcg64_rows`` call sets up every row, as the seed's
+    ``derive_rng(0, "pull-noise", sd).generator()`` would start.
 
     Once every stream is set up here, the seeds split into
     ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
     calls hold the GIL).  Shard ``i`` of seeds [lo, hi) calls
     ``ucb_run(hi - lo, n_seeds, ...)`` with each per-seed array offset to
-    seed ``lo``: shard 0 in this thread, each other one in a pool thread.  A shard's exception is raised once every shard has stopped;
-    so is a ``RuntimeError`` for a shard whose ``ucb_run`` returns any
-    index but the grid's length (-1: a block's fell outside [gi, n_grid]).
+    seed ``lo``: shard 0 in this thread, each other one in a pool thread.
+    A shard's exception is raised once every shard has stopped; so is a
+    ``RuntimeError`` for a shard whose ``ucb_run`` returns any index but
+    the grid's length (-1: a block's fell outside [gi, n_grid]).
     """
     lib = lib or _kernel() or NUMPY
     n_seeds = seed_hi - seed_lo
@@ -337,8 +343,8 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
     scale = 8.0 * spec.residual_var
     grid = np.asarray(t_grid, dtype=np.int64)
-    state = np.zeros(4 * n_seeds * kk) if state is None else state
-    pcg = np.empty(4 * n_seeds, dtype=np.uint64) if pcg is None else pcg
+    state = np.zeros(4 * n_seeds * kk)
+    pcg = np.empty(4 * n_seeds, dtype=np.uint64)
     pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
     reg = np.zeros(n_seeds)
     out = np.empty((len(t_grid), n_seeds))
@@ -368,9 +374,7 @@ def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
             shard(0)
             for future in others:
                 future.result()
-    if full is not None:
-        full[0] += fulls.sum()
-    return out
+    return Simulation(out, state, pcg, int(fulls.sum()))
 
 
 def _pcg_row(bit_generator) -> list[int]:

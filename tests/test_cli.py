@@ -3,7 +3,10 @@ the rho sweep, manifest reruns, and the output-directory env var."""
 import argparse
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +228,23 @@ def test_rerun_reproduces_bytes(tmp_path, capsys):
     assert run_cli("rerun", str(first), "--out", str(third)) == 0
     assert (first / "tree.txt").read_bytes() == (third / "tree.txt").read_bytes()
     capsys.readouterr()
+
+
+def test_search_and_rerun_in_an_ascii_locale(tmp_path):
+    """Fixtures and artifacts are UTF-8 whatever the locale (trap3's header
+    holds an em dash), and no file is opened without an encoding."""
+    path = [str(_FIXTURE_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONWARNDEFAULTENCODING": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    first, again = tmp_path / "a", tmp_path / "b"
+    for argv in (["search", "--env", "trap3", "--iters", "2", "--out",
+                  str(first)], ["rerun", str(first), "--out", str(again)]):
+        res = subprocess.run([sys.executable, "-W", "error::EncodingWarning",
+                              "-m", "alphauct.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+    assert (first / "tree.txt").read_bytes() == (again / "tree.txt").read_bytes()
 
 
 def test_rerun_warns_on_another_package_version(tmp_path, capsys):

@@ -2,15 +2,15 @@
 terminals, clone isolation), and the bandit reward family with its residual
 noise contract."""
 import math
+import re
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from alphauct.envs import (BanditSpec, FixtureError, GuiGraphEnv,
-                           bandit_pull, builtin_fixtures, load_fixture,
-                           parse_fixture, residual_noise)
+from alphauct.envs import (_FIXTURE_DIR, BanditSpec, FixtureError,
+                           GuiGraphEnv, bandit_pull, builtin_fixtures,
+                           load_fixture, parse_fixture, residual_noise)
 from alphauct.expansion import normalize_action
 from alphauct.rng import derive_rng
 
@@ -173,11 +173,15 @@ def test_fixture_validation_errors(mangle, fragment):
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
 def test_policy_weights_must_be_positive_and_finite(weight):
-    """A spec built in code, not parsed, checks its policy weights too: an
-    infinite weight would make every proposal draw fail."""
-    spec = parse_fixture(MINI)
-    with pytest.raises(FixtureError, match="positive and finite"):
-        replace(spec, policy={"home": (("open_menu", weight),)})
+    """A zero or negative weight is an error at its line, and so is an
+    infinite or NaN one, which would make every proposal draw fail."""
+    text = MINI + f"[policy]\nhome open_menu {weight}"
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(text, name="mini")
+    want = ("policy weights must be positive and finite"
+            if math.isfinite(weight)
+            else f"expected a finite number, got {str(weight)!r}")
+    assert str(err.value) == f"mini:{len(text.splitlines())}: {want}"
 
 
 @pytest.mark.parametrize("tail, fragment", [
@@ -215,13 +219,89 @@ def test_fixture_line_errors_name_the_line(tail, fragment):
     assert fragment in str(err.value)
 
 
-def test_spec_errors_name_the_fixture():
-    """A check on the whole spec has no line to name, but names the
-    fixture."""
-    text = MINI.replace("[screens]\nhome menu", "[screens]\nhome home menu")
+def _edit(old: str, new: str) -> str:
+    assert old in MINI
+    return MINI.replace(old, new)
+
+
+# Each check on what the entries mean, with its whole message: ``{last}`` is
+# the text's last line.  A check that spans two lines names the later one;
+# only a missing start line or goal and an unreachable goal name no line.
+MEANING_ERRORS = {
+    "duplicate_screen_ids": (MINI + "[screens]\nmenu",
+                             "mini:{last}: duplicate screen ids"),
+    "unknown_start": (_edit("[start]\nhome", "[start]\nelsewhere"),
+                      "mini:7: unknown start screen 'elsewhere'"),
+    "no_start": (_edit("[start]\nhome\n", ""),
+                 "mini: [start] needs exactly one id"),
+    "two_starts": (MINI + "[start]\nmenu",
+                   "mini:{last}: [start] needs exactly one id"),
+    "undeclared_terminal": (MINI + "[goals]\nnowhere",
+                            "mini:{last}: terminal screen 'nowhere' not "
+                            "declared"),
+    "trap_also_goal": (MINI + "[traps]\nprize",
+                       "mini:{last}: goal and trap sets overlap"),
+    "goal_also_trap": (MINI + "[goals]\npit",
+                       "mini:{last}: goal and trap sets overlap"),
+    "no_goal": (_edit("[goals]\nprize\n", "[goals]\n"),
+                "mini: fixture declares no goal screen"),
+    "edge_off_the_map": (_edit("menu claim -> prize", "menu claim -> nowhere"),
+                         "mini:14: edge 'menu'-[claim]->'nowhere' off the "
+                         "map"),
+    "edge_from_terminal": (MINI + "[edges]\nprize reopen -> home",
+                           "mini:{last}: terminal screen 'prize' has "
+                           "outgoing edges"),
+    "terminal_with_edges": (MINI + "[goals]\nmenu",
+                            "mini:{last}: terminal screen 'menu' has "
+                            "outgoing edges"),
+    "canonical_not_normal": (_edit("menu claim -> prize",
+                                   "menu Claim -> prize"),
+                             "mini:14: canonical id 'Claim' is not normal "
+                             "form"),
+    "alias_unused": (MINI + "[aliases]\nfly = take off",
+                     "mini:{last}: alias for unused canonical 'fly'"),
+    "alias_empty": (MINI + "[aliases]\nclaim =",
+                    "mini:{last}: empty alias list for 'claim'"),
+    "alias_clash": (MINI + "[aliases]\nclaim = OPEN the menu",
+                    "mini:{last}: surface 'open the menu' maps to both "
+                    "'open_menu' and 'claim'"),
+    "canonical_clash": (MINI + "[edges]\nmenu click(100,40) -> home",
+                        "mini:{last}: surface 'click(100,40)' maps to both "
+                        "'click(100,40)' and 'open_menu'"),
+    "value_unknown_screen": (MINI + "nowhere 0.5",
+                             "mini:{last}: value for unknown screen "
+                             "'nowhere'"),
+    "value_out_of_range": (_edit("home 0.0", "home 7.0"),
+                           "mini:19: screen value 7.0 outside [-1, 1]"),
+    "policy_unknown_screen": (MINI + "[policy]\nnowhere claim 1",
+                              "mini:{last}: policy for unknown screen "
+                              "'nowhere'"),
+    "policy_without_edge": (MINI + "[policy]\nhome claim 1",
+                            "mini:{last}: policy action 'claim' has no edge "
+                            "at 'home'"),
+    "policy_weight": (MINI + "[policy]\nhome open_menu 0",
+                      "mini:{last}: policy weights must be positive and "
+                      "finite"),
+    "goal_unreachable": (_edit("menu claim -> prize", "menu claim -> home"),
+                         "mini: no goal reachable from 'home'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEANING_ERRORS))
+def test_meaning_errors_name_the_line(case):
+    text, message = MEANING_ERRORS[case]
     with pytest.raises(FixtureError) as err:
         parse_fixture(text, name="mini")
-    assert str(err.value) == "mini: duplicate screen ids"
+    assert str(err.value) == message.format(last=len(text.splitlines()))
+
+
+def test_fixture_file_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "latin.env"
+    path.write_bytes(MINI.replace("prize\n", "caf\xe9\n", 1)
+                     .encode("latin-1"))
+    with pytest.raises(FixtureError) as err:
+        load_fixture(str(path))
+    assert str(err.value) == "latin:3: not UTF-8 text"
 
 
 def test_line_before_the_first_header_is_an_error():
@@ -252,6 +332,36 @@ def test_parse_fixture_soup_loads_or_raises_fixture_error(lines, on_mini):
         parse_fixture(MINI + text if on_mini else text)
     except FixtureError:
         pass
+
+
+_ABSENT = re.compile(r"(\[start\] needs exactly one id|fixture declares no "
+                     r"goal screen|no goal reachable from '[^']*')")
+
+
+@pytest.mark.parametrize("name", builtin_fixtures())
+def test_mangled_builtin_loads_or_names_the_line(name):
+    """Each line of a built-in fixture deleted, repeated, or with one of its
+    tokens swapped for an unknown screen: the text loads, or its error
+    names the fixture and a line (a repeated line's error names the copy);
+    only the absent-thing errors name no line."""
+    lines = (_FIXTURE_DIR / f"{name}.env").read_text(
+        encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        swaps = [" ".join(tokens[:j] + ["nowhere"] + tokens[j + 1:])
+                 for j in range(len(tokens))]
+        for kind, new in [("delete", []), ("repeat", [line, line]),
+                          *(("swap", [swap]) for swap in swaps)]:
+            try:
+                parse_fixture("\n".join(lines[:i] + new + lines[i + 1:]),
+                              name=name)
+            except FixtureError as exc:
+                msg = str(exc)
+                if kind == "repeat":
+                    assert msg.startswith(f"{name}:{i + 2}: "), msg
+                else:
+                    assert (re.match(rf"{name}:\d+: ", msg)
+                            or _ABSENT.fullmatch(msg[len(name) + 2:])), msg
 
 
 def test_unreachable_goal_rejected():

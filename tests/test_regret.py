@@ -359,12 +359,10 @@ def test_more_shards_than_cores_keep_every_cell(monkeypatch, kernel):
     def run(w):
         with monkeypatch.context() as mp:
             calls = force_shards(mp, w)
-            state, full = np.zeros(4 * 16 * spec.k), np.zeros(1, dtype=np.int64)
-            pcg = np.empty(4 * 16, dtype=np.uint64)
-            out = regret._simulate(spec, 3000, default_grid(3000), 97, 5, 21,
-                                   None, state, full, pcg)
+            run = regret._simulate(spec, 3000, default_grid(3000), 97, 5, 21)
         assert_shards_ran(calls, (16 // w,) * w)
-        return out.tobytes(), state.tobytes(), pcg.tobytes(), int(full[0])
+        return (run.per_seed.tobytes(), run.state.tobytes(), run.pcg.tobytes(),
+                run.full_steps)
 
     ref = run(1)
     interval = sys.getswitchinterval()
@@ -531,10 +529,10 @@ def test_compiled_loop_leaves_the_numpy_loops_state(kernel, case):
         pytest.skip("no C compiler")
     spec, horizon, grid = DIFFERENTIAL_CASES[case]
     args = (spec, horizon, grid or tuple(range(1, horizon + 1)), 97, 2, 7)
-    ours, ref = np.zeros((2, 4 * 5 * spec.k))
-    assert (regret._simulate(*args, kernel, ours).tobytes()
-            == regret._simulate(*args, regret.NUMPY, ref).tobytes())
-    assert ours.tobytes() == ref.tobytes()
+    ours = regret._simulate(*args, kernel)
+    ref = regret._simulate(*args, regret.NUMPY)
+    assert ours.per_seed.tobytes() == ref.per_seed.tobytes()
+    assert ours.state.tobytes() == ref.state.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -606,11 +604,9 @@ def test_random_runs_agree_bit_for_bit(kernel, portable, run):
     spec, horizon, grid, block, seed_lo, seed_hi = run
 
     def simulate(lib):
-        state = np.zeros(4 * (seed_hi - seed_lo) * spec.k)
-        pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
-        out = regret._simulate(spec, horizon, grid, block, seed_lo, seed_hi,
-                               lib, state, pcg=pcg)
-        return out, state.tobytes(), pcg.tobytes()
+        run = regret._simulate(spec, horizon, grid, block, seed_lo, seed_hi,
+                               lib)
+        return run.per_seed, run.state.tobytes(), run.pcg.tobytes()
 
     out, *ref = simulate(regret.NUMPY)
     for lib in (kernel, portable):
@@ -641,9 +637,8 @@ def test_each_seed_ends_at_its_numpy_generators_state(kernel, spec):
             gen.random(horizon)
             want.append(gen.bit_generator.state["state"])
         for lib in [lib for lib in (regret.NUMPY, kernel) if lib is not None]:
-            pcg = np.empty(4 * (seed_hi - seed_lo), dtype=np.uint64)
-            regret._simulate(spec, horizon, (horizon,), 97, seed_lo, seed_hi,
-                             lib, pcg=pcg)
+            pcg = regret._simulate(spec, horizon, (horizon,), 97, seed_lo,
+                                   seed_hi, lib).pcg
             got = [{"state": int(hi) << 64 | int(lo),
                     "inc": int(inc_hi) << 64 | int(inc_lo)}
                    for lo, hi, inc_lo, inc_hi in pcg.reshape(-1, 4)]
@@ -673,10 +668,10 @@ def test_most_steps_skip_the_full_index(kernel):
     if kernel is None:
         pytest.skip("no C compiler")
     horizon, n_seeds = 100_000, 20
-    full = np.zeros(1, dtype=np.int64)
-    regret._simulate(grid_spec(10, 0.1, 0.05), horizon, default_grid(horizon),
-                     2048, 0, n_seeds, kernel, full=full)
-    assert 0 < full[0] < 0.10 * horizon * n_seeds
+    full = regret._simulate(grid_spec(10, 0.1, 0.05), horizon,
+                            default_grid(horizon), 2048, 0, n_seeds,
+                            kernel).full_steps
+    assert 0 < full < 0.10 * horizon * n_seeds
 
 
 def cold_cache(monkeypatch, tmp_path, **patch):

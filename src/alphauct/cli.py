@@ -298,6 +298,9 @@ def cmd_run(args) -> int:
         try:
             layer = json.loads(
                 Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read config file {args.config}: "
+                             "not UTF-8 text") from None
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         resolved = _resolve(args.command, layer, resolved)

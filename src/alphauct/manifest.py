@@ -73,7 +73,11 @@ def load_manifest(path: Path | str) -> dict:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read manifest file {path}: "
+                         "not UTF-8 text") from None
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} is not a JSON object")
     for key in ("command", "config"):

@@ -240,10 +240,11 @@ def _check_algo(algo: str) -> None:
 # A run of fewer seed-steps runs in one thread.  Starting a pool thread,
 # running a trivial job on it and joining it took 0.3 ms in the median
 # (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
-# loaded.  The kernel does 69-75M seed-steps/s per thread at K = 10, gap
-# 0.1, T = 100k and 53-54M at T = 20k (50 and 1000 seeds), so a shard of
-# this size runs 27-38 ms and its thread costs about 1 % of it in the
-# median; no unit-test-sized run starts a thread.
+# loaded.  The kernel does 100-140M seed-steps/s per thread at K = 10, gap
+# 0.1, T = 100k and 60-83M at T = 20k (50 and 1000 seeds, medians of runs
+# minutes apart on a VM whose speed drifts), so a shard of this size runs
+# 14-33 ms and its thread costs 1-2 % of it in the median; no
+# unit-test-sized run starts a thread.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
 

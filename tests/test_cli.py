@@ -351,6 +351,36 @@ def _no_artifacts(out):
     return not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    """A latin-1 ``--config`` file exits 2 with one error line that names
+    the file, not a codec message."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"env": "trap3", "note": "café"}'.encode("latin-1"))
+    out = tmp_path / "run"
+    assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+    _one_error_line(capsys, f"cannot read config file {cfg}: not UTF-8 text")
+    assert _no_artifacts(out)
+
+
+def test_a_manifest_that_is_not_utf8_is_named(tmp_path, capsys):
+    """``rerun`` of a latin-1 ``manifest.json`` exits 2 with one error line
+    that names the file, not a codec message."""
+    first = tmp_path / "search"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    data = read_json(first / "manifest.json")
+    data["note"] = "café"
+    manifest = tmp_path / "latin1" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_bytes(json.dumps(data, ensure_ascii=False)
+                         .encode("latin-1"))
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert run_cli("rerun", str(manifest.parent), "--out", str(again)) == 2
+    _one_error_line(capsys,
+                    f"cannot read manifest file {manifest}: not UTF-8 text")
+    assert _no_artifacts(again)
+
+
 def test_rerun_rejects_unknown_key(tmp_path, capsys):
     first = tmp_path / "bandit"
     assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",

@@ -664,7 +664,7 @@ def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
 def test_most_steps_skip_the_full_index(kernel):
     """Between changes of leader the kernel computes only the leader's
     index: at K = 10, gap 0.1, sigma2 0.05 and T = 100k, under 10 % of all
-    steps take the full K-way path (5.5 % when this was written)."""
+    steps take the full K-way path (3.9 % when this was written)."""
     if kernel is None:
         pytest.skip("no C compiler")
     horizon, n_seeds = 100_000, 20
@@ -672,6 +672,22 @@ def test_most_steps_skip_the_full_index(kernel):
                             default_grid(horizon), 2048, 0, n_seeds,
                             kernel).full_steps
     assert 0 < full < 0.10 * horizon * n_seeds
+
+
+def test_windows_grow_while_the_leader_holds(kernel):
+    """A window that runs out with the leader kept doubles the next one (up
+    to 256 steps), so where the leader rarely changes most full steps that
+    remain are changes of leader, not window expiries: at K = 2, gap 0.1,
+    sigma2 0.05 and T = 100k, fewer than one post-forced step in 32 takes
+    the full path, which fixed 32-step windows could not do (3.49 % with
+    them, 1.25 % when this was written)."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    k, horizon, n_seeds = 2, 100_000, 20
+    full = regret._simulate(grid_spec(k, 0.1, 0.05), horizon,
+                            default_grid(horizon), 2048, 0, n_seeds,
+                            kernel).full_steps
+    assert 0 < full < (horizon - k) * n_seeds / 32
 
 
 def cold_cache(monkeypatch, tmp_path, **patch):
@@ -750,28 +766,35 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     ("if (v > best)", "if (v >= best)"),  # a tie in the full index
     ("lo < v", "lo <= v"),  # a tie with a bound below the leader
     ("(w >> 11)", "(w >> 12)"),  # the uniform's bits
-    ("state >> 122", "state >> 121"),  # the XSL-RR rotation
+    ("*state >> 122", "*state >> 121"),  # the XSL-RR rotation
     ("p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);", ""),
-    ("if (wend >= 0) {  /* the held leader, before the pass */", "if (0) {"),
-    ("if (wend >= 0) {  /* the held leader, at the block's end */",
-     "if (0) {"),
+    ("/* the held leader, before the pass */\n                put(",
+     "if (0) put("),
+    ("/* the held leader, at the block's end */\n            put(",
+     "if (0) put("),
     ("ucb_log_table(scale, t0, n, ct);", "ucb_log_table(scale, 0, n, ct);"),
     ("gi = got;", "gi = 0;"),
     ("int64_t n = horizon - t0 < block ? horizon - t0 : block;",
      "int64_t n = block;"),
+    ("int64_t forced = k - t0 < n ? k - t0 : n;",
+     "int64_t forced = k - t0 - 1 < n ? k - t0 - 1 : n;"),
+    ("*due = ++*g < n_grid ? grid[*g] - t0 - 1 : -1;", "++*g;"),
+    ("if (!(ct[b] <= c_end))\n                        break;", ""),
 ], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back",
         "no_flush_on_change", "no_flush_at_block_end", "ln_from_step_1",
-        "index_from_0", "full_last_block"])
+        "index_from_0", "full_last_block", "forced_short", "stale_due",
+        "no_c_end_exit"])
 def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
-    """A build whose tie rule, noise stream, slab updates or block loop
-    differ from numpy's fails the check against ``regret.NUMPY``: no
-    kernel, and nothing left in the cache.  The lazy tie shows only on
-    ``LAZY_CASES``' hand-built blocks; a state or held leader not written
-    back after a block, and a ``ucb_run`` that fills the ln table from step
-    1, restarts the checkpoint index or runs the last, shorter block in
-    full, show because ``CHECK_RUNS`` cross five ``CHECK_BLOCK``-step
-    blocks."""
+    """A build whose tie rule, noise stream, slab updates, forced steps,
+    checkpoints or block loop differ from numpy's fails the check against
+    ``regret.NUMPY``: no kernel, and nothing left in the cache.  The lazy
+    tie and a window step that skips its ``ct[b] <= c_end`` exit show only
+    on ``LAZY_CASES``' hand-built blocks (the exit on
+    ``c_t_above_c_end``); a state or held leader not written back after a
+    block, and a ``ucb_run`` that fills the ln table from step 1, restarts
+    the checkpoint index or runs the last, shorter block in full, show
+    because ``CHECK_RUNS`` cross five ``CHECK_BLOCK``-step blocks."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()

@@ -1,10 +1,10 @@
-/* The alpha-UCT bandit step loop of alphauct.regret, one seed at a time.
-   regret._simulate makes one ucb_run call per seed shard, which steps the
+/* The alpha-UCT bandit step loop of alphauct.kernel, one seed at a time.
+   kernel.simulate makes one ucb_run call per seed shard, which steps the
    shard's seeds block by block through ucb_log_table and ucb_block;
-   regret.NUMPY holds all three in numpy, with the same arguments.
+   kernel.NUMPY holds all three in numpy, with the same arguments.
 
    A step's arm is the first maximum of the index mean_j + sqrt(inv_j * c_t)
-   over the K arms, as in the numpy block (regret.NUMPY.ucb_block).
+   over the K arms, as in the numpy block (kernel.NUMPY.ucb_block).
    Wherever the kernel computes an index it does the numpy block's IEEE
    operations on the same operands, and every cell update too, so the two
    give the same bits.  The kernel computes all K indices only where it
@@ -60,8 +60,8 @@
    the next uniform of its numpy PCG64 stream (a 128-bit LCG step and the
    XSL-RR output, O'Neill 2014), mapped as envs.residual_noise maps it.  The
    128-bit state needs a compiler with unsigned __int128 (gcc and clang on
-   64-bit targets); where it is missing the build fails and regret runs
-   NUMPY.
+   64-bit targets); where it is missing the build fails and kernel.simulate
+   runs NUMPY.
 
    Build it only as kernel.CC does: -O2 with -ffp-contract=off, no fast-math
    and no -march, so that the compiler fuses, reorders or approximates none
@@ -281,7 +281,7 @@ INLINE int64_t seeds(int uniform, int64_t n_seeds, int64_t stride, int64_t k,
 }
 
 /* Steps t0 + 1 .. t0 + n of seeds 0 .. n_seeds - 1 of a shard of a run of
-   stride seeds (n_seeds <= stride).  regret._simulate passes st, pcg, reg
+   stride seeds (n_seeds <= stride).  kernel.simulate passes st, pcg, reg
    and out offset to the shard's first seed, so that several threads can
    each step their own shard of one set of arrays.  st holds four slabs
    sum | count | inv | mean of stride * K cells each, seed s's K cells at

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,12 @@ from .backup import MODES
 from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
-    load_manifest, write_csv, write_json, write_manifest
-from .regret import (ALGO_ALPHA, LOOP_RUNS, RatioPoint, bound_for_spec,
-                     efficiency_ratio_experiment, fit_log_regret,
+    load_manifest, read_json, write_csv, write_json, write_manifest
+from .regret import (ALGO_ALPHA, LOOP_RUNS, bound_for_spec,
+                     efficiency_ratio_experiment, fit_log_regret, ratio_table,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
-from .verify import CRITERION_NAMES, FAULT_KINDS, run_criteria
+from .verify import CRITERION_NAMES, FAULT_KINDS, one_best_arm, run_criteria
 
 OUT_ENV_VAR = "ALPHAUCT_OUT"
 
@@ -176,11 +176,9 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     _require(resolved, "seeds", resolved["seeds"] >= 1, ">= 1")
     _require(resolved, "rho_grid", grid is None or len(grid) > 0, "non-empty")
     try:
-        spec = BanditSpec(
-            means=(0.5 + resolved["gap"] / 2.0,)
-                  + (0.5 - resolved["gap"] / 2.0,) * (arms - 1),
-            sigma_x2=resolved["sigma2"], rho=resolved["rho"],
-            noise=resolved["noise"])
+        spec = BanditSpec(means=one_best_arm(arms, resolved["gap"]),
+                          sigma_x2=resolved["sigma2"], rho=resolved["rho"],
+                          noise=resolved["noise"])
     except ValueError as exc:
         raise UsageError(str(exc))
     t0 = time.perf_counter()
@@ -189,8 +187,7 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
     if grid:
         points = efficiency_ratio_experiment(
             spec, grid, resolved["horizon"], resolved["seeds"])
-        write_csv(outdir / "ratios.csv", [f.name for f in fields(RatioPoint)],
-                  map(astuple, points))
+        write_csv(outdir / "ratios.csv", *ratio_table(points))
         artifacts["ratios"] = "ratios.csv"
         summary["ratios"] = [{"rho": p.rho, "ratio": p.ratio,
                               "ci": [p.ci_lo, p.ci_hi]} for p in points]
@@ -295,15 +292,8 @@ def cmd_run(args) -> int:
     the ``--config`` file, then the flags given."""
     resolved = dict(_DEFAULTS[args.command])
     if getattr(args, "config", None):
-        try:
-            layer = json.loads(
-                Path(args.config).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise UsageError(f"cannot read config file {args.config}: "
-                             "not UTF-8 text") from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-        resolved = _resolve(args.command, layer, resolved)
+        resolved = _resolve(args.command, read_json(args.config, "config"),
+                            resolved)
     flags = {k: v for k, v in vars(args).items()
              if k in resolved and v is not None}
     resolved = _resolve(args.command, flags, resolved)

@@ -69,15 +69,21 @@ def write_manifest(outdir: Path | str, manifest: RunManifest) -> Path:
     return path
 
 
+def read_json(path: Path | str, what: str):
+    """The JSON in ``path``, else ``cannot read {what} file {path}: ...``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # a codec or JSON error included
+        reason = ("not UTF-8 text" if isinstance(exc, UnicodeDecodeError)
+                  else exc)
+        raise ValueError(f"cannot read {what} file {path}: {reason}") from None
+
+
 def load_manifest(path: Path | str) -> dict:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise ValueError(f"cannot read manifest file {path}: "
-                         "not UTF-8 text") from None
+    data = read_json(path, "manifest")
     if not isinstance(data, dict):
         raise ValueError(f"manifest {path} is not a JSON object")
     for key in ("command", "config"):

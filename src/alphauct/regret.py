@@ -15,37 +15,23 @@ carries; residual noise is bounded, hence sub-Gaussian with proxy
 equal to its variance, so the radius is a valid confidence radius.  The
 blind baseline is the same policy at rho = 1, where the residual variance
 is the full outcome variance.
-
-``_simulate`` runs the bandit step loop through ``ucb_run`` of a small C
-kernel (``_ucb.c``, see ``kernel``), one call per seed shard, when one
-builds and passes its check, else of ``NUMPY``, the same loop in numpy.  The
-kernel skips index values that provably cannot win and computes every
-other one, and every cell update, with ``NUMPY``'s IEEE operations, and
-draws each step's pull noise from the seed's PCG64 stream as numpy's own
-generator does, so a curve is bit for bit the same on either; ``NUMPY`` is
-the fallback and the tests' reference.  A large compiled run splits its
-seeds into shards, one per core, on threads that fill disjoint columns of
-one set of arrays.
 """
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import astuple, dataclass, fields, replace
+from functools import cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .envs import NOISE_KINDS, BanditSpec, bandit_pull, residual_noise
-from .rng import derive_rng, pcg64_rows
+from .envs import BanditSpec, bandit_pull
+from .rng import derive_rng
 
 ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 # run_bandit_experiment calls in this process, by the step loop they ran
 LOOP_RUNS: Counter[str] = Counter()
-_KERNEL_MEMO: list = []  # empty until _kernel() first runs in this process
-_MASK64 = (1 << 64) - 1
 GRID_POINTS = 512  # checkpoints of ``default_grid``
 N_BOOT = 2000  # bootstrap resamples behind every ratio CI
 
@@ -237,28 +223,6 @@ def _check_algo(algo: str) -> None:
         raise ValueError(f"unknown algo {algo!r} (only {ALGO_ALPHA!r})")
 
 
-# A run of fewer seed-steps runs in one thread.  Starting a pool thread,
-# running a trivial job on it and joining it took 0.3 ms in the median
-# (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
-# loaded.  The kernel does 100-140M seed-steps/s per thread at K = 10, gap
-# 0.1, T = 100k and 60-83M at T = 20k (50 and 1000 seeds, medians of runs
-# minutes apart on a VM whose speed drifts), so a shard of this size runs
-# 14-33 ms and its thread costs 1-2 % of it in the median; no
-# unit-test-sized run starts a thread.
-SHARD_MIN_SEED_STEPS = 2_000_000
-
-
-def _worker_count(n_seeds: int, horizon: int) -> int:
-    """How many seed shards one compiled run splits into: one per core this
-    process may run on, at most one per seed, and 1 for a run below
-    ``SHARD_MIN_SEED_STEPS``."""
-    if n_seeds * horizon < SHARD_MIN_SEED_STEPS:
-        return 1
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return min(cores, n_seeds)
-
-
 def _int_arg(name: str, value) -> int:
     """``value`` as a plain ``int``: a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -270,15 +234,16 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
                           n_seeds: int, *, seed0: int = 0,
                           grid: Sequence[int] | None = None,
                           block: int = 2048) -> RegretCurve:
-    """Simulate ``n_seeds`` independent runs and record cumulative
-    pseudo-regret at the grid checkpoints.
+    """Simulate ``n_seeds`` independent runs through ``kernel.simulate``
+    and record cumulative pseudo-regret at the grid checkpoints.
 
     Noise streams are per-seed (one uniform draw per step, whatever the arm),
     so a seed's trajectory is identical whether it runs alone, in any batch,
     in any seed shard, or through the scalar reference implementation.
     All arguments are checked before any simulation: ``horizon``,
     ``n_seeds``, ``seed0``, ``block`` and the grid entries must be ints
-    (numpy integers are stored as ``int``; a bool is refused).
+    (numpy integers are stored as ``int``; a bool is refused), and
+    ``horizon`` at most 2^53: the step loop's ln t needs exact doubles.
     """
     _check_algo(algo)
     horizon, n_seeds, seed0, block = (
@@ -286,199 +251,28 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
         _int_arg("seed0", seed0), _int_arg("block", block))
     if horizon < 1 or n_seeds < 1 or block < 1:
         raise ValueError("horizon, n_seeds and block must be >= 1")
+    if horizon > 2 ** 53:
+        raise ValueError(f"horizon must be <= 2^53, got {horizon}")
     t_grid = (tuple(_int_arg("grid entry", t) for t in grid)
               if grid is not None else default_grid(horizon))
     if not t_grid or list(t_grid) != sorted(set(t_grid)) or \
             t_grid[0] < 1 or t_grid[-1] > horizon:
         raise ValueError("grid must be sorted unique ints in [1, horizon]")
+    loop = _kernel()
     # resolved before any shard starts, so that a cold cache compiles once
-    LOOP_RUNS["numpy" if _kernel() is None else "compiled"] += 1
-    per_seed = _simulate(spec, horizon, t_grid, block, seed0,
-                         seed0 + n_seeds).per_seed
+    LOOP_RUNS["numpy" if loop.compiled() is None else "compiled"] += 1
+    per_seed = loop.simulate(spec, horizon, t_grid, block, seed0,
+                             seed0 + n_seeds).per_seed
     return RegretCurve(spec=spec, horizon=horizon, t_grid=t_grid,
                        per_seed=per_seed, seed0=seed0)
 
 
-class Simulation(NamedTuple):
-    """What ``_simulate`` leaves behind."""
-
-    per_seed: np.ndarray  # regret at each checkpoint, (len(t_grid), n_seeds)
-    state: np.ndarray  # the four slabs: sum, count, inv, mean per cell
-    pcg: np.ndarray  # each seed's PCG64 row after its last draw
-    full_steps: int  # seed-steps that computed all K indices
-
-
-def _simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
-              block: int, seed_lo: int, seed_hi: int, lib=None) -> Simulation:
-    """Step seeds [seed_lo, seed_hi) through ``horizon`` pulls with ``lib``
-    (default: ``_kernel()``, or ``NUMPY`` where it is ``None``) and return
-    their ``Simulation``: the cumulative pseudo-regret at the grid
-    checkpoints, the final slabs and PCG64 rows, and the full-step count.
-
-    One ``lib.ucb_run`` call per shard (below) runs ``block`` steps per
-    ``ucb_block`` call, drawing each step's pull noise from the seed's own
-    PCG64 stream; the block size is physical only.  Each (seed, arm) cell
-    keeps its reward sum, pull count, ``inv = 1/count`` and ``mean = sum *
-    inv`` in four ``n_seeds * K`` slabs of one array, ``state``.  Each
-    seed's stream state is a row of four uint64 words (see ``_pcg_row``) in
-    ``pcg``, which ends holding the seed's state after its last draw.  One
-    ``rng.pcg64_rows`` call sets up every row, as the seed's
-    ``derive_rng(0, "pull-noise", sd).generator()`` would start.
-
-    Once every stream is set up here, the seeds split into
-    ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
-    calls hold the GIL).  Shard ``i`` of seeds [lo, hi) calls
-    ``ucb_run(hi - lo, n_seeds, ...)`` with each per-seed array offset to
-    seed ``lo``: shard 0 in this thread, each other one in a pool thread.
-    A shard's exception is raised once every shard has stopped; so is a
-    ``RuntimeError`` for a shard whose ``ucb_run`` returns any index but
-    the grid's length (-1: a block's fell outside [gi, n_grid]).
-    """
-    lib = lib or _kernel() or NUMPY
-    n_seeds = seed_hi - seed_lo
-    kk = spec.k
-    means = np.asarray(spec.means, dtype=np.float64)
-    gaps = means[spec.best_arm] - means
-    s_res = math.sqrt(spec.residual_var)
-    kind = NOISE_KINDS.index(spec.noise)
-    # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
-    scale = 8.0 * spec.residual_var
-    grid = np.asarray(t_grid, dtype=np.int64)
-    state = np.zeros(4 * n_seeds * kk)
-    pcg = np.empty(4 * n_seeds, dtype=np.uint64)
-    pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
-    reg = np.zeros(n_seeds)
-    out = np.empty((len(t_grid), n_seeds))
-    flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
-    w = 1 if lib is NUMPY else _worker_count(n_seeds, horizon)
-    cuts = [i * n_seeds // w for i in range(w + 1)]
-    fulls = np.zeros(w, dtype=np.int64)
-
-    def shard(i: int) -> None:
-        lo, hi = cuts[i], cuts[i + 1]
-        ct = np.empty(min(block, horizon))  # scale * ln t for a block's steps
-        got = lib.ucb_run(hi - lo, n_seeds, kk, horizon, len(ct), scale, ct,
-                          means, gaps, pcg[4 * lo:], s_res, kind,
-                          state[kk * lo:], reg[lo:], grid, len(grid),
-                          flat_out[lo:], fulls[i:i + 1])
-        if got != len(grid):
-            raise RuntimeError(
-                f"bandit seeds [{seed_lo + lo}, {seed_lo + hi}): step loop "
-                f"returned checkpoint {got} of {len(grid)}")
-
-    if w == 1:
-        shard(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(w - 1) as pool:
-            others = [pool.submit(shard, i) for i in range(1, w)]
-            shard(0)
-            for future in others:
-                future.result()
-    return Simulation(out, state, pcg, int(fulls.sum()))
-
-
-def _pcg_row(bit_generator) -> list[int]:
-    """A PCG64's state as the step loop's four uint64 words: the 128-bit
-    LCG state, low word first, then its increment."""
-    words = bit_generator.state["state"]
-    return [words["state"] & _MASK64, words["state"] >> 64,
-            words["inc"] & _MASK64, words["inc"] >> 64]
-
-
+@cache
 def _kernel():
-    """The compiled step loop as a ``ctypes`` library (``kernel.build()``),
-    or ``None``: ``NUMPY`` steps then.  Resolved once per process, on
-    first use; nothing is built or loaded at import."""
-    if not _KERNEL_MEMO:
-        from .kernel import build
-        _KERNEL_MEMO.append(build())
-    return _KERNEL_MEMO[0]
-
-
-def _numpy_log_table(scale: float, t0: int, n: int, ct: np.ndarray) -> None:
-    """``ucb_log_table`` in numpy: ct[b] = scale * ln(t0 + 1 + b), b < n."""
-    ct[:n] = [scale * math.log(t) for t in range(t0 + 1, t0 + n + 1)]
-
-
-def _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, pcg, s_res,
-                 kind, st, reg, grid, n_grid, gi, out, full) -> int:
-    """``ucb_block`` of ``_ucb.c`` in numpy, all seeds a step at a time.
-    First each seed's ``n`` uniforms come from numpy's own PCG64 restored
-    from its row of ``pcg`` (``Generator.random``), which then holds the
-    advanced state, and ``residual_noise`` maps them.  The first K steps
-    play arm ``t - 1`` (an untried arm's index is infinite), each later step
-    computes every arm's index ``mean + sqrt(inv * c_t)`` and its first
-    maximum.  A step rewrites only the cells each seed pulled, with the
-    operations a full recompute would do."""
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    rows = pcg[:4 * n_seeds].reshape(n_seeds, 4)
-    noise = np.empty((n_seeds, n))
-    for row, u in zip(rows, noise):
-        lo, hi, inc_lo, inc_hi = (int(word) for word in row)
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": hi << 64 | lo,
-                                   "inc": inc_hi << 64 | inc_lo},
-                         "has_uint32": 0, "uinteger": 0}
-        gen.random(out=u)
-        row[:] = _pcg_row(bit_gen)
-    noise = residual_noise(noise, s_res, NOISE_KINDS[kind])
-    cells, size = n_seeds * k, stride * k
-    inv = st[2 * size:2 * size + cells]
-    mean = st[3 * size:3 * size + cells]
-    index = np.empty((n_seeds, k))
-    flat_index = index.reshape(cells)
-    # cell[j, s]: slab j's entry for the arm seed s pulled this step
-    slab_base = np.arange(0, 4 * size, size)[:, None] + np.arange(0, cells, k)
-    cell = np.empty((4, n_seeds), dtype=np.intp)
-    upd = np.empty((4, n_seeds))
-    new_sum, new_count, new_inv, new_mean = upd
-    inc = np.ones((2, n_seeds))  # row 0: this step's rewards; row 1: one pull
-    reg = reg[:n_seeds]
-    step_noise = noise.T  # row b: step b's noise
-    for b in range(n):
-        t = t0 + 1 + b
-        if t <= k:
-            chosen = np.full(n_seeds, t - 1)
-        else:
-            np.multiply(inv, ct[b], out=flat_index)
-            np.sqrt(flat_index, out=flat_index)
-            np.add(flat_index, mean, out=flat_index)
-            chosen = index.argmax(axis=1)
-        np.add(slab_base, chosen, out=cell)
-        np.add(means[chosen], step_noise[b], out=inc[0])
-        np.add(st[cell[:2]], inc, out=upd[:2])
-        np.divide(1.0, new_count, out=new_inv)
-        np.multiply(new_sum, new_inv, out=new_mean)
-        st[cell] = upd
-        reg += gaps[chosen]
-        if gi < n_grid and t == grid[gi]:
-            out[gi * stride:gi * stride + n_seeds] = reg
-            gi += 1
-    full[0] += n_seeds * max(0, t0 + n - max(t0, k))
-    return gi
-
-
-def _numpy_run(n_seeds, stride, k, horizon, block, scale, ct, means, gaps,
-               pcg, s_res, kind, st, reg, grid, n_grid, out, full) -> int:
-    """``ucb_run`` in numpy: -1 once a block's index leaves [gi, n_grid]."""
-    gi = 0
-    for t0 in range(0, horizon, block):
-        n = min(block, horizon - t0)
-        _numpy_log_table(scale, t0, n, ct)
-        got = _numpy_block(n_seeds, stride, k, t0, n, ct, means, gaps, pcg,
-                           s_res, kind, st, reg, grid, n_grid, gi, out, full)
-        if not gi <= got <= n_grid:
-            return -1
-        gi = got
-    return gi
-
-
-# The kernel's entry points in numpy, the step loop wherever no kernel
-# builds: ``_simulate(..., lib=NUMPY)`` runs it.
-NUMPY = SimpleNamespace(ucb_log_table=_numpy_log_table,
-                        ucb_block=_numpy_block, ucb_run=_numpy_run)
+    """``kernel``, imported on the first bandit run and kept here: no later
+    run imports it again, even once it has left ``sys.modules``."""
+    from . import kernel
+    return kernel
 
 
 def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
@@ -609,6 +403,11 @@ class RatioPoint:
     mean_regret: float
     base_mean_regret: float
     n_seeds: int
+
+
+def ratio_table(points: Iterable[RatioPoint]) -> tuple[list[str], list]:
+    """``ratios.csv``'s header (``RatioPoint``'s fields) and rows."""
+    return [f.name for f in fields(RatioPoint)], [astuple(p) for p in points]
 
 
 def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],

@@ -32,10 +32,10 @@ from .envs import (UNIFORM, BanditSpec, builtin_fixtures, load_fixture,
 from .expansion import admit_candidates, chunk_key
 from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
 from .manifest import write_csv
-from .regret import (ALGO_ALPHA, MdsSpec, RatioPoint, RegretCurve, SlopeRatio,
+from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, SlopeRatio,
                      bound_for_spec, efficiency_ratio_experiment,
                      fit_log_regret, freedman_empirical_check, freedman_radius,
-                     run_bandit_experiment, slope_ratio_ci)
+                     ratio_table, run_bandit_experiment, slope_ratio_ci)
 from .search import SearchConfig, search_fixture
 from .selection import select_child, select_path
 from .tree import ROOT, ActionChunk, SearchTree
@@ -83,14 +83,19 @@ PROBE_FIXTURE = "\n".join(
     + [f"s{i} a{a} 1" for i in range(3) for a in range(256)])
 
 
+def one_best_arm(k: int, gap: float) -> tuple[float, ...]:
+    """``k`` arm means: one best at 0.5 + gap/2, the rest tied at 0.5 - gap/2."""
+    return (0.5 + gap / 2.0,) + (0.5 - gap / 2.0,) * (k - 1)
+
+
 def grid_spec(k: int, gap: float, sigma2: float) -> BanditSpec:
-    """One best arm at 0.5 + gap/2, the rest tied at 0.5 - gap/2."""
-    means = (0.5 + gap / 2.0,) + (0.5 - gap / 2.0,) * (k - 1)
-    return BanditSpec(means=means, sigma_x2=sigma2, rho=1.0, noise=UNIFORM)
+    """``one_best_arm(k, gap)`` under uniform noise of variance sigma2."""
+    return BanditSpec(means=one_best_arm(k, gap), sigma_x2=sigma2, rho=1.0,
+                      noise=UNIFORM)
 
 
 def ratio_sweep_spec() -> BanditSpec:
-    return BanditSpec(means=(0.55,) + (0.45,) * 9, sigma_x2=0.2, rho=1.0)
+    return BanditSpec(means=one_best_arm(10, 0.1), sigma_x2=0.2, rho=1.0)
 
 
 GridKey = tuple[int, float, float]  # (K, gap, sigma2)
@@ -470,8 +475,7 @@ def crit_efficiency_ratio(ctx: VerifyContext) -> tuple[bool, str]:
     ``bandit --rho-grid``."""
     points = efficiency_ratio_experiment(ratio_sweep_spec(), RATIO_SWEEP_RHOS,
                                          GRID_HORIZON, RATIO_SWEEP_SEEDS)
-    ctx.write_table("ratios.csv", [f.name for f in fields(RatioPoint)],
-                    map(astuple, points))
+    ctx.write_table("ratios.csv", *ratio_table(points))
     for pt in points:
         if pt.rho < 1.0 and not pt.ratio < 1.0:
             return False, f"rho={pt.rho}: ratio {pt.ratio:.4f} not < 1"

@@ -7,11 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphauct import kernel, regret, verify
+from alphauct import kernel, verify
 from alphauct.cli import (_DEFAULTS, _TYPES, OUT_ENV_VAR, UsageError, _resolve,
                           build_parser, main)
 from alphauct.envs import _FIXTURE_DIR
@@ -381,6 +382,54 @@ def test_a_manifest_that_is_not_utf8_is_named(tmp_path, capsys):
     assert _no_artifacts(again)
 
 
+def test_a_truncated_config_file_is_named(tmp_path, capsys):
+    """A ``--config`` file that is not valid JSON, or is missing, exits 2
+    with one error line that names the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"env": ', encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+    _one_error_line(capsys, f"cannot read config file {cfg}: Expecting "
+                            "value: line 1 column 9 (char 8)")
+    cfg.unlink()
+    assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
+    _one_error_line(capsys, f"cannot read config file {cfg}: [Errno 2]")
+    assert _no_artifacts(out)
+
+
+def test_a_truncated_manifest_is_named(tmp_path, capsys):
+    """``rerun`` of a ``manifest.json`` that is not valid JSON, or of a
+    directory without one, exits 2 with one error line that names the
+    file."""
+    manifest = tmp_path / "cut" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text('{"command": ', encoding="utf-8")
+    again = tmp_path / "again"
+    assert run_cli("rerun", str(manifest.parent), "--out", str(again)) == 2
+    _one_error_line(capsys, f"cannot read manifest file {manifest}: "
+                            "Expecting value: line 1 column 13 (char 12)")
+    manifest.unlink()
+    assert run_cli("rerun", str(manifest.parent), "--out", str(again)) == 2
+    _one_error_line(capsys, f"cannot read manifest file {manifest}: [Errno 2]")
+    assert _no_artifacts(again)
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--horizon", 10**20, "horizon"),  # past int64
+    ("--seeds", 10**15, "seeds"),  # 284 PiB of cells, past any address space
+    ("--seeds", 10**20, "seeds"),  # past numpy's largest dimension
+])
+def test_bandit_sizes_past_the_machine_exit_2(tmp_path, capsys, flag, value,
+                                               key):
+    """A horizon past 2^53, or a seed count whose arrays cannot be
+    allocated, exits 2 with one error line that names its key: no warning,
+    no traceback and no output directory."""
+    out = tmp_path / "run"  # a warning fails the test (pyproject.toml)
+    assert run_cli("bandit", flag, str(value), "--out", str(out)) == 2
+    _one_error_line(capsys, key)
+    assert _no_artifacts(out)
+
+
 def test_rerun_rejects_unknown_key(tmp_path, capsys):
     first = tmp_path / "bandit"
     assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",
@@ -570,8 +619,8 @@ def test_verify_names_the_bandit_loop_after_its_summary(tmp_path, monkeypatch,
     monkeypatch.setattr(verify, "RATIO_SWEEP_SEEDS", 4)
     monkeypatch.setattr(verify, "GRID_HORIZON", 300)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(regret, "_KERNEL_MEMO", [] if loop == "compiled"
-                        else [None])
+    monkeypatch.setattr(kernel, "compiled", cache(kernel.build)
+                        if loop == "compiled" else lambda: None)
     out = tmp_path / "out"
     run_cli("verify", "--filter", "regret_ratio", "--out", str(out))
     lines = capsys.readouterr().out.splitlines()

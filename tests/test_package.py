@@ -68,3 +68,18 @@ def test_no_unused_imports():
     files += sorted((repo / "scripts").glob("*.py"))
     assert len(files) > 10
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def test_kernel_imports_nothing_from_regret():
+    """``regret`` imports ``kernel`` on its first bandit run; an import of
+    ``regret`` in ``kernel``, at any level, would make the two a cycle."""
+    tree = ast.parse((SRC / "alphauct" / "kernel.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}"
+                      for alias in node.names]
+    assert "envs.BanditSpec" in names
+    assert [n for n in names if "regret" in n.split(".")] == []

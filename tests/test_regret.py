@@ -1,7 +1,7 @@
 """Regret-lab numerics: closed-form bound values, confidence radii, the
 martingale tail bound, simulation determinism, the scalar/vectorized twin
 property, pinned curve digests, the kernel's step loop against
-``regret.NUMPY``'s under the one driver ``regret._simulate`` on hand-picked
+``kernel.NUMPY``'s under the one driver ``kernel.simulate`` on hand-picked
 and random runs, and slope fitting on synthetic curves."""
 import ctypes
 import hashlib
@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,8 +144,8 @@ def kernel(tmp_path_factory):
     cache; ``None`` where there is no C compiler."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        mp.setattr(regret, "_KERNEL_MEMO", [])
-        lib = regret._kernel()
+        mp.setattr(ucb, "compiled", cache(ucb.build))
+        lib = ucb.compiled()
     if lib is None and shutil.which(ucb.CC[0]) is not None:
         pytest.fail("a C compiler is present but the kernel did not build")
     return lib
@@ -169,11 +170,11 @@ def portable(tmp_path_factory):
 @pytest.fixture
 def each_loop(monkeypatch, kernel):
     """Call it to iterate over the step loops, "compiled" (where it built)
-    and then "numpy", with ``regret._kernel`` patched to each in turn."""
+    and then "numpy", with ``kernel.compiled`` patched to each in turn."""
     def each():
         for name, lib in (("compiled", kernel), ("numpy", None)):
             if name == "numpy" or lib is not None:
-                monkeypatch.setattr(regret, "_kernel", lambda lib=lib: lib)
+                monkeypatch.setattr(ucb, "compiled", lambda lib=lib: lib)
                 yield name
     return each
 
@@ -281,22 +282,22 @@ def test_curve_digest_is_pinned(each_loop, spec, algo, horizon, digest):
 
 def force_shards(monkeypatch, w: int) -> list[tuple[int, int]]:
     """Split every run into ``w`` seed shards of a recording wrapper around
-    the step loop ``regret._kernel`` gives now (``NUMPY`` where that is
+    the step loop ``kernel.compiled`` gives now (``NUMPY`` where that is
     ``None``), resolved on each call; returns the ``(thread id, n_seeds)``
     of every ``ucb_run`` call."""
     calls = []
-    inner = regret._kernel
+    inner = ucb.compiled
 
     def recording():
-        lib = inner() or regret.NUMPY
+        lib = inner() or ucb.NUMPY
 
         def ucb_run(n_seeds, *args):
             calls.append((threading.get_ident(), n_seeds))
             return lib.ucb_run(n_seeds, *args)
         return SimpleNamespace(ucb_run=ucb_run)
 
-    monkeypatch.setattr(regret, "_worker_count", lambda n_seeds, horizon: w)
-    monkeypatch.setattr(regret, "_kernel", recording)
+    monkeypatch.setattr(ucb, "_worker_count", lambda n_seeds, horizon: w)
+    monkeypatch.setattr(ucb, "compiled", recording)
     return calls
 
 
@@ -354,12 +355,12 @@ def test_more_shards_than_cores_keep_every_cell(monkeypatch, kernel):
     equal the one-thread run's, so no shard wrote another's cells or lost
     its count."""
     spec = small_spec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, noise="uniform")
-    monkeypatch.setattr(regret, "_kernel", lambda: kernel)
+    monkeypatch.setattr(ucb, "compiled", lambda: kernel)
 
     def run(w):
         with monkeypatch.context() as mp:
             calls = force_shards(mp, w)
-            run = regret._simulate(spec, 3000, default_grid(3000), 97, 5, 21)
+            run = ucb.simulate(spec, 3000, default_grid(3000), 97, 5, 21)
         assert_shards_ran(calls, (16 // w,) * w)
         return (run.per_seed.tobytes(), run.state.tobytes(), run.pcg.tobytes(),
                 run.full_steps)
@@ -384,7 +385,7 @@ def test_a_failed_shard_makes_the_run_raise(monkeypatch, kernel, fault):
     running."""
     here = threading.get_ident()
     threads = threading.active_count()
-    lib = kernel or regret.NUMPY
+    lib = kernel or ucb.NUMPY
     for in_caller in ((True, False) if fault == "raise" else (False,)):
         calls = []
 
@@ -407,8 +408,8 @@ def test_a_failed_shard_makes_the_run_raise(monkeypatch, kernel, fault):
                 "status": (RuntimeError, r"bandit seeds \[2, 4\): step loop "
                            r"returned checkpoint -1 of 150$")}
         with monkeypatch.context() as mp:
-            mp.setattr(regret, "_worker_count", lambda n_seeds, horizon: 3)
-            mp.setattr(regret, "_kernel",
+            mp.setattr(ucb, "_worker_count", lambda n_seeds, horizon: 3)
+            mp.setattr(ucb, "compiled",
                        lambda: SimpleNamespace(ucb_run=ucb_run))
             curve = None
             with pytest.raises(want[fault][0], match=want[fault][1]):
@@ -425,15 +426,15 @@ def test_the_numpy_run_stops_at_a_block_behind_its_index(monkeypatch):
     checkpoint index behind the one it was given, here on the second of four
     blocks, and steps no further block; the run raises."""
     blocks = []
-    inner = regret._numpy_block
+    inner = ucb._numpy_block
 
     def behind(n_seeds, stride, k, t0, n, *args):
         blocks.append(t0)
         got = inner(n_seeds, stride, k, t0, n, *args)
         return args[-3] - 1 if t0 == 97 else got  # args[-3]: gi
 
-    monkeypatch.setattr(regret, "_kernel", lambda: None)
-    monkeypatch.setattr(regret, "_numpy_block", behind)
+    monkeypatch.setattr(ucb, "compiled", lambda: None)
+    monkeypatch.setattr(ucb, "_numpy_block", behind)
     with pytest.raises(RuntimeError, match=r"bandit seeds \[0, 7\): step "
                        r"loop returned checkpoint -1 of 150$"):
         run_bandit_experiment(small_spec(), ALGO_ALPHA, 300, 7,
@@ -445,7 +446,7 @@ def test_arguments_are_checked_before_any_simulation(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the arguments were checked")
 
-    monkeypatch.setattr(regret, "_simulate", no_simulation)
+    monkeypatch.setattr(ucb, "simulate", no_simulation)
     spec = small_spec()
     for args, kwargs in [((ALGO_ALPHA, 0, 4), {}), ((ALGO_ALPHA, 100, 0), {}),
                          (("uct", 100, 4), {}),
@@ -455,6 +456,8 @@ def test_arguments_are_checked_before_any_simulation(monkeypatch):
                          ((ALGO_ALPHA, 100, 4), {"grid": []}),
                          ((ALGO_ALPHA, 100, 4), {"block": 0}),
                          ((ALGO_ALPHA, 100, 4), {"block": -3}),
+                         # a step number past 2^53 is no exact double
+                         ((ALGO_ALPHA, 2**53 + 1, 4), {}),
                          # ints only: no float, bool or string, even where
                          # its value is a whole number
                          ((ALGO_ALPHA, 2000, 1000.0), {}),
@@ -489,13 +492,13 @@ def test_numpy_integer_arguments_are_stored_as_int():
 def test_worker_count_rule(monkeypatch):
     """Small runs take one thread; a large one gets a shard per usable
     core, at most one per seed."""
-    big = regret.SHARD_MIN_SEED_STEPS
-    assert regret._worker_count(20, 20_000) == 1  # the pinned-digest runs
-    assert regret._worker_count(1, big - 1) == 1
+    big = ucb.SHARD_MIN_SEED_STEPS
+    assert ucb._worker_count(20, 20_000) == 1  # the pinned-digest runs
+    assert ucb._worker_count(1, big - 1) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert regret._worker_count(1000, big) == 3
-    assert regret._worker_count(2, big) == 2
-    assert regret._worker_count(1, big) == 1
+    assert ucb._worker_count(1000, big) == 3
+    assert ucb._worker_count(2, big) == 2
+    assert ucb._worker_count(1, big) == 1
 
 
 # -- the compiled step loop ------------------------------------------------------
@@ -524,13 +527,13 @@ DIFFERENTIAL_CASES = {
 @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
 def test_compiled_loop_leaves_the_numpy_loops_state(kernel, case):
     """Not only the curve: every slab cell (sum, count, 1/count, mean) ends
-    with ``regret.NUMPY``'s bits, so no rounding differs on the way."""
+    with ``kernel.NUMPY``'s bits, so no rounding differs on the way."""
     if kernel is None:
         pytest.skip("no C compiler")
     spec, horizon, grid = DIFFERENTIAL_CASES[case]
     args = (spec, horizon, grid or tuple(range(1, horizon + 1)), 97, 2, 7)
-    ours = regret._simulate(*args, kernel)
-    ref = regret._simulate(*args, regret.NUMPY)
+    ours = ucb.simulate(*args, kernel)
+    ref = ucb.simulate(*args, ucb.NUMPY)
     assert ours.per_seed.tobytes() == ref.per_seed.tobytes()
     assert ours.state.tobytes() == ref.state.tobytes()
 
@@ -542,10 +545,10 @@ def test_compiled_loop_is_bit_equal_to_numpy_loop(monkeypatch, kernel, case,
     if kernel is None:
         pytest.skip("no C compiler")
     spec, horizon, grid = DIFFERENTIAL_CASES[case]
-    monkeypatch.setattr(regret, "_kernel", lambda: None)
+    monkeypatch.setattr(ucb, "compiled", lambda: None)
     ref = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
                                 grid=grid, block=97)
-    monkeypatch.setattr(regret, "_kernel", lambda: kernel)
+    monkeypatch.setattr(ucb, "compiled", lambda: kernel)
     calls = force_shards(monkeypatch, workers)
     got = run_bandit_experiment(spec, ALGO_ALPHA, horizon, 5, seed0=2,
                                 grid=grid, block=97)
@@ -595,7 +598,7 @@ def bandit_runs(draw):
               -4, 12))
 def test_random_runs_agree_bit_for_bit(kernel, portable, run):
     """On random runs both kernel builds (SSE2 and portable) leave
-    ``regret.NUMPY``'s curve, final slabs and final PCG64 rows bit for bit,
+    ``kernel.NUMPY``'s curve, final slabs and final PCG64 rows bit for bit,
     across many block edges of ``ucb_run``, and the first seed's curve is
     ``simulate_policy_scalar``'s.  The explicit run, 16 seeds of exact
     binary rewards in 2-step blocks, meets index ties at window ends, where
@@ -604,11 +607,10 @@ def test_random_runs_agree_bit_for_bit(kernel, portable, run):
     spec, horizon, grid, block, seed_lo, seed_hi = run
 
     def simulate(lib):
-        run = regret._simulate(spec, horizon, grid, block, seed_lo, seed_hi,
-                               lib)
+        run = ucb.simulate(spec, horizon, grid, block, seed_lo, seed_hi, lib)
         return run.per_seed, run.state.tobytes(), run.pcg.tobytes()
 
-    out, *ref = simulate(regret.NUMPY)
+    out, *ref = simulate(ucb.NUMPY)
     for lib in (kernel, portable):
         if lib is not None:
             got, *cells = simulate(lib)
@@ -636,9 +638,9 @@ def test_each_seed_ends_at_its_numpy_generators_state(kernel, spec):
             gen = derive_rng(0, "pull-noise", sd).generator()
             gen.random(horizon)
             want.append(gen.bit_generator.state["state"])
-        for lib in [lib for lib in (regret.NUMPY, kernel) if lib is not None]:
-            pcg = regret._simulate(spec, horizon, (horizon,), 97, seed_lo,
-                                   seed_hi, lib).pcg
+        for lib in [lib for lib in (ucb.NUMPY, kernel) if lib is not None]:
+            pcg = ucb.simulate(spec, horizon, (horizon,), 97, seed_lo,
+                               seed_hi, lib).pcg
             got = [{"state": int(hi) << 64 | int(lo),
                     "inc": int(inc_hi) << 64 | int(inc_lo)}
                    for lo, hi, inc_lo, inc_hi in pcg.reshape(-1, 4)]
@@ -652,7 +654,7 @@ def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
     index, regret writes and slabs, bit for bit, and takes the leader-only
     path where the case says it must."""
     arms, full_steps = ucb.LAZY_CASES[case][4:]
-    got, out, state, full = ucb.run_lazy_case(regret.NUMPY, case)
+    got, out, state, full = ucb.run_lazy_case(ucb.NUMPY, case)
     assert got == len(arms)
     assert np.diff(np.frombuffer(out), prepend=0.0).tolist() == arms
     assert full == len(arms)  # the numpy block computes every index
@@ -668,9 +670,9 @@ def test_most_steps_skip_the_full_index(kernel):
     if kernel is None:
         pytest.skip("no C compiler")
     horizon, n_seeds = 100_000, 20
-    full = regret._simulate(grid_spec(10, 0.1, 0.05), horizon,
-                            default_grid(horizon), 2048, 0, n_seeds,
-                            kernel).full_steps
+    full = ucb.simulate(grid_spec(10, 0.1, 0.05), horizon,
+                        default_grid(horizon), 2048, 0, n_seeds,
+                        kernel).full_steps
     assert 0 < full < 0.10 * horizon * n_seeds
 
 
@@ -684,9 +686,9 @@ def test_windows_grow_while_the_leader_holds(kernel):
     if kernel is None:
         pytest.skip("no C compiler")
     k, horizon, n_seeds = 2, 100_000, 20
-    full = regret._simulate(grid_spec(k, 0.1, 0.05), horizon,
-                            default_grid(horizon), 2048, 0, n_seeds,
-                            kernel).full_steps
+    full = ucb.simulate(grid_spec(k, 0.1, 0.05), horizon,
+                        default_grid(horizon), 2048, 0, n_seeds,
+                        kernel).full_steps
     assert 0 < full < (horizon - k) * n_seeds / 32
 
 
@@ -696,7 +698,7 @@ def cold_cache(monkeypatch, tmp_path, **patch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     for name, value in patch.items():
         monkeypatch.setattr(ucb, name, value)
-    monkeypatch.setattr(regret, "_KERNEL_MEMO", [])
+    monkeypatch.setattr(ucb, "compiled", cache(ucb.build))
 
 
 def files_under(path):
@@ -711,10 +713,10 @@ def pinned_digest_holds() -> bool:
 
 def assert_numpy_fallback(tmp_path):
     """No kernel, no warning, no file under ``tmp_path``, and the pinned
-    curve from ``regret.NUMPY``."""
+    curve from ``kernel.NUMPY``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert regret._kernel() is None
+        assert ucb.compiled() is None
     assert caught == []
     assert files_under(tmp_path) == []
     runs = regret.LOOP_RUNS["numpy"]
@@ -788,7 +790,7 @@ def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
     """A build whose tie rule, noise stream, slab updates, forced steps,
     checkpoints or block loop differ from numpy's fails the check against
-    ``regret.NUMPY``: no kernel, and nothing left in the cache.  The lazy
+    ``kernel.NUMPY``: no kernel, and nothing left in the cache.  The lazy
     tie and a window step that skips its ``ct[b] <= c_end`` exit show only
     on ``LAZY_CASES``' hand-built blocks (the exit on
     ``c_t_above_c_end``); a state or held leader not written back after a
@@ -803,7 +805,7 @@ def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
     wrong_src.parent.mkdir()
     wrong_src.write_text(src.replace(right, wrong))
     cold_cache(monkeypatch, tmp_path, SOURCE=wrong_src)
-    assert regret._kernel() is None
+    assert ucb.compiled() is None
     assert files_under(tmp_path / "cache") == []
 
 
@@ -823,8 +825,8 @@ def test_a_sharded_run_with_a_cold_cache_compiles_once(monkeypatch, tmp_path):
     assert regret.LOOP_RUNS["compiled"] == runs + 1
     assert log.read_text() == "run\n"
     assert len(files_under(tmp_path / "cache")) == 1
-    monkeypatch.setattr(regret, "_KERNEL_MEMO", [])  # a new process
-    assert regret._kernel() is not None
+    monkeypatch.setattr(ucb, "compiled", cache(ucb.build))  # a new process
+    assert ucb.compiled() is not None
     assert log.read_text() == "run\n"  # loaded from the cache
 
 

@@ -121,7 +121,7 @@ def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     ``pcg``, which ends holding the seed's state after its last draw.  One
     ``rng.pcg64_rows`` call sets up every row, as the seed's
     ``derive_rng(0, "pull-noise", sd).generator()`` would start.  Arrays
-    too large to allocate raise a ``ValueError`` that names the seeds.
+    too large to allocate raise a ``ValueError`` naming the run's size.
 
     Once every stream is set up here, the seeds split into
     ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
@@ -146,11 +146,12 @@ def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     try:
         state = np.zeros(4 * n_seeds * kk)
         pcg = np.empty(4 * n_seeds, dtype=np.uint64)
-        pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
         reg = np.zeros(n_seeds)
         out = np.empty((len(t_grid), n_seeds))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's limit
-        raise ValueError(f"{n_seeds} seeds: {exc}") from None
+        raise ValueError(f"{n_seeds} seeds x {len(t_grid)} checkpoints: "
+                         f"{exc}") from None
+    pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
     flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
     w = 1 if lib is NUMPY else _worker_count(n_seeds, horizon)
     cuts = [i * n_seeds // w for i in range(w + 1)]

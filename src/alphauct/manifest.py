@@ -75,7 +75,7 @@ def read_json(path: Path | str, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # a codec or JSON error included
         reason = ("not UTF-8 text" if isinstance(exc, UnicodeDecodeError)
-                  else exc)
+                  else getattr(exc, "strerror", None) or exc)  # no 2nd path
         raise ValueError(f"cannot read {what} file {path}: {reason}") from None
 
 

@@ -211,8 +211,7 @@ def default_grid(horizon: int) -> tuple[int, ...]:
     if GRID_POINTS >= horizon:
         return tuple(range(1, horizon + 1))
     raw = np.geomspace(1.0, float(horizon), num=GRID_POINTS)
-    grid = np.unique(np.rint(raw).astype(np.int64))
-    grid[0] = max(grid[0], 1)
+    grid = np.unique(np.rint(raw).astype(np.int64))  # geomspace starts at 1
     if grid[-1] != horizon:
         grid = np.append(grid, horizon)
     return tuple(int(t) for t in np.unique(grid))
@@ -269,8 +268,8 @@ def run_bandit_experiment(spec: BanditSpec, algo: str, horizon: int,
 
 @cache
 def _kernel():
-    """``kernel``, imported on the first bandit run and kept here: no later
-    run imports it again, even once it has left ``sys.modules``."""
+    """``kernel``, kept from this module's first bandit run: after a fresh
+    package import (perfbench's set-up) ``from . import kernel`` reruns it."""
     from . import kernel
     return kernel
 

@@ -389,11 +389,13 @@ def test_a_truncated_config_file_is_named(tmp_path, capsys):
     cfg.write_text('{"env": ', encoding="utf-8")
     out = tmp_path / "run"
     assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
-    _one_error_line(capsys, f"cannot read config file {cfg}: Expecting "
-                            "value: line 1 column 9 (char 8)")
+    assert _one_error_line(capsys) == (
+        f"error: cannot read config file {cfg}: Expecting value: line 1 "
+        "column 9 (char 8)\n")
     cfg.unlink()
     assert run_cli("search", "--config", str(cfg), "--out", str(out)) == 2
-    _one_error_line(capsys, f"cannot read config file {cfg}: [Errno 2]")
+    assert _one_error_line(capsys) == (
+        f"error: cannot read config file {cfg}: No such file or directory\n")
     assert _no_artifacts(out)
 
 
@@ -406,11 +408,14 @@ def test_a_truncated_manifest_is_named(tmp_path, capsys):
     manifest.write_text('{"command": ', encoding="utf-8")
     again = tmp_path / "again"
     assert run_cli("rerun", str(manifest.parent), "--out", str(again)) == 2
-    _one_error_line(capsys, f"cannot read manifest file {manifest}: "
-                            "Expecting value: line 1 column 13 (char 12)")
+    assert _one_error_line(capsys) == (
+        f"error: cannot read manifest file {manifest}: Expecting value: "
+        "line 1 column 13 (char 12)\n")
     manifest.unlink()
     assert run_cli("rerun", str(manifest.parent), "--out", str(again)) == 2
-    _one_error_line(capsys, f"cannot read manifest file {manifest}: [Errno 2]")
+    assert _one_error_line(capsys) == (
+        f"error: cannot read manifest file {manifest}: No such file or "
+        "directory\n")
     assert _no_artifacts(again)
 
 

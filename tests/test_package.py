@@ -83,3 +83,27 @@ def test_kernel_imports_nothing_from_regret():
                       for alias in node.names]
     assert "envs.BanditSpec" in names
     assert [n for n in names if "regret" in n.split(".")] == []
+
+
+def test_a_fresh_package_import_does_not_rerun_kernel():
+    """A ``regret`` module keeps the ``kernel`` of its first bandit run.  A
+    fresh import of the package (perfbench makes one before every set-up,
+    while it keeps running the older modules) leaves no ``alphauct.kernel``
+    in ``sys.modules``; the older ``regret``'s next run must not import it
+    again.  Run in a fresh interpreter, as above."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys\n"
+            "from alphauct import envs, regret\n"
+            "spec = envs.BanditSpec(means=(0.6, 0.4), sigma_x2=0.05)\n"
+            "first = regret.run_bandit_experiment(spec, 'alpha', 50, 2)\n"
+            "for m in [m for m in sys.modules if m.startswith('alphauct')]:\n"
+            "    del sys.modules[m]\n"
+            "import alphauct\n"
+            "again = regret.run_bandit_experiment(spec, 'alpha', 50, 2)\n"
+            "assert (first.per_seed == again.per_seed).all()\n"
+            "print('alphauct.kernel' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False"]

@@ -56,8 +56,7 @@ class FixtureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     screen: str
     terminal: str = TERMINAL_NONE
 

@@ -40,6 +40,11 @@ class JudgeFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SimJudgeSpec:
+    """``SimJudge``'s knobs, checked on construction and on every
+    ``dataclasses.replace``: the standard deviations of the per-item noise
+    and of the per-call shared offset, the sleep of each item's
+    preparation (seconds), and the seed its draws are keyed by."""
+
     noise_std: float = 0.0
     shared_offset_std: float = 0.0
     latency_s: float = 0.0

@@ -121,7 +121,9 @@ def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     ``pcg``, which ends holding the seed's state after its last draw.  One
     ``rng.pcg64_rows`` call sets up every row, as the seed's
     ``derive_rng(0, "pull-noise", sd).generator()`` would start.  Arrays
-    too large to allocate raise a ``ValueError`` naming the run's size.
+    too large to allocate, the shards' ``ct`` tables among them, raise a
+    ``ValueError`` naming the run's size and ``block`` before any shard
+    starts.
 
     Once every stream is set up here, the seeds split into
     ``_worker_count`` contiguous shards (one for ``NUMPY``, whose numpy
@@ -143,23 +145,24 @@ def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
     # 2 * sigma_res^2 * ln(1/delta_t) with delta_t = t^-4
     scale = 8.0 * spec.residual_var
     grid = np.asarray(t_grid, dtype=np.int64)
+    w = 1 if lib is NUMPY else _worker_count(n_seeds, horizon)
     try:
         state = np.zeros(4 * n_seeds * kk)
         pcg = np.empty(4 * n_seeds, dtype=np.uint64)
         reg = np.zeros(n_seeds)
         out = np.empty((len(t_grid), n_seeds))
+        # each shard's scale * ln t for a block's steps
+        cts = [np.empty(min(block, horizon)) for _ in range(w)]
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's limit
-        raise ValueError(f"{n_seeds} seeds x {len(t_grid)} checkpoints: "
-                         f"{exc}") from None
+        raise ValueError(f"{n_seeds} seeds x {len(t_grid)} checkpoints, "
+                         f"block {block}: {exc}") from None
     pcg[:] = pcg64_rows((0, "pull-noise"), seed_lo, seed_hi)
     flat_out = out.reshape(-1)  # seed s's checkpoint g at g * n_seeds + s
-    w = 1 if lib is NUMPY else _worker_count(n_seeds, horizon)
     cuts = [i * n_seeds // w for i in range(w + 1)]
     fulls = np.zeros(w, dtype=np.int64)
 
     def shard(i: int) -> None:
-        lo, hi = cuts[i], cuts[i + 1]
-        ct = np.empty(min(block, horizon))  # scale * ln t for a block's steps
+        lo, hi, ct = cuts[i], cuts[i + 1], cts[i]
         got = lib.ucb_run(hi - lo, n_seeds, kk, horizon, len(ct), scale, ct,
                           means, gaps, pcg[4 * lo:], s_res, kind,
                           state[kk * lo:], reg[lo:], grid, len(grid),

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def freedman_radius(n: int, sigma2: float, delta: float) -> float:
     return math.sqrt(2.0 * sigma2 * log_term / n) + 2.0 * log_term / (3.0 * n)
 
 
-@dataclass(frozen=True)
-class PerArmBound:
+class PerArmBound(NamedTuple):
     gap: float
     sigma_res2: float
     var_term: float  # 8*sigma^2*lnT/gap
@@ -65,8 +64,7 @@ class PerArmBound:
         return self.var_term + self.log_term + self.gap_term
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     horizon: int
     arms: tuple[PerArmBound, ...]
 
@@ -124,8 +122,7 @@ class MdsSpec:
                                  f"got {value!r}")
 
 
-@dataclass(frozen=True)
-class FreedmanCell:
+class FreedmanCell(NamedTuple):
     epsilon: float
     v_cap: float
     n: int
@@ -175,8 +172,7 @@ def freedman_empirical_check(mds: MdsSpec, n: int,
 # -- bandit simulation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegretCurve:
+class RegretCurve(NamedTuple):
     spec: BanditSpec
     horizon: int
     t_grid: tuple[int, ...]
@@ -307,8 +303,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
 # -- fits and ratios ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogFit:
+class LogFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -375,8 +370,7 @@ def _ratio_ci(num: np.ndarray, den: np.ndarray, rng) -> tuple[float, float]:
     return float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))
 
 
-@dataclass(frozen=True)
-class SlopeRatio:
+class SlopeRatio(NamedTuple):
     ratio: float
     ci_lo: float
     ci_hi: float
@@ -393,8 +387,7 @@ def slope_ratio_ci(num: RegretCurve, den: RegretCurve) -> SlopeRatio:
                       n_seeds=len(sn))
 
 
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(NamedTuple):
     rho: float
     ratio: float
     ci_lo: float
@@ -406,7 +399,7 @@ class RatioPoint:
 
 def ratio_table(points: Iterable[RatioPoint]) -> tuple[list[str], list]:
     """``ratios.csv``'s header (``RatioPoint``'s fields) and rows."""
-    return [f.name for f in fields(RatioPoint)], [astuple(p) for p in points]
+    return list(RatioPoint._fields), [tuple(p) for p in points]
 
 
 def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],

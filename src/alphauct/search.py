@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .backup import MAX, backpropagate, q_for_selection
 from .envs import GuiGraphEnv, GuiGraphSpec
@@ -60,6 +60,14 @@ _INT_FIELDS = ("expansion_factor", "max_iterations", "chunk_size", "max_depth",
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search's knobs, checked on construction and on every
+    ``dataclasses.replace``: the exploration constant ``c``, candidates
+    per expansion, the iteration budget, atoms per chunk, the depth limit,
+    the backup statistic, the judging protocol, how an environment is
+    positioned at a node (snapshot or replay), the threads that prepare
+    sibling judgments (0: none) and the seed ``search_fixture`` gives the
+    proposer and the judge."""
+
     c: float = 1.0
     expansion_factor: int = 5
     max_iterations: int = 20
@@ -113,8 +121,7 @@ class SimReflector:
         return boost
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     outcome: str
     best_path: tuple[ActionChunk, ...]
     iterations: int

@@ -13,13 +13,15 @@ search (``selection.select_path``, ``backup.backpropagate``, the loop in
 ``search``) validate an id once and then index ``nodes`` directly: a valid
 node's children and ancestors are valid ids.  Edges (``ActionChunk``) and
 events (``EvalEvent``) are immutable named tuples, cheap to build by the
-thousand.
+thousand.  A ``NodeRecord`` is mutable: a plain ``__slots__`` class with an
+explicit ``__init__`` (the root's ``action`` is ``None``, each node gets a
+fresh ``children`` list) and a field-by-field repr, so that importing the
+module builds no dataclass.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 ROOT = 0
@@ -67,19 +69,34 @@ class EvalEvent(NamedTuple):
     path: tuple[int, ...]
 
 
-@dataclass(slots=True)
 class NodeRecord:
-    parent: int
-    depth: int
-    action: ActionChunk | None  # None at the root only
-    children: list[int] = field(default_factory=list)
-    visit_count: int = 0
-    q_max: float | None = None  # best judged value seen anywhere in this subtree
-    q_mean: float | None = None  # running mean of subtree values (ablation mode)
-    init_value: float | None = None  # judged score at creation; None at the root
-    state_ref: Any = None  # env snapshot handle, or None under replay positioning
-    obs: Any = None  # observation recorded when the node was first reached
-    terminal: str = "none"  # none | success | failure | exhausted
+    """One node's statistics and runtime state, in a fixed field order."""
+
+    __slots__ = ("parent", "depth", "action", "children", "visit_count",
+                 "q_max", "q_mean", "init_value", "state_ref", "obs",
+                 "terminal")
+
+    def __init__(self, parent: int, depth: int, action: ActionChunk | None,
+                 children: list[int] | None = None, visit_count: int = 0,
+                 q_max: float | None = None, q_mean: float | None = None,
+                 init_value: float | None = None, state_ref: Any = None,
+                 obs: Any = None, terminal: str = "none"):
+        self.parent = parent
+        self.depth = depth
+        self.action = action  # None at the root only
+        self.children = [] if children is None else children
+        self.visit_count = visit_count
+        self.q_max = q_max  # best judged value seen anywhere in this subtree
+        self.q_mean = q_mean  # running mean of subtree values (ablation mode)
+        self.init_value = init_value  # judged score at creation; None at root
+        self.state_ref = state_ref  # env snapshot handle, or None under replay
+        self.obs = obs  # observation recorded when the node was first reached
+        self.terminal = terminal  # none | success | failure | exhausted
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"NodeRecord({fields})"
 
 
 def _check_value(value: float) -> float:

@@ -16,7 +16,7 @@ import concurrent.futures  # noqa: F401
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -283,8 +283,8 @@ class VerifyContext:
                 run = self._runs[key] = run_bandit_experiment(
                     grid_spec(*key), ALGO_ALPHA, GRID_HORIZON,
                     max(n, self._seeds.get(key, 0)))
-            out[key, n] = run if run.n_seeds == n else replace(
-                run, per_seed=np.ascontiguousarray(run.per_seed[:, :n]))
+            out[key, n] = run if run.n_seeds == n else run._replace(
+                per_seed=np.ascontiguousarray(run.per_seed[:, :n]))
         return out
 
     def write_table(self, name: str, header, rows) -> None:
@@ -453,8 +453,8 @@ def crit_log_slope(ctx: VerifyContext) -> tuple[bool, str]:
                                         curves[(5, gap, s2), SLOPE_RATIO_SEEDS])
               for gap, s2 in SLOPE_CELLS}
     ctx.write_table("slopes.csv",
-                    ["gap", "sigma2"] + [f.name for f in fields(SlopeRatio)],
-                    [cell + astuple(sr) for cell, sr in ratios.items()])
+                    ["gap", "sigma2", *SlopeRatio._fields],
+                    [cell + tuple(sr) for cell, sr in ratios.items()])
     for (k, gap, s2), r2 in r2s.items():
         if r2 < 0.95:
             return False, f"K={k} gap={gap} s2={s2}: tail fit r^2 {r2:.4f} < 0.95"

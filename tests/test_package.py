@@ -1,8 +1,9 @@
 """What ``import alphauct`` loads: the search core and the regret lab, and
 none of the acceptance suite, the run artifacts, the compiled step loop,
 the command line, ``concurrent.futures`` (loaded only for a thread pool)
-or ``statistics`` (loaded on the first normal draw); and no module of the
-package or its scripts imports a name it never uses."""
+or ``statistics`` (loaded on the first normal draw); no dataclass but the
+validated specs; and no module of the package or its scripts imports a name
+it never uses."""
 import ast
 import os
 import subprocess
@@ -17,16 +18,41 @@ NOT_AT_IMPORT = ("alphauct.verify", "alphauct.ablation", "alphauct.manifest",
                  "statistics")
 
 
-def test_import_loads_no_suite_manifest_kernel_or_cli():
-    """Run in a fresh interpreter: this test process has imported them all."""
+def _fresh(code: str, timeout: int = 60) -> list[str]:
+    """The words ``code`` prints, run in a fresh interpreter on ``SRC``."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=timeout)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+def test_import_loads_no_suite_manifest_kernel_or_cli():
+    """Run in a fresh interpreter: this test process has imported them all."""
     code = ("import sys, alphauct; "
             f"print(' '.join(m for m in {NOT_AT_IMPORT!r} if m in sys.modules))")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == []
+    assert _fresh(code) == []
+
+
+VALIDATED_SPECS = ("envs.BanditSpec", "envs.GuiGraphSpec",
+                   "envs.ProposerParams", "judging.SimJudgeSpec",
+                   "regret.MdsSpec", "search.SearchConfig")
+
+
+def test_import_builds_only_the_validated_specs_as_dataclasses():
+    """Each ``@dataclass`` execs its generated methods at import.  Only the
+    specs whose ``__post_init__`` check must run again on every
+    ``dataclasses.replace`` stay dataclasses; a result record is a named
+    tuple.  Run in a fresh interpreter, as above."""
+    code = ("import dataclasses, sys, alphauct\n"
+            "for name, mod in sorted(sys.modules.items()):\n"
+            "    if name.startswith('alphauct.'):\n"
+            "        for key, value in vars(mod).items():\n"
+            "            if (dataclasses.is_dataclass(value)\n"
+            "                    and value.__module__ == name):\n"
+            "                print(name.removeprefix('alphauct.') + '.' + key)\n")
+    assert sorted(_fresh(code)) == sorted(VALIDATED_SPECS)
 
 
 def test_one_version_string():
@@ -91,8 +117,6 @@ def test_a_fresh_package_import_does_not_rerun_kernel():
     while it keeps running the older modules) leaves no ``alphauct.kernel``
     in ``sys.modules``; the older ``regret``'s next run must not import it
     again.  Run in a fresh interpreter, as above."""
-    path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     code = ("import sys\n"
             "from alphauct import envs, regret\n"
             "spec = envs.BanditSpec(means=(0.6, 0.4), sigma_x2=0.05)\n"
@@ -103,7 +127,4 @@ def test_a_fresh_package_import_does_not_rerun_kernel():
             "again = regret.run_bandit_experiment(spec, 'alpha', 50, 2)\n"
             "assert (first.per_seed == again.per_seed).all()\n"
             "print('alphauct.kernel' in sys.modules)\n")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"]
+    assert _fresh(code, timeout=120) == ["False"]

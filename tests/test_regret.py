@@ -881,6 +881,15 @@ def test_experiment_validation():
         run_bandit_experiment(spec, ALGO_ALPHA, 100, 2, grid=[0, 5])
 
 
+def test_a_block_too_large_to_allocate_is_a_value_error():
+    """A shard's ``ct`` table holds ``min(block, horizon)`` doubles (here
+    256 TiB); it is allocated with the run's other arrays, before any shard
+    starts, so the error names ``block`` and the size."""
+    with pytest.raises(ValueError, match=r"block 35184372088832: .*TiB"):
+        run_bandit_experiment(small_spec(), ALGO_ALPHA, 2**45, 1, grid=[1],
+                              block=2**45)
+
+
 # -- fits ------------------------------------------------------------------------
 
 

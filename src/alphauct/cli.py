@@ -37,7 +37,7 @@ from .regret import (ALGO_ALPHA, LOOP_RUNS, bound_for_spec,
                      efficiency_ratio_experiment, fit_log_regret, ratio_table,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
-from .verify import CRITERION_NAMES, FAULT_KINDS, one_best_arm, run_criteria
+from .verify import CRITERION_NAMES, FAULTS, one_best_arm, run_criteria
 
 OUT_ENV_VAR = "ALPHAUCT_OUT"
 
@@ -378,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", action="append",
                     help=f"criterion name substring; repeatable "
                          f"(known: {', '.join(CRITERION_NAMES)})")
-    sp.add_argument("--inject-fault", choices=FAULT_KINDS,
-                    help="deliberately break one mechanism to prove the "
-                         "detector fires (pair with --filter)")
+    sp.add_argument("--inject-fault", choices=FAULTS, help="break one mechanism "
+                    "(pair with --filter); each kind's criteria must FAIL: "
+                    + "; ".join(f"{k}: {', '.join(r[-1])}" for k, r in FAULTS.items()))
     add_out(sp)
     sp.set_defaults(fn=cmd_verify)
 

@@ -112,17 +112,10 @@ class GuiGraphSpec:
     proposer: ProposerParams = ProposerParams()
 
     def __post_init__(self):
-        object.__setattr__(self, "_out", self._build_out())
         object.__setattr__(self, "_obs_cache", self._build_obs())
         object.__setattr__(self, "_proposals", self._build_proposals())
 
     # derived tables -------------------------------------------------------
-
-    def _build_out(self):
-        out: dict[str, list[tuple[str, str]]] = {s: [] for s in self.screens}
-        for (src, canon), dst in sorted(self.edges.items()):
-            out[src].append((canon, dst))
-        return {s: tuple(v) for s, v in out.items()}
 
     def _build_obs(self):
         return {s: Observation(s, self.terminal_of(s)) for s in self.screens}
@@ -404,9 +397,12 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         edges=edges, aliases=aliases, resolver=resolver, values=values,
         instruction=instruction or GuiGraphSpec.instruction,
         policy={s: tuple(v) for s, v in policy.items()}, proposer=proposer)
+    out: dict[str, list[str]] = {}
+    for (src, _), dst in edges.items():
+        out.setdefault(src, []).append(dst)
     seen, todo = {start}, [start]
     while todo:
-        for _, dst in spec._out[todo.pop()]:
+        for dst in out.get(todo.pop(), ()):
             if dst not in seen:
                 seen.add(dst)
                 todo.append(dst)

@@ -6,8 +6,8 @@ transcripts of published search walks, or measurement records frozen in this
 file — and reports one pass/fail line with the measured quantities.
 
 ``run_criteria`` executes any subset; ``inject_fault`` deliberately breaks
-one mechanism (leaving the audit trail intact) so the detectors themselves
-can be shown to fire.
+one mechanism, a row of ``FAULTS`` that names the criteria it must FAIL,
+leaving its audit trail intact so the detectors can be shown to fire.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import expansion as expansion_mod
 from . import search as search_mod
 from .ablation import direction_tests, run_ablation
-from .backup import MAX, MEAN
+from .backup import MAX, MEAN, MODES
 from .envs import (UNIFORM, BanditSpec, builtin_fixtures, load_fixture,
                    parse_fixture)
 from .expansion import admit_candidates, chunk_key
@@ -39,8 +39,6 @@ from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, SlopeRatio,
 from .search import SearchConfig, search_fixture
 from .selection import select_child, select_path
 from .tree import ROOT, ActionChunk, SearchTree
-
-FAULT_KINDS = ("backup", "mean", "dedup")
 
 # -- regret-lab experiment design (frozen before the acceptance gate) ---------
 #
@@ -191,53 +189,58 @@ def greedy_walk(tree: SearchTree, ids: dict[str, int]) -> tuple[str, ...]:
 # -- fault injection -----------------------------------------------------------
 
 
+def _smudge(orig, stat: str, modes: tuple[str, ...]):
+    """Every seventh propagation in one of ``modes`` lowers the root's
+    ``stat`` by 0.125 after the real update, which the event log cannot explain."""
+    calls = count(1)
+
+    def smudged(tree, leaf, value, mode=MAX, *, iteration=0):
+        orig(tree, leaf, value, mode, iteration=iteration)
+        if mode in modes and next(calls) % 7 == 0:
+            rec = tree.nodes[ROOT]
+            q = getattr(rec, stat)
+            if q is not None:
+                setattr(rec, stat, max(-1.0, q - 0.125))
+    return smudged
+
+
+def _salt(orig):
+    """Each candidate key gets a unique salt: the admission filter stops
+    seeing collisions while the true keys still collide."""
+    salt = count()
+
+    def salted(atoms, aliases):
+        chunk = orig(atoms, aliases)
+        return ActionChunk(chunk.atoms, f"{chunk.norm_key}#{next(salt)}")
+    return salted
+
+
+# kind -> (module, attribute, wrapper, the criteria that must FAIL under it);
+# ``inject`` wraps the original afresh in each block, restarting its counters
+FAULTS = {
+    "backup": (search_mod, "backpropagate",
+               lambda orig: _smudge(orig, "q_max", MODES), ("backup_oracle",)),
+    "mean": (search_mod, "backpropagate",
+             lambda orig: _smudge(orig, "q_mean", (MEAN,)), ("backup_oracle",)),
+    "dedup": (expansion_mod, "make_chunk", _salt, ("dedup_law",)),
+}
+
+
 @contextmanager
 def inject(kind: str | None):
-    """Deliberately break one mechanism, leaving its audit trail intact.
-
-    ``backup``: every seventh propagation smudges the root's max statistic
-    after the real update, so the event log no longer explains it.
-    ``mean``: the same smudge on the root's running mean, every seventh
-    mean-backup propagation.
-    ``dedup``: candidate keys get a unique salt, so the admission filter
-    stops seeing collisions while the true keys still collide.
-    """
+    """Deliberately break one mechanism, a row of ``FAULTS``, for the block."""
     if kind is None:
         yield
         return
-    if kind in ("backup", "mean"):
-        stat = "q_max" if kind == "backup" else "q_mean"
-        orig = search_mod.backpropagate
-        calls = count(1)
-
-        def smudged(tree, leaf, value, mode=MAX, *, iteration=0):
-            orig(tree, leaf, value, mode, iteration=iteration)
-            if (kind == "backup" or mode == MEAN) and next(calls) % 7 == 0:
-                rec = tree.nodes[ROOT]
-                q = getattr(rec, stat)
-                if q is not None:
-                    setattr(rec, stat, max(-1.0, q - 0.125))
-
-        search_mod.backpropagate = smudged
-        try:
-            yield
-        finally:
-            search_mod.backpropagate = orig
-    elif kind == "dedup":
-        orig_make = expansion_mod.make_chunk
-        salt = count()
-
-        def salted(atoms, aliases):
-            chunk = orig_make(atoms, aliases)
-            return ActionChunk(chunk.atoms, f"{chunk.norm_key}#{next(salt)}")
-
-        expansion_mod.make_chunk = salted
-        try:
-            yield
-        finally:
-            expansion_mod.make_chunk = orig_make
-    else:
-        raise ValueError(f"unknown fault kind {kind!r} (use one of {FAULT_KINDS})")
+    if kind not in FAULTS:
+        raise ValueError(f"unknown fault kind {kind!r} (use one of {tuple(FAULTS)})")
+    module, attr, wrap, _ = FAULTS[kind]
+    orig = getattr(module, attr)
+    setattr(module, attr, wrap(orig))
+    try:
+        yield
+    finally:
+        setattr(module, attr, orig)
 
 
 # -- the criteria ---------------------------------------------------------------

@@ -4,12 +4,14 @@ each); the shared run is cached module-wide.  Run with ``-s -v`` to stream
 the per-criterion detail lines as they complete.
 """
 import concurrent.futures
+import io
+import re
 import sys
 from dataclasses import replace
 
 import pytest
 
-from alphauct import regret, search, verify
+from alphauct import expansion, regret, search, verify
 from alphauct.backup import MAX, MEAN
 from alphauct.tree import ROOT
 from alphauct.verify import (CRITERION_NAMES, grid_spec, ratio_sweep_spec,
@@ -55,6 +57,32 @@ def test_mean_fault_trips_the_q_mean_audit():
     assert "diverged" in broken.detail
     assert "incremental q_mean" in broken.detail
     assert "!= oracle" in broken.detail
+
+
+def test_an_unknown_fault_kind_runs_no_criterion():
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown fault kind 'nope' (use one of ('backup', 'mean', 'dedup'))")):
+        run_criteria(["selection"], inject_fault="nope", out=out)
+    assert out.getvalue() == ""
+
+
+def _wrappable():
+    return search.backpropagate, expansion.make_chunk
+
+
+@pytest.mark.parametrize("kind", list(verify.FAULTS))
+def test_inject_restores_what_it_wraps(kind):
+    """Whether a fault's block exits normally or by an exception, every
+    attribute a fault kind wraps is its original object again."""
+    before = _wrappable()
+    with verify.inject(kind):
+        assert _wrappable() != before
+    assert all(now is was for now, was in zip(_wrappable(), before))
+    with pytest.raises(RuntimeError, match="body"):
+        with verify.inject(kind):
+            raise RuntimeError("body")
+    assert all(now is was for now, was in zip(_wrappable(), before))
 
 
 def test_backup_oracle_audits_q_mean(monkeypatch):

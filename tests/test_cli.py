@@ -649,6 +649,23 @@ def test_verify_filter_and_fault_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", list(verify.FAULTS))
+def test_each_fault_kind_fails_its_criteria(capsys, kind):
+    """Every row of ``verify.FAULTS`` names known criteria, and under its
+    fault ``verify`` FAILs each of them and exits 1."""
+    *_, fails = verify.FAULTS[kind]
+    assert fails and set(fails) <= set(verify.CRITERION_NAMES), fails
+    argv = ["verify", "--inject-fault", kind]
+    for name in fails:
+        argv += ["--filter", name]
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    n = len(fails)
+    assert sorted(ln.split()[:2] for ln in lines[:n]) == \
+        sorted(["FAIL", name] for name in fails)
+    assert lines[n] == f"0/{n} criteria passed"
+
+
 def test_verify_mean_fault_exits_one(capsys):
     assert run_cli("verify", "--filter", "backup_oracle",
                    "--inject-fault", "mean") == 1

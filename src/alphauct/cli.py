@@ -31,10 +31,10 @@ from .ablation import ABLATION_CONFIG, direction_tests, run_ablation
 from .backup import MODES
 from .envs import NOISE_KINDS, TWO_POINT, BanditSpec, load_fixture
 from .judging import JUDGE_MODES, SimJudgeSpec
+from .lab import efficiency_ratio_experiment, ratio_table
 from .manifest import PACKAGE_VERSION, RunManifest, atomic_write_text, \
     load_manifest, read_json, write_csv, write_json, write_manifest
-from .regret import (ALGO_ALPHA, LOOP_RUNS, bound_for_spec,
-                     efficiency_ratio_experiment, fit_log_regret, ratio_table,
+from .regret import (ALGO_ALPHA, LOOP_RUNS, bound_for_spec, fit_log_regret,
                      run_bandit_experiment)
 from .search import STATE_STRATEGIES, SearchConfig, search_fixture
 from .verify import CRITERION_NAMES, FAULTS, one_best_arm, run_criteria

@@ -1,5 +1,7 @@
-"""Regret laboratory: gap-dependent bounds, a martingale tail check, and
-vectorized bandit simulations for the residual-variance policy family.
+"""Regret laboratory: gap-dependent bounds, vectorized bandit simulations
+for the residual-variance policy family, and the fits of their regret
+curves.  The martingale tail check and the bootstrap ratio CIs, which no
+bandit run needs, are in ``lab``.
 
 The headline quantity is the per-arm bound
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,23 +34,9 @@ ALGO_ALPHA = "alpha"  # the one policy; the ``algo`` arguments accept only it
 # run_bandit_experiment calls in this process, by the step loop they ran
 LOOP_RUNS: Counter[str] = Counter()
 GRID_POINTS = 512  # checkpoints of ``default_grid``
-N_BOOT = 2000  # bootstrap resamples behind every ratio CI
 
 
 # -- closed-form pieces -------------------------------------------------------
-
-
-def freedman_radius(n: int, sigma2: float, delta: float) -> float:
-    """Bernstein-style confidence radius at sample size n:
-    sqrt(2*sigma2*ln(1/delta)/n) + 2*ln(1/delta)/(3*n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be >= 0")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must be in (0, 1]")
-    log_term = math.log(1.0 / delta)
-    return math.sqrt(2.0 * sigma2 * log_term / n) + 2.0 * log_term / (3.0 * n)
 
 
 class PerArmBound(NamedTuple):
@@ -97,76 +84,6 @@ def theorem1_bound(gaps: Iterable[float], sigma_res2: float,
 
 def bound_for_spec(spec: BanditSpec, horizon: int) -> BoundReport:
     return theorem1_bound(spec.gaps, spec.residual_var, horizon)
-
-
-# -- martingale tail check ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MdsSpec:
-    """Bounded martingale-difference generator: a predictable two-regime
-    walk d = +-scale_now, where the next step uses ``scale_hi`` while the
-    running sum is negative and ``scale`` otherwise, so the quadratic
-    variation V_n varies across trials.  With ``scale_hi == scale`` it is
-    the plain +-scale walk.
-    """
-
-    scale: float
-    scale_hi: float
-
-    def __post_init__(self):
-        for name in ("scale", "scale_hi"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
-
-
-class FreedmanCell(NamedTuple):
-    epsilon: float
-    v_cap: float
-    n: int
-    trials: int
-    rate: float
-    bound: float
-
-    @property
-    def binom_std(self) -> float:
-        return math.sqrt(self.bound * (1.0 - self.bound) / self.trials)
-
-
-def freedman_tail_bound(epsilon: float, v_cap: float) -> float:
-    """exp(-eps^2 / (2*v + 2*eps/3)) for the event {S_n >= eps, V_n <= v}."""
-    if epsilon <= 0 or v_cap <= 0:
-        raise ValueError("epsilon and v_cap must be > 0")
-    return math.exp(-epsilon ** 2 / (2.0 * v_cap + 2.0 * epsilon / 3.0))
-
-
-def freedman_empirical_check(mds: MdsSpec, n: int,
-                             epsilons: Sequence[float],
-                             v_caps: Sequence[float],
-                             trials: int) -> list[FreedmanCell]:
-    """Monte-Carlo hit rates of {S_n >= eps and V_n <= v} for the generator,
-    one ``FreedmanCell`` per (eps, v) pair, epsilon-major: the cells of
-    ``epsilons[0]`` first, each in ``v_caps`` order.
-
-    Every cell thresholds the final (S_n, V_n) of the same ``trials`` walks,
-    one sample simulated once, so the cells are correlated: they are not
-    independent tests of the bound."""
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be >= 1")
-    rng = derive_rng(0, "freedman", n).generator()
-    s = np.zeros(trials)
-    v = np.zeros(trials)
-    for _ in range(n):
-        scale = np.where(s < 0.0, mds.scale_hi, mds.scale)
-        d = scale * np.where(rng.random(trials) >= 0.5, 1.0, -1.0)
-        s += d
-        v += scale ** 2
-    return [FreedmanCell(epsilon=eps, v_cap=cap, n=n, trials=trials,
-                         rate=float(np.mean((s >= eps) & (v <= cap))),
-                         bound=freedman_tail_bound(eps, cap))
-            for eps in epsilons for cap in v_caps]
 
 
 # -- bandit simulation --------------------------------------------------------
@@ -300,7 +217,7 @@ def simulate_policy_scalar(spec: BanditSpec, algo: str, horizon: int,
     return out
 
 
-# -- fits and ratios ----------------------------------------------------------
+# -- fits --------------------------------------------------------------------
 
 
 class LogFit(NamedTuple):
@@ -359,77 +276,3 @@ def per_seed_log_slopes(curve: RegretCurve) -> np.ndarray:
     x = np.log(t)
     xc = x - x.mean()
     return (xc @ curve.per_seed[mask]) / float(xc @ x)
-
-
-def _ratio_ci(num: np.ndarray, den: np.ndarray, rng) -> tuple[float, float]:
-    """Percentile 95 % CI of ``mean(num) / mean(den)`` over ``N_BOOT``
-    independent bootstrap resamples of the two arrays."""
-    ni = rng.integers(0, len(num), size=(N_BOOT, len(num)))
-    di = rng.integers(0, len(den), size=(N_BOOT, len(den)))
-    boots = num[ni].mean(axis=1) / den[di].mean(axis=1)
-    return float(np.percentile(boots, 2.5)), float(np.percentile(boots, 97.5))
-
-
-class SlopeRatio(NamedTuple):
-    ratio: float
-    ci_lo: float
-    ci_hi: float
-    n_seeds: int
-
-
-def slope_ratio_ci(num: RegretCurve, den: RegretCurve) -> SlopeRatio:
-    """Ratio of fitted tail slopes with a percentile bootstrap CI over seeds
-    (independent resamples for numerator and denominator)."""
-    sn = per_seed_log_slopes(num)
-    sd = per_seed_log_slopes(den)
-    lo, hi = _ratio_ci(sn, sd, derive_rng(0, "slope-boot").generator())
-    return SlopeRatio(ratio=float(sn.mean() / sd.mean()), ci_lo=lo, ci_hi=hi,
-                      n_seeds=len(sn))
-
-
-class RatioPoint(NamedTuple):
-    rho: float
-    ratio: float
-    ci_lo: float
-    ci_hi: float
-    mean_regret: float
-    base_mean_regret: float
-    n_seeds: int
-
-
-def ratio_table(points: Iterable[RatioPoint]) -> tuple[list[str], list]:
-    """``ratios.csv``'s header (``RatioPoint``'s fields) and rows."""
-    return list(RatioPoint._fields), [tuple(p) for p in points]
-
-
-def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
-                                horizon: int,
-                                n_seeds: int) -> list[RatioPoint]:
-    """Final-regret ratio of the residual-variance policy at each rho against
-    the blind (rho = 1) baseline of the same family.
-
-    The rho = 1 grid entry reuses the baseline runs seed-for-seed, so its
-    ratio is exactly 1 by construction.  CIs are independent percentile
-    bootstraps over seeds.
-    """
-    if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
-        raise ValueError("rho grid entries must be in [0, 1]")
-    base_spec = replace(spec, rho=1.0)
-    base = run_bandit_experiment(base_spec, ALGO_ALPHA, horizon, n_seeds)
-    base_final = base.final
-    base_mean = float(base_final.mean())
-    points = []
-    for rho in rho_grid:
-        if rho == 1.0:
-            final, lo, hi = base_final, 1.0, 1.0
-        else:
-            final = run_bandit_experiment(replace(spec, rho=rho), ALGO_ALPHA,
-                                          horizon, n_seeds).final
-            lo, hi = _ratio_ci(final, base_final,
-                               derive_rng(0, "ratio-boot",
-                                          int(round(rho * 1e6))).generator())
-        ratio = float(final.mean()) / base_mean
-        points.append(RatioPoint(rho=float(rho), ratio=ratio, ci_lo=lo,
-                                 ci_hi=hi, mean_regret=float(final.mean()),
-                                 base_mean_regret=base_mean, n_seeds=n_seeds))
-    return points

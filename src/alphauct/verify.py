@@ -31,11 +31,12 @@ from .envs import (UNIFORM, BanditSpec, builtin_fixtures, load_fixture,
                    parse_fixture)
 from .expansion import admit_candidates, chunk_key
 from .judging import COMPARATIVE, INDEPENDENT, SimJudgeSpec
+from .lab import (MdsSpec, SlopeRatio, efficiency_ratio_experiment,
+                  freedman_empirical_check, freedman_radius, ratio_table,
+                  slope_ratio_ci)
 from .manifest import write_csv
-from .regret import (ALGO_ALPHA, MdsSpec, RegretCurve, SlopeRatio,
-                     bound_for_spec, efficiency_ratio_experiment,
-                     fit_log_regret, freedman_empirical_check, freedman_radius,
-                     ratio_table, run_bandit_experiment, slope_ratio_ci)
+from .regret import (ALGO_ALPHA, RegretCurve, bound_for_spec, fit_log_regret,
+                     run_bandit_experiment)
 from .search import SearchConfig, search_fixture
 from .selection import select_child, select_path
 from .tree import ROOT, ActionChunk, SearchTree

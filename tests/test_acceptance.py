@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from alphauct import expansion, regret, search, verify
+from alphauct import expansion, lab, regret, search, verify
 from alphauct.backup import MAX, MEAN
 from alphauct.tree import ROOT
 from alphauct.verify import (CRITERION_NAMES, grid_spec, ratio_sweep_spec,
@@ -105,7 +105,7 @@ def test_freedman_names_its_first_failing_cell(monkeypatch):
     """A bound the walks beat fails the criterion at the first such cell in
     epsilon-major order, with that cell's rate (recorded when every cell
     simulated its own walks)."""
-    monkeypatch.setattr(regret, "freedman_tail_bound",
+    monkeypatch.setattr(lab, "freedman_tail_bound",
                         lambda eps, v: 0.5 if (eps, v) == (2.0, 7.0) else 0.01)
     res = run_criteria(["regret_freedman"])[0]
     assert not res.passed

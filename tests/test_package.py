@@ -1,21 +1,25 @@
-"""What ``import alphauct`` loads: the search core and the regret lab, and
-none of the acceptance suite, the run artifacts, the compiled step loop,
-the command line, ``concurrent.futures`` (loaded only for a thread pool)
-or ``statistics`` (loaded on the first normal draw); no dataclass but the
-validated specs; and no module of the package or its scripts imports a name
-it never uses."""
+"""What ``import alphauct`` loads: the search core and the bandit runs and
+fits, and none of the acceptance suite, the Freedman check and ratio CIs,
+the fixture parser (loaded on the first fixture load), the run artifacts,
+the compiled step loop, the command line, ``concurrent.futures`` (loaded
+only for a thread pool) or ``statistics`` (loaded on the first normal
+draw); no dataclass but the validated specs; and no module of the package
+or its scripts imports a name it never uses."""
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import alphauct
 
 SRC = Path(alphauct.__file__).resolve().parents[1]
 NOT_AT_IMPORT = ("alphauct.verify", "alphauct.ablation", "alphauct.manifest",
-                 "alphauct.kernel", "alphauct.cli", "concurrent.futures",
-                 "statistics")
+                 "alphauct.kernel", "alphauct.cli", "alphauct.fixture",
+                 "alphauct.lab", "concurrent.futures", "statistics")
 
 
 def _fresh(code: str, timeout: int = 60) -> list[str]:
@@ -35,9 +39,27 @@ def test_import_loads_no_suite_manifest_kernel_or_cli():
     assert _fresh(code) == []
 
 
+def test_a_bandit_run_loads_no_lab_and_a_fixture_load_loads_the_parser():
+    """A bandit run with its analysis (perfbench's bandit operation) loads
+    neither ``fixture`` nor ``lab``; the first ``load_fixture`` loads
+    ``fixture``.  Run in a fresh interpreter, as above."""
+    code = ("import sys\n"
+            "from alphauct import envs, regret\n"
+            "spec = envs.BanditSpec(means=(0.6, 0.4), sigma_x2=0.05)\n"
+            "curve = regret.run_bandit_experiment(spec, 'alpha', 50, 2)\n"
+            "regret.bound_for_spec(spec, 50)\n"
+            "regret.fit_log_regret(curve)\n"
+            "regret.per_seed_log_slopes(curve)\n"
+            "new = ('alphauct.fixture', 'alphauct.lab')\n"
+            "print(*[m in sys.modules for m in new])\n"
+            "envs.load_fixture('trap3')\n"
+            "print(*[m in sys.modules for m in new])\n")
+    assert _fresh(code, timeout=120) == ["False", "False", "True", "False"]
+
+
 VALIDATED_SPECS = ("envs.BanditSpec", "envs.GuiGraphSpec",
                    "envs.ProposerParams", "judging.SimJudgeSpec",
-                   "regret.MdsSpec", "search.SearchConfig")
+                   "search.SearchConfig")
 
 
 def test_import_builds_only_the_validated_specs_as_dataclasses():
@@ -53,6 +75,16 @@ def test_import_builds_only_the_validated_specs_as_dataclasses():
             "                    and value.__module__ == name):\n"
             "                print(name.removeprefix('alphauct.') + '.' + key)\n")
     assert sorted(_fresh(code)) == sorted(VALIDATED_SPECS)
+
+
+def test_lab_mds_spec_checks_itself_on_replace():
+    """``lab.MdsSpec``, the one validated spec not built at import, stays a
+    dataclass whose check runs again on ``dataclasses.replace``."""
+    from alphauct.lab import MdsSpec
+    mds = MdsSpec(scale=0.08, scale_hi=0.12)
+    assert dataclasses.replace(mds, scale_hi=0.2) == MdsSpec(0.08, 0.2)
+    with pytest.raises(ValueError, match="scale_hi must be finite and > 0"):
+        dataclasses.replace(mds, scale_hi=0.0)
 
 
 def test_one_version_string():
@@ -96,10 +128,11 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
-def test_kernel_imports_nothing_from_regret():
-    """``regret`` imports ``kernel`` on its first bandit run; an import of
-    ``regret`` in ``kernel``, at any level, would make the two a cycle."""
-    tree = ast.parse((SRC / "alphauct" / "kernel.py").read_text())
+def _imported_names(module: str) -> list[str]:
+    """Every ``module.name`` an import statement of ``module`` names, at
+    any level: ``from .envs import BanditSpec`` gives ``envs.BanditSpec``
+    and ``from . import regret`` gives ``.regret``."""
+    tree = ast.parse((SRC / "alphauct" / f"{module}.py").read_text())
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -107,8 +140,25 @@ def test_kernel_imports_nothing_from_regret():
         elif isinstance(node, ast.ImportFrom):
             names += [f"{node.module or ''}.{alias.name}"
                       for alias in node.names]
+    return names
+
+
+def test_kernel_imports_nothing_from_regret():
+    """``regret`` imports ``kernel`` on its first bandit run, and ``lab``
+    imports ``regret``; an import of either in ``kernel``, at any level,
+    would make a cycle."""
+    names = _imported_names("kernel")
     assert "envs.BanditSpec" in names
-    assert [n for n in names if "regret" in n.split(".")] == []
+    assert [n for n in names if {"regret", "lab"} & set(n.split("."))] == []
+
+
+def test_regret_imports_nothing_from_lab():
+    """``lab`` imports ``regret``; the reverse would make a cycle, and load
+    ``lab`` with every ``import alphauct``."""
+    names = _imported_names("regret")
+    assert "envs.BanditSpec" in names
+    assert [n for n in names if "lab" in n.split(".")] == []
+    assert ".regret" in _imported_names("lab")
 
 
 def test_a_fresh_package_import_does_not_rerun_kernel():

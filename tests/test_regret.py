@@ -22,12 +22,12 @@ from hypothesis import example, given, settings, strategies as st
 from alphauct import kernel as ucb
 from alphauct import regret
 from alphauct.envs import NOISE_KINDS, BanditSpec
-from alphauct.regret import (ALGO_ALPHA, MdsSpec, RegretCurve, bound_for_spec,
-                             default_grid, efficiency_ratio_experiment,
-                             fit_log_regret, freedman_empirical_check,
-                             freedman_radius, freedman_tail_bound,
-                             per_seed_log_slopes, run_bandit_experiment,
-                             simulate_policy_scalar, slope_ratio_ci,
+from alphauct.lab import (MdsSpec, efficiency_ratio_experiment,
+                          freedman_empirical_check, freedman_radius,
+                          freedman_tail_bound, slope_ratio_ci)
+from alphauct.regret import (ALGO_ALPHA, RegretCurve, bound_for_spec,
+                             default_grid, fit_log_regret, per_seed_log_slopes,
+                             run_bandit_experiment, simulate_policy_scalar,
                              theorem1_bound)
 from alphauct.rng import derive_rng
 from alphauct.verify import grid_spec, ratio_sweep_spec

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphauct.rng import derive_rng, pcg64_rows
+from alphauct.kernel import pcg64_rows
+from alphauct.rng import derive_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -50,14 +50,19 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # (spec, horizon, seeds) of the runs a fresh build must reproduce bit for
-# bit, with checkpoints at every step and blocks that end inside a run.  In
-# the first, rewards are exact binary fractions, so arms of different means
-# often tie exactly on the index and the tie rule shows in the regret.
+# bit, with checkpoints at every step and blocks that end inside a run, so
+# each runs its first block dense and the rest lazily.  In the first and
+# the last, rewards are exact binary fractions, so arms of different means
+# often tie exactly on the index and the tie rule shows in the regret.  The
+# last has more seeds than a dense group of ``_ucb.c`` (GROUP, 4), and not a
+# multiple of it, so it steps full groups and a shorter last one.
 CHECK_RUNS = (
     (BanditSpec(means=(0.75, 0.25, 0.5), sigma_x2=0.0625, noise="two_point"),
      300, 4),
     (BanditSpec(means=(0.6, 0.5, 0.45), sigma_x2=0.05, rho=0.5,
                 noise="uniform"), 300, 3),
+    (BanditSpec(means=(0.5, 0.75, 0.25, 0.5, 0.25), sigma_x2=0.0625,
+                noise="two_point"), 300, 11),
 )
 CHECK_BLOCK = 64
 
@@ -86,10 +91,10 @@ LAZY_CASES = {
 # A run of fewer seed-steps runs in one thread.  Starting a pool thread,
 # running a trivial job on it and joining it took 0.3 ms in the median
 # (quartiles 0.16-0.53 ms over 600; 16 ms at worst) on a 2-vCPU VM with numpy
-# loaded.  The kernel does 100-140M seed-steps/s per thread at K = 10, gap
-# 0.1, T = 100k and 60-83M at T = 20k (50 and 1000 seeds, medians of runs
-# minutes apart on a VM whose speed drifts), so a shard of this size runs
-# 14-33 ms and its thread costs 1-2 % of it in the median; no
+# loaded.  The kernel does about 190M seed-steps/s per thread at K = 10,
+# gap 0.1, T = 100k and 110M at T = 20k (50 and 1000 seeds, medians of nine
+# one-thread runs on a VM whose speed drifts), so a shard of this size runs
+# 11-18 ms and its thread costs 2-3 % of it in the median; no
 # unit-test-sized run starts a thread.
 SHARD_MIN_SEED_STEPS = 2_000_000
 
@@ -111,7 +116,10 @@ class Simulation(NamedTuple):
     per_seed: np.ndarray  # regret at each checkpoint, (len(t_grid), n_seeds)
     state: np.ndarray  # the four slabs: sum, count, inv, mean per cell
     pcg: np.ndarray  # each seed's PCG64 row after its last draw
-    full_steps: int  # seed-steps that computed all K indices
+    # seed-steps that computed all K indices: every post-forced step of a
+    # block that starts at or before step K, which runs dense, and the
+    # full steps of the lazy blocks after it (``NUMPY``: every one)
+    full_steps: int
 
 
 def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
@@ -123,12 +131,15 @@ def simulate(spec: BanditSpec, horizon: int, t_grid: tuple[int, ...],
 
     One ``lib.ucb_run`` call per shard (below) runs ``block`` steps per
     ``ucb_block`` call, drawing each step's pull noise from the seed's own
-    PCG64 stream; the block size is physical only.  Each (seed, arm) cell
-    keeps its reward sum, pull count, ``inv = 1/count`` and ``mean = sum *
-    inv`` in four ``n_seeds * K`` slabs of one array, ``state``.  Each
-    seed's stream state is a row of four uint64 words (see ``_pcg_row``) in
-    ``pcg``, which ends holding the seed's state after its last draw.  One
-    ``pcg64_rows`` call sets up every row, as the seed's
+    PCG64 stream; the block size is physical only.  In the kernel a block
+    that starts at or before step K runs dense, every post-forced step a
+    full step, step-major over small groups of seeds; later blocks compute
+    all K indices only after a change of leader (see ``_ucb.c``).  Each
+    (seed, arm) cell keeps its reward sum, pull count, ``inv = 1/count``
+    and ``mean = sum * inv`` in four ``n_seeds * K`` slabs of one array,
+    ``state``.  Each seed's stream state is a row of four uint64 words (see
+    ``_pcg_row``) in ``pcg``, which ends holding the seed's state after its
+    last draw.  One ``pcg64_rows`` call sets up every row, as the seed's
     ``derive_rng(0, "pull-noise", sd).generator()`` would start.  Arrays
     too large to allocate, the shards' ``ct`` tables among them, raise a
     ``ValueError`` naming the run's size and ``block`` before any shard

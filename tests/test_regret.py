@@ -13,6 +13,7 @@ import sys
 import threading
 import warnings
 from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -591,11 +592,16 @@ def bandit_runs(draw):
             seed_lo + draw(st.integers(1, 16)))
 
 
+# The random-run gate's explicit run: 16 seeds of exact binary rewards in
+# 2-step blocks (see test_random_runs_agree_bit_for_bit).
+EXPLICIT_RUN = (BanditSpec(means=(0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.25, 0.5),
+                           sigma_x2=0.0625), 200, (1, 3, 8, 9, 100, 200), 2,
+                -4, 12)
+
+
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(run=bandit_runs())
-@example(run=(BanditSpec(means=(0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.25, 0.5),
-                         sigma_x2=0.0625), 200, (1, 3, 8, 9, 100, 200), 2,
-              -4, 12))
+@example(run=EXPLICIT_RUN)
 def test_random_runs_agree_bit_for_bit(kernel, portable, run):
     """On random runs both kernel builds (SSE2 and portable) leave
     ``kernel.NUMPY``'s curve, final slabs and final PCG64 rows bit for bit,
@@ -647,6 +653,36 @@ def test_each_seed_ends_at_its_numpy_generators_state(kernel, spec):
             assert got == want, (seed_lo, seed_hi)
 
 
+@pytest.mark.parametrize("n_seeds", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+def test_the_first_block_runs_dense(kernel, noise, n_seeds):
+    """A block that starts at or before step K runs every step past K as a
+    full step, step-major over groups of seeds: a one-block run takes
+    n_seeds * (n - K) full steps.  For seed counts below, at and past a
+    multiple of the group size and blocks of 1, K - 1, K, K + 1 and 2048
+    steps (so one or two dense blocks hand off to lazy ones), the kernel
+    leaves ``NUMPY``'s curve, slabs and PCG64 rows, with checkpoints inside
+    the dense blocks and after them."""
+    if kernel is None:
+        pytest.skip("no C compiler")
+    spec = small_spec(means=(0.5, 0.6, 0.45, 0.55, 0.4), sigma_x2=0.05,
+                      noise=noise)
+    k = spec.k
+    one = ucb.simulate(spec, 300, (300,), 300, 0, n_seeds, kernel)
+    assert one.full_steps == n_seeds * (300 - k)
+    for block in (1, k - 1, k, k + 1, 2048):
+        horizon = block + 60
+        grid = tuple(sorted({1, 2, k - 1, k, k + 1, k + 2, 40, block,
+                             block + 1, horizon}))
+
+        def simulate(lib):
+            run = ucb.simulate(spec, horizon, grid, block, 3, 3 + n_seeds,
+                               lib)
+            return [a.tobytes() for a in (run.per_seed, run.state, run.pcg)]
+
+        assert simulate(kernel) == simulate(ucb.NUMPY), block
+
+
 @pytest.mark.parametrize("case", sorted(ucb.LAZY_CASES))
 def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
     """On each hand-built block ``NUMPY.ucb_block`` pulls the arms the case
@@ -666,7 +702,9 @@ def test_lazy_index_keeps_the_first_maximum_rule(kernel, case):
 def test_most_steps_skip_the_full_index(kernel):
     """Between changes of leader the kernel computes only the leader's
     index: at K = 10, gap 0.1, sigma2 0.05 and T = 100k, under 10 % of all
-    steps take the full K-way path (3.9 % when this was written)."""
+    steps take the full K-way path (5.03 % when this was written, 3.05 %
+    past the dense first block, whose 2,038 post-forced steps a seed are
+    all full)."""
     if kernel is None:
         pytest.skip("no C compiler")
     horizon, n_seeds = 100_000, 20
@@ -680,16 +718,21 @@ def test_windows_grow_while_the_leader_holds(kernel):
     """A window that runs out with the leader kept doubles the next one (up
     to 256 steps), so where the leader rarely changes most full steps that
     remain are changes of leader, not window expiries: at K = 2, gap 0.1,
-    sigma2 0.05 and T = 100k, fewer than one post-forced step in 32 takes
-    the full path, which fixed 32-step windows could not do (3.49 % with
-    them, 1.25 % when this was written)."""
+    sigma2 0.05 and T = 100k, fewer than one step in 32 past the first
+    block takes the full path, which fixed 32-step windows could not do
+    (3.49 % of the post-forced steps with them).  Every post-forced step
+    of the first block is full, since that block runs dense (see
+    ``test_the_first_block_runs_dense``), so the count leaves that block
+    out: 0.94 % past it when this was written, against 2.97 % of all
+    post-forced steps."""
     if kernel is None:
         pytest.skip("no C compiler")
-    k, horizon, n_seeds = 2, 100_000, 20
+    k, horizon, n_seeds, block = 2, 100_000, 20, 2048
     full = ucb.simulate(grid_spec(k, 0.1, 0.05), horizon,
-                        default_grid(horizon), 2048, 0, n_seeds,
+                        default_grid(horizon), block, 0, n_seeds,
                         kernel).full_steps
-    assert 0 < full < (horizon - k) * n_seeds / 32
+    lazy = full - n_seeds * (block - k)
+    assert 0 < lazy < (horizon - block) * n_seeds / 32
 
 
 def cold_cache(monkeypatch, tmp_path, **patch):
@@ -764,15 +807,57 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+# Run in a fresh interpreter on the UBSan build at argv[1]: the build check,
+# then EXPLICIT_RUN (argv[2], as a literal) against NUMPY.
+UBSAN_SCRIPT = """
+import ast, ctypes, sys
+from alphauct import kernel as ucb
+from alphauct.envs import BanditSpec
+lib = ucb.bind(ctypes.CDLL(sys.argv[1]))
+means, sigma_x2, *run = ast.literal_eval(sys.argv[2])
+spec = BanditSpec(means=means, sigma_x2=sigma_x2)
+got, ref = (ucb.simulate(spec, *run, x) for x in (lib, ucb.NUMPY))
+print(ucb.agrees_with_numpy(lib),
+      all(getattr(got, f).tobytes() == getattr(ref, f).tobytes()
+          for f in ("per_seed", "state", "pcg")))
+"""
+
+
+def test_the_kernel_has_no_undefined_behaviour(tmp_path):
+    """Built with ``-fsanitize=undefined,bounds -fno-sanitize-recover=all``,
+    which aborts the process at the first undefined operation (an index
+    past a local array such as a dense group's, a shift past the word, a
+    signed overflow), the kernel passes the build check and agrees with
+    ``NUMPY`` on the random-run gate's explicit run, in a subprocess.
+    Skipped only where the compiler cannot build that library."""
+    if shutil.which(ucb.CC[0]) is None:
+        pytest.skip("no C compiler")
+    lib = tmp_path / "ucb.so"
+    res = subprocess.run([*ucb.CC, "-fsanitize=undefined,bounds",
+                          "-fno-sanitize-recover=all", "-o", str(lib),
+                          str(ucb.SOURCE), "-lm"], stdin=subprocess.DEVNULL,
+                         capture_output=True, text=True, timeout=120)
+    if res.returncode != 0:
+        pytest.skip(f"cc cannot build with UBSan: {res.stderr[-200:]}")
+    spec, *run = EXPLICIT_RUN
+    path = [str(Path(ucb.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    res = subprocess.run([sys.executable, "-c", UBSAN_SCRIPT, str(lib),
+                          repr((spec.means, spec.sigma_x2, *run))], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (0, "True True\n"), res.stderr
+
+
 @pytest.mark.parametrize("right, wrong", [
     ("if (v > best)", "if (v >= best)"),  # a tie in the full index
     ("lo < v", "lo <= v"),  # a tie with a bound below the leader
     ("(w >> 11)", "(w >> 12)"),  # the uniform's bits
     ("*state >> 122", "*state >> 121"),  # the XSL-RR rotation
     ("p[0] = (uint64_t)state; p[1] = (uint64_t)(state >> 64);", ""),
-    ("/* the held leader, before the pass */\n                put(",
+    ("/* the held leader, before the pass */\n            put(",
      "if (0) put("),
-    ("/* the held leader, at the block's end */\n            put(",
+    ("/* the held leader, at the block's end */\n        put(",
      "if (0) put("),
     ("ucb_log_table(scale, t0, n, ct);", "ucb_log_table(scale, 0, n, ct);"),
     ("gi = got;", "gi = 0;"),
@@ -781,11 +866,17 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
     ("int64_t forced = k - t0 < n ? k - t0 : n;",
      "int64_t forced = k - t0 - 1 < n ? k - t0 - 1 : n;"),
     ("*due = ++*g < n_grid ? grid[*g] - t0 - 1 : -1;", "++*g;"),
-    ("if (!(ct[b] <= c_end))\n                        break;", ""),
+    ("if (!(ct[b] <= c_end))\n                    break;", ""),
+    ("int take = v > best;", "int take = v >= best;"),  # the dense tie
+    ("p[0] = (uint64_t)state[i];\n            "
+     "p[1] = (uint64_t)(state[i] >> 64);", ""),
+    ("due = ++g < n_grid ? grid[g] - t0 - 1 : -1;",
+     "due = g < n_grid ? grid[g] - t0 - 1 : -1;"),
 ], ids=["full_tie", "lazy_tie", "output_shift", "rotation", "no_write_back",
         "no_flush_on_change", "no_flush_at_block_end", "ln_from_step_1",
         "index_from_0", "full_last_block", "forced_short", "stale_due",
-        "no_c_end_exit"])
+        "no_c_end_exit", "dense_tie", "no_dense_write_back",
+        "dense_stale_due"])
 def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
                                                  wrong):
     """A build whose tie rule, noise stream, slab updates, forced steps,
@@ -796,7 +887,10 @@ def test_a_kernel_that_disagrees_is_never_cached(monkeypatch, tmp_path, right,
     ``c_t_above_c_end``); a state or held leader not written back after a
     block, and a ``ucb_run`` that fills the ln table from step 1, restarts
     the checkpoint index or runs the last, shorter block in full, show
-    because ``CHECK_RUNS`` cross five ``CHECK_BLOCK``-step blocks."""
+    because ``CHECK_RUNS`` cross five ``CHECK_BLOCK``-step blocks.  The
+    dense first block's tie rule, its stream write-back and its checkpoint
+    index show on ``CHECK_RUNS`` too, whose exact binary rewards tie in
+    that block and whose dense blocks hand off to lazy ones."""
     if shutil.which(ucb.CC[0]) is None:
         pytest.skip("no C compiler")
     src = ucb.SOURCE.read_text()

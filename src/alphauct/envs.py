@@ -12,6 +12,12 @@ positioning strategy relies on.  Each screen's proposal table (the policy's
 canonical ids, weights, running weight sums and surface spellings) is built
 once, with the spec.
 
+No spec here is a dataclass.  ``GuiGraphSpec`` is a frozen ``__slots__``
+class; ``ProposerParams`` and ``BanditSpec`` are checked named tuples
+(``tree.CheckedTuple``), whose constructor, ``_make`` and ``_replace`` all
+run the check, and which iterate, index and compare equal like plain
+tuples.
+
 Fixture files are plain text, parsed and checked by ``parse_fixture``,
 which loads the parser, ``fixture`` (the file format is in its
 docstring), on its first call.
@@ -19,7 +25,6 @@ docstring), on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -27,6 +32,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .expansion import normalize_action
+from .tree import CheckedTuple
 
 TERMINAL_NONE = "none"
 TERMINAL_SUCCESS = "success"
@@ -54,16 +60,22 @@ class ProposalTable(NamedTuple):
     surfaces: tuple[tuple[str, ...], ...]  # ``surfaces_of`` per canonical
 
 
-@dataclass(frozen=True)
-class ProposerParams:
-    """The scripted proposer's knobs (see ``proposer``): a fixture's
-    ``[proposer]`` section sets them and a search may override them."""
-
+class _ProposerFields(NamedTuple):
     duplicate_rate: float = 0.0  # chance a draw repeats an earlier draw
     reflection_gain: float = 1.0  # weight multiplier per unit of boost
     infeasible_after: int = 0  # declare infeasible past this iteration; 0 = never
 
-    def __post_init__(self):
+
+class ProposerParams(CheckedTuple, _ProposerFields):
+    """The scripted proposer's knobs (see ``proposer``): a fixture's
+    ``[proposer]`` section sets them and a search may override them.  A
+    checked named tuple: the constructor, ``_make`` and ``_replace`` all
+    reject a value out of range."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError("duplicate_rate must be in [0, 1]")
         gain = self.reflection_gain
@@ -74,13 +86,19 @@ class ProposerParams:
                              f"got {self.infeasible_after!r}")
         if not self.infeasible_after >= 0:
             raise ValueError("infeasible_after must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
 class GuiGraphSpec:
     """A checked screen graph and its derived tables.  ``parse_fixture``
-    builds and checks every spec; ``__post_init__`` only builds the tables
-    that stepping and proposing read."""
+    builds and checks every spec; the constructor only stores the fields
+    and builds the tables that stepping and proposing read.  Immutable:
+    assigning or deleting an attribute raises ``AttributeError``.  Two
+    specs compare equal only if they are the same object."""
+
+    _FIELDS = ("screens", "start", "goals", "traps", "edges", "aliases",
+               "resolver", "values", "instruction", "policy", "proposer")
+    __slots__ = _FIELDS + ("_obs_cache", "_proposals")
 
     screens: tuple[str, ...]
     start: str
@@ -90,13 +108,30 @@ class GuiGraphSpec:
     aliases: Mapping[str, tuple[str, ...]]  # canonical -> surface spellings
     resolver: Mapping[str, str]  # spelling or its lexical key -> canonical
     values: Mapping[str, float]
-    instruction: str = "reach the goal screen"
-    policy: Mapping[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
-    proposer: ProposerParams = ProposerParams()
+    instruction: str
+    policy: Mapping[str, tuple[tuple[str, float], ...]]
+    proposer: ProposerParams
 
-    def __post_init__(self):
+    def __init__(self, screens, start, goals, traps, edges, aliases, resolver,
+                 values, instruction, policy, proposer):
+        fields = (screens, start, goals, traps, edges, aliases, resolver,
+                  values, instruction, policy, proposer)
+        for name, value in zip(self._FIELDS, fields):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_obs_cache", self._build_obs())
         object.__setattr__(self, "_proposals", self._build_proposals())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GuiGraphSpec is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GuiGraphSpec is immutable: cannot delete "
+                             f"{name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._FIELDS)
+        return f"GuiGraphSpec({fields})"
 
     # derived tables -------------------------------------------------------
 
@@ -222,8 +257,14 @@ def residual_noise(u, s: float, kind: str):
     return s * math.sqrt(3.0) * (2.0 * u - 1.0)
 
 
-@dataclass(frozen=True)
-class BanditSpec:
+class _BanditFields(NamedTuple):
+    means: tuple[float, ...]
+    sigma_x2: float = 0.0
+    rho: float = 1.0
+    noise: str = TWO_POINT
+
+
+class BanditSpec(CheckedTuple, _BanditFields):
     """K-armed bandit whose pull is the arm mean plus a bounded residual.
 
     rho:       residual fraction in [0, 1]; the share of the blind outcome
@@ -236,14 +277,14 @@ class BanditSpec:
 
     Rewards live in [0, 1] by construction (checked against the noise support
     at the blind rho = 1 width, so tightening rho never violates the bound).
+    A checked named tuple: the constructor, ``_make`` and ``_replace`` all
+    run these checks.
     """
 
-    means: tuple[float, ...]
-    sigma_x2: float = 0.0
-    rho: float = 1.0
-    noise: str = TWO_POINT
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.means:
             raise ValueError("bandit needs at least one arm")
         if not all(math.isfinite(m) for m in self.means):
@@ -264,6 +305,7 @@ class BanditSpec:
             if m - half < 0.0 or m + half > 1.0:
                 raise ValueError(
                     f"arm mean {m} with noise half-width {half:.4f} leaves [0, 1]")
+        return self
 
     @property
     def k(self) -> int:

@@ -5,7 +5,7 @@ from text does not compile it.
 
 Fixture files are plain text, one section per bracketed header::
 
-    [meta]        instruction <free text>
+    [meta]        instruction <free text>   (default: reach the goal screen)
     [screens]     whitespace-separated screen ids
     [start]       single screen id
     [goals]       screen ids            [traps]  screen ids
@@ -27,8 +27,6 @@ no goal screen, or no goal reachable.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
-
 from .envs import FixtureError, GuiGraphSpec, ProposerParams
 from .expansion import lexical_key
 
@@ -41,7 +39,9 @@ def _strip(line: str) -> str:
 
 _SECTIONS = ("meta", "screens", "start", "goals", "traps", "edges", "aliases",
             "values", "policy", "proposer")
-_PROPOSER_TYPES = {f.name: type(f.default) for f in fields(ProposerParams)}
+_DEFAULT_INSTRUCTION = "reach the goal screen"
+_PROPOSER_TYPES = {name: type(default) for name, default
+                   in ProposerParams._field_defaults.items()}
 
 
 def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
@@ -96,7 +96,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
                                   f"got {parts[1]!r}")
             x = int(x)
         try:
-            proposer = replace(proposer, **{key: x})
+            proposer = proposer._replace(**{key: x})
         except ValueError as exc:
             raise err(lineno, str(exc))
 
@@ -236,7 +236,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         screens=tuple(screens), start=start, goals=frozenset(goals),
         traps=frozenset(traps),
         edges=edges, aliases=aliases, resolver=resolver, values=values,
-        instruction=instruction or GuiGraphSpec.instruction,
+        instruction=instruction or _DEFAULT_INSTRUCTION,
         policy={s: tuple(v) for s, v in policy.items()}, proposer=proposer)
     out: dict[str, list[str]] = {}
     for (src, _), dst in edges.items():

@@ -7,7 +7,7 @@ through ``regret.run_bandit_experiment``, looked up at call time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -159,7 +159,7 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
     """
     if not all(0.0 <= rho <= 1.0 for rho in rho_grid):
         raise ValueError("rho grid entries must be in [0, 1]")
-    base_spec = replace(spec, rho=1.0)
+    base_spec = spec._replace(rho=1.0)
     base = regret.run_bandit_experiment(base_spec, regret.ALGO_ALPHA,
                                         horizon, n_seeds)
     base_final = base.final
@@ -170,7 +170,7 @@ def efficiency_ratio_experiment(spec: BanditSpec, rho_grid: Sequence[float],
             final, lo, hi = base_final, 1.0, 1.0
         else:
             final = regret.run_bandit_experiment(
-                replace(spec, rho=rho), regret.ALGO_ALPHA, horizon,
+                spec._replace(rho=rho), regret.ALGO_ALPHA, horizon,
                 n_seeds).final
             lo, hi = _ratio_ci(final, base_final,
                                derive_rng(0, "ratio-boot",

@@ -27,7 +27,6 @@ one-atom proposal by its normalized key before the action is ever played.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import replace
 from itertools import accumulate
 
 from .envs import GuiGraphSpec, ProposerParams
@@ -41,8 +40,10 @@ class TaskInfeasible(RuntimeError):
 def proposer_from_fixture(spec: GuiGraphSpec, seed: int = 0,
                           **overrides) -> "SimProposer":
     """Build the proposer a fixture describes; ``overrides`` replace fields
-    of its ``ProposerParams`` (an unknown name raises ``TypeError``)."""
-    params = replace(spec.proposer, **overrides) if overrides else spec.proposer
+    of its ``ProposerParams`` through ``_replace``, which checks them like
+    the constructor: an unknown name raises ``TypeError``, a value out of
+    range ``ValueError``."""
+    params = spec.proposer._replace(**overrides) if overrides else spec.proposer
     return SimProposer(spec, params, seed)
 
 

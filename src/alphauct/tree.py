@@ -13,10 +13,12 @@ search (``selection.select_path``, ``backup.backpropagate``, the loop in
 ``search``) validate an id once and then index ``nodes`` directly: a valid
 node's children and ancestors are valid ids.  Edges (``ActionChunk``) and
 events (``EvalEvent``) are immutable named tuples, cheap to build by the
-thousand.  A ``NodeRecord`` is mutable: a plain ``__slots__`` class with an
-explicit ``__init__`` (the root's ``action`` is ``None``, each node gets a
-fresh ``children`` list) and a field-by-field repr, so that importing the
-module builds no dataclass.
+thousand; ``CheckedTuple`` makes ``_make`` and ``_replace`` of a checked
+one (``ActionChunk``, ``envs.BanditSpec``, ``envs.ProposerParams``) run
+its constructor's check.  A ``NodeRecord`` is mutable: a plain
+``__slots__`` class with an explicit ``__init__`` (the root's ``action``
+is ``None``, each node gets a fresh ``children`` list) and a
+field-by-field repr, so that importing the module builds no dataclass.
 """
 from __future__ import annotations
 
@@ -38,16 +40,34 @@ class TreeError(ValueError):
     pass
 
 
+class CheckedTuple:
+    """Mixin for a named tuple whose ``__new__`` checks its fields; list it
+    before the ``NamedTuple`` base.  The generated ``_make`` and
+    ``_replace`` build with ``tuple.__new__`` and would skip the check;
+    these go through the constructor, so an unknown ``_replace`` name
+    raises ``TypeError`` and a bad value what the check raises."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
 class _Edge(NamedTuple):
     atoms: tuple[str, ...]
     norm_key: str
 
 
-class ActionChunk(_Edge):
+class ActionChunk(CheckedTuple, _Edge):
     """One tree edge: a short run of primitive actions executed back-to-back.
 
-    An immutable named pair ``(atoms, norm_key)``, checked on construction;
-    expansion builds one per proposed candidate.
+    An immutable named pair ``(atoms, norm_key)``, checked on construction
+    (and by ``_make`` and ``_replace``); expansion builds one per proposed
+    candidate.
     """
 
     __slots__ = ()

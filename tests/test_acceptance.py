@@ -7,7 +7,6 @@ import concurrent.futures
 import io
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -141,7 +140,7 @@ def _grid_runs(seeds_by_k):
             for gap in (0.1, 0.2) for s2 in (0.01, 0.05)]
 
 
-SWEEP_RUNS = [(replace(ratio_sweep_spec(), rho=rho), 200)
+SWEEP_RUNS = [(ratio_sweep_spec()._replace(rho=rho), 200)
               for rho in (1.0, 0.1, 0.25, 0.5)]
 
 

@@ -381,20 +381,25 @@ def test_load_fixture_unknown_name():
 # -- bandits -------------------------------------------------------------------
 
 
-def test_bandit_spec_validation():
-    with pytest.raises(ValueError):
-        BanditSpec(means=())
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.5, 0.5))  # no unique best arm
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), rho=1.5)
-    with pytest.raises(ValueError):
-        # 0.9 +- sqrt(0.04) = [0.7, 1.1] leaves the unit interval
-        BanditSpec(means=(0.9, 0.4), sigma_x2=0.04)
-    # uniform support is sqrt(3) wider than two-point at equal variance
-    BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="two_point")
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.8, 0.4), sigma_x2=0.04, noise="uniform")
+BANDIT = BanditSpec(means=(0.6, 0.4))  # every other field at its default
+
+
+def test_bandit_spec_validation(routes):
+    for build in routes:
+        with pytest.raises(ValueError):
+            build(BANDIT, means=())
+        with pytest.raises(ValueError):
+            build(BANDIT, means=(0.5, 0.5))  # no unique best arm
+        with pytest.raises(ValueError):
+            build(BANDIT, rho=1.5)
+        with pytest.raises(ValueError):
+            # 0.9 +- sqrt(0.04) = [0.7, 1.1] leaves the unit interval
+            build(BANDIT, means=(0.9, 0.4), sigma_x2=0.04)
+        # uniform support is sqrt(3) wider than two-point at equal variance
+        spec = build(BANDIT, means=(0.8, 0.4), sigma_x2=0.04)
+        assert type(spec) is BanditSpec and spec.noise == "two_point"
+        with pytest.raises(ValueError):
+            build(BANDIT, means=(0.8, 0.4), sigma_x2=0.04, noise="uniform")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -405,20 +410,22 @@ def test_bandit_spec_validation():
     dict(means=(0.5, math.inf)),
     dict(means=(0.6, -math.inf)),
 ])
-def test_bandit_spec_rejects_non_finite_values(kwargs):
+def test_bandit_spec_rejects_non_finite_values(kwargs, routes):
     """A NaN arm would drop out of ``gaps`` (so the bound ignores it) while
     the regret curve turns NaN; a NaN variance passes every range check."""
-    with pytest.raises(ValueError, match="finite"):
-        BanditSpec(**kwargs)
+    for build in routes:
+        with pytest.raises(ValueError, match="finite"):
+            build(BANDIT, **kwargs)
 
 
-def test_bandit_spec_noise_validation():
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), rho=1.5, sigma_x2=0.04)
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), rho=0.5, sigma_x2=-1.0)
-    with pytest.raises(ValueError):
-        BanditSpec(means=(0.6, 0.4), rho=0.5, sigma_x2=0.04, noise="gaussian")
+def test_bandit_spec_noise_validation(routes):
+    for build in routes:
+        with pytest.raises(ValueError):
+            build(BANDIT, rho=1.5, sigma_x2=0.04)
+        with pytest.raises(ValueError):
+            build(BANDIT, rho=0.5, sigma_x2=-1.0)
+        with pytest.raises(ValueError):
+            build(BANDIT, rho=0.5, sigma_x2=0.04, noise="gaussian")
 
 
 def test_bandit_derived_quantities():

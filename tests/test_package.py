@@ -3,7 +3,8 @@ fits, and none of the acceptance suite, the Freedman check and ratio CIs,
 the fixture parser (loaded on the first fixture load), the run artifacts,
 the compiled step loop, the command line, ``concurrent.futures`` (loaded
 only for a thread pool) or ``statistics`` (loaded on the first normal
-draw); no dataclass but the validated specs; and no module of the package
+draw); no dataclass but the two specs that code outside the package
+replaces; and no module of the package
 or its scripts imports a name it never uses."""
 import ast
 import dataclasses
@@ -57,16 +58,18 @@ def test_a_bandit_run_loads_no_lab_and_a_fixture_load_loads_the_parser():
     assert _fresh(code, timeout=120) == ["False", "False", "True", "False"]
 
 
-VALIDATED_SPECS = ("envs.BanditSpec", "envs.GuiGraphSpec",
-                   "envs.ProposerParams", "judging.SimJudgeSpec",
-                   "search.SearchConfig")
+VALIDATED_SPECS = ("judging.SimJudgeSpec", "search.SearchConfig")
 
 
 def test_import_builds_only_the_validated_specs_as_dataclasses():
     """Each ``@dataclass`` execs its generated methods at import.  Only the
-    specs whose ``__post_init__`` check must run again on every
-    ``dataclasses.replace`` stay dataclasses; a result record is a named
-    tuple.  Run in a fresh interpreter, as above."""
+    two specs that code outside the package (perfbench's self-test,
+    ``scripts/calibrate_trap3.py``) passes to ``dataclasses.replace`` stay
+    dataclasses, so that their ``__post_init__`` check runs again there.
+    ``BanditSpec``, ``ProposerParams`` and ``ActionChunk`` are checked
+    named tuples, a result record is a named tuple, and ``GuiGraphSpec``
+    is a frozen ``__slots__`` class.  Run in a fresh interpreter, as
+    above."""
     code = ("import dataclasses, sys, alphauct\n"
             "for name, mod in sorted(sys.modules.items()):\n"
             "    if name.startswith('alphauct.'):\n"
@@ -75,6 +78,19 @@ def test_import_builds_only_the_validated_specs_as_dataclasses():
             "                    and value.__module__ == name):\n"
             "                print(name.removeprefix('alphauct.') + '.' + key)\n")
     assert sorted(_fresh(code)) == sorted(VALIDATED_SPECS)
+    spec = alphauct.load_fixture("trap3")
+    with pytest.raises(AttributeError):
+        spec.start = "elsewhere"
+    with pytest.raises(AttributeError):
+        del spec.start
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert spec.start != "elsewhere"
+    assert repr(spec).startswith(f"GuiGraphSpec(screens={spec.screens!r}, ")
+    assert repr(alphauct.BanditSpec(means=(0.6, 0.4))) == (
+        "BanditSpec(means=(0.6, 0.4), sigma_x2=0.0, rho=1.0, noise='two_point')")
+    assert repr(spec.proposer) == ("ProposerParams(duplicate_rate=0.0, "
+                                   "reflection_gain=1.0, infeasible_after=0)")
 
 
 def test_lab_mds_spec_checks_itself_on_replace():

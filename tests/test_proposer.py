@@ -93,19 +93,32 @@ def test_infeasible_after_fires_only_past_threshold():
         prop.propose("start", None, 2, iteration=4, leaf=0)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ProposerParams(duplicate_rate=1.0001)
-    with pytest.raises(ValueError):
-        ProposerParams(reflection_gain=-1.0)
-    with pytest.raises(ValueError):
-        ProposerParams(infeasible_after=-1)
-    with pytest.raises(ValueError):  # inf x a zero boost is a NaN weight
-        ProposerParams(reflection_gain=float("inf"))
-    with pytest.raises(ValueError):
-        ProposerParams(infeasible_after=2.5)
-    with pytest.raises(ValueError):
-        ProposerParams(infeasible_after=True)
+def test_spec_validation(routes):
+    base = ProposerParams()
+    for build in routes:
+        with pytest.raises(ValueError):
+            build(base, duplicate_rate=1.0001)
+        with pytest.raises(ValueError):
+            build(base, reflection_gain=-1.0)
+        with pytest.raises(ValueError):
+            build(base, infeasible_after=-1)
+        with pytest.raises(ValueError):  # inf x a zero boost is a NaN weight
+            build(base, reflection_gain=float("inf"))
+        with pytest.raises(ValueError):
+            build(base, infeasible_after=2.5)
+        with pytest.raises(ValueError):
+            build(base, infeasible_after=True)
+
+
+def test_an_unknown_override_name_is_a_type_error():
+    spec = load_fixture("trap3")
+    with pytest.raises(TypeError, match="bogus"):
+        proposer_from_fixture(spec, bogus=1)
+    with pytest.raises(ValueError, match="duplicate_rate"):
+        proposer_from_fixture(spec, duplicate_rate=2.0)
+    prop = proposer_from_fixture(spec, infeasible_after=3)
+    assert prop.params == spec.proposer._replace(infeasible_after=3)
+    assert type(prop.params) is ProposerParams
 
 
 def test_surface_spellings_exercise_normalization():

@@ -30,11 +30,19 @@ def test_ids_are_dense_and_ordered():
     assert t.node(ROOT).children == [1, 2]
 
 
-def test_action_chunk_validation():
-    with pytest.raises(TreeError):
-        ActionChunk((), "x")
-    with pytest.raises(TreeError):
-        ActionChunk(("x",), "")
+def test_action_chunk_validation(routes):
+    base = chunk("a")
+    for build in routes:
+        with pytest.raises(TreeError):
+            build(base, atoms=())
+        with pytest.raises(TreeError):
+            build(base, norm_key="")
+    with pytest.raises(TypeError):
+        base._replace(key="b")
+    with pytest.raises(TypeError):
+        ActionChunk._make([("a",)])
+    assert type(base._replace(norm_key="b")) is ActionChunk
+    assert ActionChunk._make([("a",), "b"]) == ActionChunk(("a",), "b")
     with pytest.raises(TreeError):
         SearchTree().add_child(ROOT, "not-a-chunk", 0.0)  # type: ignore[arg-type]
 

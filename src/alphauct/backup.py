@@ -9,8 +9,7 @@ directly along the parent links, which a valid id's ancestors always are.
 """
 from __future__ import annotations
 
-from .tree import (NO_PARENT, ROOT, EvalEvent, SearchTree, TreeError,
-                   _check_value)
+from .tree import NO_PARENT, EvalEvent, SearchTree, TreeError, _check_value
 
 MAX = "max"
 MEAN = "mean"
@@ -49,8 +48,6 @@ def backpropagate(tree: SearchTree, leaf: int, value: float, mode: str = MAX,
             else:
                 rec.q_mean += (value - rec.q_mean) / rec.visit_count
         nid = rec.parent
-    if path[-1] != ROOT:
-        raise TreeError(f"node {leaf} is not rooted")
     path.reverse()
     tree.events.append(EvalEvent(iteration, leaf, value, tuple(path)))
 

@@ -124,10 +124,8 @@ def default_grid(horizon: int) -> tuple[int, ...]:
     if GRID_POINTS >= horizon:
         return tuple(range(1, horizon + 1))
     raw = np.geomspace(1.0, float(horizon), num=GRID_POINTS)
-    grid = np.unique(np.rint(raw).astype(np.int64))  # geomspace starts at 1
-    if grid[-1] != horizon:
-        grid = np.append(grid, horizon)
-    return tuple(int(t) for t in np.unique(grid))
+    # geomspace sets both end points exactly: 1 and the horizon
+    return tuple(int(t) for t in np.unique(np.rint(raw).astype(np.int64)))
 
 
 def _check_algo(algo: str) -> None:

@@ -61,14 +61,12 @@ def _str_to_int(part: str) -> int:
 def _part_to_int(part) -> int:
     if type(part) is int:  # the common case; bool is a subclass, not int
         return part & _MASK64
-    if type(part) is str:  # the next most common: a short tag
+    if isinstance(part, str):  # the next most common: a short tag
         return _str_to_int(part)
     if isinstance(part, (bool,)):
         raise TypeError("bool is not a valid rng key part")
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
-    if isinstance(part, str):
-        return _str_to_int(part)
     raise TypeError(f"rng key parts must be int or str, got {type(part).__name__}")
 
 

@@ -113,11 +113,6 @@ class NodeRecord:
         self.obs = obs  # observation recorded when the node was first reached
         self.terminal = terminal  # none | success | failure | exhausted
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"NodeRecord({fields})"
-
 
 def _check_value(value: float) -> float:
     value = float(value)
@@ -179,8 +174,6 @@ class SearchTree:
             path.append(cur)
             cur = nodes[cur].parent
         path.reverse()
-        if path[0] != ROOT:
-            raise TreeError(f"node {node_id} is not rooted")
         return path
 
     def subtree_max_oracle(self, node_id: int) -> float:

@@ -17,13 +17,13 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import expansion as expansion_mod
+from . import judging as judging_mod
 from . import search as search_mod
 from .ablation import direction_tests, run_ablation
 from .backup import MAX, MEAN, MODES
@@ -191,13 +191,12 @@ def greedy_walk(tree: SearchTree, ids: dict[str, int]) -> tuple[str, ...]:
 
 
 def _smudge(orig, stat: str, modes: tuple[str, ...]):
-    """Every seventh propagation in one of ``modes`` lowers the root's
-    ``stat`` by 0.125 after the real update, which the event log cannot explain."""
-    calls = count(1)
-
+    """Every seventh propagation into a tree in one of ``modes`` lowers the
+    root's ``stat`` by 0.125 after the real update, which the event log
+    cannot explain."""
     def smudged(tree, leaf, value, mode=MAX, *, iteration=0):
         orig(tree, leaf, value, mode, iteration=iteration)
-        if mode in modes and next(calls) % 7 == 0:
+        if mode in modes and len(tree.events) % 7 == 0:
             rec = tree.nodes[ROOT]
             q = getattr(rec, stat)
             if q is not None:
@@ -206,24 +205,49 @@ def _smudge(orig, stat: str, modes: tuple[str, ...]):
 
 
 def _salt(orig):
-    """Each candidate key gets a unique salt: the admission filter stops
-    seeing collisions while the true keys still collide."""
-    salt = count()
-
+    """Each candidate key gets its own raw atoms appended: the admission
+    filter stops seeing collisions while the true keys still collide."""
     def salted(atoms, aliases):
         chunk = orig(atoms, aliases)
-        return ActionChunk(chunk.atoms, f"{chunk.norm_key}#{next(salt)}")
+        return ActionChunk(chunk.atoms, f"{chunk.norm_key}#{chunk.atoms!r}")
     return salted
 
 
-# kind -> (module, attribute, wrapper, the criteria that must FAIL under it);
-# ``inject`` wraps the original afresh in each block, restarting its counters
+def _last_first(orig):
+    """A pooled preparation returns its items last-first; serial runs are
+    untouched."""
+    def reordered(parent_obs, siblings, judge, call_key, pool):
+        items = orig(parent_obs, siblings, judge, call_key, pool)
+        return items if pool is None else items[::-1]
+    return reordered
+
+
+def _stale(orig):
+    """Snapshot positioning at a non-root node hands back a clone of the
+    parent's state."""
+    def stale(tree, node_id, strategy):
+        if strategy == search_mod.SNAPSHOT and node_id != ROOT:
+            node_id = tree.node(node_id).parent
+        return orig(tree, node_id, strategy)
+    return stale
+
+
+# kind -> (module, attribute, wrapper, the criteria that must FAIL under it).
+# Each wrapper is a pure function of the search it breaks, so two runs that
+# must agree (serial and threaded, snapshot and replay, run and rerun) get
+# the same fault.
 FAULTS = {
     "backup": (search_mod, "backpropagate",
                lambda orig: _smudge(orig, "q_max", MODES), ("backup_oracle",)),
     "mean": (search_mod, "backpropagate",
              lambda orig: _smudge(orig, "q_mean", (MEAN,)), ("backup_oracle",)),
+    # ablation_direction FAILs too, a side effect of the duplicated
+    # siblings, not a detection
     "dedup": (expansion_mod, "make_chunk", _salt, ("dedup_law",)),
+    "order": (judging_mod, "_prepare_all", _last_first, ("determinism",)),
+    # ablation_direction FAILs too (comp>indep), a side effect of the stale
+    # states, not a detection
+    "snapshot": (search_mod, "position_env", _stale, ("determinism",)),
 }
 
 
@@ -549,7 +573,9 @@ def crit_ablation_direction(ctx: VerifyContext) -> tuple[bool, str]:
 def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:
     """Eight judge-preparation workers under 50 ms latency on the probe
     graph's two K = 8 sibling sets: every set K wide, at least 2x wall
-    clock, bit-identical tree."""
+    clock, bit-identical tree.  Every probe sibling reaches the same
+    screen, so the tree check cannot see the order of the prepared items;
+    ``determinism`` compares serial and threaded runs where it can."""
     spec = parse_fixture(PROBE_FIXTURE, name="speedup-probe")
     judge = SimJudgeSpec(noise_std=0.05, latency_s=0.05)
     workers = 8
@@ -580,8 +606,10 @@ def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:
 
 
 def crit_determinism(ctx: VerifyContext) -> tuple[bool, str]:
-    """Manifest-driven reruns reproduce artifacts byte-for-byte, and replay
-    positioning retraces snapshot positioning on every fixture."""
+    """Manifest-driven reruns reproduce artifacts byte-for-byte, and on
+    every fixture replay positioning retraces snapshot positioning and a
+    search with a two-thread judge pool retraces the serial search: the
+    same tree, trace and outcome."""
     import io
     import tempfile
     from contextlib import redirect_stdout
@@ -621,19 +649,22 @@ def crit_determinism(ctx: VerifyContext) -> tuple[bool, str]:
             diff = [k for k in a if a[k] != b[k]]
             if diff:
                 return False, f"{name} rerun differs in {diff}"
+    base = SearchConfig(expansion_factor=4, max_iterations=8, seed=3)
+    configs = {"snapshot": base, "replay": replace(base, state_strategy="replay"),
+               "threaded": replace(base, parallel_actions=2)}
     for fixture in builtin_fixtures():
         spec = load_fixture(fixture)
         runs = {}
-        for strategy in ("snapshot", "replay"):
-            cfg = SearchConfig(expansion_factor=4, max_iterations=8, seed=3,
-                               state_strategy=strategy)
+        for name, cfg in configs.items():
             res = search_fixture(spec, cfg, SimJudgeSpec(noise_std=0.05))
-            runs[strategy] = (res.tree.dump(), res.trace, res.outcome)
+            runs[name] = (res.tree.dump(), res.trace, res.outcome)
         if runs["snapshot"] != runs["replay"]:
             return False, f"{fixture}: snapshot and replay runs diverge"
+        if runs["snapshot"] != runs["threaded"]:
+            return False, f"{fixture}: serial and threaded runs diverge"
     n = len(builtin_fixtures())
     return True, (f"3 manifest reruns byte-identical; snapshot == replay "
-                  f"on {n} fixtures")
+                  f"== threaded on {n} fixtures")
 
 
 CRITERIA: tuple[tuple[str, Callable[[VerifyContext], tuple[bool, str]]], ...] = (

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from alphauct import expansion, lab, regret, search, verify
+from alphauct import lab, regret, search, verify
 from alphauct.backup import MAX, MEAN
 from alphauct.tree import ROOT
 from alphauct.verify import (CRITERION_NAMES, grid_spec, ratio_sweep_spec,
@@ -61,13 +61,14 @@ def test_mean_fault_trips_the_q_mean_audit():
 def test_an_unknown_fault_kind_runs_no_criterion():
     out = io.StringIO()
     with pytest.raises(ValueError, match=re.escape(
-            "unknown fault kind 'nope' (use one of ('backup', 'mean', 'dedup'))")):
+            f"unknown fault kind 'nope' (use one of {tuple(verify.FAULTS)})")):
         run_criteria(["selection"], inject_fault="nope", out=out)
     assert out.getvalue() == ""
 
 
 def _wrappable():
-    return search.backpropagate, expansion.make_chunk
+    return tuple(getattr(module, attr)
+                 for module, attr, *_ in verify.FAULTS.values())
 
 
 @pytest.mark.parametrize("kind", list(verify.FAULTS))
@@ -82,6 +83,14 @@ def test_inject_restores_what_it_wraps(kind):
         with verify.inject(kind):
             raise RuntimeError("body")
     assert all(now is was for now, was in zip(_wrappable(), before))
+
+
+@pytest.mark.parametrize("kind", ["backup", "dedup"])
+def test_a_fault_breaks_serial_threaded_and_replayed_searches_alike(kind):
+    """A fault is a function of the search it breaks, so the runs that
+    ``determinism`` compares get the same fault and still agree."""
+    res = run_criteria(["determinism"], inject_fault=kind)[0]
+    assert res.passed, res.detail
 
 
 def test_backup_oracle_audits_q_mean(monkeypatch):

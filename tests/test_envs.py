@@ -510,3 +510,8 @@ def test_residual_noise_is_bounded_and_symmetric(u):
     x = residual_noise(u, s, "uniform")
     assert abs(x) <= s * math.sqrt(3.0) + 1e-12
     assert residual_noise(1.0 - u, s, "uniform") == pytest.approx(-x, abs=1e-12)
+
+
+def test_residual_noise_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown noise kind 'bogus'"):
+        residual_noise(0.5, 0.1, "bogus")

@@ -283,6 +283,12 @@ def test_position_env_snapshot_and_replay():
     assert position_env(tree, cid, "replay").observe() == snap.observe()
 
 
+def test_replay_without_a_root_snapshot_raises():
+    with pytest.raises(StateError, match="replay positioning needs the root "
+                                         "snapshot"):
+        position_env(SearchTree(), ROOT, "replay")
+
+
 def test_replay_divergence_detected():
     spec = load_fixture("trap3")
     env = GuiGraphEnv(spec)

@@ -29,5 +29,5 @@ from .regret import (BoundReport, RegretCurve, bound_for_spec, fit_log_regret,
 from .search import (SearchConfig, SearchResult, SimReflector,
                      extract_best_path, position_env, run_search,
                      search_fixture)
-from .selection import select_child, select_leaf
+from .selection import select_leaf
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree

@@ -140,9 +140,8 @@ class GuiGraphSpec:
 
     def _build_proposals(self):
         tables = {}
+        # ``parse_fixture`` stores no empty entry list
         for screen, entries in self.policy.items():
-            if not entries:
-                continue
             canons = tuple(canon for canon, _ in entries)
             weights = tuple(float(w) for _, w in entries)
             cum = tuple(accumulate(weights))

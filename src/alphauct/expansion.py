@@ -184,8 +184,8 @@ def expand_node(leaf: int, proposer, env, aliases: Mapping[str, str], *,
                                   iteration=iteration, leaf=leaf,
                                   chunk_size=chunk_size)
                   for j, head in enumerate(heads)]
-        built = [(make_chunk(atoms, aliases), clone) for atoms, clone in rolled
-                 if atoms]
+        # a roll always plays its head: the leaf is not terminal
+        built = [(make_chunk(atoms, aliases), clone) for atoms, clone in rolled]
         clone_of = {id(chunk): clone for chunk, clone in built}
         played = [(chunk, clone_of[id(chunk)]) for chunk in
                   admit_candidates([chunk for chunk, _ in built], aliases)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .backup import MAX, MODES
-from .tree import ROOT, SearchTree, TreeError
+from .tree import ROOT, SearchTree
 
 
 def check_selection_args(c: float, mode: str) -> None:
@@ -28,19 +28,10 @@ def check_selection_args(c: float, mode: str) -> None:
         raise ValueError(f"unknown backup mode {mode!r}")
 
 
-def select_child(tree: SearchTree, node_id: int, c: float,
-                 mode: str = MAX) -> int:
-    """Highest-scoring child of ``node_id``; ties go to the earliest-admitted."""
-    check_selection_args(c, mode)
-    kids = tree.node(node_id).children
-    if not kids:
-        raise TreeError(f"node {node_id} has no children")
-    return _best_child(tree, kids, c, mode == MAX)
-
-
 def _best_child(tree: SearchTree, kids: list[int], c: float,
                 use_max: bool) -> int:
-    """``select_child`` on a known node with children ``kids``."""
+    """The highest-scoring of the siblings ``kids``; ties go to the
+    earliest-admitted."""
     if len(kids) == 1:  # an only child is picked whatever its score
         return kids[0]
     # q + c*sqrt(sum_siblings_N / (N+1)); every child enters the tree

@@ -17,8 +17,8 @@ thousand; ``CheckedTuple`` makes ``_make`` and ``_replace`` of a checked
 one (``ActionChunk``, ``envs.BanditSpec``, ``envs.ProposerParams``) run
 its constructor's check.  A ``NodeRecord`` is mutable: a plain
 ``__slots__`` class with an explicit ``__init__`` (the root's ``action``
-is ``None``, each node gets a fresh ``children`` list) and a
-field-by-field repr, so that importing the module builds no dataclass.
+is ``None``, each node gets a fresh ``children`` list), so that importing
+the module builds no dataclass.
 """
 from __future__ import annotations
 

@@ -38,7 +38,7 @@ from .manifest import write_csv
 from .regret import (ALGO_ALPHA, RegretCurve, bound_for_spec, fit_log_regret,
                      run_bandit_experiment)
 from .search import SearchConfig, search_fixture
-from .selection import select_child, select_path
+from .selection import select_path
 from .tree import ROOT, ActionChunk, SearchTree
 
 # -- regret-lab experiment design (frozen before the acceptance gate) ---------
@@ -134,7 +134,6 @@ WALK_SETTINGS = (
     ("1.1.3.1", "1.1.3", 0.539, "click(1300, 698)"),
     ("1.1.3.2", "1.1.3", 0.491, "click(1302, 698)"),
 )
-WALK_SETTINGS_ROOT_PICK = "1.1"
 WALK_SETTINGS_PATH = ("1.1", "1.1.3", "1.1.3.1")
 
 WALK_EXPORT = (
@@ -370,10 +369,10 @@ def crit_backup_oracle(ctx: VerifyContext) -> tuple[bool, str]:
         _, res = _run_case(fixture, seed, backup, judge_mode, chunk, noise)
         runs += 1
         tree = res.tree
+        # every node has a q_max: a matrix search judges the root's children
+        # in its first iteration
         for nid in range(len(tree)):
             rec = tree.nodes[nid]
-            if rec.q_max is None:
-                continue
             checks += 1
             where = f"{fixture}/s{seed}/{backup}/{judge_mode} node {nid}"
             oracle = tree.subtree_max_oracle(nid)
@@ -436,10 +435,6 @@ def crit_dedup_law(ctx: VerifyContext) -> tuple[bool, str]:
 def crit_selection_fixtures(ctx: VerifyContext) -> tuple[bool, str]:
     """Zero-exploration selection reproduces both recorded walks exactly."""
     tree_a, ids_a = build_walk_tree(WALK_SETTINGS)
-    pick = select_child(tree_a, ROOT, 0.0)
-    label = {v: k for k, v in ids_a.items()}[pick]
-    if label != WALK_SETTINGS_ROOT_PICK:
-        return False, f"settings walk root pick {label}, want {WALK_SETTINGS_ROOT_PICK}"
     path_a = greedy_walk(tree_a, ids_a)
     if path_a != WALK_SETTINGS_PATH:
         return False, f"settings walk {path_a} != {WALK_SETTINGS_PATH}"
@@ -447,7 +442,7 @@ def crit_selection_fixtures(ctx: VerifyContext) -> tuple[bool, str]:
     path_b = greedy_walk(tree_b, ids_b)
     if path_b != WALK_EXPORT_PATH:
         return False, f"export walk {path_b} != {WALK_EXPORT_PATH}"
-    return True, (f"root pick {label}; export walk matches all "
+    return True, (f"root pick {path_a[0]}; export walk matches all "
                   f"{len(WALK_EXPORT_PATH)} recorded levels")
 
 
@@ -573,9 +568,10 @@ def crit_ablation_direction(ctx: VerifyContext) -> tuple[bool, str]:
 def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:
     """Eight judge-preparation workers under 50 ms latency on the probe
     graph's two K = 8 sibling sets: every set K wide, at least 2x wall
-    clock, bit-identical tree.  Every probe sibling reaches the same
-    screen, so the tree check cannot see the order of the prepared items;
-    ``determinism`` compares serial and threaded runs where it can."""
+    clock, the same tree, trace and outcome.  Every probe sibling reaches
+    the same screen, so that comparison cannot see the order of the
+    prepared items; ``determinism`` compares serial and threaded runs where
+    it can."""
     spec = parse_fixture(PROBE_FIXTURE, name="speedup-probe")
     judge = SimJudgeSpec(noise_std=0.05, latency_s=0.05)
     workers = 8
@@ -586,11 +582,10 @@ def crit_parallel_speedup(ctx: VerifyContext) -> tuple[bool, str]:
         res = search_fixture(spec, cfg, judge)
         runs.append((time.perf_counter() - t0, res))
     (serial_s, serial), (parallel_s, parallel) = runs
-    if serial.tree.dump() != parallel.tree.dump():
-        return False, "parallel run produced a different tree"
-    if (serial.outcome, serial.iterations) != \
-            (parallel.outcome, parallel.iterations):
-        return False, "parallel run produced a different outcome"
+    # the trace has a line per iteration, so it covers ``iterations``
+    if (serial.tree.dump(), serial.trace, serial.outcome) != \
+            (parallel.tree.dump(), parallel.trace, parallel.outcome):
+        return False, "parallel run produced a different tree, trace or outcome"
     # each expanded node's children were one judged sibling set; the pool
     # prepares a set in ceil(b* / workers) latency rounds, serial in b*
     widths = [len(rec.children) for rec in serial.tree.nodes if rec.children]
@@ -644,9 +639,8 @@ def crit_determinism(ctx: VerifyContext) -> tuple[bool, str]:
             if code != 0:
                 return False, f"{name} manifest rerun exited {code}"
             a, b = artifact_bytes(first), artifact_bytes(again)
-            if a.keys() != b.keys():
-                return False, f"{name} rerun artifact set differs: {sorted(a)} vs {sorted(b)}"
-            diff = [k for k in a if a[k] != b[k]]
+            # an artifact only one side wrote differs too
+            diff = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
             if diff:
                 return False, f"{name} rerun differs in {diff}"
     base = SearchConfig(expansion_factor=4, max_iterations=8, seed=3)

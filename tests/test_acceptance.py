@@ -7,11 +7,14 @@ import concurrent.futures
 import io
 import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from alphauct import lab, regret, search, verify
+from alphauct import cli, lab, regret, search, verify
 from alphauct.backup import MAX, MEAN
+from alphauct.judging import COMPARATIVE
 from alphauct.tree import ROOT
 from alphauct.verify import (CRITERION_NAMES, grid_spec, ratio_sweep_spec,
                              run_criteria)
@@ -179,3 +182,154 @@ def test_each_regret_curve_runs_once(monkeypatch, names, runs):
                                       "regret_ratio"):
             fn(ctx)
     assert calls == runs
+
+
+# -- every FAIL branch, each from the input its criterion reads ------------------
+
+
+def _set(**values):
+    """``verify``'s attributes ``values`` replaced."""
+    def patch(mp):
+        for name, value in values.items():
+            mp.setattr(verify, name, value)
+    return patch
+
+
+def _triple_budget(mp):
+    """Each expansion draws 3K proposals, so it can admit more than K
+    siblings, each with a key of its own."""
+    real = search.expand_node
+    mp.setattr(search, "expand_node",
+               lambda *args, k, **kw: real(*args, k=3 * k, **kw))
+
+
+def _admission(keep):
+    """No matrix searches, and ``verify``'s own admission checks admit
+    ``keep(candidates)``."""
+    return _set(_search_matrix=lambda: [],
+                admit_candidates=lambda cands, aliases: keep(list(cands)))
+
+
+def _swap_scores(table, a, b):
+    """Transcript ``table`` with the recorded scores of ``a`` and ``b``
+    swapped."""
+    def patch(mp):
+        rows = getattr(verify, table)
+        score = {label: s for label, _, s, _ in rows}
+        swap = {a: score[b], b: score[a]}
+        mp.setattr(verify, table, tuple(
+            (label, parent, swap.get(label, s), action)
+            for label, parent, s, action in rows))
+    return patch
+
+
+def _ratios(*points):
+    """The rho sweep returns these (rho, ratio, ci_lo, ci_hi) points."""
+    points = [lab.RatioPoint(*p, 0.0, 0.0, 200) for p in points]
+    return _set(efficiency_ratio_experiment=lambda *args: points)
+
+
+def _diverging_threads(mp):
+    """The threaded probe run searches another seed; no judge latency."""
+    real = verify.search_fixture
+
+    def run(spec, cfg, judge):
+        if cfg.parallel_actions:
+            cfg = replace(cfg, seed=cfg.seed + 1)
+        return real(spec, cfg, replace(judge, latency_s=0.0))
+    mp.setattr(verify, "search_fixture", run)
+
+
+def _cli(command, edit):
+    """``cli.main`` exits 3 on ``command``; after a real rerun, ``edit``
+    gets the rerun's output directory."""
+    real = cli.main
+
+    def run(argv):
+        if argv[0] == command:
+            return 3
+        code = real(argv)
+        if argv[0] == "rerun" and edit is not None:
+            edit(Path(argv[argv.index("--out") + 1]))
+        return code
+    return lambda mp: mp.setattr(cli, "main", run)
+
+
+FAIL_CASES = {
+    "backup_floor": (
+        "backup_oracle",
+        _set(_search_matrix=lambda: [("trap3", 0, MAX, COMPARATIVE, 1, 0.1)]),
+        "only 8 node checks (1 runs); need >= 1000"),
+    "dedup_over_k": ("dedup_law", _triple_budget,
+                     "wide16/s4: node 0 admitted 6 > K=5"),
+    "dedup_pair": ("dedup_law", _admission(lambda cands: cands),
+                   "jittered coordinate pair admitted 2 nodes, want 1"),
+    "dedup_trio": ("dedup_law", _admission(lambda cands: cands[:1]),
+                   "distinct-bucket pair wrongly collapsed"),
+    "settings_walk": ("selection_fixtures",
+                      _swap_scores("WALK_SETTINGS", "1.1.3.1", "1.1.3.2"),
+                      "settings walk ('1.1', '1.1.3', '1.1.3.2') != "
+                      "('1.1', '1.1.3', '1.1.3.1')"),
+    "export_walk": ("selection_fixtures",
+                    _swap_scores("WALK_EXPORT", "1.1.4.5.3.1.3.2.1",
+                                 "1.1.4.5.3.1.3.2.2"),
+                    "export walk ('1.1', '1.1.4', '1.1.4.5', '1.1.4.5.3', "
+                    "'1.1.4.5.3.1', '1.1.4.5.3.1.3', '1.1.4.5.3.1.3.2', "
+                    "'1.1.4.5.3.1.3.2.2') != ('1.1', '1.1.4', '1.1.4.5', "
+                    "'1.1.4.5.3', '1.1.4.5.3.1', '1.1.4.5.3.1.3', "
+                    "'1.1.4.5.3.1.3.2', '1.1.4.5.3.1.3.2.1')"),
+    "bound": ("regret_bound",
+              _set(GRID_HORIZON=200, bound_for_spec=lambda spec, horizon:
+                   regret.BoundReport(horizon, ())),
+              "K=2 gap=0.1 s2=0.01: mean regret 1.966 > bound 0.000"),
+    "slope_fit": ("regret_slope", _set(GRID_HORIZON=200, GRID_SEEDS=1),
+                  "K=2 gap=0.1 s2=0.01: tail fit r^2 0.8461 < 0.95"),
+    "slope_ratio": ("regret_slope", _set(GRID_HORIZON=200),
+                    "gap=0.1 s2=0.05: slope ratio 1.423 CI [1.403, 1.444] "
+                    "leaves [1.5, 2.5]"),
+    "ratio_not_below_1": ("regret_ratio",
+                          _ratios((0.1, 1.0, 0.9, 1.1), (1.0, 1.0, 1.0, 1.0)),
+                          "rho=0.1: ratio 1.0000 not < 1"),
+    "ratio_at_1": ("regret_ratio", _ratios((1.0, 0.99, 0.9, 1.1)),
+                   "rho=1 ratio 0.99 != 1"),
+    "ratio_decreases": ("regret_ratio",
+                        _ratios((0.25, 0.5, 0.45, 0.55), (0.5, 0.3, 0.25, 0.35),
+                                (1.0, 1.0, 1.0, 1.0)),
+                        "ratio decreases from rho=0.25 to 0.5 beyond CI "
+                        "overlap"),
+    "ratio_band": ("regret_ratio",
+                   _ratios((0.25, 0.31, 0.3, 0.32), (1.0, 1.0, 1.0, 1.0)),
+                   "rho=0.25 ratio 0.3100 outside frozen band [0.28, 0.3]"),
+    "freedman_radius": ("regret_freedman",
+                        _set(freedman_radius=lambda *args: 0.1),
+                        "radius(100, 0.04, 0.01) = 0.100000, want 0.09140 "
+                        "+- 1e-4"),
+    "ablation": ("ablation_direction", _set(ABLATION_SEEDS=20),
+                 "max>mean: z=0.745 p=0.2280 not significant"),
+    "threads_diverge": ("parallel_speedup", _diverging_threads,
+                        "parallel run produced a different tree, trace or "
+                        "outcome"),
+    "run_exit": ("determinism", _cli("search", None), "search run exited 3"),
+    "rerun_exit": ("determinism", _cli("rerun", None),
+                   "search manifest rerun exited 3"),
+    "rerun_bytes": ("determinism",
+                    _cli(None, lambda out: (out / "trace.txt").write_text("")),
+                    "search rerun differs in ['trace.txt']"),
+    "rerun_missing": ("determinism",
+                      _cli(None, lambda out: (out / "result.json").unlink()),
+                      "search rerun differs in ['result.json']"),
+    "raises": ("regret_freedman", _set(freedman_radius=lambda *args: 1 / 0),
+               "raised ZeroDivisionError: division by zero"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CASES))
+def test_every_fail_branch_names_its_cause(monkeypatch, case):
+    """Each FAIL branch that no other test asserts, driven through the input
+    its criterion reads (a matrix, a transcript, a bound, a horizon, a
+    sweep's points, a CLI exit), gives its whole FAIL message; a criterion
+    that raises FAILs with the exception."""
+    name, patch, detail = FAIL_CASES[case]
+    patch(monkeypatch)
+    res = run_criteria([name])[0]
+    assert (res.name, res.passed, res.detail) == (name, False, detail)

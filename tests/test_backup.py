@@ -73,6 +73,14 @@ def test_value_range_checked_before_any_mutation():
     assert t.nodes[ROOT].visit_count == 0
 
 
+def test_unknown_leaf_refused_before_any_mutation():
+    t, _ = chain(2)
+    for bad in (-1, len(t)):
+        with pytest.raises(TreeError, match=f"^unknown node id {bad}$"):
+            backpropagate(t, bad, 0.5, MAX)
+    assert all(rec.visit_count == 0 for rec in t.nodes)
+
+
 @given(st.permutations([-0.4, 0.1, 0.1, 0.35, 0.9, -1.0, 0.62]))
 def test_final_statistics_are_order_invariant(values):
     tm, leaf_m = chain(3, init=0.0)

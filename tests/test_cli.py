@@ -159,6 +159,17 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_bool_is_not_a_count(tmp_path, capsys):
+    """JSON ``true`` is an int to Python; a manifest's count key refuses it
+    in one line."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "command": "bandit", "config": {**_DEFAULTS["bandit"], "seeds": True}}))
+    assert run_cli("rerun", str(manifest), "--out", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == ("error: config key 'seeds' must be a "
+                                       "int, got True\n")
+
+
 def test_bandit_curve_artifacts(tmp_path, capsys):
     out = tmp_path / "bandit"
     assert run_cli("bandit", "--arms", "3", "--gap", "0.1", "--sigma2", "0.04",
@@ -170,6 +181,16 @@ def test_bandit_curve_artifacts(tmp_path, capsys):
     summary = read_json(out / "summary.json")
     assert {"final_mean_regret", "bound_total", "fit"} <= set(summary)
     assert summary["final_mean_regret"] <= summary["bound_total"]
+    capsys.readouterr()
+
+
+def test_one_seed_curve_has_zero_spread(tmp_path, capsys):
+    out = tmp_path / "bandit"
+    assert run_cli("bandit", "--arms", "3", "--gap", "0.1", "--sigma2", "0.04",
+                   "--horizon", "500", "--seeds", "1", "--out", str(out)) == 0
+    header, rows = csv_rows(out / "curve.csv")
+    assert header[2] == "std_regret"
+    assert {float(row[2]) for row in rows} == {0.0}
     capsys.readouterr()
 
 

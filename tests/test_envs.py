@@ -219,6 +219,14 @@ def test_fixture_line_errors_name_the_line(tail, fragment):
     assert fragment in str(err.value)
 
 
+def test_proposer_line_needs_a_key_and_one_value():
+    text = MINI + "[proposer]\nduplicate_rate 0.1 0.2"
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(text, name="mini")
+    assert str(err.value) == (f"mini:{len(text.splitlines())}: bad proposer "
+                              f"line 'duplicate_rate 0.1 0.2'")
+
+
 def _edit(old: str, new: str) -> str:
     assert old in MINI
     return MINI.replace(old, new)

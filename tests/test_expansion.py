@@ -130,6 +130,18 @@ def test_chunked_expansion_produces_multi_atom_edges():
         assert chunk.norm_key == chunk_key(chunk.atoms, spec.alias_context())
 
 
+def test_a_chunk_ends_at_a_dead_end():
+    """From trap3's mezzanine every head leads to a screen with no
+    proposals, so at chunk size 2 each chunk is its head alone."""
+    spec = load_fixture("trap3")
+    env = GuiGraphEnv(spec)
+    env.step("take the mezzanine stairs")
+    prop = proposer_from_fixture(spec, seed=0)
+    out = expand_node(ROOT, prop, env, spec.alias_context(), k=3, chunk_size=2)
+    assert out and all(len(chunk.atoms) == 1 for chunk, _ in out)
+    assert {after.observe().screen for _, after in out} == {"mezz2"}
+
+
 class CountingEnv:
     """A fixture env whose clones share one count of clone and step calls."""
 

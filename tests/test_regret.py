@@ -123,6 +123,13 @@ def test_freedman_empirical_cell_respects_bound():
     assert cell.rate == again.rate  # keyed rng: bitwise reproducible
 
 
+def test_freedman_check_needs_steps_and_walks():
+    mds = MdsSpec(scale=0.25, scale_hi=0.25)
+    for n, trials in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError, match="^n and trials must be >= 1$"):
+            freedman_empirical_check(mds, n, (3.0,), (25.0,), trials=trials)
+
+
 def test_mds_spec_validation():
     for scale, scale_hi in ((0.0, 0.1), (0.1, -0.1), (math.nan, 0.1),
                             (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)):
@@ -186,6 +193,11 @@ def test_default_grid_shape():
     assert list(grid) == sorted(set(grid))
     small = default_grid(100)
     assert small == tuple(range(1, 101))
+
+
+def test_default_grid_needs_a_step():
+    with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+        default_grid(0)
 
 
 def test_experiment_reproducible_and_blockwise_invariant(each_loop):
@@ -500,6 +512,17 @@ def test_worker_count_rule(monkeypatch):
     assert ucb._worker_count(1000, big) == 3
     assert ucb._worker_count(2, big) == 2
     assert ucb._worker_count(1, big) == 1
+
+
+def test_worker_count_without_affinity(monkeypatch):
+    """Where ``os`` has no ``sched_getaffinity``, a large run gets a shard
+    per CPU that ``os.cpu_count`` reports, and one if it reports none."""
+    big = ucb.SHARD_MIN_SEED_STEPS
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ucb._worker_count(1000, big) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ucb._worker_count(1000, big) == 1
 
 
 # -- the compiled step loop ------------------------------------------------------

@@ -1,14 +1,14 @@
-"""The alpha-UCT score oracle against hand-computed values, ``select_child``
-against the oracle, tie-breaking, zero-visit behavior, and the checks on the
-exploration constant and backup mode."""
+"""The alpha-UCT score oracle against hand-computed values, the root pick
+of ``select_path`` against the oracle, tie-breaking, zero-visit behavior,
+and the checks on the exploration constant and backup mode."""
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from alphauct.backup import MAX, MEAN
-from alphauct.selection import select_child, select_leaf, select_path
-from alphauct.tree import ROOT, ActionChunk, SearchTree, TreeError
+from alphauct.selection import select_leaf, select_path
+from alphauct.tree import ROOT, ActionChunk, SearchTree
 
 
 def alpha_uct_score(q: float, n_action: int, n_siblings_total: int,
@@ -50,9 +50,9 @@ def test_alpha_uct_decreases_with_own_visits(q, n, total, c):
 @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1),
                           st.integers(0, 50)), min_size=2, max_size=8),
        st.floats(0, 10), st.sampled_from([MAX, MEAN]))
-def test_select_child_takes_the_oracles_first_maximum(kids, c, mode):
-    """Over (q_max, q_mean, visits) siblings, ``select_child`` returns the
-    first child with the highest oracle score under the mode's value."""
+def test_root_pick_takes_the_oracles_first_maximum(kids, c, mode):
+    """Over (q_max, q_mean, visits) siblings, ``select_path``'s root pick is
+    the first child with the highest oracle score under the mode's value."""
     t = SearchTree()
     ids = []
     for i, (q_max, q_mean, visits) in enumerate(kids):
@@ -62,7 +62,7 @@ def test_select_child_takes_the_oracles_first_maximum(kids, c, mode):
     total = sum(visits for _, _, visits in kids)
     scores = [alpha_uct_score(q_max if mode == MAX else q_mean, visits,
                               total, c) for q_max, q_mean, visits in kids]
-    assert select_child(t, ROOT, c, mode) == ids[scores.index(max(scores))]
+    assert select_path(t, c, mode)[0] == ids[scores.index(max(scores))]
 
 
 def test_policy_validation():
@@ -70,8 +70,7 @@ def test_policy_validation():
     every entry point, before the tree is read."""
     t = SearchTree()
     t.add_child(ROOT, chunk("a"), init_value=0.4)
-    for select in (lambda c, mode: select_child(t, ROOT, c, mode),
-                   lambda c, mode: select_path(t, c, mode),
+    for select in (lambda c, mode: select_path(t, c, mode),
                    lambda c, mode: select_leaf(t, c, mode)):
         for c in (-0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="exploration constant"):
@@ -84,14 +83,14 @@ def test_tie_break_goes_to_earliest_child():
     t = SearchTree()
     a = t.add_child(ROOT, chunk("a"), init_value=0.4)
     t.add_child(ROOT, chunk("b"), init_value=0.4)
-    assert select_child(t, ROOT, 1.0) == a
+    assert select_path(t, 1.0)[0] == a
 
 
 def test_alpha_uct_prefers_higher_value_at_equal_visits():
     t = SearchTree()
     t.add_child(ROOT, chunk("a"), init_value=0.2)
     b = t.add_child(ROOT, chunk("b"), init_value=0.9)
-    assert select_child(t, ROOT, 1.0) == b
+    assert select_path(t, 1.0)[0] == b
 
 
 def test_alpha_uct_zero_visits_compete_on_score():
@@ -101,7 +100,7 @@ def test_alpha_uct_zero_visits_compete_on_score():
     a = t.add_child(ROOT, chunk("a"), init_value=0.9)
     t.nodes[a].visit_count = 3
     t.add_child(ROOT, chunk("b"), init_value=0.1)
-    assert select_child(t, ROOT, 0.1) == a
+    assert select_path(t, 0.1)[0] == a
 
 
 def test_exploration_flips_choice_at_large_c():
@@ -110,8 +109,8 @@ def test_exploration_flips_choice_at_large_c():
     b = t.add_child(ROOT, chunk("b"), init_value=0.7)
     t.nodes[a].visit_count = 10
     t.nodes[b].visit_count = 1
-    assert select_child(t, ROOT, 0.0) == a
-    assert select_child(t, ROOT, 2.0) == b
+    assert select_path(t, 0.0)[0] == a
+    assert select_path(t, 2.0)[0] == b
 
 
 def test_select_leaf_descends_to_childless_node():
@@ -123,8 +122,3 @@ def test_select_leaf_descends_to_childless_node():
     assert select_path(t, 0.0) == [a, c]
     assert select_path(SearchTree(), 1.0) == []
     assert select_leaf(SearchTree(), 1.0) == ROOT
-
-
-def test_select_child_requires_children():
-    with pytest.raises(TreeError):
-        select_child(SearchTree(), ROOT, 1.0)

@@ -35,25 +35,23 @@ class AblationCell:
 
 
 def run_cell(fixture: str, judge_mode: str, backup: str, seeds: int, *,
-             seed0: int = 0, config: SearchConfig = ABLATION_CONFIG,
-             judge_spec: SimJudgeSpec = ABLATION_JUDGE) -> AblationCell:
+             seed0: int = 0,
+             config: SearchConfig = ABLATION_CONFIG) -> AblationCell:
     spec = load_fixture(fixture)
     wins = 0
     for s in range(seed0, seed0 + seeds):
         cfg = replace(config, judge_mode=judge_mode, backup=backup, seed=s)
-        wins += search_fixture(spec, cfg, judge_spec).outcome == "success"
+        wins += search_fixture(spec, cfg, ABLATION_JUDGE).outcome == "success"
     return AblationCell(judge_mode, backup, wins, seeds)
 
 
 def run_ablation(fixture: str = "trap3", seeds: int = 100, *, seed0: int = 0,
-                 config: SearchConfig = ABLATION_CONFIG,
-                 judge_spec: SimJudgeSpec = ABLATION_JUDGE) -> list[AblationCell]:
+                 config: SearchConfig = ABLATION_CONFIG) -> list[AblationCell]:
     cells = []
     for judge_mode in (COMPARATIVE, INDEPENDENT):
         for backup in (MAX, MEAN):
             cells.append(run_cell(fixture, judge_mode, backup, seeds,
-                                  seed0=seed0, config=config,
-                                  judge_spec=judge_spec))
+                                  seed0=seed0, config=config))
     return cells
 
 

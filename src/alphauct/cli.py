@@ -181,6 +181,9 @@ def run_bandit_command(resolved: dict, outdir: Path) -> int:
                           noise=resolved["noise"])
     except ValueError as exc:
         raise UsageError(str(exc))
+    except MemoryError:  # CPython refuses a tuple that large up front
+        raise UsageError(f"config key 'arms' is too large to hold its means, "
+                         f"got {arms!r}")
     t0 = time.perf_counter()
     artifacts = {}
     summary: dict = {"config": resolved}

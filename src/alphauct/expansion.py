@@ -63,10 +63,11 @@ def lexical_key(action: str) -> str:
     """Case/spacing/coordinate-insensitive form of one action string.
 
     ``name(args)`` calls get a lowercased name, numeric args snapped to the
-    nearest ``COORD_BUCKET`` multiple, and quote style unified; anything that
-    does not parse as a call is lowercased with whitespace collapsed (never an
-    error).  Memoized: a pure function of the string, and proposers repeat a
-    few dozen spellings thousands of times.
+    nearest ``COORD_BUCKET`` multiple (a numeral past the float range is kept
+    as written), and quote style unified; anything that does not parse as a
+    call is lowercased with whitespace collapsed (never an error).  Memoized:
+    a pure function of the string, and proposers repeat a few dozen
+    spellings thousands of times.
     """
     s = " ".join(action.split())
     m = _CALL_RE.match(s)
@@ -76,8 +77,8 @@ def lexical_key(action: str) -> str:
     out = []
     for arg in _split_args(m.group(2)):
         a = arg.strip()
-        if _NUM_RE.match(a):
-            out.append(_bucket(float(a)))
+        if _NUM_RE.match(a) and math.isfinite(x := float(a)):
+            out.append(_bucket(x))
         elif len(a) >= 2 and a[0] == a[-1] and a[0] in "'\"":
             out.append("'" + a[1:-1] + "'")
         else:

@@ -215,6 +215,7 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
         values[parts[0]] = x
 
     policy: dict[str, list[tuple[str, float]]] = {}
+    totals: dict[str, float] = {}  # screen -> its weights' running sum
     for lineno, line in sections.get("policy", []):
         parts = line.split()
         if len(parts) != 3:
@@ -230,6 +231,10 @@ def parse_fixture(text: str, name: str = "<string>") -> GuiGraphSpec:
                               f"{parts[0]!r}")
         if not x > 0:  # ``number`` has checked that x is finite
             raise err(lineno, "policy weights must be positive and finite")
+        totals[parts[0]] = total = totals.get(parts[0], 0.0) + x
+        if not math.isfinite(total):
+            raise err(lineno, f"policy weights at {parts[0]!r} sum past the "
+                              f"float range")
         entries.append((parts[1], x))
 
     spec = GuiGraphSpec(

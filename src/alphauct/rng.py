@@ -16,7 +16,9 @@ proposer's slots, absorbs their shared prefix once.  ``child_words(part)``
 returns the first hash block of ``child(part)`` as eight raw 64-bit words,
 from one state copy and one update, for a caller that needs at most eight
 draws of each sibling key and does the ``random``/``integers`` arithmetic
-itself.  The search core (proposer, judge) takes its scalar draws this way.
+itself.  The proposer takes its scalar draws this way; the judge derives
+one key per call with ``derive_rng`` and draws its offset and noise from it
+with ``standard_normal()``.
 Code that draws in bulk blocks calls ``.generator()``, which builds the PCG64
 ``Generator`` seeded from the same key; ``kernel.pcg64_rows`` gives the
 states of many such generators at once, for the bandit step loop.

@@ -6,7 +6,6 @@ import pytest
 
 from alphauct.ablation import (AblationCell, direction_tests, pooled,
                                run_ablation, run_cell, two_proportion_test)
-from alphauct.judging import SimJudgeSpec
 from alphauct.search import SearchConfig
 from alphauct.verify import ABLATION_SEEDS
 
@@ -75,10 +74,9 @@ def test_two_proportion_test_edges():
 
 def test_custom_config_plumbs_through():
     cfg = SearchConfig(c=0.4, expansion_factor=3, max_iterations=4)
-    cell = run_cell("bottleneck2", "comparative", "max", seeds=3, config=cfg,
-                    judge_spec=SimJudgeSpec(noise_std=0.0))
+    cell = run_cell("bottleneck2", "comparative", "max", seeds=3, config=cfg)
     assert cell.runs == 3
-    assert cell.successes == 3  # noiseless judge on an easy fixture
+    assert cell.successes == 3  # the ablation judge on an easy fixture
 
 
 def test_interaction_holds_on_a_fresh_seed_block():

@@ -84,6 +84,22 @@ def test_search_malformed_fixture_exits_2(tmp_path, capsys, old, new):
     assert _no_artifacts(out)
 
 
+def test_search_on_a_fixture_with_a_huge_numeral(tmp_path, capsys):
+    """The only spelling of the lobby door has a numeral past the float
+    range: the fixture loads (its lexical key keeps the numeral), and a
+    search proposes, plays and reports it."""
+    text = (_FIXTURE_DIR / "trap3.env").read_text()
+    old = "open_lobby = Click (40, 120) | click(42, 118) | open the lobby door"
+    assert text.count(old) == 1
+    huge = f"click({'9' * 400})"
+    env = tmp_path / "huge.env"
+    env.write_text(text.replace(old, f"open_lobby = {huge}"))
+    out = tmp_path / "run"
+    assert run_cli("search", "--env", str(env), "--out", str(out)) == 0
+    assert read_json(out / "result.json")["best_path"][0] == huge
+    capsys.readouterr()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli("conquer") == 2
     capsys.readouterr()
@@ -453,6 +469,29 @@ def test_bandit_sizes_past_the_machine_exit_2(tmp_path, capsys, flag, value,
     out = tmp_path / "run"  # a warning fails the test (pyproject.toml)
     assert run_cli("bandit", flag, str(value), "--out", str(out)) == 2
     _one_error_line(capsys, key)
+    assert _no_artifacts(out)
+
+
+def test_bandit_arms_past_any_tuple_exit_2(tmp_path, capsys):
+    """2^61 arms is a means tuple CPython refuses before it allocates
+    anything: the flag and a rerun manifest each exit 2 with one error line
+    that names ``arms``, and write no output directory."""
+    arms = 2 ** 61
+    want = (f"error: config key 'arms' is too large to hold its means, "
+            f"got {arms}\n")
+    out = tmp_path / "run"
+    assert run_cli("bandit", "--arms", str(arms), "--horizon", str(arms),
+                   "--out", str(out)) == 2
+    assert _one_error_line(capsys) == want
+    first = tmp_path / "bandit"
+    assert run_cli("bandit", "--arms", "3", "--horizon", "200", "--seeds", "2",
+                   "--out", str(first)) == 0
+    capsys.readouterr()
+    data = read_json(first / "manifest.json")
+    data["config"].update(arms=arms, horizon=arms)
+    (first / "manifest.json").write_text(json.dumps(data))
+    assert run_cli("rerun", str(first), "--out", str(out)) == 2
+    assert _one_error_line(capsys) == want
     assert _no_artifacts(out)
 
 

@@ -290,6 +290,9 @@ MEANING_ERRORS = {
     "policy_weight": (MINI + "[policy]\nhome open_menu 0",
                       "mini:{last}: policy weights must be positive and "
                       "finite"),
+    "policy_weight_sum": (MINI + "[policy]\nmenu claim 1e308\nmenu fall 1e308",
+                          "mini:{last}: policy weights at 'menu' sum past "
+                          "the float range"),
     "goal_unreachable": (_edit("menu claim -> prize", "menu claim -> home"),
                          "mini: no goal reachable from 'home'"),
 }

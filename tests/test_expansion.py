@@ -29,6 +29,14 @@ def test_coordinate_bucket_boundaries():
     assert lexical_key("click(445, 0)") == "click(450,0)"
 
 
+def test_a_numeral_past_the_float_range_is_kept_verbatim():
+    """``float`` reads 400 nines as inf, which has no bucket: that numeral
+    stays as written, and a finite one beside it still snaps."""
+    nines = "9" * 400
+    assert lexical_key(f"Click({nines}, 452)") == f"click({nines},450)"
+    assert lexical_key(f"click(-{nines})") == f"click(-{nines})"
+
+
 def test_normalize_rejects_empty():
     with pytest.raises(ValueError):
         normalize_action("   ", PLAIN)

@@ -4,8 +4,8 @@ the fixture parser (loaded on the first fixture load), the run artifacts,
 the compiled step loop, the command line, ``concurrent.futures`` (loaded
 only for a thread pool) or ``statistics`` (loaded on the first normal
 draw); no dataclass but the two specs that code outside the package
-replaces; and no module of the package
-or its scripts imports a name it never uses."""
+replaces; and no module of the package or its tests imports a name it
+never uses."""
 import ast
 import dataclasses
 import os
@@ -63,9 +63,9 @@ VALIDATED_SPECS = ("judging.SimJudgeSpec", "search.SearchConfig")
 
 def test_import_builds_only_the_validated_specs_as_dataclasses():
     """Each ``@dataclass`` execs its generated methods at import.  Only the
-    two specs that code outside the package (perfbench's self-test,
-    ``scripts/calibrate_trap3.py``) passes to ``dataclasses.replace`` stay
-    dataclasses, so that their ``__post_init__`` check runs again there.
+    two specs that code outside the package (perfbench's self-test) passes
+    to ``dataclasses.replace`` stay dataclasses, so that their
+    ``__post_init__`` check runs again there.
     ``BanditSpec``, ``ProposerParams`` and ``ActionChunk`` are checked
     named tuples, a result record is a named tuple, and ``GuiGraphSpec``
     is a frozen ``__slots__`` class.  Run in a fresh interpreter, as
@@ -135,12 +135,13 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     """No linter ships with the test dependencies, and a deletion leaves
-    dead imports behind; this is the one check that catches them."""
+    dead imports behind; this is the one check that catches them, over the
+    package's modules and the test files."""
     repo = Path(__file__).resolve().parents[1]
     files = [p for p in sorted((repo / "src" / "alphauct").glob("*.py"))
              if p.name != "__init__.py"]
-    files += sorted((repo / "scripts").glob("*.py"))
     assert len(files) > 10
+    files += sorted((repo / "tests").glob("*.py"))
     assert [u for p in files for u in _unused_imports(p)] == []
 
 

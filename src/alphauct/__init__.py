@@ -26,8 +26,7 @@ from .proposer import SimProposer, TaskInfeasible, proposer_from_fixture
 from .regret import (BoundReport, RegretCurve, bound_for_spec, fit_log_regret,
                      per_seed_log_slopes, run_bandit_experiment,
                      theorem1_bound)
-from .search import (SearchConfig, SearchResult, SimReflector,
-                     extract_best_path, position_env, run_search,
-                     search_fixture)
+from .search import (SearchConfig, SearchResult, extract_best_path,
+                     position_env, run_search, search_fixture)
 from .selection import select_leaf
 from .tree import ActionChunk, EvalEvent, NodeRecord, SearchTree

@@ -9,8 +9,7 @@ and trap screens are absorbing: an observation is the screen and its
 ``terminal`` (``success`` or ``failure``); the judge scores screens.
 Environments clone cheaply and exactly, which is what the snapshot
 positioning strategy relies on.  Each screen's proposal table (the policy's
-canonical ids, weights, running weight sums and surface spellings) is built
-once, with the spec.
+running weight sums and surface spellings) is built once, with the spec.
 
 No spec here is a dataclass.  ``GuiGraphSpec`` is a frozen ``__slots__``
 class; ``ProposerParams`` and ``BanditSpec`` are checked named tuples
@@ -53,16 +52,13 @@ class Observation(NamedTuple):
 class ProposalTable(NamedTuple):
     """One screen's ``[policy]`` entries, ready for weighted draws."""
 
-    canons: tuple[str, ...]
-    weights: tuple[float, ...]
-    cum: tuple[float, ...]  # running sums of ``weights``
+    cum: tuple[float, ...]  # running sums of the weights
     total: float  # ``cum[-1]``
     surfaces: tuple[tuple[str, ...], ...]  # ``surfaces_of`` per canonical
 
 
 class _ProposerFields(NamedTuple):
     duplicate_rate: float = 0.0  # chance a draw repeats an earlier draw
-    reflection_gain: float = 1.0  # weight multiplier per unit of boost
     infeasible_after: int = 0  # declare infeasible past this iteration; 0 = never
 
 
@@ -78,9 +74,6 @@ class ProposerParams(CheckedTuple, _ProposerFields):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError("duplicate_rate must be in [0, 1]")
-        gain = self.reflection_gain
-        if not (gain >= 0 and math.isfinite(gain)):  # inf x 0 boost is NaN
-            raise ValueError("reflection_gain must be >= 0 and finite")
         if type(self.infeasible_after) is not int:
             raise ValueError(f"infeasible_after must be a whole number, "
                              f"got {self.infeasible_after!r}")
@@ -142,12 +135,10 @@ class GuiGraphSpec:
         tables = {}
         # ``parse_fixture`` stores no empty entry list
         for screen, entries in self.policy.items():
-            canons = tuple(canon for canon, _ in entries)
-            weights = tuple(float(w) for _, w in entries)
-            cum = tuple(accumulate(weights))
+            cum = tuple(accumulate(float(w) for _, w in entries))
             tables[screen] = ProposalTable(
-                canons, weights, cum, cum[-1],
-                tuple(self.surfaces_of(canon) for canon in canons))
+                cum, cum[-1],
+                tuple(self.surfaces_of(canon) for canon, _ in entries))
         return tables
 
     # public helpers ---------------------------------------------------------
@@ -267,7 +258,7 @@ class BanditSpec(CheckedTuple, _BanditFields):
     """K-armed bandit whose pull is the arm mean plus a bounded residual.
 
     rho:       residual fraction in [0, 1]; the share of the blind outcome
-               variance that value prediction (reflection) leaves unexplained.
+               variance that value prediction leaves unexplained.
                0 = perfect memory, 1 = blind.
     sigma_x2:  blind outcome variance (the rho = 1 residual variance).
     noise:     residual shape; ``two_point`` (+-s) realizes the residual

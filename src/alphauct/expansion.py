@@ -132,7 +132,7 @@ def admit_candidates(candidates: Iterable[ActionChunk | Sequence[str]],
     return admitted
 
 
-def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
+def _roll_candidate(env, proposer, head: str, slot: int, *,
                     iteration: int, leaf: int, chunk_size: int):
     """Play out one candidate: step the head action, then keep proposing and
     stepping on the clone until the chunk is full or the episode ends."""
@@ -144,9 +144,8 @@ def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
         if obs.terminal != "none":
             break
         if step > 0:
-            tail = proposer.propose(obs.screen, reflection, 1,
-                                    iteration=iteration, leaf=leaf,
-                                    slot=(slot, step))
+            tail = proposer.propose(obs.screen, 1, iteration=iteration,
+                                    leaf=leaf, slot=(slot, step))
             if not tail:
                 break
             action = tail[0]
@@ -156,8 +155,8 @@ def _roll_candidate(env, proposer, head: str, slot: int, *, reflection,
 
 
 def expand_node(leaf: int, proposer, env, aliases: Mapping[str, str], *,
-                k: int, chunk_size: int, reflection=None,
-                iteration: int = 0) -> list[tuple[ActionChunk, object]]:
+                k: int, chunk_size: int, iteration: int = 0
+                ) -> list[tuple[ActionChunk, object]]:
     """Propose ``k`` candidate chunks at ``env`` (positioned at ``leaf``) and
     admit whole chunks through ``admit_candidates``.  Returns
     ``[(chunk, env_after_chunk), ...]`` in admission order; the tree is the
@@ -170,8 +169,7 @@ def expand_node(leaf: int, proposer, env, aliases: Mapping[str, str], *,
     obs0 = env.observe()
     if obs0.terminal != "none":
         raise TreeError(f"cannot expand terminal node {leaf}")
-    heads = proposer.propose(obs0.screen, reflection, k,
-                             iteration=iteration, leaf=leaf)
+    heads = proposer.propose(obs0.screen, k, iteration=iteration, leaf=leaf)
     if chunk_size == 1:
         # a one-atom chunk is its head: admit first, play only the admitted
         played = []
@@ -181,9 +179,8 @@ def expand_node(leaf: int, proposer, env, aliases: Mapping[str, str], *,
             clone.step(chunk.atoms[0])
             played.append((chunk, clone))
     else:
-        rolled = [_roll_candidate(env, proposer, head, j, reflection=reflection,
-                                  iteration=iteration, leaf=leaf,
-                                  chunk_size=chunk_size)
+        rolled = [_roll_candidate(env, proposer, head, j, iteration=iteration,
+                                  leaf=leaf, chunk_size=chunk_size)
                   for j, head in enumerate(heads)]
         # a roll always plays its head: the leaf is not terminal
         built = [(make_chunk(atoms, aliases), clone) for atoms, clone in rolled]

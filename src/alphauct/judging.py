@@ -15,6 +15,7 @@ per item, so scores do not depend on scheduling.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -43,7 +44,8 @@ class SimJudgeSpec:
     """``SimJudge``'s knobs, checked on construction and on every
     ``dataclasses.replace``: the standard deviations of the per-item noise
     and of the per-call shared offset, the sleep of each item's
-    preparation (seconds), and the seed its draws are keyed by."""
+    preparation (seconds, at most ``threading.TIMEOUT_MAX``, the longest
+    sleep the platform takes), and the seed its draws are keyed by."""
 
     noise_std: float = 0.0
     shared_offset_std: float = 0.0
@@ -55,6 +57,9 @@ class SimJudgeSpec:
                    (self.noise_std, self.shared_offset_std, self.latency_s)):
             raise ValueError("judge noise/offset/latency must be finite "
                              "and >= 0")
+        if self.latency_s > threading.TIMEOUT_MAX:
+            raise ValueError(f"judge latency must be at most "
+                             f"{threading.TIMEOUT_MAX:g} s")
 
 
 def _clamp(x: float) -> float:

@@ -3,13 +3,11 @@
 Proposals are drawn per screen from the fixture's ``[policy]`` weights over
 canonical actions, then rendered as one of the canonical's surface spellings
 (``GuiGraphSpec.surfaces_of``) — so the stream looks like raw GUI strings and
-exercises normalization.  Two quirks are modeled deliberately, with knobs
+exercises normalization.  One quirk is modeled deliberately, with a knob
 from ``envs.ProposerParams``: *mode collapse* (with probability
 ``duplicate_rate`` a draw repeats an earlier draw's canonical, possibly under
-a different spelling) and *reflection following* (an action whose normalized
-key maps to boost ``b`` in the reflection has its weight multiplied by
-``1 + reflection_gain * b``).  Past iteration ``infeasible_after`` (if
-non-zero) the proposer declares the task infeasible.
+a different spelling).  Past iteration ``infeasible_after`` (if non-zero) the
+proposer declares the task infeasible.
 
 Every draw is keyed by (iteration, leaf, slot, draw): each proposal takes two
 or three scalar counter-based draws under its own key, so proposal streams are
@@ -18,16 +16,14 @@ A ``propose`` call derives its key prefix once with ``rng.derive_rng``; each
 proposal slot ``j`` then hashes once, with ``KeyedDraws.child_words(j)``, and
 takes its draws from those words with the arithmetic of
 ``KeyedDraws.random`` and ``integers``, so the draws equal those of
-``call.child(j)``.  The weighted draw reads the screen's
-``GuiGraphSpec.proposal_table``, built with the spec; its running weight sums
-are rebuilt only when the reflection boosts one of that screen's canonical
-ids.  Duplicates are left in the returned list: expansion drops a repeated
-one-atom proposal by its normalized key before the action is ever played.
+``call.child(j)``.  The weighted draw reads the screen's running weight
+sums from ``GuiGraphSpec.proposal_table``, built with the spec.  Duplicates
+are left in the returned list: expansion drops a repeated one-atom proposal
+by its normalized key before the action is ever played.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 
 from .envs import GuiGraphSpec, ProposerParams
 from .rng import _UNIT, derive_rng
@@ -58,11 +54,10 @@ class SimProposer:
         self.seed = seed
         self.ctx = spec.alias_context()
 
-    def propose(self, screen: str, reflection, k: int, *, iteration: int,
-                leaf: int, slot: tuple[int, int] | None = None) -> list[str]:
+    def propose(self, screen: str, k: int, *, iteration: int, leaf: int,
+                slot: tuple[int, int] | None = None) -> list[str]:
         """``k`` surface action strings for ``screen``.
 
-        ``reflection`` maps normalized keys to boosts (None: no boost).
         ``slot`` is None for a node's first-atom batch and (candidate, step)
         for chunk-continuation draws; it only namespaces the rng keys.
         Screens with no policy entries yield no proposals (dead ends).
@@ -76,12 +71,7 @@ class SimProposer:
         table = self.spec.proposal_table(screen)
         if table is None:
             return []
-        canons, weights, cum, total, surfaces = table
-        gain = p.reflection_gain
-        if reflection and gain > 0 and not reflection.keys().isdisjoint(canons):
-            cum = tuple(accumulate(w * (1.0 + gain * reflection.get(canon, 0.0))
-                                   for canon, w in zip(canons, weights)))
-            total = cum[-1]
+        cum, total, surfaces = table
         dup_rate = p.duplicate_rate
         phase = (0, 0, 0) if slot is None else (1, slot[0], slot[1])
         call = derive_rng(self.seed, "prop", iteration, leaf, *phase)

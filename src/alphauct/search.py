@@ -7,16 +7,11 @@ chunks, judges the admitted set in one comparative call (or per-sibling
 independent calls under ablation), then adds each candidate as a child
 carrying its judged value and backs that value up the root path; an
 unexpandable leaf re-asserts its own value instead.  A failed judge call
-aborts the iteration before anything enters the tree.  The last
-expansion's best path (its best child's root path, as (chunk, selection q)
-pairs) is distilled into a *reflection*: a map from normalized atom keys to
-their best non-negative q, which boosts those actions' weights in the next
-iteration's proposals.  A proposer with ``reflection_gain 0`` (in the
-fixture, or as an override) ignores it.  The reported best path is
-``selection.select_path`` at zero exploration.
+aborts the iteration before anything enters the tree.  The reported best
+path is ``selection.select_path`` at zero exploration.
 
-``search_fixture`` wires a search on a fixture (environment, proposer, judge,
-reflector) and seeds its proposer and judge with the config's seed.
+``search_fixture`` wires a search on a fixture (environment, proposer,
+judge) and seeds its proposer and judge with the config's seed.
 
 One optional thread pool hides simulated judge latency by running the
 per-sibling judge preparation concurrently.  All randomness is keyed by
@@ -26,11 +21,11 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .backup import MAX, backpropagate, q_for_selection
 from .envs import GuiGraphEnv, GuiGraphSpec
-from .expansion import CHUNK_SEP, expand_node
+from .expansion import expand_node
 from .judging import (COMPARATIVE, JUDGE_MODES, JudgeFailure, SimJudge,
                       SimJudgeSpec, judge_comparative, judge_independent_set)
 from .proposer import TaskInfeasible, proposer_from_fixture
@@ -104,21 +99,13 @@ class SearchConfig:
 
 
 class SimReflector:
-    """Distills the last expansion's best path into a proposal boost.
+    """A stub that ``run_search`` never calls.  Only the benchmark
+    (``perfbench/run.py``) passes one to ``run_search``, and only its
+    tracer (``perfbench/tracer.py``) wraps ``reflect``; it can go once the
+    benchmark drops both."""
 
-    ``reflect`` maps each normalized atom key on the path to the highest
-    ``q >= 0`` among the steps that carry it; before the first expansion the
-    path is empty and so is the boost.
-    """
-
-    def reflect(self, prev: Sequence[tuple[ActionChunk, float]]
-                ) -> dict[str, float]:
-        boost: dict[str, float] = {}
-        for chunk, q in prev:
-            if q >= 0.0:
-                for key in chunk.norm_key.split(CHUNK_SEP):
-                    boost[key] = max(boost.get(key, 0.0), q)
-        return boost
+    def reflect(self, prev) -> dict[str, float]:
+        return {}
 
 
 class SearchResult(NamedTuple):
@@ -185,15 +172,14 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
 
     ``env`` itself is never mutated: iterations work on positioned clones.
     Trace lines (one per iteration plus a closing ``stop`` line) are part of
-    the result and documented in the README.
+    the result and documented in the README.  ``reflector`` is not read; the
+    benchmark (``perfbench/run.py``) still passes a ``SimReflector`` there.
     """
     snapshots = config.state_strategy == SNAPSHOT
     judge_fn = (judge_comparative if config.judge_mode == COMPARATIVE
                 else judge_independent_set)
     tree = SearchTree(root_state=env.clone(), root_obs=env.observe())
     trace: list[str] = []
-    # the boost map the proposals see; rebuilt only after an expansion
-    reflection = reflector.reflect([])
     outcome = OUTCOME_BUDGET
     success_node: int | None = None
     iterations = 0
@@ -217,7 +203,7 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 played = expand_node(
                     leaf, proposer, positioned, proposer.ctx,
                     k=config.expansion_factor, chunk_size=config.chunk_size,
-                    reflection=reflection, iteration=it)
+                    iteration=it)
             except TaskInfeasible:
                 outcome = OUTCOME_INFEASIBLE
                 trace.append(f"iter={it} kind=stop outcome=infeasible leaf={leaf}")
@@ -263,16 +249,6 @@ def run_search(env, proposer, judge, reflector, config: SearchConfig) -> SearchR
                 trace.append(f"iter={it} kind=stop outcome=success "
                              f"node={success_node}")
                 break
-
-            # the best child (the first of equal scores) and its ancestors
-            # below the root, root first, with their selection values; the
-            # last back-up's path is the root, those ancestors and a sibling
-            best = child_ids[scores.index(max(scores))]
-            nodes, use_max = tree.nodes, config.backup == MAX
-            reflection = reflector.reflect(
-                [(nodes[nid].action,
-                  nodes[nid].q_max if use_max else nodes[nid].q_mean)
-                 for nid in (*tree.events[-1].path[1:-1], best)])
         else:
             trace.append(f"iter={iterations} kind=stop outcome=budget_exhausted")
 
@@ -285,11 +261,11 @@ def search_fixture(spec: GuiGraphSpec, config: SearchConfig,
                    judge: SimJudgeSpec = SimJudgeSpec(),
                    **proposer_overrides) -> SearchResult:
     """One search on a fixture: its environment, its proposer (fixture
-    parameters replaced by ``proposer_overrides``), a ``SimJudge`` scoring
-    against its values, and a ``SimReflector``.  The proposer and the judge
-    both draw under ``config.seed``."""
+    parameters replaced by ``proposer_overrides``) and a ``SimJudge``
+    scoring against its values.  The proposer and the judge both draw under
+    ``config.seed``."""
     return run_search(
         GuiGraphEnv(spec),
         proposer_from_fixture(spec, seed=config.seed, **proposer_overrides),
         SimJudge(replace(judge, seed=config.seed), spec.values),
-        SimReflector(), config)
+        None, config)

@@ -100,6 +100,44 @@ def test_search_on_a_fixture_with_a_huge_numeral(tmp_path, capsys):
     capsys.readouterr()
 
 
+HUGE_WEIGHT = """
+[screens]
+home hub goal
+[start]
+home
+[goals]
+goal
+[edges]
+home go -> hub
+hub big -> hub
+hub win -> goal
+[values]
+home 0
+hub 0.5
+goal 1
+[policy]
+home go 1
+hub big 1.7e308
+hub win 1
+"""
+
+
+def test_search_with_a_weight_near_the_float_range(tmp_path, capsys):
+    """A policy weight near the float range draws like any other: every
+    hub proposal is the heavy self-loop, so the search runs out its budget
+    at the hub and writes its artifacts."""
+    env = tmp_path / "heavy.env"
+    env.write_text(HUGE_WEIGHT)
+    out = tmp_path / "run"
+    assert run_cli("search", "--env", str(env), "--out", str(out)) == 0
+    capsys.readouterr()
+    for name in ("tree.txt", "trace.txt", "manifest.json"):
+        assert (out / name).exists(), name
+    result = read_json(out / "result.json")
+    assert result["outcome"] == "budget_exhausted"
+    assert result["best_path_normalized"][1:] == ["big"] * 11
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run_cli("conquer") == 2
     capsys.readouterr()
@@ -550,6 +588,25 @@ def test_rerun_applies_ablate_range_checks(tmp_path, capsys, key, value):
     capsys.readouterr()
     assert _rerun_with(tmp_path, first, key, value) == 2
     _one_error_line(capsys, repr(key))
+    assert _no_artifacts(tmp_path / "again")
+
+
+def test_judge_latency_past_the_longest_sleep_exits_2(tmp_path, capsys):
+    """A judge latency past ``threading.TIMEOUT_MAX`` (which ``time.sleep``
+    would refuse at the first judge call) is rejected before the search
+    starts, from the flag and from a rerun manifest alike.  Only rejected
+    latencies run here: an accepted one would really sleep."""
+    want = "error: judge latency must be at most 9.22337e+09 s\n"
+    out = tmp_path / "run"
+    assert run_cli("search", "--env", "trap3", "--judge-latency", "1e10",
+                   "--out", str(out)) == 2
+    assert _one_error_line(capsys) == want
+    assert _no_artifacts(out)
+    first = tmp_path / "search"
+    assert run_cli(*SEARCH_ARGS, "--out", str(first)) == 0
+    capsys.readouterr()
+    assert _rerun_with(tmp_path, first, "judge_latency", 1e10) == 2
+    assert _one_error_line(capsys) == want
     assert _no_artifacts(tmp_path / "again")
 
 

@@ -90,7 +90,7 @@ def test_import_builds_only_the_validated_specs_as_dataclasses():
     assert repr(alphauct.BanditSpec(means=(0.6, 0.4))) == (
         "BanditSpec(means=(0.6, 0.4), sigma_x2=0.0, rho=1.0, noise='two_point')")
     assert repr(spec.proposer) == ("ProposerParams(duplicate_rate=0.0, "
-                                   "reflection_gain=1.0, infeasible_after=0)")
+                                   "infeasible_after=0)")
 
 
 def test_lab_mds_spec_checks_itself_on_replace():

@@ -9,15 +9,13 @@ import pytest
 
 from alphauct import expansion as expansion_mod
 from alphauct import proposer as proposer_mod
-from alphauct import search as search_mod
-from alphauct.backup import q_for_selection
 from alphauct.envs import GuiGraphEnv, builtin_fixtures, load_fixture
 from alphauct.judging import JudgeFailure, SimJudge, SimJudgeSpec
 from alphauct.proposer import SimProposer, proposer_from_fixture
 from alphauct.search import (OUTCOME_BUDGET, OUTCOME_INFEASIBLE,
                              OUTCOME_SUCCESS, ReplayDivergence, SearchConfig,
-                             SimReflector, StateError, extract_best_path,
-                             position_env, run_search, search_fixture)
+                             StateError, extract_best_path, position_env,
+                             run_search, search_fixture)
 from alphauct.tree import ROOT, ActionChunk, SearchTree
 
 TRACE_KINDS = {"expand", "revisit", "stalled", "judge_failed", "stop"}
@@ -30,7 +28,7 @@ def run_fixture(fixture: str, *, noise: float = 0.0, offset: float = 0.0,
     judge = judge_cls(SimJudgeSpec(noise_std=noise, shared_offset_std=offset,
                                    seed=cfg.seed), spec.values)
     res = run_search(GuiGraphEnv(spec), proposer_from_fixture(spec, seed=cfg.seed),
-                     judge, SimReflector(), cfg)
+                     judge, None, cfg)
     return spec, res
 
 
@@ -195,7 +193,7 @@ def test_judge_faults_leave_a_judged_tree(fixture, cfg, judge_mode):
                             spec.values)
         res = run_search(GuiGraphEnv(spec),
                          proposer_from_fixture(spec, seed=config.seed), judge,
-                         SimReflector(), config)
+                         None, config)
         runs.append((res.tree.dump(), res.trace))
     failed = [ln for ln in res.trace if "kind=judge_failed" in ln]
     assert len(failed) == judge.faults
@@ -216,13 +214,13 @@ def test_empty_proposals_route_to_exhausted():
     class SilentProposer:
         ctx = {}
 
-        def propose(self, screen, reflection, k, *, iteration, leaf, slot=None):
+        def propose(self, screen, k, *, iteration, leaf, slot=None):
             return []
 
     spec = load_fixture("trap3")
     judge = SimJudge(SimJudgeSpec(), spec.values)
     res = run_search(GuiGraphEnv(spec), SilentProposer(), judge,
-                     SimReflector(), SearchConfig(max_iterations=3))
+                     None, SearchConfig(max_iterations=3))
     assert res.outcome == OUTCOME_BUDGET
     assert res.tree.nodes[ROOT].terminal == "exhausted"
     # first attempt stalls; the now-exhausted root only gets revisits after
@@ -235,7 +233,7 @@ def test_infeasible_proposer_stops_the_search():
     spec = load_fixture("trap3")
     prop = proposer_from_fixture(spec, seed=0, infeasible_after=2)
     judge = SimJudge(SimJudgeSpec(), spec.values)
-    res = run_search(GuiGraphEnv(spec), prop, judge, SimReflector(),
+    res = run_search(GuiGraphEnv(spec), prop, judge, None,
                      SearchConfig(max_iterations=10))
     assert res.outcome == OUTCOME_INFEASIBLE
     assert "outcome=infeasible" in res.trace[-1]
@@ -312,66 +310,6 @@ def test_extract_best_path_breaks_ties_earliest():
     assert [c.norm_key for c in path] == ["a", "c"]
 
 
-def test_reflection_boosts_the_previous_best_path(monkeypatch):
-    """The boost a proposal sees right after an expansion maps the atom keys
-    of that expansion's best path to their selection values, q >= 0 only."""
-    trees = []
-
-    class Tree(SearchTree):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            trees.append(self)
-
-    monkeypatch.setattr(search_mod, "SearchTree", Tree)
-    spec = load_fixture("trap3")
-    checked = negative = 0
-    boosted = False
-    for seed in range(8):
-        inner = proposer_from_fixture(spec, seed=seed)
-        seen = {}  # iteration -> (boost, node q values when it was proposed)
-
-        class RecordingProposer:
-            ctx = inner.ctx
-
-            def propose(self, screen, reflection, k, **kw):
-                if kw.get("slot") is None:
-                    tree = trees[-1]
-                    seen[kw["iteration"]] = (dict(reflection), {
-                        nid: q_for_selection(tree, nid)
-                        for nid in range(len(tree))
-                        if tree.nodes[nid].q_max is not None})
-                return inner.propose(screen, reflection, k, **kw)
-
-        # noisy enough that some best paths hold a negative q and some best
-        # children are not the first admitted
-        judge = SimJudge(SimJudgeSpec(noise_std=0.6, seed=seed), spec.values)
-        res = run_search(GuiGraphEnv(spec), RecordingProposer(), judge,
-                         SimReflector(),
-                         SearchConfig(seed=seed, max_iterations=12))
-        tree = res.tree
-        assert seen[1][0] == {}
-        for line in res.trace:
-            it = int(line.split()[0][len("iter="):])
-            if "kind=expand" not in line or it + 1 not in seen:
-                continue
-            judged = [e for e in tree.events if e.iteration == it]
-            best = max(judged, key=lambda e: e.value).leaf  # first max wins
-            boost, q = seen[it + 1]
-            expected = {}
-            for nid in tree.path_to_root(best)[1:]:
-                if q[nid] >= 0:
-                    for key in tree.nodes[nid].action.norm_key.split(";"):
-                        expected[key] = max(expected.get(key, 0.0), q[nid])
-                else:
-                    negative += 1
-            assert boost == expected, (seed, it)
-            checked += 1
-        boosted = boosted or any(boost for boost, _ in seen.values())
-    assert checked >= 12
-    assert negative > 0  # the q >= 0 filter was exercised
-    assert boosted
-
-
 def test_search_fixture_is_the_seeded_hand_wiring():
     """``search_fixture`` seeds the proposer and the judge with the config's
     seed (a seed in the judge spec is replaced) and passes proposer
@@ -382,7 +320,7 @@ def test_search_fixture_is_the_seeded_hand_wiring():
     ref = run_search(GuiGraphEnv(spec),
                      proposer_from_fixture(spec, seed=5, duplicate_rate=0.6),
                      SimJudge(replace(judge, seed=5), spec.values),
-                     SimReflector(), cfg)
+                     None, cfg)
     res = search_fixture(spec, cfg, replace(judge, seed=99), duplicate_rate=0.6)
     assert (res.tree.dump(), res.trace) == (ref.tree.dump(), ref.trace)
     plain = search_fixture(spec, cfg, judge)
@@ -392,13 +330,13 @@ def test_search_fixture_is_the_seeded_hand_wiring():
 
 
 def test_pinned_digest_with_every_proposer_override():
-    """All three proposer overrides reach the proposer through
-    ``search_fixture``: duplicates, a doubled reflection gain, and an
-    infeasibility declaration after iteration 4 that ends the search."""
+    """Both proposer overrides reach the proposer through
+    ``search_fixture``: duplicates and an infeasibility declaration after
+    iteration 4 that ends the search."""
     res = search_fixture(load_fixture("trap3"),
                          SearchConfig(seed=1, max_iterations=12),
                          SimJudgeSpec(noise_std=0.3), duplicate_rate=0.6,
-                         reflection_gain=2, infeasible_after=4)
+                         infeasible_after=4)
     kinds = [line.split()[1] for line in res.trace]
     assert kinds == ["kind=expand", "kind=expand", "kind=stalled",
                      "kind=expand"] + ["kind=revisit"] * 3 + ["kind=stop"]
@@ -418,7 +356,7 @@ def test_pinned_digest_with_every_proposer_override():
     # expand, stalled and revisit with a re-asserted value, expand, success
     ("bottleneck2", dict(noise=0.2, seed=3, max_iterations=12),
      "7fa27c36cdbac4a1a484adfaddff073527cd5f62d5d6e7da81cda7fec3e367f2"),
-    # the running mean feeds selection and reflection; all four kinds
+    # the running mean feeds selection; all four kinds
     ("trap3", dict(backup="mean", noise=0.3, seed=2, max_iterations=15),
      "4c70b4dcbf38f1e687a73c9cc2df5e3171320a32ea4a5197acb999181e5fad9e"),
     # replay positioning through two-atom chunks
@@ -428,7 +366,7 @@ def test_pinned_digest_with_every_proposer_override():
 ])
 def test_pinned_search_digests(fixture, cfg, digest):
     """SHA-256 of the tree dump plus the trace, pinned so that a change to
-    the reflection path (or anything else on the search stream) shows."""
+    anything on the search stream shows."""
     _, res = run_fixture(fixture, **cfg)
     blob = res.tree.dump() + "\n".join(res.trace)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest

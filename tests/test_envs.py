@@ -156,6 +156,21 @@ def test_stepping_agrees_with_dedup(name):
             assert env.screen == screen
 
 
+@pytest.mark.parametrize("mangle,fragment", [
+    (lambda t: t.replace("[start]\nhome", "[start]\nelsewhere"), "start"),
+    (lambda t: t.replace("[goals]\nprize\n", "[goals]\n"), "goal"),
+    (lambda t: t.replace("menu claim -> prize", "menu claim -> nowhere"), "map"),
+    (lambda t: t.replace("home 0.0", "home 7.0"), "[-1, 1]"),
+    (lambda t: t.replace("menu claim -> prize", "menu Claim -> prize"),
+     "normal form"),
+    (lambda t: t + "\n[edges]\nprize reopen -> home\n", "outgoing"),
+])
+def test_fixture_validation_errors(mangle, fragment):
+    with pytest.raises(FixtureError) as err:
+        parse_fixture(mangle(MINI))
+    assert fragment in str(err.value)
+
+
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
 def test_policy_weights_must_be_positive_and_finite(weight):
     """A zero or negative weight is an error at its line, and so is an
